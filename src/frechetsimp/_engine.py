@@ -22,6 +22,21 @@ axis-aligned square) through a handful of shape primitives.  Vertices whose
 circle contains the apex get the whole plane as their cone but still run the
 narrowing step, which is what enforces the Frechet ordering (skipping it
 admits shortcuts that visit vertices out of order).
+
+Per-step cost.  A sweep runs Theta(n) steps per start vertex, so the step is
+written for the interpreter.  The angular key of vertex j (one atan2) is
+computed at most once per step and kept in ``_loc_cache`` as (j, key):
+``locate_vertex(j)`` leaves it there, and the ``step(j)`` that follows, with
+every case surgery that needs the center key, reads it back.  A ``step``
+without a preceding ``locate_vertex(j)`` computes the key on first use; the
+results are bit-identical either way.  Reuse is sound because keys depend
+only on the point and the frame rotation, and the frame is fixed once the
+first arc exists (the one step that rotates it clears the cache).  Keys stay
+on ``math.atan2`` and distances on ``math.hypot``, one call per point as the
+step needs it: numpy's vectorised ``arctan2`` and ``hypot`` round differently
+from libm on some inputs (SIMD builds), and the engine compares keys and
+distances against tight tolerances, so precomputed arrays would change
+decisions, not just the last digits of the output.
 """
 from __future__ import annotations
 
@@ -31,9 +46,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .geometry import EPS_ANGLE, EPS_REL, InternalGeometryError, _wrap_angle
+from .geometry import EPS_ANGLE, EPS_REL, InternalGeometryError, Metric, _wrap_angle
 
 _PI = math.pi
+_HALF_PI = 0.5 * math.pi
 _TAU = 2.0 * math.pi
 _KEY_SLACK = 1e-9          # radians: key-span filters and closed-wedge tests
 _COINC = "coincident"
@@ -88,11 +104,10 @@ class Arc:
                 f"c=({self.cx:.4f},{self.cy:.4f}))")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepReport:
     case: str
     removed_arcs: int = 0
-    shortcut_candidate_checked: bool = False
 
 
 @dataclass
@@ -104,17 +119,13 @@ class SweepStats:
     steps: int = 0
     case_histogram: dict = field(default_factory=dict)
 
-    def bump(self, case: str):
-        h = self.case_histogram
-        h[case] = h.get(case, 0) + 1
-
 
 class Sweep:
     """Mutable per-start-vertex sweep state (single-threaded during its sweep)."""
 
     __slots__ = ("pts", "i", "n", "delta", "kern", "ax", "ay", "rot",
                  "kr", "kl", "ur", "ul", "arcs", "keys", "aborted", "stats",
-                 "strict", "checker", "svg_sink", "_loc_cache")
+                 "strict", "checker", "svg_sink", "square", "_loc_cache")
 
     def __init__(self, pts: Sequence[Sequence[float]], i: int, delta: float, kern,
                  strict: bool = False, checker=None,
@@ -135,7 +146,8 @@ class Sweep:
         self.strict = strict
         self.checker = checker
         self.svg_sink = svg_sink
-        self._loc_cache = None
+        self.square = kern.metric is not Metric.L2   # gauge the square segments
+        self._loc_cache = (None, 0.0)   # (vertex j, key of j); see the module docstring
 
     # -- frame ------------------------------------------------------------
 
@@ -143,6 +155,7 @@ class Sweep:
         self.rot = math.atan2(py - self.ay, px - self.ax) - 0.5 * _PI
 
     def _key(self, px: float, py: float) -> float:
+        # the hot paths inline this body; keep the copies in step with it
         a = math.atan2(py - self.ay, px - self.ax) - self.rot
         if a <= -_PI:
             a += _TAU
@@ -150,15 +163,22 @@ class Sweep:
             a -= _TAU
         return a
 
-    def _center_key(self, px: float, py: float) -> float:
-        """Key of a circle center, unwrapped into (-pi/2, 3pi/2].
+    def _center_key(self, j: int, px: float, py: float) -> float:
+        """Key of the center of vertex j's circle, unwrapped into (-pi/2, 3pi/2].
 
         Centers sit within pi/2 of any ray meeting their circle, and every
         wedge ray has a key in (0, pi), so this branch is the unique one in
-        which center keys order consistently with the arcs.
+        which center keys order consistently with the arcs.  The key of
+        vertex j is computed once: ``locate_vertex(j)`` or the first call
+        here leaves it in ``_loc_cache`` for the rest of the step.
         """
-        k = self._key(px, py)
-        return k if k > -0.5 * _PI else k + _TAU
+        c = self._loc_cache
+        if c[0] == j:
+            k = c[1]
+        else:
+            k = self._key(px, py)
+            self._loc_cache = (j, k)
+        return k if k > -_HALF_PI else k + _TAU
 
     def _unit_to(self, px: float, py: float):
         dx = px - self.ax
@@ -170,30 +190,38 @@ class Sweep:
 
     def locate(self, p: Sequence[float]) -> Location:
         """Classify a point against the current wedge and wavefront."""
+        return self._locate(float(p[0]), float(p[1]), None)
+
+    def locate_vertex(self, j: int) -> Location:
+        """``locate(pts[j])``; a following ``step(j)`` reuses its key."""
+        p = self.pts[j]
+        return self._locate(float(p[0]), float(p[1]), j)
+
+    def _locate(self, px: float, py: float, j: Optional[int]) -> Location:
         if self.aborted:
             raise SweepAbortedError("sweep already aborted")
-        px, py = float(p[0]), float(p[1])
         dx = px - self.ax
         dy = py - self.ay
         if dx == 0.0 and dy == 0.0:
             return VALID if not self.arcs else BELOW
         if not self.arcs:
             return VALID
-        k = self._key(px, py)
+        k = math.atan2(dy, dx) - self.rot
+        if k <= -_PI:
+            k += _TAU
+        elif k > _PI:
+            k -= _TAU
+        self._loc_cache = (j, k)
         if k < self.kr - _KEY_SLACK or k > self.kl + _KEY_SLACK:
             return OUTSIDE
         dist = math.hypot(dx, dy)
         w = self._front_dist_at(k, dx / dist, dy / dist)
-        self._loc_cache = (px, py, k, dist)
         return VALID if dist >= w - EPS_REL * (self.delta + dist) else BELOW
-
-    def locate_vertex(self, j: int) -> Location:
-        return self.locate(self.pts[j])
 
     def _front_dist_at(self, k: float, ux: float, uy: float) -> float:
         """Distance from the apex to the wavefront along the ray with key k."""
         arcs = self.arcs
-        pos = bisect_right(self.keys, k) - 1
+        pos = bisect_right(self.keys, k) - 1 if len(arcs) > 1 else 0
         if pos < 0:
             pos = 0
         for cand in (pos, pos - 1, pos + 1):
@@ -211,24 +239,27 @@ class Sweep:
         """Process vertex j: narrow the wedge, update the wavefront."""
         if self.aborted:
             raise SweepAbortedError("sweep already aborted")
-        pts = self.pts
-        px, py = float(pts[j][0]), float(pts[j][1])
-        delta = self.delta
-        kern = self.kern
+        p = self.pts[j]
+        px, py = float(p[0]), float(p[1])
         st = self.stats
         st.steps += 1
-        d = kern.distance(self.ax, self.ay, px, py)
-        if d <= delta:
+        if self.kern.distance(self.ax, self.ay, px, py) <= self.delta:
             if not self.arcs:
                 report = StepReport("PREFIX")      # within delta before any constraint
             else:
-                report = self._step_inside(j, px, py)
+                # whole-plane cone, but the narrowing step still runs so the
+                # visit order stays enforced
+                report = self._narrow(j, px, py, True)
         else:
             report = self._step_proper(j, px, py)
-        st.bump(report.case)
-        if len(self.arcs) > st.max_arc_count:
-            st.max_arc_count = len(self.arcs)
-        if self.kern.metric.value != "l2":
+        h = st.case_histogram
+        h[report.case] = h.get(report.case, 0) + 1
+        n_arcs = len(self.arcs)
+        if n_arcs > st.max_arc_count:
+            st.max_arc_count = n_arcs
+        # an arc spans at most two square segments, so the count can only
+        # raise the gauge while twice the arc count exceeds it
+        if self.square and 2 * n_arcs > st.max_segment_count:
             segs = self._segment_count()
             if segs > st.max_segment_count:
                 st.max_segment_count = segs
@@ -240,30 +271,39 @@ class Sweep:
         return report
 
     def _segment_count(self) -> int:
-        if self.kern.metric.value == "l2":
-            return len(self.arcs)
+        """Segments of the wavefront: one per arc, two for a square arc round a corner."""
+        segs = self.kern.arc_segments
+        ax, ay, delta = self.ax, self.ay, self.delta
         total = 0
         for a in self.arcs:
-            path = self.kern.wave_path(self.ax, self.ay, a.cx, a.cy, self.delta,
-                                       (a.x0, a.y0), (a.x1, a.y1))
-            total += max(1, len(path) - 1)
+            total += segs(ax, ay, a.cx, a.cy, delta, a.x0, a.y0, a.x1, a.y1)
         return total
 
     def _step_proper(self, j: int, px: float, py: float) -> StepReport:
-        kern = self.kern
-        delta = self.delta
-        corners = kern.tangent_points(self.ax, self.ay, px, py, delta)
+        ax, ay = self.ax, self.ay
+        corners = self.kern.tangent_points(ax, ay, px, py, self.delta)
         if self.rot is None:
             self._init_frame(px, py)
-        ck = self._center_key(px, py)
+        rot = self.rot
+        ck = self._center_key(j, px, py)
         off_r = off_l = 0.0
         tp_r = tp_l = None
-        for p in corners:
-            off = _wrap_angle(self._key(p[0], p[1]) - ck)
+        atan2 = math.atan2
+        for tp in corners:
+            # offset of the touch point's key from the center key, both wrapped
+            # to (-pi, pi] exactly as _key and _wrap_angle do
+            off = atan2(tp[1] - ay, tp[0] - ax) - rot
+            if off <= -_PI:
+                off += _TAU
+            elif off > _PI:
+                off -= _TAU
+            off -= ck
+            if off <= -_PI or off > _PI:
+                off = _wrap_angle(off)
             if tp_r is None or off < off_r:
-                off_r, tp_r = off, p
+                off_r, tp_r = off, tp
             if tp_l is None or off > off_l:
-                off_l, tp_l = off, p
+                off_l, tp_l = off, tp
         if not self.arcs:
             # first proper step: re-center the frame on the cone midpoint, so
             # the whole sweep (every later wedge is a subset) lives in keys
@@ -271,6 +311,7 @@ class Sweep:
             shift = ck + 0.5 * (off_r + off_l) - 0.5 * _PI
             self.rot += shift
             ck -= shift
+            self._loc_cache = (None, 0.0)     # its key was in the old frame
         dkr = ck + off_r
         dkl = ck + off_l
         if not self.arcs:
@@ -284,22 +325,17 @@ class Sweep:
             self.stats.inserted += 1
             return StepReport("INIT")
         # (a) wedge := wedge ∩ cone (wrap-aware: the cone may sit across the seam)
+        kr, kl = self.kr, self.kl
         nkr = nkl = None
         for shift in (0.0, _TAU, -_TAU):
             r = dkr + shift
             l = dkl + shift
-            if l < self.kr - EPS_ANGLE or r > self.kl + EPS_ANGLE:
+            if l < kr - EPS_ANGLE or r > kl + EPS_ANGLE:
                 continue
-            nkr = max(self.kr, r)
-            nkl = min(self.kl, l)
-            if nkr <= r + EPS_ANGLE:
-                n_ur = self._unit_to(*tp_r)
-            else:
-                n_ur = self.ur
-            if nkl >= l - EPS_ANGLE:
-                n_ul = self._unit_to(*tp_l)
-            else:
-                n_ul = self.ul
+            nkr = r if r > kr else kr         # max(kr, r), min(kl, l)
+            nkl = l if l < kl else kl
+            n_ur = self._unit_to(*tp_r) if nkr <= r + EPS_ANGLE else self.ur
+            n_ul = self._unit_to(*tp_l) if nkl >= l - EPS_ANGLE else self.ul
             break
         if nkr is None or nkl < nkr - EPS_ANGLE:
             self.aborted = True
@@ -308,14 +344,9 @@ class Sweep:
             nkl = nkr
         removed = self._clip(nkr, nkl, n_ur, n_ul)
         self.kr, self.kl, self.ur, self.ul = nkr, nkl, n_ur, n_ul
-        rep = self._narrow(j, px, py, inside=False)
+        rep = self._narrow(j, px, py, False)
         rep.removed_arcs += removed
         return rep
-
-    def _step_inside(self, j: int, px: float, py: float) -> StepReport:
-        """Vertex within delta of the apex: whole-plane cone, but the narrowing
-        step still runs so the visit order stays enforced."""
-        return self._narrow(j, px, py, inside=True)
 
     # -- clip to wedge ------------------------------------------------------
 
@@ -333,17 +364,19 @@ class Sweep:
         """Restrict the wavefront to [nkr, nkl]; returns number of dropped arcs."""
         arcs = self.arcs
         keys = self.keys
-        lo = bisect_right(keys, nkr) - 1
-        if lo < 0:
-            lo = 0
-        while lo < len(arcs) - 1 and arcs[lo].k1 < nkr - _KEY_SLACK:
-            lo += 1
-        hi = bisect_right(keys, nkl) - 1
-        if hi < lo:
-            hi = lo
-        while hi > lo and arcs[hi].k0 > nkl + _KEY_SLACK:
-            hi -= 1
-        dropped = lo + (len(arcs) - 1 - hi)
+        dropped = 0
+        if len(arcs) > 1:          # a single arc always spans the new wedge
+            lo = bisect_right(keys, nkr) - 1
+            if lo < 0:
+                lo = 0
+            while lo < len(arcs) - 1 and arcs[lo].k1 < nkr - _KEY_SLACK:
+                lo += 1
+            hi = bisect_right(keys, nkl) - 1
+            if hi < lo:
+                hi = lo
+            while hi > lo and arcs[hi].k0 > nkl + _KEY_SLACK:
+                hi -= 1
+            dropped = lo + (len(arcs) - 1 - hi)
         if dropped:
             del arcs[hi + 1:]
             del keys[hi + 1:]
@@ -425,17 +458,27 @@ class Sweep:
         (key, point) sorted by key.
         """
         kern = self.kern
-        res = kern.boundary_intersections(arc.cx, arc.cy, px, py, self.delta)
+        ax, ay, delta = self.ax, self.ay, self.delta
+        res = kern.boundary_intersections(arc.cx, arc.cy, px, py, delta)
         if res == _COINC:
             return _COINC
         out = []
-        for (x, y) in res:
-            if not kern.on_near_side(self.ax, self.ay, arc.cx, arc.cy, x, y, self.delta):
+        for xy in res:
+            x, y = xy
+            if not kern.on_near_side(ax, ay, arc.cx, arc.cy, x, y, delta):
                 continue
-            k = self._key(x, y)
+            k = math.atan2(y - ay, x - ax) - self.rot      # self._key(x, y)
+            if k <= -_PI:
+                k += _TAU
+            elif k > _PI:
+                k -= _TAU
             if arc.k0 - _KEY_SLACK <= k <= arc.k1 + _KEY_SLACK:
-                out.append((k, (x, y)))
-        out.sort(key=lambda kp: kp[0])
+                out.append((k, xy))
+        if len(out) == 2:
+            if out[1][0] < out[0][0]:
+                out.reverse()
+        elif len(out) > 2:
+            out.sort(key=lambda kp: kp[0])
         return out
 
     def _contained(self, arc: Arc, px: float, py: float) -> bool:
@@ -447,35 +490,40 @@ class Sweep:
     # -- the narrowing step and its cases -------------------------------------
 
     def _narrow(self, j: int, px: float, py: float, inside: bool) -> StepReport:
-        l_arc = self.arcs[-1]
-        r_arc = self.arcs[0]
-        wl = math.hypot(l_arc.x1 - self.ax, l_arc.y1 - self.ay)
-        wr = math.hypot(r_arc.x0 - self.ax, r_arc.y0 - self.ay)
-        ql = self._ray_q(self.ul[0], self.ul[1], px, py)
-        qr = self._ray_q(self.ur[0], self.ur[1], px, py)
-        pat_l = self._classify(wl, ql, True, px, py)
-        pat_r = self._classify(wr, qr, False, px, py)
-        case = pat_l + pat_r
+        """Classify both wedge rays against C_j and run the matching surgery.
+
+        ``inside`` says the apex lies in C_j.
+        """
+        ax, ay = self.ax, self.ay
+        arcs = self.arcs
+        l_arc = arcs[-1]
+        r_arc = arcs[0]
+        wl = math.hypot(l_arc.x1 - ax, l_arc.y1 - ay)
+        wr = math.hypot(r_arc.x0 - ax, r_arc.y0 - ay)
+        ul, ur = self.ul, self.ur
+        ql = self._ray_q(ul[0], ul[1], px, py)
+        qr = self._ray_q(ur[0], ur[1], px, py)
+        case = self._classify(wl, ql, True, px, py) + self._classify(wr, qr, False, px, py)
         if inside and ("B" in case):
             raise InternalGeometryError(
                 f"pattern {case} with the apex inside C_{j} should be impossible")
-        if case in ("TB", "BT"):
+        if case == "TB" or case == "BT":
             raise InternalGeometryError(f"unreachable wavefront case {case}")
         if self.checker is not None:
             self.checker.before_surgery(self, j, px, py, case)
+        if case == "BB":
+            return self._case_bb(j, px, py, ql, qr)
+        if case == "MB":
+            return self._case_mb(j, px, py, qr)
+        if case == "BM":
+            return self._case_bm(j, px, py, ql)
         if case == "TT":
             return self._case_tt(j, px, py)
         if case == "TM":
             return self._case_tm(j, px, py)
         if case == "MT":
             return self._case_mt(j, px, py)
-        if case == "MM":
-            return self._case_mm(j, px, py, allow_insert=not inside)
-        if case == "MB":
-            return self._case_mb(j, px, py, qr)
-        if case == "BM":
-            return self._case_bm(j, px, py, ql)
-        return self._case_bb(j, px, py, ql, qr)
+        return self._case_mm(j, px, py, allow_insert=not inside)
 
     def _splice(self, lo: int, hi: int, new_arcs: list[Arc]):
         """Replace arcs[lo:hi] with new_arcs, keeping the key list in sync."""
@@ -576,45 +624,76 @@ class Sweep:
         return StepReport("MT")
 
     def _case_mb(self, j: int, px: float, py: float, qr) -> StepReport:
-        """Circle beyond the wavefront at the right ray: its bottom arc joins there."""
+        """Circle beyond the wavefront at the right ray (entered at qr[0]):
+        its bottom arc takes over from the right ray to the first crossing."""
         found = self._scan_right(px, py)
         if found is None:
             raise InternalGeometryError("case MB must have one crossing")
         ir, k1, p1 = found
-        a = self.arcs[ir]
-        a.k0, a.x0, a.y0 = k1, p1[0], p1[1]
+        x1, y1 = p1
+        arcs = self.arcs
+        a = arcs[ir]
+        a.k0, a.x0, a.y0 = k1, x1, y1
         if a.k1 < a.k0:
             a.k1 = a.k0
-        self._resync_key(ir)
-        q3 = self._q_point(self.ur, qr[0])
-        ck = self._center_key(px, py)
-        new = Arc(self.kr, k1, q3[0], q3[1], p1[0], p1[1], px, py, j, ck)
-        self._splice(0, ir, [new])
+        ur = self.ur
+        kr = self.kr
+        t = qr[0]
+        new = Arc(kr, k1, self.ax + t * ur[0], self.ay + t * ur[1], x1, y1,
+                  px, py, j, self._center_key(j, px, py))
+        # splice [new] over arcs[:ir]
+        arcs[:ir] = (new,)
+        keys = self.keys
+        keys[:ir] = (kr,)
+        keys[1] = k1
+        st = self.stats
+        st.removed += ir
+        st.inserted += 1
         return StepReport("MB")
 
     def _case_bm(self, j: int, px: float, py: float, ql) -> StepReport:
+        """Mirror of MB: the new arc runs from the last crossing to the left ray."""
         found = self._scan_left(px, py)
         if found is None:
             raise InternalGeometryError("case BM must have one crossing")
         il, k2, p2 = found
-        a = self.arcs[il]
-        a.k1, a.x1, a.y1 = k2, p2[0], p2[1]
-        if a.k0 > a.k1:
-            a.k0 = a.k1
-            self._resync_key(il)
-        q1 = self._q_point(self.ul, ql[0])
-        ck = self._center_key(px, py)
-        new = Arc(k2, self.kl, p2[0], p2[1], q1[0], q1[1], px, py, j, ck)
-        self._splice(il + 1, len(self.arcs), [new])
+        x2, y2 = p2
+        arcs = self.arcs
+        a = arcs[il]
+        a.k1, a.x1, a.y1 = k2, x2, y2
+        keys = self.keys
+        if a.k0 > k2:
+            a.k0 = k2
+            keys[il] = k2
+        ul = self.ul
+        t = ql[0]
+        new = Arc(k2, self.kl, x2, y2, self.ax + t * ul[0], self.ay + t * ul[1],
+                  px, py, j, self._center_key(j, px, py))
+        # splice [new] over arcs[il + 1:]
+        st = self.stats
+        st.removed += len(arcs) - il - 1
+        st.inserted += 1
+        del arcs[il + 1:]
+        arcs.append(new)
+        del keys[il + 1:]
+        keys.append(k2)
         return StepReport("BM")
 
     def _case_bb(self, j: int, px: float, py: float, ql, qr) -> StepReport:
-        q1 = self._q_point(self.ul, ql[0])
-        q3 = self._q_point(self.ur, qr[0])
-        ck = self._center_key(px, py)
-        new = Arc(self.kr, self.kl, q3[0], q3[1], q1[0], q1[1], px, py, j, ck)
-        removed = len(self.arcs)
-        self._splice(0, removed, [new])
+        """Circle beyond the wavefront on both rays: its bottom arc between
+        the wedge rays replaces every arc."""
+        ax, ay = self.ax, self.ay
+        ul, ur = self.ul, self.ur
+        tl = ql[0]
+        tr = qr[0]
+        kr = self.kr
+        new = Arc(kr, self.kl, ax + tr * ur[0], ay + tr * ur[1],
+                  ax + tl * ul[0], ay + tl * ul[1], px, py, j, self._center_key(j, px, py))
+        st = self.stats
+        st.removed += len(self.arcs)
+        st.inserted += 1
+        self.arcs = [new]
+        self.keys = [kr]
         return StepReport("BB")
 
     def _case_mm(self, j: int, px: float, py: float, allow_insert: bool) -> StepReport:
@@ -625,7 +704,7 @@ class Sweep:
         if dx == 0.0 and dy == 0.0:
             # circle centered on the apex: the wavefront cannot cross it here
             return StepReport("MM")
-        ck = self._center_key(px, py)
+        ck = self._center_key(j, px, py)
         # arcs carry centers in reverse angular order; find where ck fits
         lo, hi = 0, n
         while lo < hi:
@@ -742,9 +821,6 @@ class Sweep:
             raise InternalGeometryError("MM scan ran off the right end")
         return None
 
-    def _q_point(self, u, t: float):
-        return (self.ax + t * u[0], self.ay + t * u[1])
-
 
 def sweep_targets(pts: Sequence[Sequence[float]], i: int, delta: float, kern,
                   strict: bool = False, checker=None,
@@ -755,8 +831,7 @@ def sweep_targets(pts: Sequence[Sequence[float]], i: int, delta: float, kern,
     for j in range(i + 1, len(pts)):
         if sw.locate_vertex(j) is VALID:
             out.append(j)
-        report = sw.step(j)
-        report.shortcut_candidate_checked = True
+        sw.step(j)
         if sw.aborted:
             break
     return out, sw

@@ -68,7 +68,7 @@ class InvariantChecker:
         if len(arcs) > n - 1:
             raise InternalGeometryError(
                 f"wavefront holds {len(arcs)} arcs, above the n-1 = {n - 1} bound")
-        if sw.kern.metric.value != "l2":
+        if sw.square:
             segs = sw._segment_count()
             if segs > 2:
                 raise InternalGeometryError(f"square wavefront has {segs} segments (max 2)")

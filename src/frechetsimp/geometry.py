@@ -240,6 +240,12 @@ class CircleKernel:
         return (p_start, p_end)
 
     @staticmethod
+    def arc_segments(ax: float, ay: float, cx: float, cy: float, delta: float,
+                     x0: float, y0: float, x1: float, y1: float) -> int:
+        """Segment count of a bottom-arc piece: a circular arc counts as one."""
+        return 1
+
+    @staticmethod
     def graze_fallback(ax: float, ay: float, ux: float, uy: float,
                        cx: float, cy: float, delta: float) -> float:
         """Touch parameter for a ray that should graze the circle but missed numerically."""
@@ -265,16 +271,29 @@ class SquareKernel:
     @staticmethod
     def ray_hits(ax: float, ay: float, ux: float, uy: float,
                  cx: float, cy: float, delta: float) -> tuple[float, ...]:
+        """Slab intersection of the ray apex+t*u with the square; see CircleKernel."""
         tol = EPS_REL * delta
         lo = -math.inf
         hi = math.inf
-        for a, u, c in ((ax, ux, cx), (ay, uy, cy)):
-            if abs(u) < 1e-300:
-                if abs(a - c) > delta + tol:
-                    return ()
-                continue
-            t1 = (c - delta - a) / u
-            t2 = (c + delta - a) / u
+        # x slab, then y slab (a near-zero direction component skips its slab)
+        if abs(ux) < 1e-300:
+            if abs(ax - cx) > delta + tol:
+                return ()
+        else:
+            t1 = (cx - delta - ax) / ux
+            t2 = (cx + delta - ax) / ux
+            if t1 > t2:
+                t1, t2 = t2, t1
+            if t1 > lo:
+                lo = t1
+            if t2 < hi:
+                hi = t2
+        if abs(uy) < 1e-300:
+            if abs(ay - cy) > delta + tol:
+                return ()
+        else:
+            t1 = (cy - delta - ay) / uy
+            t2 = (cy + delta - ay) / uy
             if t1 > t2:
                 t1, t2 = t2, t1
             if t1 > lo:
@@ -311,7 +330,9 @@ class SquareKernel:
     def boundary_intersections(c1x: float, c1y: float, c2x: float, c2y: float,
                                delta: float):
         tol = EPS_REL * delta
-        if abs(c2x - c1x) <= tol and abs(c2y - c1y) <= tol:
+        xtie = abs(c2x - c1x) <= tol
+        ytie = abs(c2y - c1y) <= tol
+        if xtie and ytie:
             return _COINCIDENT
         xlo, plo_x = (c1x - delta, 1) if c1x >= c2x else (c2x - delta, 2)
         xhi, phi_x = (c1x + delta, 1) if c1x <= c2x else (c2x + delta, 2)
@@ -319,8 +340,17 @@ class SquareKernel:
         yhi, phi_y = (c1y + delta, 1) if c1y <= c2y else (c2y + delta, 2)
         if xlo > xhi + tol or ylo > yhi + tol:
             return ()
-        xtie = abs(c1x - c2x) <= tol
-        ytie = abs(c1y - c2y) <= tol
+        if not (xtie or ytie):
+            # each bound of the overlap box comes from one square; the
+            # crossings are the two box corners whose x and y bounds come
+            # from different squares (the general rule below, unrolled)
+            if plo_x == plo_y:
+                p, q = (xlo, yhi), (xhi, ylo)
+            else:
+                p, q = (xlo, ylo), (xhi, yhi)
+            if abs(q[0] - p[0]) <= tol and abs(q[1] - p[1]) <= tol:
+                return (p,)
+            return (p, q)
         pts = []
         for x, px in ((xlo, plo_x), (xhi, phi_x)):
             for y, py in ((ylo, plo_y), (yhi, phi_y)):
@@ -364,33 +394,38 @@ class SquareKernel:
     def wave_path(ax: float, ay: float, cx: float, cy: float, delta: float,
                   p_start: Point, p_end: Point) -> tuple[Point, ...]:
         """Walk the visible boundary from p_start to p_end (at most one corner between)."""
-        tol = 1e-7 * delta
-
-        def sides(px: float, py: float) -> set[str]:
-            s = set()
-            if abs(px - (cx - delta)) <= tol:
-                s.add("W")
-            if abs(px - (cx + delta)) <= tol:
-                s.add("E")
-            if abs(py - (cy - delta)) <= tol:
-                s.add("S")
-            if abs(py - (cy + delta)) <= tol:
-                s.add("N")
-            return s
-
-        # points on a common visible side need no corner between them
-        s1 = sides(*p_start)
-        s2 = sides(*p_end)
-        if s1 & s2:
+        if SquareKernel.arc_segments(ax, ay, cx, cy, delta,
+                                     p_start[0], p_start[1], p_end[0], p_end[1]) == 1:
             return (p_start, p_end)
-        corner_x = cx - delta if ax < cx else cx + delta
-        corner_y = cy - delta if ay < cy else cy + delta
-        corner = (corner_x, corner_y)
-        if (abs(corner[0] - p_start[0]) <= tol and abs(corner[1] - p_start[1]) <= tol) or (
-            abs(corner[0] - p_end[0]) <= tol and abs(corner[1] - p_end[1]) <= tol
-        ):
-            return (p_start, p_end)
+        corner = (cx - delta if ax < cx else cx + delta,
+                  cy - delta if ay < cy else cy + delta)
         return (p_start, corner, p_end)
+
+    @staticmethod
+    def arc_segments(ax: float, ay: float, cx: float, cy: float, delta: float,
+                     x0: float, y0: float, x1: float, y1: float) -> int:
+        """Segments of the visible boundary between (x0, y0) and (x1, y1): 1 or 2.
+
+        One when both points lie on a common side of the square, or when one
+        of them is the corner facing the apex; two when the walk turns that
+        corner.  Points match a side or the corner within 1e-7 * delta.
+        """
+        tol = 1e-7 * delta
+        west = cx - delta
+        east = cx + delta
+        south = cy - delta
+        north = cy + delta
+        if ((abs(x0 - west) <= tol and abs(x1 - west) <= tol)
+                or (abs(x0 - east) <= tol and abs(x1 - east) <= tol)
+                or (abs(y0 - south) <= tol and abs(y1 - south) <= tol)
+                or (abs(y0 - north) <= tol and abs(y1 - north) <= tol)):
+            return 1
+        kx = west if ax < cx else east
+        ky = south if ay < cy else north
+        if ((abs(kx - x0) <= tol and abs(ky - y0) <= tol)
+                or (abs(kx - x1) <= tol and abs(ky - y1) <= tol)):
+            return 1
+        return 2
 
     @staticmethod
     def graze_fallback(ax: float, ay: float, ux: float, uy: float,

@@ -51,7 +51,10 @@ def _parse_wkt(text: str) -> list[Point]:
         parts = chunk.split()
         if len(parts) != 2:
             raise ParseError(f"malformed LINESTRING coordinate {chunk!r}")
-        pts.append((float(parts[0]), float(parts[1])))
+        try:
+            pts.append((float(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise ParseError(f"LINESTRING coordinate {chunk.strip()!r}: {exc}") from exc
     if not pts:
         raise ParseError("empty LINESTRING")
     return pts

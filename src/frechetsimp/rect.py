@@ -64,7 +64,7 @@ class RectSweep:
         return self.sweep.locate(p)
 
     def locate_vertex(self, j: int) -> Location:
-        return self.sweep.locate(self._pts[j])
+        return self.sweep.locate_vertex(j)
 
     def step(self, j: int) -> StepReport:
         rep = self.sweep.step(j)

@@ -155,9 +155,9 @@ def _simplify_impl(points, delta: float, metric: Metric, algo: str,
                                      "wall_ms_per_phase": {}})
     t0 = time.perf_counter()
     if workers > 1:
-        lists = all_shortcut_lists(poly.vertices, delta, metric, algo, workers)
+        lists, stats = all_shortcut_lists(poly.vertices, delta, metric, algo, workers)
         d, parent = _dp_over_lists(lists)
-        stats = {"max_wavefront_size": 0, "sweep_aborts": 0, "parallel_workers": workers}
+        stats["parallel_workers"] = workers
     else:
         d, parent, stats = link_distance_table(poly.vertices, delta, metric, algo)
     t1 = time.perf_counter()
@@ -209,8 +209,15 @@ _POOL_ARGS = None
 def _pool_worker(args):
     lo, hi = args
     pts, delta, metric, algo = _POOL_ARGS
-    provider, _ = _targets_provider(pts, delta, metric, algo)
-    return [(i, provider(i)) for i in range(lo, hi)]
+    provider, stats = _targets_provider(pts, delta, metric, algo)
+    return [(i, provider(i)) for i in range(lo, hi)], stats
+
+
+def _merge_sweep_stats(parts: list) -> dict:
+    """Stats over all sweeps from the workers' stats: gauges by max, aborts by sum."""
+    return {"max_wavefront_size": max(p["max_wavefront_size"] for p in parts),
+            "max_segment_count": max(p["max_segment_count"] for p in parts),
+            "sweep_aborts": sum(p["sweep_aborts"] for p in parts)}
 
 
 def _pool_init(pts, delta, metric, algo):
@@ -220,22 +227,28 @@ def _pool_init(pts, delta, metric, algo):
 
 def all_shortcut_lists(points, delta: float, metric: Metric = Metric.L2,
                        algo: str = ALGO_WAVEFRONT, workers: int = 1):
-    """Materialized per-vertex shortcut lists, optionally computed in parallel."""
+    """Materialized per-vertex shortcut lists, optionally computed in parallel.
+
+    Returns the lists and the sweep stats merged over all sweeps (the same
+    keys and values ``link_distance_table`` reports).
+    """
     poly = preprocess(points)
     pts = poly.vertices
     n = poly.n
     if workers <= 1 or n < 64:
-        provider, _ = _targets_provider(pts, delta, metric, algo)
-        return [provider(i) for i in range(n - 1)] + [[]]
+        provider, stats = _targets_provider(pts, delta, metric, algo)
+        return [provider(i) for i in range(n - 1)] + [[]], stats
     chunk = max(8, n // (workers * 8))
     ranges = [(lo, min(lo + chunk, n - 1)) for lo in range(0, n - 1, chunk)]
     out: list[list[int]] = [[] for _ in range(n)]
+    part_stats = []
     with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                              initargs=(pts, delta, metric, algo)) as ex:
-        for part in ex.map(_pool_worker, ranges):
+        for part, stats in ex.map(_pool_worker, ranges):
             for i, targets in part:
                 out[i] = list(targets)
-    return out
+            part_stats.append(stats)
+    return out, _merge_sweep_stats(part_stats)
 
 
 # ---------------------------------------------------------------------------

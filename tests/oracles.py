@@ -162,3 +162,26 @@ def min_nu_bruteforce(points) -> float:
             if r > 0.0:
                 best = max(best, k / (r * r))
     return best
+
+
+def square_wave_path(ax, ay, cx, cy, delta, p_start, p_end):
+    """Visible square boundary from p_start to p_end, by side membership.
+
+    Each point gets the set of square sides it lies on (within 1e-7 * delta);
+    points sharing a side need no corner, otherwise the walk turns the corner
+    facing the apex unless one point already is that corner.
+    """
+    tol = 1e-7 * delta
+    lines = {"W": (0, cx - delta), "E": (0, cx + delta),
+             "S": (1, cy - delta), "N": (1, cy + delta)}
+
+    def sides(p):
+        return {name for name, (axis, v) in lines.items() if abs(p[axis] - v) <= tol}
+
+    if sides(p_start) & sides(p_end):
+        return (p_start, p_end)
+    corner = (cx - delta if ax < cx else cx + delta, cy - delta if ay < cy else cy + delta)
+    for p in (p_start, p_end):
+        if abs(corner[0] - p[0]) <= tol and abs(corner[1] - p[1]) <= tol:
+            return (p_start, p_end)
+    return (p_start, corner, p_end)

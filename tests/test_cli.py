@@ -34,6 +34,10 @@ def test_parse_errors():
         polyio.parse_polyline("LINESTRING 1 2")
     with pytest.raises(polyio.ParseError):
         polyio.parse_polyline("# nothing\n")
+    with pytest.raises(polyio.ParseError):
+        polyio.parse_polyline("LINESTRING (1 2, a b)")
+    with pytest.raises(polyio.ParseError):
+        polyio.parse_polyline("LINESTRING (1 2, 3 4e)")
 
 
 class TestSimplifyCommand:
@@ -66,6 +70,13 @@ class TestSimplifyCommand:
         code = cli.main(["simplify", "--input", str(tmp_path / "nope.csv"),
                          "--output", str(tmp_path / "o.csv"), "--delta", "1"])
         assert code == 1
+
+    def test_bad_wkt_number_is_parse_error(self, tmp_path, capsys):
+        code, dst = self.run(tmp_path, "LINESTRING (1 2, a b)", "--delta", "1")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not dst.exists()
 
     def test_bad_metric_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

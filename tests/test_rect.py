@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from frechetsimp.geometry import Metric
+from frechetsimp._engine import Sweep
+from frechetsimp.geometry import Metric, SquareKernel, l1_to_linf
 from frechetsimp.oracle import shortcut_is_valid
 from frechetsimp.rect import RectSweep, rect_shortcuts_from, rect_step
 from frechetsimp.verify import VerifyConfig, random_instance
 
-from oracles import rasterize_valid_region
+from oracles import rasterize_valid_region, square_wave_path
 
 SQ = (Metric.L1, Metric.LINF)
 
@@ -120,6 +121,67 @@ class TestSegmentBudget:
         wf = sw.wavefront()
         assert len(wf.segments) == 2
         assert wf.corner == pytest.approx((1.0, 2.0))
+
+
+def _gauge_corpus():
+    """Generic instances, plus lattice walks whose arcs end on square corners."""
+    cfg = VerifyConfig(count=40, seed=91)
+    for idx in range(40):
+        pts, delta, _ = random_instance(cfg, idx)
+        yield [tuple(map(float, p)) for p in pts], delta
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        steps = rng.integers(-2, 3, (int(rng.integers(6, 16)), 2))
+        pts = [(0.0, 0.0)]
+        for sx, sy in steps.tolist():
+            if sx or sy:
+                pts.append((pts[-1][0] + 2.0 * sx + 1.0, pts[-1][1] + 2.0 * sy))
+        yield pts, 1.0
+
+
+@pytest.mark.parametrize("metric", SQ)
+def test_segment_gauge_matches_wave_path_after_every_step(metric):
+    seen = {"arcs": 0, "two": 0, "corner_end": 0}
+    for pts, delta in _gauge_corpus():
+        work = l1_to_linf(pts) if metric is Metric.L1 else pts
+        for i in range(len(work) - 1):
+            sw = Sweep(work, i, delta, SquareKernel)
+            for j in range(i + 1, len(work)):
+                sw.locate_vertex(j)
+                sw.step(j)
+                total = 0
+                for a in sw.arcs:
+                    args = (sw.ax, sw.ay, a.cx, a.cy, delta)
+                    p0, p1 = (a.x0, a.y0), (a.x1, a.y1)
+                    got = SquareKernel.arc_segments(*args, a.x0, a.y0, a.x1, a.y1)
+                    assert got == max(1, len(SquareKernel.wave_path(*args, p0, p1)) - 1)
+                    assert got == max(1, len(square_wave_path(*args, p0, p1)) - 1)
+                    total += got
+                    seen["arcs"] += 1
+                    seen["two"] += got == 2
+                    seen["corner_end"] += any(
+                        abs(abs(x - a.cx) - delta) <= 1e-7 * delta
+                        and abs(abs(y - a.cy) - delta) <= 1e-7 * delta
+                        for x, y in (p0, p1))
+                assert sw._segment_count() == total
+                assert sw.stats.max_segment_count >= total
+                if sw.aborted:
+                    break
+    assert seen["two"] > 0 and seen["corner_end"] > 0
+    assert seen["arcs"] > seen["two"]
+
+
+@pytest.mark.parametrize("p0, p1, want", [
+    ((2.0, 3.0), (3.0, 2.0), 2),        # west side to south side: turns the corner
+    ((2.0, 2.5), (2.0, 3.5), 1),        # both on the west side
+    ((2.0, 2.0), (3.0, 2.0), 1),        # from the facing corner along the south side
+    ((2.0, 2.0), (3.5, 4.0), 1),        # from the facing corner, no shared side
+    ((2.0 + 1e-9, 3.0), (3.0, 2.0 - 1e-9), 2),
+])
+def test_arc_segments_hand_cases(p0, p1, want):
+    args = (0.0, 0.0, 3.0, 3.0, 1.0)     # apex below-left of the square [2, 4]^2
+    assert SquareKernel.arc_segments(*args, *p0, *p1) == want
+    assert max(1, len(square_wave_path(*args, p0, p1)) - 1) == want
 
 
 def test_rect_wavefront_segments_are_orthogonal():

@@ -12,6 +12,7 @@ from frechetsimp.simplify import (InvalidInputError, link_distance_table,
 from frechetsimp.verify import VerifyConfig, random_instance
 
 from oracles import min_nu_bruteforce
+from walks import stop_and_go
 
 METRICS = (Metric.L2, Metric.L1, Metric.LINF)
 
@@ -138,6 +139,19 @@ class TestOptimalityProperties:
         seq = simplify(pts, 1.5)
         par = simplify(pts, 1.5, workers=2)
         assert seq.indices == par.indices
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_parallel_stats_equal_sequential(self, metric):
+        # stop-and-go input: sweeps abort and square wavefronts reach two segments
+        pts = stop_and_go(160, 3)
+        seq = simplify(pts, 1.0, metric)
+        par = simplify(pts, 1.0, metric, workers=2)
+        assert par.indices == seq.indices
+        assert par.stats.pop("parallel_workers") == 2
+        for res in (seq, par):
+            del res.stats["wall_ms_per_phase"]
+        assert par.stats == seq.stats
+        assert seq.stats["max_wavefront_size"] > 0 and seq.stats["sweep_aborts"] > 0
 
 
 class TestNuDiagnostics:
