@@ -10,8 +10,8 @@ import os
 
 import numpy as np
 
-from frechetsimp.geometry import CircleKernel, SquareKernel
-from frechetsimp._engine import sweep_targets
+from frechetsimp import Metric
+from frechetsimp._engine import prepare, sweep_targets
 from frechetsimp.svgdebug import file_sink
 
 
@@ -32,10 +32,10 @@ def bulge_cluster(m, delta=1.0, R=3.0, rho=0.8, span_deg=60.0, seed=0):
 
 
 SCENARIOS = {
-    "collinear_climb": ([(0.0, 0.0), (0.0, 2.0), (0.0, 4.0), (0.0, 6.0)], 1.0, CircleKernel),
-    "interior_insertions": (bulge_cluster(10), 1.0, CircleKernel),
-    "order_trap": ([(0.0, 0.0), (10.0, 0.0), (0.5, 0.0), (20.0, 0.0)], 1.0, CircleKernel),
-    "squares": ([(0.0, 0.0), (2.0, 3.0), (1.0, 6.0), (4.0, 7.0)], 1.5, SquareKernel),
+    "collinear_climb": ([(0.0, 0.0), (0.0, 2.0), (0.0, 4.0), (0.0, 6.0)], 1.0, Metric.L2),
+    "interior_insertions": (bulge_cluster(10), 1.0, Metric.L2),
+    "order_trap": ([(0.0, 0.0), (10.0, 0.0), (0.5, 0.0), (20.0, 0.0)], 1.0, Metric.L2),
+    "squares": ([(0.0, 0.0), (2.0, 3.0), (1.0, 6.0), (4.0, 7.0)], 1.5, Metric.LINF),
 }
 
 
@@ -43,10 +43,11 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="case_gallery")
     args = ap.parse_args()
-    for name, (pts, delta, kern) in SCENARIOS.items():
+    for name, (pts, delta, metric) in SCENARIOS.items():
         directory = os.path.join(args.out, name)
         sink = file_sink(directory)
-        sweep_targets(pts, 0, delta, kern, svg_sink=sink)
+        work, kern = prepare(pts, metric)
+        sweep_targets(work, 0, delta, kern, svg_sink=sink)
         print(f"{name}: {len(os.listdir(directory))} frames -> {directory}")
     return 0
 

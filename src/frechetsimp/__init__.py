@@ -2,39 +2,31 @@
 
 Given a polyline and a tolerance delta, find the minimum-vertex subsequence
 whose every shortcut segment stays within Frechet distance delta of the
-subpolyline it replaces.  The near-quadratic wedge/wavefront sweep handles the
-Euclidean norm; a constant-size rectangle wavefront handles L1 and Linf; a
-cubic interval-oracle baseline serves as the correctness reference.
+subpolyline it replaces.  One wedge/wavefront sweep serves all three norms:
+Euclidean disks for L2, axis-aligned squares for Linf, and L1 through the
+exact coordinate change that turns its balls into Linf balls.  A cubic
+interval-oracle baseline serves as the correctness reference.
+
+``simplify`` runs the whole pipeline, ``shortcuts`` lists the valid shortcut
+targets of one vertex, and ``shortcut_is_valid`` is the decision oracle.
 """
 
-from ._engine import Location, StepReport, SweepAbortedError
-from .geometry import (AngularFrame, CoincidentCirclesError, GeometryError,
-                       InternalGeometryError, Metric, Ray, UnitCircle,
-                       angle_in_frame, circle_circle_intersections, local_wedge,
-                       lp_distance, ray_circle_intersections, wave_of)
+from ._engine import prepare, sweep_targets
+from .geometry import InternalGeometryError, Metric
 from .oracle import ball_segment_interval, shortcut_is_valid
-from .rect import RectSweep, RectWavefront, rect_shortcuts_from, rect_step
-from .simplify import (InvalidInputError, Polyline, SimplificationResult,
-                       nu_diagnostics, preprocess, simplify, simplify_baseline)
-from .wavefront import init_sweep, locate, shortcuts_from, step
+from .simplify import (InvalidInputError, SimplificationResult, simplify,
+                       simplify_baseline)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularFrame", "CoincidentCirclesError", "GeometryError",
-    "InternalGeometryError", "InvalidInputError", "Location", "Metric",
-    "Polyline", "Ray", "RectSweep", "RectWavefront", "SimplificationResult",
-    "StepReport", "SweepAbortedError", "UnitCircle", "angle_in_frame",
-    "ball_segment_interval", "circle_circle_intersections", "init_sweep",
-    "local_wedge", "locate", "lp_distance", "nu_diagnostics", "preprocess",
-    "ray_circle_intersections", "rect_shortcuts_from", "rect_step",
-    "shortcut_is_valid", "shortcuts_from", "simplify", "simplify_baseline",
-    "step", "wave_of",
+    "InternalGeometryError", "InvalidInputError", "Metric", "SimplificationResult",
+    "ball_segment_interval", "shortcut_is_valid", "shortcuts", "simplify",
+    "simplify_baseline",
 ]
 
 
-def shortcuts(points, i, delta, metric=Metric.L2, **kw):
-    """Valid shortcut targets from vertex i under any supported metric."""
-    if metric is Metric.L2:
-        return shortcuts_from(points, i, delta, **kw)
-    return rect_shortcuts_from(points, i, delta, metric, **kw)
+def shortcuts(points, i, delta, metric=Metric.L2):
+    """Ascending valid shortcut targets k > i of vertex i under any supported metric."""
+    work, kern = prepare(points, metric)
+    return sweep_targets(work, i, delta, kern)[0]

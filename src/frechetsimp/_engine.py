@@ -18,7 +18,9 @@ key list; every surgery is a contiguous splice, and each arc is removed at
 most once per sweep, so the list walkers are amortized.
 
 The engine is metric-generic: it only talks to a kernel (Euclidean disk or
-axis-aligned square) through a handful of shape primitives.  Vertices whose
+axis-aligned square) through a handful of shape primitives.  ``prepare``
+turns (points, metric) into the working coordinates and kernel every sweep
+runs on; L1 sweeps the Linf image of the points.  Vertices whose
 circle contains the apex get the whole plane as their cone but still run the
 narrowing step, which is what enforces the Frechet ordering (skipping it
 admits shortcuts that visit vertices out of order).
@@ -46,7 +48,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .geometry import EPS_ANGLE, EPS_REL, InternalGeometryError, Metric, _wrap_angle
+from .geometry import (EPS_ANGLE, EPS_REL, CircleKernel, InternalGeometryError, Metric,
+                       SquareKernel, _wrap_angle, l1_to_linf)
 
 _PI = math.pi
 _HALF_PI = 0.5 * math.pi
@@ -91,14 +94,6 @@ class Arc:
         self.idx = idx
         self.ck = ck
 
-    @property
-    def start_point(self):
-        return (self.x0, self.y0)
-
-    @property
-    def end_point(self):
-        return (self.x1, self.y1)
-
     def __repr__(self):
         return (f"Arc(j={self.idx}, k=[{self.k0:.6f},{self.k1:.6f}], "
                 f"c=({self.cx:.4f},{self.cy:.4f}))")
@@ -107,7 +102,6 @@ class Arc:
 @dataclass(slots=True)
 class StepReport:
     case: str
-    removed_arcs: int = 0
 
 
 @dataclass
@@ -123,16 +117,14 @@ class SweepStats:
 class Sweep:
     """Mutable per-start-vertex sweep state (single-threaded during its sweep)."""
 
-    __slots__ = ("pts", "i", "n", "delta", "kern", "ax", "ay", "rot",
+    __slots__ = ("pts", "i", "delta", "kern", "ax", "ay", "rot",
                  "kr", "kl", "ur", "ul", "arcs", "keys", "aborted", "stats",
-                 "strict", "checker", "svg_sink", "square", "_loc_cache")
+                 "checker", "svg_sink", "square", "_loc_cache")
 
     def __init__(self, pts: Sequence[Sequence[float]], i: int, delta: float, kern,
-                 strict: bool = False, checker=None,
-                 svg_sink: Optional[Callable[[int, int, str], None]] = None):
+                 checker=None, svg_sink: Optional[Callable[[int, int, str], None]] = None):
         self.pts = pts
         self.i = i
-        self.n = len(pts)
         self.delta = float(delta)
         self.kern = kern
         self.ax, self.ay = float(pts[i][0]), float(pts[i][1])
@@ -143,7 +135,6 @@ class Sweep:
         self.keys: list[float] = []
         self.aborted = False
         self.stats = SweepStats()
-        self.strict = strict
         self.checker = checker
         self.svg_sink = svg_sink
         self.square = kern.metric is not Metric.L2   # gauge the square segments
@@ -339,14 +330,12 @@ class Sweep:
             break
         if nkr is None or nkl < nkr - EPS_ANGLE:
             self.aborted = True
-            return StepReport("WEDGE_EMPTY", len(self.arcs))
+            return StepReport("WEDGE_EMPTY")
         if nkl < nkr:
             nkl = nkr
-        removed = self._clip(nkr, nkl, n_ur, n_ul)
+        self._clip(nkr, nkl, n_ur, n_ul)
         self.kr, self.kl, self.ur, self.ul = nkr, nkl, n_ur, n_ul
-        rep = self._narrow(j, px, py, False)
-        rep.removed_arcs += removed
-        return rep
+        return self._narrow(j, px, py, False)
 
     # -- clip to wedge ------------------------------------------------------
 
@@ -360,8 +349,8 @@ class Sweep:
                 raise InternalGeometryError("wedge ray misses an arc it should cross")
         return (self.ax + t * ux, self.ay + t * uy)
 
-    def _clip(self, nkr: float, nkl: float, n_ur, n_ul) -> int:
-        """Restrict the wavefront to [nkr, nkl]; returns number of dropped arcs."""
+    def _clip(self, nkr: float, nkl: float, n_ur, n_ul):
+        """Restrict the wavefront to [nkr, nkl]."""
         arcs = self.arcs
         keys = self.keys
         dropped = 0
@@ -396,7 +385,6 @@ class Sweep:
             last.k1 = nkl
             last.x1 = x
             last.y1 = y
-        return dropped
 
     # -- pattern classification ---------------------------------------------
 
@@ -568,9 +556,8 @@ class Sweep:
     def _case_tt(self, j: int, px: float, py: float) -> StepReport:
         left = self._scan_left(px, py)
         if left is None:
-            removed = len(self.arcs)
             self.aborted = True
-            return StepReport("TT_EMPTY", removed)
+            return StepReport("TT_EMPTY")
         il, k1, p1 = left
         right = self._scan_right(px, py)
         ir, k2, p2 = right
@@ -822,11 +809,31 @@ class Sweep:
         return None
 
 
+def prepare(points: Sequence[Sequence[float]], metric: Metric):
+    """(working points, kernel) that sweeps under ``metric`` run on.
+
+    L2 sweeps the points as given with Euclidean disks.  Linf sweeps them
+    with axis-aligned squares, and L1 sweeps their image under the exact
+    change of coordinates (x, y) -> (x+y, y-x), which maps L1 balls onto
+    Linf balls, with the same squares.  Sweeps report vertex indices, so
+    nothing maps back.  This is the one place a metric picks a kernel::
+
+        work, kern = prepare(points, metric)
+        targets, sweep = sweep_targets(work, i, delta, kern)
+    """
+    if metric is Metric.L2:
+        return points, CircleKernel
+    if metric is Metric.L1:
+        return l1_to_linf(points), SquareKernel
+    if metric is Metric.LINF:
+        return points, SquareKernel
+    raise ValueError(f"unsupported metric {metric!r}")
+
+
 def sweep_targets(pts: Sequence[Sequence[float]], i: int, delta: float, kern,
-                  strict: bool = False, checker=None,
-                  svg_sink=None) -> tuple[list[int], Sweep]:
+                  checker=None, svg_sink=None) -> tuple[list[int], Sweep]:
     """All j > i with a valid shortcut <p_i, p_j>, plus the final sweep state."""
-    sw = Sweep(pts, i, delta, kern, strict=strict, checker=checker, svg_sink=svg_sink)
+    sw = Sweep(pts, i, delta, kern, checker=checker, svg_sink=svg_sink)
     out = []
     for j in range(i + 1, len(pts)):
         if sw.locate_vertex(j) is VALID:

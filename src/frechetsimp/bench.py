@@ -17,6 +17,8 @@ from .geometry import Metric
 from .simplify import simplify
 
 DEFAULT_SIZES = (250, 500, 1000, 2000)
+JOBS = (("wavefront", Metric.L2), ("wavefront", Metric.LINF), ("baseline", Metric.L2))
+REPEATS = 2
 
 
 @dataclass
@@ -57,18 +59,16 @@ def _fit_exponent(ns, times) -> float:
     return float(slope)
 
 
-def run_bench(sizes=DEFAULT_SIZES, seed: int = 0, delta: float = 1.0,
-              jobs=(("wavefront", Metric.L2), ("wavefront", Metric.LINF),
-                    ("baseline", Metric.L2)), repeats: int = 2) -> BenchResult:
-    """Time every (size, algorithm, metric) job; keeps the minimum over
-    ``repeats`` runs, the usual noise-robust wall-clock estimator."""
+def run_bench(sizes=DEFAULT_SIZES, seed: int = 0, delta: float = 1.0) -> BenchResult:
+    """Time every (size, algorithm, metric) job of ``JOBS``; keeps the minimum
+    over ``REPEATS`` runs, the usual noise-robust wall-clock estimator."""
     result = BenchResult()
     series: dict = {}
     for n in sizes:
         pts = generate_walk(n, seed, delta)
-        for algo, metric in jobs:
+        for algo, metric in JOBS:
             ms = math.inf
-            for _ in range(max(1, repeats)):
+            for _ in range(REPEATS):
                 t0 = time.perf_counter()
                 res = simplify(pts, delta, metric, algo=algo)
                 ms = min(ms, (time.perf_counter() - t0) * 1e3)

@@ -13,8 +13,8 @@ import sys
 import time
 
 from . import __version__, bench, polyio, svgdebug
-from .geometry import CircleKernel, Metric, SquareKernel, l1_to_linf
-from ._engine import sweep_targets
+from .geometry import Metric
+from ._engine import prepare, sweep_targets
 from .simplify import InvalidInputError, nu_diagnostics, preprocess, simplify
 from .verify import VerifyConfig, run_verify
 
@@ -114,11 +114,7 @@ def _cmd_simplify(args) -> int:
 def _run_with_sink(points, delta, metric, sink):
     """Debug pass emitting one SVG frame per step for every start vertex."""
     poly = preprocess(points)
-    if metric is Metric.L2:
-        work, kern = poly.vertices, CircleKernel
-    else:
-        work = l1_to_linf(poly.vertices) if metric is Metric.L1 else poly.vertices
-        kern = SquareKernel
+    work, kern = prepare(poly.vertices, metric)
     for i in range(poly.n - 1):
         sweep_targets(work, i, delta, kern, svg_sink=sink)
 
@@ -179,11 +175,7 @@ def _cmd_stats(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     diag = nu_diagnostics(points, args.delta, args.metric)
-    if args.metric is Metric.L2:
-        work, kern = poly.vertices, CircleKernel
-    else:
-        work = l1_to_linf(poly.vertices) if args.metric is Metric.L1 else poly.vertices
-        kern = SquareKernel
+    work, kern = prepare(poly.vertices, args.metric)
     per_start = []
     for i in range(poly.n - 1):
         _, sw = sweep_targets(work, i, args.delta, kern)

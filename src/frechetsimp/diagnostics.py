@@ -22,12 +22,12 @@ import math
 from .geometry import EPS_REL, InternalGeometryError
 
 _COINC = "coincident"
+RAY_SAMPLES = 360         # rays sampled across the wedge after every step
+MONOTONE_SAMPLES = 64     # persistent rays that watch the wavefront recede
 
 
 class InvariantChecker:
-    def __init__(self, ray_samples: int = 360, monotone_samples: int = 64):
-        self.ray_samples = ray_samples
-        self.monotone_samples = monotone_samples
+    def __init__(self):
         self._fan = None          # persistent rays: list of [key, prev_dist or None]
 
     # -- hooks called by the engine ----------------------------------------
@@ -117,8 +117,8 @@ class InvariantChecker:
             return
         width = sw.kl - sw.kr
         tol = EPS_REL * sw.delta * 10.0 + 1e-12
-        if self.ray_samples > 0 and width > 0.0:
-            m = self.ray_samples
+        if width > 0.0:
+            m = RAY_SAMPLES
             for s in range(m):
                 key = sw.kr + width * (s + 0.5) / m
                 dists = self._ray_cross(sw, key)
@@ -127,20 +127,19 @@ class InvariantChecker:
                 if max(dists) - min(dists) > 1e-6 * (sw.delta + max(dists)):
                     raise InternalGeometryError(
                         "sampled ray crosses the wavefront more than once")
-        if self.monotone_samples > 0:
-            if self._fan is None:
-                self._fan = [[sw.kr + width * (s + 0.5) / self.monotone_samples, None]
-                             for s in range(self.monotone_samples)]
-            for entry in self._fan:
-                key, prev = entry
-                if key < sw.kr - 1e-12 or key > sw.kl + 1e-12:
-                    entry[1] = None      # left the wedge; no longer comparable
-                    continue
-                dists = self._ray_cross(sw, key)
-                if not dists:
-                    continue
-                d = min(dists)
-                if prev is not None and d < prev - 1e-6 * (sw.delta + d):
-                    raise InternalGeometryError(
-                        "wavefront moved toward the apex on a persistent ray")
-                entry[1] = d
+        if self._fan is None:
+            self._fan = [[sw.kr + width * (s + 0.5) / MONOTONE_SAMPLES, None]
+                         for s in range(MONOTONE_SAMPLES)]
+        for entry in self._fan:
+            key, prev = entry
+            if key < sw.kr - 1e-12 or key > sw.kl + 1e-12:
+                entry[1] = None      # left the wedge; no longer comparable
+                continue
+            dists = self._ray_cross(sw, key)
+            if not dists:
+                continue
+            d = min(dists)
+            if prev is not None and d < prev - 1e-6 * (sw.delta + d):
+                raise InternalGeometryError(
+                    "wavefront moved toward the apex on a persistent ray")
+            entry[1] = d

@@ -14,7 +14,6 @@ from delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -28,14 +27,6 @@ class Metric(str, Enum):
     L1 = "l1"
     L2 = "l2"
     LINF = "linf"
-
-
-class GeometryError(ValueError):
-    """Invalid geometric input."""
-
-
-class CoincidentCirclesError(GeometryError):
-    """Two unit circles share a center; their boundary intersection is not pointwise."""
 
 
 class InternalGeometryError(AssertionError):
@@ -56,12 +47,8 @@ def lp_distance(p: Sequence[float], q: Sequence[float], metric: Metric = Metric.
     return dx if dx > dy else dy
 
 
-def l1_to_linf_xy(x: float, y: float) -> Point:
-    """Map a point so that L1 distances in the source equal Linf distances in the image."""
-    return (x + y, y - x)
-
-
 def l1_to_linf(points: Sequence[Sequence[float]]) -> list[Point]:
+    """Map points so that L1 distances between them equal Linf distances between the images."""
     return [(p[0] + p[1], p[1] - p[0]) for p in points]
 
 
@@ -73,56 +60,6 @@ def _wrap_angle(a: float) -> float:
     elif a > math.pi:
         a -= _TAU
     return a
-
-
-@dataclass(frozen=True)
-class AngularFrame:
-    """A rotated angular coordinate system anchored at ``apex``.
-
-    ``key(p)`` is atan2 measured from the apex minus ``rotation``, wrapped to
-    (-pi, pi].  A sweep picks the rotation so every direction it will ever
-    compare lands in (0, pi); keys are then a monotone, wrap-free ordering.
-    """
-
-    apex: Point
-    rotation: float
-
-    @classmethod
-    def toward(cls, apex: Sequence[float], target: Sequence[float]) -> "AngularFrame":
-        """Frame in which the direction apex->target gets key pi/2 (maps to +y)."""
-        ax, ay = apex
-        ang = math.atan2(target[1] - ay, target[0] - ax)
-        return cls((ax, ay), ang - 0.5 * math.pi)
-
-    def key(self, p: Sequence[float]) -> float:
-        dx = p[0] - self.apex[0]
-        dy = p[1] - self.apex[1]
-        if dx == 0.0 and dy == 0.0:
-            raise GeometryError("angle of the apex itself is undefined")
-        return _wrap_angle(math.atan2(dy, dx) - self.rotation)
-
-    def unit(self, key: float) -> Point:
-        """World-coordinates unit vector of the ray with the given key."""
-        a = key + self.rotation
-        return (math.cos(a), math.sin(a))
-
-
-def angle_in_frame(frame: AngularFrame, p: Sequence[float]) -> float:
-    """Angle of the apex->p direction in the rotated frame (radians)."""
-    return frame.key(p)
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Ray from ``origin`` with direction given by a frame ``angle`` key."""
-
-    origin: Point
-    angle: float
-    unit: Point
-
-    @classmethod
-    def from_frame(cls, frame: AngularFrame, key: float) -> "Ray":
-        return cls(frame.apex, key, frame.unit(key))
 
 
 # ---------------------------------------------------------------------------
@@ -442,169 +379,3 @@ class SquareKernel:
                     best_err = err
                     best_t = ux * wx + uy * wy
         return best_t
-
-
-def kernel_for(metric: Metric):
-    """Kernel implementing the unit-circle shape for a metric (L1 shares the square kernel)."""
-    return CircleKernel if metric is Metric.L2 else SquareKernel
-
-
-# ---------------------------------------------------------------------------
-# Public operations in frame terms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UnitCircle:
-    center: Point
-    radius: float
-    metric: Metric
-
-
-@dataclass(frozen=True)
-class LocalWedge:
-    """Tangent cone of one unit circle as seen from an apex, or the whole plane."""
-
-    whole_plane: bool
-    apex: Point
-    center: Point
-    radius: float
-    metric: Metric
-    left_ray: Optional[Ray] = None
-    right_ray: Optional[Ray] = None
-    left_touch: Optional[Point] = None
-    right_touch: Optional[Point] = None
-
-
-@dataclass(frozen=True)
-class WaveArc:
-    """Bottom arc of a unit circle between the tangent touch points (empty if whole plane)."""
-
-    empty: bool
-    center: Point
-    radius: float
-    metric: Metric
-    start: Optional[Point] = None   # at the frame-right tangent
-    end: Optional[Point] = None     # at the frame-left tangent
-    path: tuple[Point, ...] = ()
-
-
-def circle_circle_intersections(a: UnitCircle, b: UnitCircle) -> tuple[Point, ...]:
-    """Boundary intersection points of two equal-radius unit circles.
-
-    A touching point is returned once; overlapping square edges return the two
-    extreme points of the shared segment.  Coincident centers raise.
-    """
-    if a.radius != b.radius or a.metric != b.metric:
-        raise GeometryError("unit circles must share radius and metric")
-    if a.metric is Metric.L1:
-        ta = l1_to_linf_xy(*a.center)
-        tb = l1_to_linf_xy(*b.center)
-        res = SquareKernel.boundary_intersections(ta[0], ta[1], tb[0], tb[1], a.radius)
-        if res == _COINCIDENT:
-            raise CoincidentCirclesError("coincident unit circles")
-        # map back: inverse of (x,y)->(x+y, y-x) is (u,v)->((u-v)/2, (u+v)/2)
-        return tuple(((u - v) / 2.0, (u + v) / 2.0) for (u, v) in res)
-    kern = kernel_for(a.metric)
-    res = kern.boundary_intersections(a.center[0], a.center[1], b.center[0], b.center[1], a.radius)
-    if res == _COINCIDENT:
-        raise CoincidentCirclesError("coincident unit circles")
-    return tuple(res)
-
-
-def ray_circle_intersections(ray: Ray, c: UnitCircle) -> tuple[Point, ...]:
-    """Intersections of a ray with a unit-circle boundary, ordered near to far."""
-    if c.metric is Metric.L1:
-        raise GeometryError("ray queries run in the Linf-transformed plane for L1")
-    kern = kernel_for(c.metric)
-    ts = kern.ray_hits(ray.origin[0], ray.origin[1], ray.unit[0], ray.unit[1],
-                       c.center[0], c.center[1], c.radius)
-    ox, oy = ray.origin
-    ux, uy = ray.unit
-    return tuple((ox + t * ux, oy + t * uy) for t in ts)
-
-
-def local_wedge(apex: Sequence[float], center: Sequence[float], delta: float,
-                metric: Metric, frame: AngularFrame) -> LocalWedge:
-    """Tangent cone of the unit circle around ``center`` from ``apex``.
-
-    Whole-plane marker when the apex lies inside (or on) the circle.
-    """
-    if metric is Metric.L1:
-        raise GeometryError("build L1 wedges in the Linf-transformed plane")
-    kern = kernel_for(metric)
-    ax, ay = apex
-    pts = kern.tangent_points(ax, ay, center[0], center[1], delta)
-    apexp = (ax, ay)
-    centp = (center[0], center[1])
-    if pts is None:
-        return LocalWedge(True, apexp, centp, delta, metric)
-    # order by offset from the center direction so a cone pointing near the
-    # frame's wrap seam still comes out contiguous
-    ck = frame.key(centp)
-    keyed = sorted((_wrap_angle(frame.key(p) - ck), p) for p in pts)
-    off_r, p_r = keyed[0]
-    off_l, p_l = keyed[-1]
-    k_r = ck + off_r
-    k_l = ck + off_l
-    return LocalWedge(
-        False, apexp, centp, delta, metric,
-        left_ray=Ray(apexp, k_l, _unit_to(apexp, p_l)),
-        right_ray=Ray(apexp, k_r, _unit_to(apexp, p_r)),
-        left_touch=p_l,
-        right_touch=p_r,
-    )
-
-
-def _unit_to(origin: Point, p: Point) -> Point:
-    dx = p[0] - origin[0]
-    dy = p[1] - origin[1]
-    n = math.hypot(dx, dy)
-    return (dx / n, dy / n)
-
-
-def wave_of(w: LocalWedge) -> WaveArc:
-    """Bottom arc of the wedge's circle between its touch points (empty for whole plane)."""
-    if w.whole_plane:
-        return WaveArc(True, w.center, w.radius, w.metric)
-    kern = kernel_for(w.metric)
-    path = kern.wave_path(w.apex[0], w.apex[1], w.center[0], w.center[1], w.radius,
-                          w.right_touch, w.left_touch)
-    return WaveArc(False, w.center, w.radius, w.metric,
-                   start=w.right_touch, end=w.left_touch, path=tuple(path))
-
-
-def segment_point_distance(p: Sequence[float], a: Sequence[float], b: Sequence[float],
-                           metric: Metric = Metric.L2) -> float:
-    """min over t in [0,1] of ||a + t*(b-a) - p|| under the metric."""
-    x0 = a[0] - p[0]
-    y0 = a[1] - p[1]
-    vx = b[0] - a[0]
-    vy = b[1] - a[1]
-    if metric is Metric.L2:
-        vv = vx * vx + vy * vy
-        if vv == 0.0:
-            return math.hypot(x0, y0)
-        t = -(x0 * vx + y0 * vy) / vv
-        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-        return math.hypot(x0 + t * vx, y0 + t * vy)
-    # piecewise linear: minimum occurs at a kink or an endpoint
-    cands = [0.0, 1.0]
-    for num, den in ((-x0, vx), (-y0, vy)):
-        if den != 0.0:
-            t = num / den
-            if 0.0 < t < 1.0:
-                cands.append(t)
-    if metric is Metric.LINF:
-        den = vx - vy
-        if den != 0.0:
-            t = (y0 - x0) / den
-            if 0.0 < t < 1.0:
-                cands.append(t)
-        den = vx + vy
-        if den != 0.0:
-            t = -(x0 + y0) / den
-            if 0.0 < t < 1.0:
-                cands.append(t)
-        return min(max(abs(x0 + t * vx), abs(y0 + t * vy)) for t in cands)
-    return min(abs(x0 + t * vx) + abs(y0 + t * vy) for t in cands)

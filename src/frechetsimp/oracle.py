@@ -126,20 +126,19 @@ def shortcut_is_valid(pts: Sequence[Sequence[float]], i: int, k: int, delta: flo
 
 
 def valid_targets_from(coords: np.ndarray, i: int, delta: float,
-                       metric: Metric = Metric.L2, tile: int = 0) -> np.ndarray:
+                       metric: Metric = Metric.L2) -> np.ndarray:
     """0-based indices k > i such that <p_i, p_k> is a valid shortcut.
 
     ``coords`` is an (n, 2) float array.  Runs the greedy interval sweep for
     every k simultaneously, O((n-i)^2) work, tiled over both the target and
-    the bridged-vertex axis.  The default tile grows with the remaining
-    suffix (capped for cache residency), which keeps the edge-tile overhead
+    the bridged-vertex axis.  The tile grows with the remaining suffix
+    (capped for cache residency), which keeps the edge-tile overhead
     fraction constant across problem sizes.
     """
     n = coords.shape[0]
     if not (0 <= i < n - 1):
         raise IndexError(f"need 0 <= i < n-1, got i={i}")
-    if tile <= 0:
-        tile = max(64, min(256, (n - 1 - i) // 8))
+    tile = max(64, min(256, (n - 1 - i) // 8))
     pts = coords
     if metric is Metric.L1:
         pts = np.column_stack((coords[:, 0] + coords[:, 1], coords[:, 1] - coords[:, 0]))
@@ -215,16 +214,6 @@ def valid_targets_from(coords: np.ndarray, i: int, delta: float,
             run = cm[-1]
         valid[c0:c1] = ~dead
     return np.arange(i + 1, n)[valid]
-
-
-def shortcut_matrix(coords: np.ndarray, delta: float,
-                    metric: Metric = Metric.L2) -> np.ndarray:
-    """Boolean (n, n) matrix; entry [i, k] marks a valid shortcut i -> k (i < k)."""
-    n = coords.shape[0]
-    out = np.zeros((n, n), dtype=bool)
-    for i in range(n - 1):
-        out[i, valid_targets_from(coords, i, delta, metric)] = True
-    return out
 
 
 def shortcut_matrix_dense(coords: np.ndarray, delta: float,

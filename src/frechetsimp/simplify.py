@@ -18,11 +18,12 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from ._engine import sweep_targets
-from .geometry import CircleKernel, Metric, SquareKernel, l1_to_linf, lp_distance
+from ._engine import prepare, sweep_targets
+from .geometry import Metric, lp_distance
 
 __all__ = ["SimplificationResult", "Polyline", "preprocess", "simplify",
-           "simplify_baseline", "nu_diagnostics", "link_distance_table"]
+           "simplify_baseline", "nu_diagnostics", "link_distance_table",
+           "link_distances"]
 
 ALGO_WAVEFRONT = "wavefront"
 ALGO_BASELINE = "baseline"
@@ -82,12 +83,7 @@ def _targets_provider(pts, delta: float, metric: Metric, algo: str):
             return oracle.valid_targets_from(coords, i, delta, metric).tolist()
 
         return provider, stats
-    if metric is Metric.L2:
-        work = pts
-        kern = CircleKernel
-    else:
-        work = l1_to_linf(pts) if metric is Metric.L1 else pts
-        kern = SquareKernel
+    work, kern = prepare(pts, metric)
 
     def provider(i: int):
         targets, sw = sweep_targets(work, i, delta, kern)
@@ -102,42 +98,35 @@ def _targets_provider(pts, delta: float, metric: Metric, algo: str):
     return provider, stats
 
 
-def link_distance_table(pts, delta: float, metric: Metric = Metric.L2,
-                        algo: str = ALGO_WAVEFRONT):
-    """Link-distance d and parent arrays over the (preprocessed) vertices."""
-    n = len(pts)
-    provider, stats = _targets_provider(pts, delta, metric, algo)
+def link_distances(n: int, targets_of):
+    """Link-distance d and parent arrays of the shortcut graph on n vertices.
+
+    ``targets_of(i)`` returns vertex i's valid shortcut targets in ascending
+    order; it is called once per vertex, for i = n-2 down to 0, so a caller
+    may compute each list on demand.  d[n-1] = 0 and d[i] = 1 + min d[j]
+    over the targets, with parent[i] the smallest minimizing j; an empty
+    list stands for the always-valid <p_i, p_i+1>.
+    """
     d = [0] * n
     parent = [-1] * n
     for i in range(n - 2, -1, -1):
-        best = None
-        arg = -1
-        for j in provider(i):
-            if best is None or d[j] + 1 < best:
-                best = d[j] + 1
-                arg = j
-        if best is None:  # cannot happen: <p_i, p_i+1> is always valid
-            best, arg = d[i + 1] + 1, i + 1
-        d[i] = best
-        parent[i] = arg
-    return d, parent, stats
-
-
-def _dp_over_lists(lists):
-    """Distance table from materialized shortcut lists (two-pass mode)."""
-    n = len(lists)
-    d = [0] * n
-    parent = [-1] * n
-    for i in range(n - 2, -1, -1):
-        best = None
+        best = n                      # above every distance
         arg = i + 1
-        for j in lists[i]:
-            if best is None or d[j] + 1 < best:
-                best = d[j] + 1
+        for j in targets_of(i):
+            if d[j] < best:
+                best = d[j]
                 arg = j
-        d[i] = best if best is not None else d[i + 1] + 1
+        d[i] = 1 + (best if best < n else d[i + 1])
         parent[i] = arg
     return d, parent
+
+
+def link_distance_table(pts, delta: float, metric: Metric = Metric.L2,
+                        algo: str = ALGO_WAVEFRONT):
+    """Link-distance d and parent arrays over the (preprocessed) vertices, plus sweep stats."""
+    provider, stats = _targets_provider(pts, delta, metric, algo)
+    d, parent = link_distances(len(pts), provider)
+    return d, parent, stats
 
 
 def _simplify_impl(points, delta: float, metric: Metric, algo: str,
@@ -148,15 +137,10 @@ def _simplify_impl(points, delta: float, metric: Metric, algo: str,
         raise InvalidInputError(f"unsupported metric {metric!r}")
     poly = preprocess(points)
     n_orig = len(points)
-    if poly.n == 1:
-        # every input vertex coincides; keep the mandatory endpoints
-        return SimplificationResult([0, n_orig - 1], 1,
-                                    {"max_wavefront_size": 0, "sweep_aborts": 0,
-                                     "wall_ms_per_phase": {}})
     t0 = time.perf_counter()
     if workers > 1:
         lists, stats = all_shortcut_lists(poly.vertices, delta, metric, algo, workers)
-        d, parent = _dp_over_lists(lists)
+        d, parent = link_distances(poly.n, lists.__getitem__)
         stats["parallel_workers"] = workers
     else:
         d, parent, stats = link_distance_table(poly.vertices, delta, metric, algo)
@@ -167,14 +151,19 @@ def _simplify_impl(points, delta: float, metric: Metric, algo: str,
         at = parent[at]
         chain.append(at)
     t2 = time.perf_counter()
-    indices = [poly.indices[c] for c in chain]
-    indices[-1] = n_orig - 1   # a collapsed duplicate run at the end keeps the true endpoint
+    links = d[0]
+    if poly.n == 1:
+        # every input vertex coincides; keep the mandatory endpoints
+        indices, links = [0, n_orig - 1], 1
+    else:
+        indices = [poly.indices[c] for c in chain]
+        indices[-1] = n_orig - 1   # a collapsed duplicate run at the end keeps the true endpoint
     stats = dict(stats)
     stats["wall_ms_per_phase"] = {
         "shortcuts_and_table_ms": (t1 - t0) * 1e3,
         "path_extraction_ms": (t2 - t1) * 1e3,
     }
-    stats["link_distance"] = d[0]
+    stats["link_distance"] = links
     return SimplificationResult(indices, len(indices) - 1, stats)
 
 
@@ -225,16 +214,14 @@ def _pool_init(pts, delta, metric, algo):
     _POOL_ARGS = (pts, delta, metric, algo)
 
 
-def all_shortcut_lists(points, delta: float, metric: Metric = Metric.L2,
+def all_shortcut_lists(pts, delta: float, metric: Metric = Metric.L2,
                        algo: str = ALGO_WAVEFRONT, workers: int = 1):
-    """Materialized per-vertex shortcut lists, optionally computed in parallel.
+    """Materialized shortcut lists of the (preprocessed) vertices, optionally in parallel.
 
     Returns the lists and the sweep stats merged over all sweeps (the same
     keys and values ``link_distance_table`` reports).
     """
-    poly = preprocess(points)
-    pts = poly.vertices
-    n = poly.n
+    n = len(pts)
     if workers <= 1 or n < 64:
         provider, stats = _targets_provider(pts, delta, metric, algo)
         return [provider(i) for i in range(n - 1)] + [[]], stats

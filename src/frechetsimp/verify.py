@@ -12,28 +12,28 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import oracle
-from ._engine import VALID, sweep_targets
+from ._engine import prepare, sweep_targets
 from .diagnostics import InvariantChecker
-from .geometry import CircleKernel, InternalGeometryError, Metric, SquareKernel, l1_to_linf
+from .geometry import InternalGeometryError, Metric
+from .simplify import link_distances
 
 DEFAULT_METRICS = (Metric.L2, Metric.L1, Metric.LINF)
+COORD_RANGE = 10.0        # uniform and cluster styles draw coordinates in [0, COORD_RANGE)
 
 
 @dataclass
 class VerifyConfig:
     count: int = 1000
     max_n: int = 30
-    coord_range: float = 10.0
     delta_range: tuple[float, float] = (0.1, 3.0)
     metrics: tuple[Metric, ...] = DEFAULT_METRICS
     seed: int = 0
     strict: bool = False          # attach the invariant checker to every sweep
-    ray_samples: int = 360
     workers: int = 1
     style: str = "uniform"        # uniform | walk | cluster
 
@@ -130,10 +130,10 @@ def _draw(rng, cfg: VerifyConfig):
         pts = np.cumsum(steps, axis=0)
     elif cfg.style == "cluster":
         k = max(1, n // 6)
-        centers = rng.uniform(0.0, cfg.coord_range, (k, 2))
+        centers = rng.uniform(0.0, COORD_RANGE, (k, 2))
         pts = centers[rng.integers(0, k, n)] + rng.normal(0.0, delta, (n, 2))
     else:
-        pts = rng.uniform(0.0, cfg.coord_range, (n, 2))
+        pts = rng.uniform(0.0, COORD_RANGE, (n, 2))
     return pts, delta
 
 
@@ -154,21 +154,14 @@ def random_instance(cfg: VerifyConfig, idx: int):
 # ---------------------------------------------------------------------------
 
 
-def _sweep_sets(pts_list, delta: float, metric: Metric, strict: bool,
-                ray_samples: int):
+def _sweep_sets(pts_list, delta: float, metric: Metric, strict: bool):
     """Wavefront shortcut targets per start vertex, plus sweep statistics."""
-    if metric is Metric.L2:
-        work = pts_list
-        kern = CircleKernel
-    else:
-        work = l1_to_linf(pts_list) if metric is Metric.L1 else pts_list
-        kern = SquareKernel
-    n = len(work)
+    work, kern = prepare(pts_list, metric)
     sets = []
     max_arcs = 0
     max_segs = 0
-    for i in range(n - 1):
-        checker = InvariantChecker(ray_samples=ray_samples) if strict else None
+    for i in range(len(work) - 1):
+        checker = InvariantChecker() if strict else None
         targets, sw = sweep_targets(work, i, delta, kern, checker=checker)
         sets.append(targets)
         max_arcs = max(max_arcs, sw.stats.max_arc_count)
@@ -176,41 +169,30 @@ def _sweep_sets(pts_list, delta: float, metric: Metric, strict: bool,
     return sets, max_arcs, max_segs
 
 
-def check_instance(pts, delta: float, metric: Metric, strict: bool = False,
-                   ray_samples: int = 360):
+def check_instance(pts, delta: float, metric: Metric, strict: bool = False):
     """Compare sweeps against the oracle; returns (problems, max_arcs, max_segs)."""
     pts_list = [(float(p[0]), float(p[1])) for p in pts]
-    coords = np.asarray(pts_list)
     n = len(pts_list)
     problems = []
-    M = oracle.shortcut_matrix_dense(coords, delta, metric)
+    M = oracle.shortcut_matrix_dense(np.asarray(pts_list), delta, metric)
     try:
-        sets, max_arcs, max_segs = _sweep_sets(pts_list, delta, metric, strict, ray_samples)
+        sets, max_arcs, max_segs = _sweep_sets(pts_list, delta, metric, strict)
     except InternalGeometryError as exc:
         return [{"kind": "invariant", "detail": str(exc)}], 0, 0
-    d_o = [0] * n
-    d_w = [0] * n
-    par_w = [-1] * n
+    rows = [np.nonzero(M[i])[0].tolist() for i in range(n - 1)]
     for i in range(n - 2, -1, -1):
-        otargets = np.nonzero(M[i])[0].tolist()
-        wtargets = sets[i]
-        if otargets != wtargets:
+        if rows[i] != sets[i]:
             problems.append({
                 "kind": "shortcut_set", "i": i,
-                "oracle": otargets, "wavefront": wtargets,
+                "oracle": rows[i], "wavefront": sets[i],
             })
-        d_o[i] = 1 + min(d_o[j] for j in otargets)
-        best = None
-        for j in wtargets:
-            if best is None or d_w[j] + 1 < best:
-                best = d_w[j] + 1
-                par_w[i] = j
-        d_w[i] = best if best is not None else d_w[i + 1] + 1
+    d_o, _ = link_distances(n, rows.__getitem__)
+    d_w, par_w = link_distances(n, sets.__getitem__)
     if d_o[0] != d_w[0]:
         problems.append({"kind": "link_count", "oracle": d_o[0], "wavefront": d_w[0]})
     # revalidate the emitted wavefront path link by link
     at = 0
-    while at != n - 1 and par_w[at] != -1:
+    while at != n - 1:
         j = par_w[at]
         if not oracle.shortcut_is_valid(pts_list, at, j, delta, metric):
             problems.append({"kind": "invalid_link", "i": at, "j": j})
@@ -230,8 +212,8 @@ def _run_range(args):
         pts, delta, resamples = random_instance(cfg, idx)
         part.resamples += resamples
         for metric in cfg.metrics:
-            problems, max_arcs, max_segs = check_instance(
-                pts, delta, metric, strict=cfg.strict, ray_samples=cfg.ray_samples)
+            problems, max_arcs, max_segs = check_instance(pts, delta, metric,
+                                                          strict=cfg.strict)
             part.checked += 1
             part.sweeps += len(pts) - 1
             part.max_wavefront_size = max(part.max_wavefront_size, max_arcs)

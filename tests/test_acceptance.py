@@ -15,8 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from frechetsimp import bench as bench_mod
-from frechetsimp.geometry import CircleKernel, Metric, SquareKernel, l1_to_linf
+from frechetsimp import bench as bench_mod, shortcuts
+from frechetsimp.geometry import CircleKernel, Metric
 from frechetsimp._engine import sweep_targets
 from frechetsimp.oracle import shortcut_is_valid, shortcut_matrix_dense
 from frechetsimp.simplify import nu_diagnostics, preprocess, simplify, simplify_baseline
@@ -33,7 +33,7 @@ BENCH_SIZES = tuple(int(s) for s in
 
 @pytest.fixture(scope="module")
 def corpus_report():
-    cfg = VerifyConfig(count=CORPUS_COUNT, max_n=30, coord_range=10.0,
+    cfg = VerifyConfig(count=CORPUS_COUNT, max_n=30,
                        delta_range=(0.1, 3.0), metrics=METRICS,
                        seed=20260808, strict=False, workers=WORKERS)
     return run_verify(cfg)
@@ -71,7 +71,7 @@ def test_c3_structural_invariants(corpus_report):
     for style, count in (("uniform", STRICT_COUNT),
                          ("walk", STRICT_COUNT // 2),
                          ("cluster", STRICT_COUNT // 2)):
-        cfg = VerifyConfig(count=count, seed=4242, strict=True, ray_samples=360,
+        cfg = VerifyConfig(count=count, seed=4242, strict=True,
                            workers=WORKERS, style=style)
         rep = run_verify(cfg)
         bad = [m for m in rep.mismatches]
@@ -164,16 +164,6 @@ def test_c5_nu_light_bound_and_adversarial_growth():
           f"cluster wavefronts grow {sizes} -> {fronts}")
 
 
-def _metric_sets(pts, i, delta, metric):
-    if metric is Metric.L2:
-        work, kern = pts, CircleKernel
-    else:
-        work = l1_to_linf(pts) if metric is Metric.L1 else pts
-        kern = SquareKernel
-    targets, sw = sweep_targets(work, i, delta, kern)
-    return targets, sw
-
-
 def test_c6_degenerate_suite():
     """Criterion 6: tiny, collinear, duplicated, inside-delta and
     above-diameter inputs all match the oracle under every norm."""
@@ -193,7 +183,7 @@ def test_c6_degenerate_suite():
         for metric in METRICS:
             M = shortcut_matrix_dense(np.asarray(pts), delta, metric)
             for i in range(n - 1):
-                got, _ = _metric_sets(pts, i, delta, metric)
+                got = shortcuts(pts, i, delta, metric)
                 want = np.nonzero(M[i])[0].tolist()
                 assert got == want, (name, metric, i, got, want)
             a = simplify(raw, delta, metric)
@@ -203,7 +193,7 @@ def test_c6_degenerate_suite():
                 assert shortcut_is_valid(raw, x, y, delta, metric)
     # the trap's long shortcut must be rejected under every norm
     for metric in METRICS:
-        got, _ = _metric_sets(trap, 0, 1.0, metric)
+        got = shortcuts(trap, 0, 1.0, metric)
         assert 3 not in got
         assert not shortcut_is_valid(trap, 0, 3, 1.0, metric)
     print("PASS criterion 6: degenerate suite matches the oracle under all norms")

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from frechetsimp.geometry import (AngularFrame, CircleKernel, CoincidentCirclesError,
-                                  Metric, Ray, SquareKernel, UnitCircle, angle_in_frame,
-                                  circle_circle_intersections, l1_to_linf, local_wedge,
-                                  lp_distance, ray_circle_intersections,
-                                  segment_point_distance, wave_of)
+from frechetsimp._engine import Sweep
+from frechetsimp.geometry import CircleKernel, Metric, SquareKernel, l1_to_linf, lp_distance
+from frechetsimp.verify import _seg_point_dists
 
 D = 1e-9
 
@@ -31,34 +29,30 @@ def test_lp_distance_symmetry_triangle(vals):
 
 class TestCircleCircle:
     def test_external_tangency(self):
-        a = UnitCircle((0, 0), 1.0, Metric.L2)
-        b = UnitCircle((2, 0), 1.0, Metric.L2)
-        pts = circle_circle_intersections(a, b)
+        pts = CircleKernel.boundary_intersections(0.0, 0.0, 2.0, 0.0, 1.0)
         assert len(pts) == 1
         assert pts[0] == pytest.approx((1.0, 0.0))
 
     def test_two_points_analytic(self):
-        a = UnitCircle((0, 0), 1.0, Metric.L2)
-        b = UnitCircle((1, 0), 1.0, Metric.L2)
-        pts = sorted(circle_circle_intersections(a, b), key=lambda p: p[1])
+        pts = sorted(CircleKernel.boundary_intersections(0.0, 0.0, 1.0, 0.0, 1.0),
+                     key=lambda p: p[1])
         assert pts[0] == pytest.approx((0.5, -math.sqrt(3) / 2))
         assert pts[1] == pytest.approx((0.5, math.sqrt(3) / 2))
 
     def test_disjoint(self):
-        a = UnitCircle((0, 0), 1.0, Metric.L2)
-        b = UnitCircle((3, 0), 1.0, Metric.L2)
-        assert circle_circle_intersections(a, b) == ()
+        assert CircleKernel.boundary_intersections(0.0, 0.0, 3.0, 0.0, 1.0) == ()
 
-    def test_coincident_raises(self):
-        a = UnitCircle((0, 0), 1.0, Metric.L2)
-        with pytest.raises(CoincidentCirclesError):
-            circle_circle_intersections(a, a)
+    def test_coincident_marker(self):
+        # equal centers, or centers closer than the 1e-9 relative tolerance,
+        # have no pointwise boundary intersection
+        for kern in (CircleKernel, SquareKernel):
+            assert kern.boundary_intersections(0.0, 0.0, 0.0, 0.0, 1.0) == "coincident"
+            assert kern.boundary_intersections(1.0, 1.0, 1.0 + 1e-12, 1.0, 1.0) == "coincident"
+            assert kern.boundary_intersections(1.0, 1.0, 1.0 + 1e-6, 1.0, 1.0) != "coincident"
 
     def test_square_overlapping_edges_extremes(self):
         # shared bottom/top edge lines: the two extreme points of the overlap
-        a = UnitCircle((0, 0), 1.0, Metric.LINF)
-        b = UnitCircle((1.2, 0), 1.0, Metric.LINF)
-        pts = set(circle_circle_intersections(a, b))
+        pts = set(SquareKernel.boundary_intersections(0.0, 0.0, 1.2, 0.0, 1.0))
         assert len(pts) == 2
         xs = sorted(p[0] for p in pts)
         assert xs == pytest.approx([0.2, 1.0]) or len({p[1] for p in pts}) == 2
@@ -85,23 +79,23 @@ class TestCircleCircle:
         assert checked > 100_000
 
 
+def _ray_points(kern, origin, unit, center, delta):
+    """Boundary points the ray meets, near to far, from the kernel's parameters."""
+    ts = kern.ray_hits(origin[0], origin[1], unit[0], unit[1], center[0], center[1], delta)
+    return tuple((origin[0] + t * unit[0], origin[1] + t * unit[1]) for t in ts)
+
+
 class TestRayCircle:
     def test_through_circle(self):
-        r = Ray((0, 0), 0.0, (1.0, 0.0))
-        c = UnitCircle((2, 0), 1.0, Metric.L2)
-        pts = ray_circle_intersections(r, c)
+        pts = _ray_points(CircleKernel, (0.0, 0.0), (1.0, 0.0), (2.0, 0.0), 1.0)
         assert pts[0] == pytest.approx((1.0, 0.0))
         assert pts[1] == pytest.approx((3.0, 0.0))
 
     def test_miss(self):
-        r = Ray((0, 0), 0.0, (1.0, 0.0))
-        c = UnitCircle((0, 2), 1.0, Metric.L2)
-        assert ray_circle_intersections(r, c) == ()
+        assert _ray_points(CircleKernel, (0.0, 0.0), (1.0, 0.0), (0.0, 2.0), 1.0) == ()
 
     def test_origin_inside_single_exit(self):
-        r = Ray((0, 0), 0.0, (1.0, 0.0))
-        c = UnitCircle((0.5, 0), 1.0, Metric.L2)
-        pts = ray_circle_intersections(r, c)
+        pts = _ray_points(CircleKernel, (0.0, 0.0), (1.0, 0.0), (0.5, 0.0), 1.0)
         assert len(pts) == 1
         assert pts[0] == pytest.approx((1.5, 0.0))
 
@@ -134,43 +128,48 @@ class TestRayCircle:
                 assert uniq == scans or len(hits) == scans
 
 
-class TestLocalWedge:
-    def frame(self):
-        return AngularFrame.toward((0, 0), (0, 1))
+def _extreme_touches(kern, apex, center, delta):
+    """(right, left) touch points: the tangent points at the smallest and the
+    largest angle, measured from the apex relative to the center direction."""
+    pts = kern.tangent_points(apex[0], apex[1], center[0], center[1], delta)
+    ck = math.atan2(center[1] - apex[1], center[0] - apex[0])
 
+    def off(p):
+        a = math.atan2(p[1] - apex[1], p[0] - apex[0]) - ck
+        return math.atan2(math.sin(a), math.cos(a))
+
+    return min(pts, key=off), max(pts, key=off)
+
+
+class TestLocalWedge:
     def test_l2_tangent_rays_60_120(self):
         # tangent half-angle arcsin(1/2) = 30 degrees around the +y direction
-        w = local_wedge((0, 0), (0, 2), 1.0, Metric.L2, self.frame())
-        assert not w.whole_plane
-        lx, ly = w.left_touch
-        rx, ry = w.right_touch
+        (rx, ry), (lx, ly) = _extreme_touches(CircleKernel, (0, 0), (0, 2), 1.0)
         assert math.atan2(ly, lx) == pytest.approx(math.radians(120))
         assert math.atan2(ry, rx) == pytest.approx(math.radians(60))
 
     def test_linf_corner_tangency_45_135(self):
-        w = local_wedge((0, 0), (0, 2), 1.0, Metric.LINF, self.frame())
-        lx, ly = w.left_touch
-        rx, ry = w.right_touch
+        (rx, ry), (lx, ly) = _extreme_touches(SquareKernel, (0, 0), (0, 2), 1.0)
         assert math.atan2(ly, lx) == pytest.approx(math.radians(135))
         assert math.atan2(ry, rx) == pytest.approx(math.radians(45))
         assert (lx, ly) == (-1.0, 1.0)
         assert (rx, ry) == (1.0, 1.0)
 
     def test_whole_plane_marker(self):
-        w = local_wedge((0, 0), (0.5, 0), 1.0, Metric.L2, self.frame())
-        assert w.whole_plane
+        # an apex inside the unit circle has no tangent cone
+        for kern in (CircleKernel, SquareKernel):
+            assert kern.tangent_points(0.0, 0.0, 0.5, 0.0, 1.0) is None
 
     def test_tangent_rays_touch_circle(self):
         rng = np.random.default_rng(5)
-        f = self.frame()
         for _ in range(500):
             c = rng.uniform(-5, 5, 2)
             delta = rng.uniform(0.1, 2.0)
             if math.hypot(*c) <= delta * 1.01:
                 continue
-            w = local_wedge((0, 0), c, delta, Metric.L2, f)
-            for ray in (w.left_ray, w.right_ray):
-                ux, uy = ray.unit
+            for p in CircleKernel.tangent_points(0.0, 0.0, c[0], c[1], delta):
+                norm = math.hypot(*p)
+                ux, uy = p[0] / norm, p[1] / norm
                 # distance from the center to the ray line equals delta
                 dist = abs(ux * c[1] - uy * c[0])
                 assert abs(dist - delta) <= 1e-9 * delta
@@ -178,39 +177,51 @@ class TestLocalWedge:
 
 class TestWaveOf:
     def test_l2_bottom_arc(self):
-        f = AngularFrame.toward((0, 0), (0, 1))
-        w = wave_of(local_wedge((0, 0), (0, 2), 1.0, Metric.L2, f))
-        assert not w.empty
-        assert w.start == pytest.approx((math.sqrt(3) / 2, 3 / 2))
-        assert w.end == pytest.approx((-math.sqrt(3) / 2, 3 / 2))
+        start, end = _extreme_touches(CircleKernel, (0, 0), (0, 2), 1.0)
+        assert start == pytest.approx((math.sqrt(3) / 2, 3 / 2))
+        assert end == pytest.approx((-math.sqrt(3) / 2, 3 / 2))
+        assert CircleKernel.wave_path(0.0, 0.0, 0.0, 2.0, 1.0, start, end) == (start, end)
         # passes through (0, 1): the near intersection along +y
         hits = CircleKernel.ray_hits(0, 0, 0.0, 1.0, 0.0, 2.0, 1.0)
         assert hits[0] == pytest.approx(1.0)
 
     def test_linf_bottom_edge(self):
-        f = AngularFrame.toward((0, 0), (0, 1))
-        w = wave_of(local_wedge((0, 0), (0, 2), 1.0, Metric.LINF, f))
-        assert w.path == ((1.0, 1.0), (-1.0, 1.0))
+        start, end = _extreme_touches(SquareKernel, (0, 0), (0, 2), 1.0)
+        path = SquareKernel.wave_path(0.0, 0.0, 0.0, 2.0, 1.0, start, end)
+        assert path == ((1.0, 1.0), (-1.0, 1.0))
 
     def test_whole_plane_empty_wave(self):
-        f = AngularFrame.toward((0, 0), (0, 1))
-        w = wave_of(local_wedge((0, 0), (0.5, 0), 1.0, Metric.L2, f))
-        assert w.empty
+        # a first circle around the apex installs no wave: the step is PREFIX
+        sw = Sweep([(0.0, 0.0), (0.5, 0.0)], 0, 1.0, CircleKernel)
+        assert sw.step(1).case == "PREFIX"
+        assert sw.arcs == [] and sw.kr is None
 
 
 class TestAngularFrame:
+    """Sweep keys: angle at the apex minus the frame rotation fixed at INIT,
+    which turns the first proper circle's center direction to +y."""
+
+    @staticmethod
+    def frame_after_init(apex, target):
+        sw = Sweep([apex, target], 0, 1.0, CircleKernel)
+        assert sw.step(1).case == "INIT"
+        return sw
+
     def test_zero_rotation(self):
-        f = AngularFrame((0.0, 0.0), 0.0)
-        assert angle_in_frame(f, (1, 0)) == pytest.approx(0.0)
-        assert angle_in_frame(f, (0, 1)) == pytest.approx(math.pi / 2)
+        sw = self.frame_after_init((0.0, 0.0), (0.0, 2.0))
+        assert sw.rot == pytest.approx(0.0, abs=1e-12)
+        assert sw._key(1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert sw._key(0.0, 1.0) == pytest.approx(math.pi / 2)
 
     def test_rotated(self):
-        f = AngularFrame((0.0, 0.0), math.pi / 2)
-        assert angle_in_frame(f, (0, 1)) == pytest.approx(0.0)
+        sw = self.frame_after_init((0.0, 0.0), (-2.0, 0.0))
+        assert sw.rot == pytest.approx(math.pi / 2)
+        assert sw._key(0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_toward_maps_target_up(self):
-        f = AngularFrame.toward((1.0, 1.0), (4.0, 5.0))
-        assert angle_in_frame(f, (4.0, 5.0)) == pytest.approx(math.pi / 2)
+        sw = self.frame_after_init((1.0, 1.0), (4.0, 5.0))
+        assert sw._key(4.0, 5.0) == pytest.approx(math.pi / 2)
+        assert sw.kr < sw._key(4.0, 5.0) < sw.kl
 
 
 def test_bottom_arc_pairs_second_crossing_on_top_arcs():
@@ -270,6 +281,6 @@ def test_segment_point_distance_vs_scan(metric):
             scan = float(np.min(np.abs(x) + np.abs(y)))
         else:
             scan = float(np.min(np.maximum(np.abs(x), np.abs(y))))
-        exact = segment_point_distance(c, a, b, metric)
+        exact = float(_seg_point_dists(np.array([a, b, c]), metric)[0, 1, 2])
         assert exact <= scan + 1e-12
         assert exact >= scan - 1e-3

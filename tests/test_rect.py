@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from frechetsimp._engine import Sweep
-from frechetsimp.geometry import Metric, SquareKernel, l1_to_linf
+from frechetsimp import shortcuts
+from frechetsimp._engine import Sweep, prepare, sweep_targets
+from frechetsimp.geometry import Metric, SquareKernel
 from frechetsimp.oracle import shortcut_is_valid
-from frechetsimp.rect import RectSweep, rect_shortcuts_from, rect_step
 from frechetsimp.verify import VerifyConfig, random_instance
 
 from oracles import rasterize_valid_region, square_wave_path
@@ -14,29 +14,49 @@ from oracles import rasterize_valid_region, square_wave_path
 SQ = (Metric.L1, Metric.LINF)
 
 
+def budgeted_shortcuts(pts, i, delta, metric):
+    """``shortcuts``, checked against a sweep that kept the two-segment budget."""
+    got = shortcuts(pts, i, delta, metric)
+    work, kern = prepare(pts, metric)
+    targets, sw = sweep_targets(work, i, delta, kern)
+    assert targets == got
+    assert sw.stats.max_segment_count <= 2
+    return got
+
+
+def wave_points(sw):
+    """The wavefront as a polyline: each arc's visible square boundary, in
+    the sweep's working coordinates, with shared arc endpoints merged."""
+    pts = []
+    for a in sw.arcs:
+        path = SquareKernel.wave_path(sw.ax, sw.ay, a.cx, a.cy, sw.delta,
+                                      (a.x0, a.y0), (a.x1, a.y1))
+        for p in path:
+            if not pts or abs(p[0] - pts[-1][0]) + abs(p[1] - pts[-1][1]) > 1e-12:
+                pts.append(p)
+    return pts
+
+
 class TestFirstSquare:
     def test_wave_is_bottom_edge(self):
         L = [(0.0, 0.0), (0.0, 2.0), (0.0, 4.0)]
-        sw = RectSweep(L, 0, 1.0, Metric.LINF)
-        rect_step(sw, L, 1)
-        wf = sw.wavefront()
-        assert len(wf.segments) == 1
-        (a, b) = wf.segments[0]
-        assert sorted([a, b]) == [(-1.0, 1.0), (1.0, 1.0)]
-        assert wf.corner is None
+        sw = Sweep(L, 0, 1.0, SquareKernel)
+        sw.step(1)
+        wave = wave_points(sw)
+        assert len(wave) == 2          # one segment, no corner
+        assert sorted(wave) == [(-1.0, 1.0), (1.0, 1.0)]
         # wedge through the square corners: 45 and 135 degrees
-        g = sw.sweep
-        assert math.atan2(g.ur[1], g.ur[0]) == pytest.approx(math.radians(45))
-        assert math.atan2(g.ul[1], g.ul[0]) == pytest.approx(math.radians(135))
+        assert math.atan2(sw.ur[1], sw.ur[0]) == pytest.approx(math.radians(45))
+        assert math.atan2(sw.ul[1], sw.ul[0]) == pytest.approx(math.radians(135))
 
     def test_second_square_lifts_wavefront_to_y3(self):
         L = [(0.0, 0.0), (0.0, 2.0), (0.0, 4.0)]
-        sw = RectSweep(L, 0, 1.0, Metric.LINF)
-        rect_step(sw, L, 1)
-        rect_step(sw, L, 2)
-        wf = sw.wavefront()
-        assert len(wf.segments) == 1
-        for (x, y) in wf.segments[0]:
+        sw = Sweep(L, 0, 1.0, SquareKernel)
+        sw.step(1)
+        sw.step(2)
+        wave = wave_points(sw)
+        assert len(wave) == 2
+        for (x, y) in wave:
             assert y == pytest.approx(3.0)
             assert -1.0 - 1e-9 <= x <= 1.0 + 1e-9
         # independently: the rasterized region boundary sits at y = 3 mid-wedge
@@ -49,29 +69,29 @@ class TestFirstSquare:
 
     def test_disjoint_squares_abort(self):
         L = [(0.0, 0.0), (0.0, 2.0), (10.0, -10.0)]
-        sw = RectSweep(L, 0, 1.0, Metric.LINF)
-        rect_step(sw, L, 1)
-        rect_step(sw, L, 2)
+        sw = Sweep(L, 0, 1.0, SquareKernel)
+        sw.step(1)
+        sw.step(2)
         assert sw.aborted
 
 
 class TestRectShortcuts:
     def test_deviation_one_linf(self):
-        assert rect_shortcuts_from([(0, 0), (2, 1), (4, 0)], 0, 1.0, Metric.LINF) == [1, 2]
+        assert budgeted_shortcuts([(0, 0), (2, 1), (4, 0)], 0, 1.0, Metric.LINF) == [1, 2]
 
     def test_boundary_tight_instance_matches_oracle(self):
         # under Linf both far targets are exactly tube-tight; freeze what the
         # interval oracle computes and require agreement
         L = [(0, 0), (3, 0.5), (1, 0.5), (4, 0)]
         want = [k for k in (1, 2, 3) if shortcut_is_valid(L, 0, k, 1.0, Metric.LINF)]
-        assert rect_shortcuts_from(L, 0, 1.0, Metric.LINF) == want == [1, 3]
+        assert budgeted_shortcuts(L, 0, 1.0, Metric.LINF) == want == [1, 3]
 
     @pytest.mark.parametrize("metric", SQ)
     def test_huge_delta_everything_valid(self, metric):
         rng = np.random.default_rng(8)
         pts = rng.uniform(0, 5, (11, 2)).tolist()
         diam = max(abs(p[0] - q[0]) + abs(p[1] - q[1]) for p in pts for q in pts)
-        assert rect_shortcuts_from(pts, 0, diam + 1.0, metric) == list(range(1, 11))
+        assert budgeted_shortcuts(pts, 0, diam + 1.0, metric) == list(range(1, 11))
 
     @pytest.mark.parametrize("metric", SQ)
     def test_matches_oracle_on_random_instances(self, metric):
@@ -80,7 +100,7 @@ class TestRectShortcuts:
             pts, delta, _ = random_instance(cfg, idx)
             pts_l = [tuple(p) for p in pts]
             for i in range(len(pts_l) - 1):
-                got = rect_shortcuts_from(pts_l, i, delta, metric)
+                got = budgeted_shortcuts(pts_l, i, delta, metric)
                 want = [k for k in range(i + 1, len(pts_l))
                         if shortcut_is_valid(pts_l, i, k, delta, metric)]
                 assert got == want
@@ -94,7 +114,7 @@ class TestRectShortcuts:
             pts = rng.uniform(0, 8, (n, 2)).tolist()
             delta = float(rng.uniform(0.3, 2.5))
             for i in range(n - 1):
-                got = rect_shortcuts_from(pts, i, delta, Metric.L1)
+                got = budgeted_shortcuts(pts, i, delta, Metric.L1)
                 want = [k for k in range(i + 1, n)
                         if shortcut_is_valid(pts, i, k, delta, Metric.L1)]
                 assert got == want
@@ -107,20 +127,20 @@ class TestSegmentBudget:
         worst = 0
         for idx in range(120):
             pts, delta, _ = random_instance(cfg, idx)
-            pts_l = [tuple(p) for p in pts]
-            for i in range(len(pts_l) - 1):
-                _, sw = rect_shortcuts_from(pts_l, i, delta, metric, return_state=True)
+            work, kern = prepare([tuple(p) for p in pts], metric)
+            for i in range(len(work) - 1):
+                _, sw = sweep_targets(work, i, delta, kern)
                 worst = max(worst, sw.stats.max_segment_count)
         assert worst <= 2
 
     def test_two_segment_state_reachable_with_corner(self):
         # an apex off the diagonal sees two sides of the square
         L = [(0.0, 0.0), (2.0, 3.0), (2.0, 8.0)]
-        sw = RectSweep(L, 0, 1.0, Metric.LINF)
-        rect_step(sw, L, 1)
-        wf = sw.wavefront()
-        assert len(wf.segments) == 2
-        assert wf.corner == pytest.approx((1.0, 2.0))
+        sw = Sweep(L, 0, 1.0, SquareKernel)
+        sw.step(1)
+        wave = wave_points(sw)
+        assert len(wave) == 3          # two segments meeting at the corner
+        assert wave[1] == pytest.approx((1.0, 2.0))
 
 
 def _gauge_corpus():
@@ -143,7 +163,7 @@ def _gauge_corpus():
 def test_segment_gauge_matches_wave_path_after_every_step(metric):
     seen = {"arcs": 0, "two": 0, "corner_end": 0}
     for pts, delta in _gauge_corpus():
-        work = l1_to_linf(pts) if metric is Metric.L1 else pts
+        work, _ = prepare(pts, metric)
         for i in range(len(work) - 1):
             sw = Sweep(work, i, delta, SquareKernel)
             for j in range(i + 1, len(work)):
@@ -185,13 +205,16 @@ def test_arc_segments_hand_cases(p0, p1, want):
 
 
 def test_rect_wavefront_segments_are_orthogonal():
+    # the L1 coordinate change is a rotation and a scaling, so segments
+    # orthogonal in the working plane are orthogonal in the input plane too
     L = [(0.0, 0.0), (2.0, 3.0), (2.0, 8.0)]
     for metric in SQ:
-        sw = RectSweep(L, 0, 1.0, metric)
-        rect_step(sw, L, 1)
-        wf = sw.wavefront()
-        if len(wf.segments) == 2:
-            (a1, b1), (a2, b2) = wf.segments
+        work, kern = prepare(L, metric)
+        sw = Sweep(work, 0, 1.0, kern)
+        sw.step(1)
+        wave = wave_points(sw)
+        if len(wave) == 3:
+            (a1, b1), (a2, b2) = (wave[0], wave[1]), (wave[1], wave[2])
             v1 = (b1[0] - a1[0], b1[1] - a1[1])
             v2 = (b2[0] - a2[0], b2[1] - a2[1])
             dot = v1[0] * v2[0] + v1[1] * v2[1]

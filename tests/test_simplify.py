@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from frechetsimp.geometry import Metric
 from frechetsimp.oracle import shortcut_is_valid
 from frechetsimp.simplify import (InvalidInputError, link_distance_table,
-                                  nu_diagnostics, preprocess, simplify,
-                                  simplify_baseline)
+                                  link_distances, nu_diagnostics, preprocess,
+                                  simplify, simplify_baseline)
 from frechetsimp.verify import VerifyConfig, random_instance
 
 from oracles import min_nu_bruteforce
@@ -66,6 +66,15 @@ class TestEdgeCasesAndErrors:
         assert res.indices == [0, 4]
         assert res.link_count == 1
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_single_vertex_stats_schema(self, workers):
+        # a polyline that collapses to one vertex reports every stats key
+        one = simplify([(2, 2)] * 5, 1.0, workers=workers)
+        two = simplify([(0, 0), (1, 1)], 1.0, workers=workers)
+        assert set(one.stats) == set(two.stats)
+        assert set(one.stats["wall_ms_per_phase"]) == set(two.stats["wall_ms_per_phase"])
+        assert one.stats["link_distance"] == one.link_count == 1
+
     def test_non_consecutive_duplicates_kept(self):
         poly = preprocess([(0, 0), (5, 0), (0, 0), (7, 0)])
         assert poly.n == 4
@@ -106,6 +115,15 @@ class TestEdgeCasesAndErrors:
 
 
 class TestOptimalityProperties:
+    def test_link_distances_ties_and_empty_lists(self):
+        # vertex 0 ties between 1 and 2 and takes the smaller index; the
+        # empty list of vertex 3 stands for the link <p_3, p_4>
+        lists = [[1, 2], [3], [3], [], []]
+        d, parent = link_distances(5, lists.__getitem__)
+        assert d == [3, 2, 2, 1, 0]
+        assert parent == [1, 3, 3, 4, -1]
+        assert link_distances(1, lists.__getitem__) == ([0], [-1])
+
     @pytest.mark.parametrize("metric", METRICS)
     def test_wavefront_equals_baseline_sizes(self, metric):
         cfg = VerifyConfig(count=120, seed=606, metrics=(metric,))

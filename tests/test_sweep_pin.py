@@ -9,8 +9,8 @@ import hashlib
 
 import pytest
 
-from frechetsimp._engine import sweep_targets
-from frechetsimp.geometry import CircleKernel, Metric, SquareKernel, l1_to_linf
+from frechetsimp._engine import prepare, sweep_targets
+from frechetsimp.geometry import Metric
 
 from walks import drift_walk, stop_and_go
 
@@ -24,11 +24,7 @@ INPUTS = {
 
 def sweep_summary(pts, delta, metric):
     """Digest of every start vertex's targets plus the summed sweep stats."""
-    if metric is Metric.L2:
-        work, kern = pts, CircleKernel
-    else:
-        work = l1_to_linf(pts) if metric is Metric.L1 else pts
-        kern = SquareKernel
+    work, kern = prepare(pts, metric)
     digest = hashlib.sha256()
     hist = {}
     max_arcs = max_segs = aborts = 0

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from frechetsimp import svgdebug
-from frechetsimp._engine import BELOW, OUTSIDE, VALID, SweepAbortedError
+from frechetsimp import shortcuts, svgdebug
+from frechetsimp._engine import BELOW, OUTSIDE, VALID, Sweep, SweepAbortedError, sweep_targets
 from frechetsimp.diagnostics import InvariantChecker
-from frechetsimp.geometry import InternalGeometryError, Metric
+from frechetsimp.geometry import CircleKernel, InternalGeometryError, Metric
 from frechetsimp.oracle import shortcut_is_valid
 from frechetsimp.verify import VerifyConfig, check_instance, random_instance
-from frechetsimp.wavefront import init_sweep, locate, shortcuts_from, step
 
 from oracles import rasterize_valid_region
 
@@ -35,13 +34,13 @@ def bulge_cluster(m, delta=1.0, R=3.0, rho=0.8, span_deg=60.0, seed=0):
 class TestInitAndFirstStep:
     def test_init_whole_plane(self):
         L = [(0.0, 0.0), (0.0, 2.0), (0.0, 4.0)]
-        sw = init_sweep(L, 0, 1.0)
+        sw = Sweep(L, 0, 1.0, CircleKernel)
         assert sw.kr is None and not sw.arcs and not sw.aborted
 
     def test_first_step_installs_wave(self):
         L = [(0.0, 0.0), (0.0, 2.0), (0.0, 4.0)]
-        sw = init_sweep(L, 0, 1.0)
-        rep = step(sw, L, 1)
+        sw = Sweep(L, 0, 1.0, CircleKernel)
+        rep = sw.step(1)
         assert rep.case == "INIT"
         assert len(sw.arcs) == 1
         a = sw.arcs[0]
@@ -55,45 +54,45 @@ class TestInitAndFirstStep:
 class TestLocate:
     def make_state(self):
         L = [(0.0, 0.0), (0.0, 2.0), (0.0, 4.0)]
-        sw = init_sweep(L, 0, 1.0)
-        step(sw, L, 1)
+        sw = Sweep(L, 0, 1.0, CircleKernel)
+        sw.step(1)
         return sw
 
     def test_far_point_in_valid_region(self):
-        assert locate(self.make_state(), (0.0, 4.0)) is VALID
+        assert self.make_state().locate((0.0, 4.0)) is VALID
 
     def test_near_point_below_wavefront(self):
-        assert locate(self.make_state(), (0.0, 0.5)) is BELOW
+        assert self.make_state().locate((0.0, 0.5)) is BELOW
 
     def test_small_angle_outside_wedge(self):
-        assert locate(self.make_state(), (4.0, 0.1)) is OUTSIDE
+        assert self.make_state().locate((4.0, 0.1)) is OUTSIDE
 
     def test_point_on_wavefront_counts_valid(self):
-        assert locate(self.make_state(), (0.0, 1.0)) is VALID
+        assert self.make_state().locate((0.0, 1.0)) is VALID
 
     def test_apex_conventions(self):
         L = [(0.0, 0.0), (0.0, 2.0)]
-        sw = init_sweep(L, 0, 1.0)
-        assert locate(sw, (0.0, 0.0)) is VALID      # no wavefront yet
-        step(sw, L, 1)
-        assert locate(sw, (0.0, 0.0)) is BELOW
+        sw = Sweep(L, 0, 1.0, CircleKernel)
+        assert sw.locate((0.0, 0.0)) is VALID      # no wavefront yet
+        sw.step(1)
+        assert sw.locate((0.0, 0.0)) is BELOW
 
     def test_aborted_state_raises(self):
         L = [(0.0, 0.0), (10.0, 0.0), (0.5, 0.0), (20.0, 0.0)]
-        sw = init_sweep(L, 0, 1.0)
+        sw = Sweep(L, 0, 1.0, CircleKernel)
         for j in (1, 2):
-            step(sw, L, j)
+            sw.step(j)
         assert sw.aborted
         with pytest.raises(SweepAbortedError):
-            locate(sw, (1.0, 1.0))
+            sw.locate((1.0, 1.0))
 
 
 class TestStepCases:
     def test_collinear_climb_is_case_bb(self):
         L = [(0.0, 0.0), (0.0, 2.0), (0.0, 4.0)]
-        sw = init_sweep(L, 0, 1.0)
-        step(sw, L, 1)
-        rep = step(sw, L, 2)
+        sw = Sweep(L, 0, 1.0, CircleKernel)
+        sw.step(1)
+        rep = sw.step(2)
         assert rep.case == "BB"
         assert len(sw.arcs) == 1
         assert sw.arcs[0].idx == 2
@@ -103,8 +102,8 @@ class TestStepCases:
 
     def test_interior_insertion_is_case_mm(self):
         pts = bulge_cluster(4)
-        sw = init_sweep(pts, 0, 1.0)
-        reports = [step(sw, pts, j) for j in (1, 2, 3, 4)]
+        sw = Sweep(pts, 0, 1.0, CircleKernel)
+        reports = [sw.step(j) for j in (1, 2, 3, 4)]
         assert reports[3].case == "MM"
         assert len(sw.arcs) == 4
         # the inserted arc sits between arcs of earlier circles
@@ -113,7 +112,7 @@ class TestStepCases:
 
     def test_trap_aborts_and_rejects_distant_target(self):
         L = [(0.0, 0.0), (10.0, 0.0), (0.5, 0.0), (20.0, 0.0)]
-        targets, sw = shortcuts_from(L, 0, 1.0, return_state=True)
+        targets, sw = sweep_targets(L, 0, 1.0, CircleKernel)
         assert targets == [1]
         assert sw.aborted
         assert sw.stats.case_histogram.get("TT_EMPTY") == 1
@@ -125,38 +124,38 @@ class TestStepCases:
             pts, delta, _ = random_instance(cfg, idx)
             pts_l = [tuple(p) for p in pts]
             for i in range(len(pts_l) - 1):
-                _, sw = shortcuts_from(pts_l, i, delta, return_state=True)
+                _, sw = sweep_targets(pts_l, i, delta, CircleKernel)
                 hist = sw.stats.case_histogram
                 assert "TB" not in hist and "BT" not in hist
 
 
 class TestShortcutsFrom:
     def test_deviation_one(self):
-        assert shortcuts_from([(0, 0), (2, 1), (4, 0)], 0, 1.0) == [1, 2]
+        assert shortcuts([(0, 0), (2, 1), (4, 0)], 0, 1.0) == [1, 2]
 
     def test_order_violation_instance(self):
         # vertex (3, 0.5) is 2 away from the segment to (1, 0.5), so only the
         # trivial shortcut survives (value computed with the interval oracle)
         L = [(0, 0), (3, 0.5), (1, 0.5), (4, 0)]
         assert [k for k in (1, 2, 3) if shortcut_is_valid(L, 0, k, 1.0)] == [1]
-        assert shortcuts_from(L, 0, 1.0) == [1]
+        assert shortcuts(L, 0, 1.0) == [1]
 
     def test_huge_delta_everything_valid(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 5, (12, 2)).tolist()
         diam = max(math.dist(p, q) for p in pts for q in pts)
-        assert shortcuts_from(pts, 0, diam + 1.0) == list(range(1, 12))
+        assert shortcuts(pts, 0, diam + 1.0) == list(range(1, 12))
 
     def test_prefix_vertices_always_recorded(self):
         L = [(0.0, 0.0), (0.2, 0.0), (0.1, 0.3), (5.0, 0.0), (9.0, 0.0)]
-        targets = shortcuts_from(L, 0, 1.0)
+        targets = shortcuts(L, 0, 1.0)
         assert 1 in targets and 2 in targets
         for k in targets:
             assert shortcut_is_valid(L, 0, k, 1.0)
 
     def test_arc_count_bound_and_conservation(self):
         pts = bulge_cluster(20)
-        targets, sw = shortcuts_from(pts, 0, 1.0, return_state=True)
+        targets, sw = sweep_targets(pts, 0, 1.0, CircleKernel)
         assert sw.stats.max_arc_count <= len(pts) - 1
         assert sw.stats.removed <= sw.stats.inserted
 
@@ -166,9 +165,9 @@ class TestRegionRasterization:
     reachability region, away from its boundary."""
 
     def region_agreement(self, pts, i, upto_j, delta, bbox, res=1000, guard=3):
-        sw = init_sweep(pts, i, delta)
+        sw = Sweep(pts, i, delta, CircleKernel)
         for j in range(i + 1, upto_j + 1):
-            step(sw, pts, j)
+            sw.step(j)
         grid = rasterize_valid_region(pts, i, upto_j, delta, Metric.L2, bbox, res)
         # stay ``guard`` cells clear of the classification boundary
         stable = np.ones_like(grid)
@@ -189,7 +188,7 @@ class TestRegionRasterization:
                 p = (xs[c], ys[r])
                 if math.dist(p, pts[i]) <= 2 * step_diag:
                     continue
-                got = locate(sw, p) is VALID
+                got = sw.locate(p) is VALID
                 checked += 1
                 if got != bool(grid[r, c]):
                     mismatched += 1
@@ -207,11 +206,10 @@ class TestRegionRasterization:
 
 class TestStrictInvariants:
     def test_random_corpus_with_checker(self):
-        cfg = VerifyConfig(count=40, seed=808, strict=True, ray_samples=360)
+        cfg = VerifyConfig(count=40, seed=808, strict=True)
         for idx in range(40):
             pts, delta, _ = random_instance(cfg, idx)
-            problems, _, _ = check_instance(pts, delta, Metric.L2, strict=True,
-                                            ray_samples=360)
+            problems, _, _ = check_instance(pts, delta, Metric.L2, strict=True)
             assert problems == [], problems
 
     def test_checker_catches_fault_injection(self):
@@ -231,7 +229,7 @@ class TestStrictInvariants:
         Sweep._case_mm = broken
         try:
             with pytest.raises(InternalGeometryError):
-                shortcuts_from(pts, 0, 1.0, checker=InvariantChecker())
+                sweep_targets(pts, 0, 1.0, CircleKernel, checker=InvariantChecker())
         finally:
             Sweep._case_mm = orig
 
@@ -243,14 +241,15 @@ def test_svg_sink_receives_deterministic_frames(tmp_path):
     def sink(i, j, svg):
         frames[(i, j)] = svg
 
-    shortcuts_from(pts, 0, 1.0, svg_sink=sink)
+    sweep_targets(pts, 0, 1.0, CircleKernel, svg_sink=sink)
     assert set(frames) == {(0, j) for j in range(1, 5)}
     svg = frames[(0, 4)]
     assert svg.count("<line") == 2
     assert svg.count("<path") == 5   # four arcs plus the current circle
     assert "case=MM" in svg
     frames2 = {}
-    shortcuts_from(pts, 0, 1.0, svg_sink=lambda i, j, s: frames2.__setitem__((i, j), s))
+    sweep_targets(pts, 0, 1.0, CircleKernel,
+                  svg_sink=lambda i, j, s: frames2.__setitem__((i, j), s))
     assert frames == frames2
     d = tmp_path / "frames"
     sink2 = svgdebug.file_sink(str(d))
