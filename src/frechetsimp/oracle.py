@@ -15,6 +15,7 @@ the cubic baseline and the benchmarks; it mirrors the same closed comparisons.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence
 
@@ -216,65 +217,79 @@ def valid_targets_from(coords: np.ndarray, i: int, delta: float,
     return np.arange(i + 1, n)[valid]
 
 
+@functools.lru_cache(maxsize=64)
+def _dense_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs (i, k) with k >= i+2 and their (pair, j) mask i < j < k; read-only."""
+    pi, pk = np.nonzero(np.triu(np.ones((n, n), dtype=bool), 2))
+    jj = np.arange(n)[None, :]
+    active = (jj > pi[:, None]) & (jj < pk[:, None])
+    for arr in (pi, pk, active):
+        arr.flags.writeable = False
+    return pi, pk, active
+
+
 def shortcut_matrix_dense(coords: np.ndarray, delta: float,
                           metric: Metric = Metric.L2) -> np.ndarray:
     """One-shot (n, n) validity matrix for small polylines.
 
-    Same semantics as repeated ``valid_targets_from`` but computed on a dense
-    (i, j, k) grid, which is much faster for the n <= ~40 instances the
-    randomized verification sweeps through.
+    Same semantics as repeated ``valid_targets_from`` but computed in one
+    vectorized pass, which is much faster for the n <= ~40 instances the
+    randomized verification sweeps through.  Only the pairs (i, k) with
+    k >= i+2 bridge a vertex; each is crossed with the whole j axis, a
+    (pairs, n) grid whose mask i < j < k comes from ``_dense_layout``, built
+    once per n.  Every (i, i+1) is valid and every k <= i False.
     """
     pts = np.asarray(coords, dtype=float)
     if metric is Metric.L1:
         pts = np.column_stack((pts[:, 0] + pts[:, 1], pts[:, 1] - pts[:, 0]))
     n = pts.shape[0]
-    A = pts[:, None, :]                     # start i
-    seg = pts[None, :, :] - A               # (i, k, 2)
-    off = pts[None, :, :] - A               # (i, j, 2) identical layout
+    out = np.zeros((n, n), dtype=bool)
+    out[np.arange(n - 1), np.arange(1, n)] = True
+    pi, pk, active = _dense_layout(n)
+    if not pi.size:
+        return out
+    sx = (pts[pk, 0] - pts[pi, 0])[:, None]           # segment p_k - p_i, (pair, 1)
+    sy = (pts[pk, 1] - pts[pi, 1])[:, None]
+    dx = pts[None, :, 0] - pts[:, None, 0]            # p_j - p_i on the (i, j) grid
+    dy = pts[None, :, 1] - pts[:, None, 1]
+    ox = dx[pi]                                       # (pair, j)
+    oy = dy[pi]
     if metric is Metric.L2:
-        aa = np.einsum("ikd,ikd->ik", seg, seg)          # (i, k)
-        bb = np.einsum("ijd,ikd->ijk", off, seg)         # (i, j, k)
-        cc = np.einsum("ijd,ijd->ij", off, off) - delta * delta
-        disc = bb * bb - aa[:, None, :] * cc[:, :, None]
+        aa = sx * sx + sy * sy                        # (pair, 1)
+        bb = ox * sx + oy * sy
+        cc = (dx * dx + dy * dy - delta * delta)[pi]
+        disc = bb * bb - aa * cc
         empty = disc < 0.0
         root = np.sqrt(np.maximum(disc, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            lo = (bb - root) / aa[:, None, :]
-            hi = (bb + root) / aa[:, None, :]
-        zero = aa == 0.0                                  # p_k == p_i targets
+            lo = (bb - root) / aa
+            hi = (bb + root) / aa
+        zero = aa[:, 0] == 0.0                        # p_k == p_i targets
         if zero.any():
-            inside = cc <= 0.0                            # (i, j)
-            zi, zk = np.nonzero(zero)
-            lo[zi, :, zk] = 0.0
-            hi[zi, :, zk] = 1.0
-            empty[zi, :, zk] = ~inside[zi]
+            lo[zero] = 0.0
+            hi[zero] = 1.0
+            empty[zero] = cc[zero] > 0.0
     else:
-        big = np.inf
-        lo = np.zeros((n, n, n))
-        hi = np.ones((n, n, n))
-        empty = np.zeros((n, n, n), dtype=bool)
-        for d in (0, 1):
-            p0 = off[:, :, d][:, :, None]                 # (i, j, 1)
-            v = seg[:, :, d][:, None, :]                  # (i, 1, k)
+        lo = np.zeros(ox.shape)
+        hi = np.ones(ox.shape)
+        empty = np.zeros(ox.shape, dtype=bool)
+        for p0, v in ((ox, sx), (oy, sy)):
             with np.errstate(divide="ignore", invalid="ignore"):
                 t1 = (p0 - delta) / v
                 t2 = (p0 + delta) / v
             tl = np.minimum(t1, t2)
             th = np.maximum(t1, t2)
             vz = np.broadcast_to(v == 0.0, tl.shape)
-            far = np.broadcast_to(np.abs(p0) > delta, tl.shape)
-            tl = np.where(vz, np.where(far, big, -big), tl)
-            th = np.where(vz, np.where(far, -big, big), th)
+            far = np.abs(p0) > delta
+            tl = np.where(vz, np.where(far, np.inf, -np.inf), tl)
+            th = np.where(vz, np.where(far, -np.inf, np.inf), th)
             lo = np.maximum(lo, tl)
             hi = np.minimum(hi, th)
     lo = np.maximum(lo, 0.0)
     hi = np.minimum(hi, 1.0)
     empty |= lo > hi
-    ii = np.arange(n)
-    active = (ii[None, :, None] > ii[:, None, None]) & (ii[None, :, None] < ii[None, None, :])
     lo = np.where(active, lo, -np.inf)
     run = np.maximum.accumulate(lo, axis=1)
     bad = active & (empty | (run > hi))
-    valid = ~bad.any(axis=1)
-    upper = ii[None, :] > ii[:, None]
-    return valid & upper
+    out[pi, pk] = ~bad.any(axis=1)
+    return out

@@ -133,8 +133,10 @@ def _simplify_impl(points, delta: float, metric: Metric, algo: str,
                    workers: int = 1) -> SimplificationResult:
     if delta <= 0.0 or not math.isfinite(delta):
         raise InvalidInputError("delta must be a positive finite number")
-    if metric not in (Metric.L1, Metric.L2, Metric.LINF):
-        raise InvalidInputError(f"unsupported metric {metric!r}")
+    try:
+        metric = Metric(metric)     # the code below branches on identity
+    except ValueError:
+        raise InvalidInputError(f"unsupported metric {metric!r}") from None
     poly = preprocess(points)
     n_orig = len(points)
     t0 = time.perf_counter()
@@ -174,6 +176,7 @@ def simplify(points, delta: float, metric: Metric = Metric.L2,
     Returns 0-based indices into ``points``; first and last vertex are always
     kept, and every consecutive index pair is a valid shortcut.  Ties between
     equally short simplifications resolve to the smallest next index.
+    ``metric`` is a ``Metric`` or its value ("l1", "l2" or "linf").
 
     ``workers > 1`` switches to a two-pass mode that materializes all
     shortcut lists in parallel (more memory, same result).

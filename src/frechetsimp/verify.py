@@ -9,6 +9,7 @@ revalidate.
 """
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -67,57 +68,70 @@ def _pairwise(pts: np.ndarray, metric: Metric) -> np.ndarray:
     return np.maximum(np.abs(d[..., 0]), np.abs(d[..., 1]))
 
 
+@functools.lru_cache(maxsize=64)
+def _triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, c, b) index arrays of every triple a < c < b of n vertices; read-only."""
+    ii = np.arange(n)
+    a, c, b = np.nonzero((ii[:, None, None] < ii[None, :, None])
+                         & (ii[None, :, None] < ii[None, None, :]))
+    for arr in (a, c, b):
+        arr.flags.writeable = False
+    return a, c, b
+
+
 def _seg_point_dists(pts: np.ndarray, metric: Metric) -> np.ndarray:
-    """dist[a, b, c] = metric distance from vertex c to segment (a, b)."""
+    """Metric distance from vertex c to segment (a, b), for every a < c < b.
+
+    Flat array over the triples of ``_triples(len(pts))``, in the order of
+    ``np.nonzero`` on the (a, c, b) grid; entry 0 of a three-point input is
+    the distance from pts[1] to segment (pts[0], pts[2]).  The index arrays
+    are built once per n and cached.
+    """
     P = pts
     if metric is Metric.L1:
         P = np.column_stack((pts[:, 0] + pts[:, 1], pts[:, 1] - pts[:, 0]))
-    A = P[:, None, None, :]
-    B = P[None, :, None, :]
-    C = P[None, None, :, :]
-    V = B - A                     # (a, b, 1, 2)
-    X0 = A - C                    # (a, 1, c, 2)
+    a, c, b = _triples(len(P))
+    X = P[:, 0]
+    Y = P[:, 1]
+    vx = X[b] - X[a]
+    vy = Y[b] - Y[a]
+    x0 = X[a] - X[c]
+    y0 = Y[a] - Y[c]
     if metric is Metric.L2:
-        vv = (V * V).sum(-1)
+        vv = vx * vx + vy * vy
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = -(X0 * V).sum(-1) / vv
+            t = -(x0 * vx + y0 * vy) / vv
         t = np.where(vv == 0.0, 0.0, np.clip(t, 0.0, 1.0))
-        E = X0 + t[..., None] * V
-        return np.hypot(E[..., 0], E[..., 1])
-    x0 = X0[..., 0]
-    y0 = X0[..., 1]
-    vx = V[..., 0]
-    vy = V[..., 1]
-    cands = [np.zeros_like(x0 + vx), np.ones_like(x0 + vx)]
+        return np.hypot(x0 + t * vx, y0 + t * vy)
+    # the closest point under Linf is an endpoint or where a coordinate or a
+    # diagonal of the offset crosses zero
+    best = np.maximum(np.abs(x0), np.abs(y0))                 # t = 0
+    best = np.minimum(best, np.maximum(np.abs(x0 + vx), np.abs(y0 + vy)))
     with np.errstate(divide="ignore", invalid="ignore"):
         for num, den in ((-x0, vx), (-y0, vy),
                          (-(x0 - y0), vx - vy), (-(x0 + y0), vx + vy)):
-            t = num / (den + np.zeros_like(num))
-            cands.append(np.where(np.isfinite(t), np.clip(t, 0.0, 1.0), 0.0))
-    best = None
-    for t in cands:
-        val = np.maximum(np.abs(x0 + t * vx), np.abs(y0 + t * vy))
-        best = val if best is None else np.minimum(best, val)
+            t = num / den
+            t = np.where(np.isfinite(t), np.clip(t, 0.0, 1.0), 0.0)
+            best = np.minimum(best, np.maximum(np.abs(x0 + t * vx), np.abs(y0 + t * vy)))
     return best
 
 
 def instance_margin(pts: np.ndarray, delta: float,
                     metrics: Sequence[Metric] = DEFAULT_METRICS) -> float:
-    """Smallest |critical distance - delta| (and vertex separation) of the instance."""
+    """Smallest |critical distance - delta| (and vertex separation) of the instance.
+
+    The vertex-segment distances come from ``_seg_point_dists``, which
+    evaluates only the triples a < c < b that a shortcut can bridge.
+    """
     n = len(pts)
     margin = np.inf
-    ii = np.arange(n)
-    between = (ii[:, None, None] < ii[None, None, :]) & (ii[None, None, :] < ii[None, :, None])
+    off_diag = ~np.eye(n, dtype=bool)
     for m in metrics:
-        pw = _pairwise(pts, m)
-        off = pw[~np.eye(n, dtype=bool)]
+        off = _pairwise(pts, m)[off_diag]
         if off.size:
             margin = min(margin, float(np.min(np.abs(off - delta))), float(np.min(off)))
         if n >= 3:
-            sd = _seg_point_dists(pts, m)
-            rel = np.abs(sd - delta)[between]
-            if rel.size:
-                margin = min(margin, float(np.min(rel)))
+            margin = min(margin, float(np.min(np.abs(_seg_point_dists(pts, m) - delta))))
     return margin
 
 

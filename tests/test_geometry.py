@@ -281,6 +281,7 @@ def test_segment_point_distance_vs_scan(metric):
             scan = float(np.min(np.abs(x) + np.abs(y)))
         else:
             scan = float(np.min(np.maximum(np.abs(x), np.abs(y))))
-        exact = float(_seg_point_dists(np.array([a, b, c]), metric)[0, 1, 2])
+        # the one triple of [a, c, b] is c against segment (a, b)
+        exact = float(_seg_point_dists(np.array([a, c, b]), metric)[0])
         assert exact <= scan + 1e-12
         assert exact >= scan - 1e-3

@@ -128,6 +128,19 @@ def test_greedy_agrees_with_free_space_dp():
     assert agree == 10_000
 
 
+def _assert_routes_agree(pts, delta, metric):
+    n = len(pts)
+    M = shortcut_matrix_dense(pts, delta, metric)
+    assert M.shape == (n, n)
+    assert not np.tril(M).any()
+    for i in range(n - 1):
+        batch = set(valid_targets_from(pts, i, delta, metric).tolist())
+        for k in range(i + 1, n):
+            s = shortcut_is_valid(pts, i, k, delta, metric)
+            assert M[i, k] == s, (pts.tolist(), delta, i, k)
+            assert (k in batch) == s, (pts.tolist(), delta, i, k)
+
+
 @pytest.mark.parametrize("metric", METRICS)
 def test_vectorized_routes_match_scalar(metric):
     rng = np.random.default_rng(123)
@@ -135,10 +148,18 @@ def test_vectorized_routes_match_scalar(metric):
         n = int(rng.integers(2, 16))
         pts = rng.uniform(0, 10, (n, 2))
         delta = float(rng.uniform(0.1, 3.0))
-        M = shortcut_matrix_dense(pts, delta, metric)
-        for i in range(n - 1):
-            batch = set(valid_targets_from(pts, i, delta, metric).tolist())
-            for k in range(i + 1, n):
-                s = shortcut_is_valid(pts, i, k, delta, metric)
-                assert M[i, k] == s
-                assert (k in batch) == s
+        _assert_routes_agree(pts, delta, metric)
+    # tie-heavy inputs: integer and one-decimal lattices, where vertices sit
+    # exactly at distance delta from each other and from segments, and
+    # repeated vertices give zero-length shortcuts
+    rng = np.random.default_rng(9)
+    for trial in range(500):
+        n = int(rng.integers(2, 16))
+        if trial % 3 == 0:
+            pts = np.round(rng.uniform(0, 5, (n, 2)))
+        elif trial % 3 == 1:
+            pts = np.round(rng.uniform(0, 3, (n, 2)), 1)
+        else:
+            pts = np.round(np.cumsum(rng.normal(0, 0.5, (n, 2)), axis=0), 1)
+        delta = float(rng.choice([0.3, 0.5, 1.0, 1.3]))
+        _assert_routes_agree(pts, delta, metric)

@@ -92,6 +92,16 @@ class TestEdgeCasesAndErrors:
             simplify([(0, 0), (float("inf"), 1)], 1.0)
         with pytest.raises(InvalidInputError):
             simplify([(0, 0), (1, 1)], 1.0, algo="quantum")
+        with pytest.raises(InvalidInputError):
+            simplify([(0, 0), (1, 1)], 1.0, "l3")
+
+    @pytest.mark.parametrize("algo", ["wavefront", "baseline"])
+    @pytest.mark.parametrize("metric", ["l2", Metric.L2], ids=["str", "enum"])
+    def test_metric_given_as_string(self, algo, metric):
+        # L2 keeps every vertex of this zigzag, Linf would keep [0, 1, 4]
+        pts = [(0, 0), (1, 0.9), (2, 0), (3, 0.9), (4, 0)]
+        assert simplify(pts, 0.5, metric, algo=algo).indices == [0, 1, 2, 3, 4]
+        assert simplify(pts, 0.5, Metric.LINF, algo=algo).indices == [0, 1, 4]
 
     def test_tie_break_smallest_index(self):
         # whenever several targets reach the end equally fast, the smallest
