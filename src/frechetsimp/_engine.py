@@ -27,18 +27,20 @@ admits shortcuts that visit vertices out of order).
 
 Per-step cost.  A sweep runs Theta(n) steps per start vertex, so the step is
 written for the interpreter.  The angular key of vertex j (one atan2) is
-computed at most once per step and kept in ``_loc_cache`` as (j, key):
-``locate_vertex(j)`` leaves it there, and the ``step(j)`` that follows, with
-every case surgery that needs the center key, reads it back.  A ``step``
-without a preceding ``locate_vertex(j)`` computes the key on first use; the
-results are bit-identical either way.  Reuse is sound because keys depend
-only on the point and the frame rotation, and the frame is fixed once the
-first arc exists (the one step that rotates it clears the cache).  Keys stay
-on ``math.atan2`` and distances on ``math.hypot``, one call per point as the
-step needs it: numpy's vectorised ``arctan2`` and ``hypot`` round differently
-from libm on some inputs (SIMD builds), and the engine compares keys and
-distances against tight tolerances, so precomputed arrays would change
-decisions, not just the last digits of the output.
+computed at most once per step: ``locate_vertex(j)`` leaves it in
+``_loc_cache`` as (j, key), the ``step(j)`` that follows reads it back, and
+the step hands the center key on to the case that needs it.  A ``step``
+without a preceding ``locate_vertex(j)`` computes the key itself; the results
+are bit-identical either way.  Reuse is sound because keys depend only on the
+point and the frame rotation, and the frame is fixed once the first arc
+exists (the one step that rotates it clears the cache).  Inside the step a
+case travels as its label string, and the wedge rays are classified on plain
+floats; a ``StepReport`` is built only for the public ``step`` and the
+checker hook.  Keys stay on ``math.atan2`` and distances on ``math.hypot``,
+one call per point as the step needs it: numpy's vectorised ``arctan2`` and
+``hypot`` round differently from libm on some inputs (SIMD builds), and the
+engine compares keys and distances against tight tolerances, so precomputed
+arrays would change decisions, not just the last digits of the output.
 """
 from __future__ import annotations
 
@@ -56,6 +58,8 @@ _HALF_PI = 0.5 * math.pi
 _TAU = 2.0 * math.pi
 _KEY_SLACK = 1e-9          # radians: key-span filters and closed-wedge tests
 _COINC = "coincident"
+_AWAY = "wedge ray points away from the new circle"
+_MISSED = "wedge ray misses an arc it should cross"
 
 
 class Location(Enum):
@@ -71,6 +75,22 @@ VALID = Location.IN_VALID_REGION
 # step case labels (TB/BT are provably unreachable and raise)
 CASES = ("PREFIX", "INIT", "WEDGE_EMPTY", "TT_EMPTY",
          "TT", "TM", "MT", "MM", "MB", "BM", "BB")
+
+
+def _side(w: float, q1: float, q2: float, delta: float) -> Optional[str]:
+    """One wedge ray's letter: the wavefront, at distance w along the ray, lies
+    short of C_j's span [q1, q2] on it ("B"), beyond it ("T") or inside it
+    ("M"); None for a tie, which a ray nudged into the wedge settles."""
+    tau = EPS_REL * (delta + w + q2)
+    if q2 - q1 <= tau and -tau <= w - q1 <= tau:
+        return "M"                     # degenerate q1 = l = q2
+    if w < q1 - tau:
+        return "B"
+    if w > q2 + tau:
+        return "T"
+    if q1 + tau < w < q2 - tau:
+        return "M"
+    return None
 
 
 class SweepAbortedError(RuntimeError):
@@ -154,28 +174,19 @@ class Sweep:
             a -= _TAU
         return a
 
-    def _center_key(self, j: int, px: float, py: float) -> float:
-        """Key of the center of vertex j's circle, unwrapped into (-pi/2, 3pi/2].
-
-        Centers sit within pi/2 of any ray meeting their circle, and every
-        wedge ray has a key in (0, pi), so this branch is the unique one in
-        which center keys order consistently with the arcs.  The key of
-        vertex j is computed once: ``locate_vertex(j)`` or the first call
-        here leaves it in ``_loc_cache`` for the rest of the step.
-        """
-        c = self._loc_cache
-        if c[0] == j:
-            k = c[1]
-        else:
-            k = self._key(px, py)
-            self._loc_cache = (j, k)
-        return k if k > -_HALF_PI else k + _TAU
-
     def _unit_to(self, px: float, py: float):
         dx = px - self.ax
         dy = py - self.ay
         d = math.hypot(dx, dy)
         return (dx / d, dy / d)
+
+    def _graze(self, ux: float, uy: float, cx: float, cy: float, what: str) -> float:
+        """Hit parameter of a wedge ray that meets circle c by construction but
+        missed it in rounding: it can only be grazing."""
+        t = self.kern.graze_fallback(self.ax, self.ay, ux, uy, cx, cy, self.delta)
+        if t <= 0.0:
+            raise InternalGeometryError(what)
+        return t
 
     # -- queries ----------------------------------------------------------
 
@@ -228,6 +239,10 @@ class Sweep:
 
     def step(self, j: int) -> StepReport:
         """Process vertex j: narrow the wedge, update the wavefront."""
+        return StepReport(self._step(j))
+
+    def _step(self, j: int) -> str:
+        """``step`` returning the bare case label."""
         if self.aborted:
             raise SweepAbortedError("sweep already aborted")
         p = self.pts[j]
@@ -236,15 +251,15 @@ class Sweep:
         st.steps += 1
         if self.kern.distance(self.ax, self.ay, px, py) <= self.delta:
             if not self.arcs:
-                report = StepReport("PREFIX")      # within delta before any constraint
+                case = "PREFIX"       # within delta before any constraint
             else:
                 # whole-plane cone, but the narrowing step still runs so the
                 # visit order stays enforced
-                report = self._narrow(j, px, py, True)
+                case = self._narrow(j, px, py, None)
         else:
-            report = self._step_proper(j, px, py)
+            case = self._step_proper(j, px, py)
         h = st.case_histogram
-        h[report.case] = h.get(report.case, 0) + 1
+        h[case] = h.get(case, 0) + 1
         n_arcs = len(self.arcs)
         if n_arcs > st.max_arc_count:
             st.max_arc_count = n_arcs
@@ -255,11 +270,11 @@ class Sweep:
             if segs > st.max_segment_count:
                 st.max_segment_count = segs
         if self.checker is not None and not self.aborted:
-            self.checker.after_step(self, j, report)
+            self.checker.after_step(self, j, StepReport(case))
         if self.svg_sink is not None:
             from . import svgdebug
-            self.svg_sink(self.i, j, svgdebug.render_frame(self, j, report.case))
-        return report
+            self.svg_sink(self.i, j, svgdebug.render_frame(self, j, case))
+        return case
 
     def _segment_count(self) -> int:
         """Segments of the wavefront: one per arc, two for a square arc round a corner."""
@@ -270,13 +285,20 @@ class Sweep:
             total += segs(ax, ay, a.cx, a.cy, delta, a.x0, a.y0, a.x1, a.y1)
         return total
 
-    def _step_proper(self, j: int, px: float, py: float) -> StepReport:
+    def _step_proper(self, j: int, px: float, py: float) -> str:
         ax, ay = self.ax, self.ay
         corners = self.kern.tangent_points(ax, ay, px, py, self.delta)
         if self.rot is None:
             self._init_frame(px, py)
         rot = self.rot
-        ck = self._center_key(j, px, py)
+        # center key, unwrapped into (-pi/2, 3pi/2]: centers sit within pi/2
+        # of any ray meeting their circle, and every wedge ray has a key in
+        # (0, pi), so this is the branch in which center keys order
+        # consistently with the arcs
+        c = self._loc_cache
+        ck = c[1] if c[0] == j else self._key(px, py)
+        if ck <= -_HALF_PI:
+            ck += _TAU
         off_r = off_l = 0.0
         tp_r = tp_l = None
         atan2 = math.atan2
@@ -298,56 +320,63 @@ class Sweep:
         if not self.arcs:
             # first proper step: re-center the frame on the cone midpoint, so
             # the whole sweep (every later wedge is a subset) lives in keys
-            # well inside (0, pi) and never straddles the wrap seam
+            # well inside (0, pi) and never straddles the wrap seam; the
+            # wedge is the cone, the wavefront its wave
             shift = ck + 0.5 * (off_r + off_l) - 0.5 * _PI
             self.rot += shift
             ck -= shift
             self._loc_cache = (None, 0.0)     # its key was in the old frame
-        dkr = ck + off_r
-        dkl = ck + off_l
-        if not self.arcs:
-            # the wedge is the cone, the wavefront its wave
+            dkr = ck + off_r
+            dkl = ck + off_l
             self.kr, self.kl = dkr, dkl
             self.ur = self._unit_to(*tp_r)
             self.ul = self._unit_to(*tp_l)
-            arc = Arc(dkr, dkl, tp_r[0], tp_r[1], tp_l[0], tp_l[1], px, py, j, ck)
-            self.arcs = [arc]
+            self.arcs = [Arc(dkr, dkl, tp_r[0], tp_r[1], tp_l[0], tp_l[1], px, py, j, ck)]
             self.keys = [dkr]
             self.stats.inserted += 1
-            return StepReport("INIT")
-        # (a) wedge := wedge ∩ cone (wrap-aware: the cone may sit across the seam)
+            return "INIT"
+        # (a) wedge := wedge ∩ cone, wrap-aware: the cone may sit across the
+        # seam, so a cone that misses the wedge is tried shifted by a turn
+        r = ck + off_r
+        l = ck + off_l
         kr, kl = self.kr, self.kl
-        nkr = nkl = None
-        for shift in (0.0, _TAU, -_TAU):
-            r = dkr + shift
-            l = dkl + shift
-            if l < kr - EPS_ANGLE or r > kl + EPS_ANGLE:
-                continue
-            nkr = r if r > kr else kr         # max(kr, r), min(kl, l)
-            nkl = l if l < kl else kl
-            n_ur = self._unit_to(*tp_r) if nkr <= r + EPS_ANGLE else self.ur
-            n_ul = self._unit_to(*tp_l) if nkl >= l - EPS_ANGLE else self.ul
-            break
-        if nkr is None or nkl < nkr - EPS_ANGLE:
+        if l < kr - EPS_ANGLE or r > kl + EPS_ANGLE:
+            for shift in (_TAU, -_TAU):
+                if not (l + shift < kr - EPS_ANGLE or r + shift > kl + EPS_ANGLE):
+                    r += shift
+                    l += shift
+                    break
+            else:
+                self.aborted = True
+                return "WEDGE_EMPTY"
+        nkr = r if r > kr else kr         # max(kr, r), min(kl, l)
+        nkl = l if l < kl else kl
+        # unit vectors ahead of the empty-wedge test: a touch point on the
+        # apex raises ZeroDivisionError here even on a step that empties it
+        if nkr <= r + EPS_ANGLE:
+            dx = tp_r[0] - ax
+            dy = tp_r[1] - ay
+            d = math.hypot(dx, dy)
+            n_ur = (dx / d, dy / d)
+        else:
+            n_ur = self.ur
+        if nkl >= l - EPS_ANGLE:
+            dx = tp_l[0] - ax
+            dy = tp_l[1] - ay
+            d = math.hypot(dx, dy)
+            n_ul = (dx / d, dy / d)
+        else:
+            n_ul = self.ul
+        if nkl < nkr - EPS_ANGLE:
             self.aborted = True
-            return StepReport("WEDGE_EMPTY")
+            return "WEDGE_EMPTY"
         if nkl < nkr:
             nkl = nkr
         self._clip(nkr, nkl, n_ur, n_ul)
         self.kr, self.kl, self.ur, self.ul = nkr, nkl, n_ur, n_ul
-        return self._narrow(j, px, py, False)
+        return self._narrow(j, px, py, ck)
 
     # -- clip to wedge ------------------------------------------------------
-
-    def _arc_point_at(self, arc: Arc, k: float, ux: float, uy: float):
-        ts = self.kern.ray_hits(self.ax, self.ay, ux, uy, arc.cx, arc.cy, self.delta)
-        if ts:
-            t = ts[0]
-        else:
-            t = self.kern.graze_fallback(self.ax, self.ay, ux, uy, arc.cx, arc.cy, self.delta)
-            if t <= 0.0:
-                raise InternalGeometryError("wedge ray misses an arc it should cross")
-        return (self.ax + t * ux, self.ay + t * uy)
 
     def _clip(self, nkr: float, nkl: float, n_ur, n_ul):
         """Restrict the wavefront to [nkr, nkl]."""
@@ -372,47 +401,27 @@ class Sweep:
             del arcs[:lo]
             del keys[:lo]
             self.stats.removed += dropped
+        ax, ay, delta = self.ax, self.ay, self.delta
+        # a wedge ray that moved inward cuts the end arc where it crosses it
         first = arcs[0]
         if first.k0 < nkr - EPS_ANGLE:
-            x, y = self._arc_point_at(first, nkr, n_ur[0], n_ur[1])
+            ux, uy = n_ur
+            ts = self.kern.ray_hits(ax, ay, ux, uy, first.cx, first.cy, delta)
+            t = ts[0] if ts else self._graze(ux, uy, first.cx, first.cy, _MISSED)
             first.k0 = nkr
-            first.x0 = x
-            first.y0 = y
+            first.x0 = ax + t * ux
+            first.y0 = ay + t * uy
             keys[0] = nkr
         last = arcs[-1]
         if last.k1 > nkl + EPS_ANGLE:
-            x, y = self._arc_point_at(last, nkl, n_ul[0], n_ul[1])
+            ux, uy = n_ul
+            ts = self.kern.ray_hits(ax, ay, ux, uy, last.cx, last.cy, delta)
+            t = ts[0] if ts else self._graze(ux, uy, last.cx, last.cy, _MISSED)
             last.k1 = nkl
-            last.x1 = x
-            last.y1 = y
+            last.x1 = ax + t * ux
+            last.y1 = ay + t * uy
 
     # -- pattern classification ---------------------------------------------
-
-    def _ray_q(self, ux: float, uy: float, px: float, py: float):
-        ts = self.kern.ray_hits(self.ax, self.ay, ux, uy, px, py, self.delta)
-        if not ts:
-            # wedge rays lie inside the circle's cone by construction, so a
-            # miss can only be a grazing ray lost to rounding
-            t = self.kern.graze_fallback(self.ax, self.ay, ux, uy, px, py, self.delta)
-            if t <= 0.0:
-                raise InternalGeometryError("wedge ray points away from the new circle")
-            return (t, t)
-        if len(ts) == 1:
-            return (0.0, ts[0])
-        return ts
-
-    def _classify(self, w: float, q, at_left: bool, px: float, py: float) -> str:
-        q1, q2 = q
-        tau = EPS_REL * (self.delta + w + q2)
-        if q2 - q1 <= tau and abs(w - q1) <= tau:
-            return "M"                     # degenerate q1 = l = q2
-        if w < q1 - tau:
-            return "B"
-        if w > q2 + tau:
-            return "T"
-        if q1 + tau < w < q2 - tau:
-            return "M"
-        return self._classify_nudged(at_left, px, py)
 
     def _classify_nudged(self, at_left: bool, px: float, py: float) -> str:
         """Tie on a boundary ray: compare again on a ray nudged into the wedge."""
@@ -427,10 +436,13 @@ class Sweep:
             w = self._front_dist_at(k, ux, uy)
         except InternalGeometryError:
             return "M"
-        q = self._ray_q(ux, uy, px, py)
-        if q is None:
-            return "T"
-        q1, q2 = q
+        ts = self.kern.ray_hits(self.ax, self.ay, ux, uy, px, py, self.delta)
+        if len(ts) == 2:
+            q1, q2 = ts
+        elif ts:
+            q1, q2 = 0.0, ts[0]
+        else:
+            q1 = q2 = self._graze(ux, uy, px, py, _AWAY)
         if w < q1:
             return "B"
         if w > q2:
@@ -477,22 +489,40 @@ class Sweep:
 
     # -- the narrowing step and its cases -------------------------------------
 
-    def _narrow(self, j: int, px: float, py: float, inside: bool) -> StepReport:
+    def _narrow(self, j: int, px: float, py: float, ck: Optional[float]) -> str:
         """Classify both wedge rays against C_j and run the matching surgery.
 
-        ``inside`` says the apex lies in C_j.
+        ``ck`` is C_j's center key, or None when the apex lies in C_j.
         """
-        ax, ay = self.ax, self.ay
+        ax, ay, delta = self.ax, self.ay, self.delta
         arcs = self.arcs
         l_arc = arcs[-1]
         r_arc = arcs[0]
         wl = math.hypot(l_arc.x1 - ax, l_arc.y1 - ay)
         wr = math.hypot(r_arc.x0 - ax, r_arc.y0 - ay)
-        ul, ur = self.ul, self.ur
-        ql = self._ray_q(ul[0], ul[1], px, py)
-        qr = self._ray_q(ur[0], ur[1], px, py)
-        case = self._classify(wl, ql, True, px, py) + self._classify(wr, qr, False, px, py)
-        if inside and ("B" in case):
+        ulx, uly = self.ul
+        urx, ury = self.ur
+        # C_j's span [q1, q2] on each ray: (0, exit) from inside C_j, and a
+        # miss can only be a grazing ray lost to rounding, since the wedge
+        # rays lie inside C_j's cone by construction
+        ray_hits = self.kern.ray_hits
+        ts = ray_hits(ax, ay, ulx, uly, px, py, delta)
+        if len(ts) == 2:
+            l1, l2 = ts
+        elif ts:
+            l1, l2 = 0.0, ts[0]
+        else:
+            l1 = l2 = self._graze(ulx, uly, px, py, _AWAY)
+        ts = ray_hits(ax, ay, urx, ury, px, py, delta)
+        if len(ts) == 2:
+            r1, r2 = ts
+        elif ts:
+            r1, r2 = 0.0, ts[0]
+        else:
+            r1 = r2 = self._graze(urx, ury, px, py, _AWAY)
+        case = ((_side(wl, l1, l2, delta) or self._classify_nudged(True, px, py))
+                + (_side(wr, r1, r2, delta) or self._classify_nudged(False, px, py)))
+        if ck is None and "B" in case:
             raise InternalGeometryError(
                 f"pattern {case} with the apex inside C_{j} should be impossible")
         if case == "TB" or case == "BT":
@@ -500,18 +530,28 @@ class Sweep:
         if self.checker is not None:
             self.checker.before_surgery(self, j, px, py, case)
         if case == "BB":
-            return self._case_bb(j, px, py, ql, qr)
+            # C_j beyond the wavefront on both rays: its bottom arc between
+            # the wedge rays replaces every arc
+            kr = self.kr
+            new = Arc(kr, self.kl, ax + r1 * urx, ay + r1 * ury,
+                      ax + l1 * ulx, ay + l1 * uly, px, py, j, ck)
+            st = self.stats
+            st.removed += len(arcs)
+            st.inserted += 1
+            self.arcs = [new]
+            self.keys = [kr]
+            return "BB"
         if case == "MB":
-            return self._case_mb(j, px, py, qr)
+            return self._case_mb(j, px, py, r1, ck)
         if case == "BM":
-            return self._case_bm(j, px, py, ql)
+            return self._case_bm(j, px, py, l1, ck)
         if case == "TT":
             return self._case_tt(j, px, py)
         if case == "TM":
             return self._case_tm(j, px, py)
         if case == "MT":
             return self._case_mt(j, px, py)
-        return self._case_mm(j, px, py, allow_insert=not inside)
+        return self._case_mm(j, px, py, ck)
 
     def _splice(self, lo: int, hi: int, new_arcs: list[Arc]):
         """Replace arcs[lo:hi] with new_arcs, keeping the key list in sync."""
@@ -553,11 +593,11 @@ class Sweep:
                 return (idx, k, p)
         return None
 
-    def _case_tt(self, j: int, px: float, py: float) -> StepReport:
+    def _case_tt(self, j: int, px: float, py: float) -> str:
         left = self._scan_left(px, py)
         if left is None:
             self.aborted = True
-            return StepReport("TT_EMPTY")
+            return "TT_EMPTY"
         il, k1, p1 = left
         right = self._scan_right(px, py)
         ir, k2, p2 = right
@@ -580,9 +620,9 @@ class Sweep:
             self._resync_key(0)
         self.kr, self.ur = k2, self._unit_to(*p2)
         self.kl, self.ul = k1, self._unit_to(*p1)
-        return StepReport("TT")
+        return "TT"
 
-    def _case_tm(self, j: int, px: float, py: float) -> StepReport:
+    def _case_tm(self, j: int, px: float, py: float) -> str:
         left = self._scan_left(px, py)
         if left is None:
             raise InternalGeometryError("case TM must have one crossing")
@@ -594,9 +634,9 @@ class Sweep:
             self._resync_key(il)
         self._splice(il + 1, len(self.arcs), [])
         self.kl, self.ul = k1, self._unit_to(*p1)
-        return StepReport("TM")
+        return "TM"
 
-    def _case_mt(self, j: int, px: float, py: float) -> StepReport:
+    def _case_mt(self, j: int, px: float, py: float) -> str:
         right = self._scan_right(px, py)
         if right is None:
             raise InternalGeometryError("case MT must have one crossing")
@@ -608,10 +648,10 @@ class Sweep:
         self._resync_key(ir)
         self._splice(0, ir, [])
         self.kr, self.ur = k2, self._unit_to(*p2)
-        return StepReport("MT")
+        return "MT"
 
-    def _case_mb(self, j: int, px: float, py: float, qr) -> StepReport:
-        """Circle beyond the wavefront at the right ray (entered at qr[0]):
+    def _case_mb(self, j: int, px: float, py: float, t: float, ck: float) -> str:
+        """Circle beyond the wavefront at the right ray (entered at t):
         its bottom arc takes over from the right ray to the first crossing."""
         found = self._scan_right(px, py)
         if found is None:
@@ -625,9 +665,7 @@ class Sweep:
             a.k1 = a.k0
         ur = self.ur
         kr = self.kr
-        t = qr[0]
-        new = Arc(kr, k1, self.ax + t * ur[0], self.ay + t * ur[1], x1, y1,
-                  px, py, j, self._center_key(j, px, py))
+        new = Arc(kr, k1, self.ax + t * ur[0], self.ay + t * ur[1], x1, y1, px, py, j, ck)
         # splice [new] over arcs[:ir]
         arcs[:ir] = (new,)
         keys = self.keys
@@ -636,9 +674,9 @@ class Sweep:
         st = self.stats
         st.removed += ir
         st.inserted += 1
-        return StepReport("MB")
+        return "MB"
 
-    def _case_bm(self, j: int, px: float, py: float, ql) -> StepReport:
+    def _case_bm(self, j: int, px: float, py: float, t: float, ck: float) -> str:
         """Mirror of MB: the new arc runs from the last crossing to the left ray."""
         found = self._scan_left(px, py)
         if found is None:
@@ -653,9 +691,7 @@ class Sweep:
             a.k0 = k2
             keys[il] = k2
         ul = self.ul
-        t = ql[0]
-        new = Arc(k2, self.kl, x2, y2, self.ax + t * ul[0], self.ay + t * ul[1],
-                  px, py, j, self._center_key(j, px, py))
+        new = Arc(k2, self.kl, x2, y2, self.ax + t * ul[0], self.ay + t * ul[1], px, py, j, ck)
         # splice [new] over arcs[il + 1:]
         st = self.stats
         st.removed += len(arcs) - il - 1
@@ -664,34 +700,23 @@ class Sweep:
         arcs.append(new)
         del keys[il + 1:]
         keys.append(k2)
-        return StepReport("BM")
+        return "BM"
 
-    def _case_bb(self, j: int, px: float, py: float, ql, qr) -> StepReport:
-        """Circle beyond the wavefront on both rays: its bottom arc between
-        the wedge rays replaces every arc."""
-        ax, ay = self.ax, self.ay
-        ul, ur = self.ul, self.ur
-        tl = ql[0]
-        tr = qr[0]
-        kr = self.kr
-        new = Arc(kr, self.kl, ax + tr * ur[0], ay + tr * ur[1],
-                  ax + tl * ul[0], ay + tl * ul[1], px, py, j, self._center_key(j, px, py))
-        st = self.stats
-        st.removed += len(self.arcs)
-        st.inserted += 1
-        self.arcs = [new]
-        self.keys = [kr]
-        return StepReport("BB")
-
-    def _case_mm(self, j: int, px: float, py: float, allow_insert: bool) -> StepReport:
+    def _case_mm(self, j: int, px: float, py: float, ck: Optional[float]) -> str:
+        """C_j meets the wavefront between the wedge rays, if at all; ``ck`` is
+        None when the apex lies in C_j, which then cannot add an arc."""
         arcs = self.arcs
         n = len(arcs)
         dx = px - self.ax
         dy = py - self.ay
         if dx == 0.0 and dy == 0.0:
             # circle centered on the apex: the wavefront cannot cross it here
-            return StepReport("MM")
-        ck = self._center_key(j, px, py)
+            return "MM"
+        allow_insert = ck is not None
+        if ck is None:
+            ck = self._key(px, py)
+            if ck <= -_HALF_PI:
+                ck += _TAU
         # arcs carry centers in reverse angular order; find where ck fits
         lo, hi = 0, n
         while lo < hi:
@@ -715,7 +740,7 @@ class Sweep:
             # tangential touch (no-op) or a genuine poke strictly between the
             # extreme crossings; probe the wavefront midway to tell them apart
             if len(crossings) < 2:
-                return StepReport("MM")
+                return "MM"
             ks = sorted(k for k, _ in crossings)
             km = 0.5 * (ks[0] + ks[-1])
             a = km + self.rot
@@ -723,7 +748,7 @@ class Sweep:
             t = self._front_dist_at(km, ux, uy)
             wx, wy = self.ax + t * ux, self.ay + t * uy
             if self.kern.contains(px, py, wx, wy, self.delta, 4.0 * EPS_REL):
-                return StepReport("MM")
+                return "MM"
         up = self._scan_up(pos, px, py)
         down = self._scan_down(pos - 1, px, py)
         if up is None and down is None:
@@ -745,7 +770,7 @@ class Sweep:
                 self._resync_key(i2)
             new = Arc(k2, k1, p2[0], p2[1], p1[0], p1[1], px, py, j, ck)
             self._splice(i2 + 1, i1, [new])
-            return StepReport("MM")
+            return "MM"
         # both crossings sit on a single arc adjacent to the straddle position
         (it, _, _) = up if up is not None else down
         crs = self._arc_crossings(arcs[it], px, py)
@@ -757,7 +782,7 @@ class Sweep:
         mid_piece = Arc(k2, k1, p2[0], p2[1], p1[0], p1[1], px, py, j, ck)
         a.k1, a.x1, a.y1 = k2, p2[0], p2[1]
         self._splice(it + 1, it + 1, [mid_piece, left_piece])
-        return StepReport("MM")
+        return "MM"
 
     def _scan_up(self, start: int, px: float, py: float):
         """MM helper: walk left (up in key) from ``start`` to the left crossing.
@@ -820,14 +845,15 @@ def prepare(points: Sequence[Sequence[float]], metric: Metric):
 
         work, kern = prepare(points, metric)
         targets, sweep = sweep_targets(work, i, delta, kern)
+
+    ``metric`` is a ``Metric`` or its value; anything else raises ValueError.
     """
+    metric = Metric(metric)
     if metric is Metric.L2:
         return points, CircleKernel
     if metric is Metric.L1:
         return l1_to_linf(points), SquareKernel
-    if metric is Metric.LINF:
-        return points, SquareKernel
-    raise ValueError(f"unsupported metric {metric!r}")
+    return points, SquareKernel
 
 
 def sweep_targets(pts: Sequence[Sequence[float]], i: int, delta: float, kern,
@@ -838,7 +864,7 @@ def sweep_targets(pts: Sequence[Sequence[float]], i: int, delta: float, kern,
     for j in range(i + 1, len(pts)):
         if sw.locate_vertex(j) is VALID:
             out.append(j)
-        sw.step(j)
+        sw._step(j)
         if sw.aborted:
             break
     return out, sw

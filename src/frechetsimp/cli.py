@@ -15,7 +15,7 @@ import time
 from . import __version__, bench, polyio, svgdebug
 from .geometry import Metric
 from ._engine import prepare, sweep_targets
-from .simplify import InvalidInputError, nu_diagnostics, preprocess, simplify
+from .simplify import InvalidInputError, _simplify_impl, nu_diagnostics, preprocess
 from .verify import VerifyConfig, run_verify
 
 EXIT_OK = 0
@@ -91,10 +91,9 @@ def _cmd_simplify(args) -> int:
     sink = svgdebug.file_sink(args.svg_debug_dir) if args.svg_debug_dir else None
     t0 = time.perf_counter()
     try:
-        if sink is not None:
-            _run_with_sink(points, args.delta, args.metric, sink)
-        res = simplify(points, args.delta, args.metric, algo=args.algo,
-                       workers=max(1, args.threads))
+        # the sweeps that simplify runs draw the frames
+        res = _simplify_impl(points, args.delta, args.metric, args.algo,
+                             workers=max(1, args.threads), svg_sink=sink)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -109,14 +108,6 @@ def _cmd_simplify(args) -> int:
     }
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
-
-
-def _run_with_sink(points, delta, metric, sink):
-    """Debug pass emitting one SVG frame per step for every start vertex."""
-    poly = preprocess(points)
-    work, kern = prepare(poly.vertices, metric)
-    for i in range(poly.n - 1):
-        sweep_targets(work, i, delta, kern, svg_sink=sink)
 
 
 def _cmd_verify(args) -> int:

@@ -37,14 +37,16 @@ Point = tuple[float, float]
 
 
 def lp_distance(p: Sequence[float], q: Sequence[float], metric: Metric = Metric.L2) -> float:
-    """Distance between two points under the given norm."""
+    """Distance between two points under the given norm (a ``Metric`` or its value)."""
     dx = abs(p[0] - q[0])
     dy = abs(p[1] - q[1])
     if metric is Metric.L2:
         return math.hypot(dx, dy)
     if metric is Metric.L1:
         return dx + dy
-    return dx if dx > dy else dy
+    if metric is Metric.LINF:
+        return dx if dx > dy else dy
+    return lp_distance(p, q, Metric(metric))
 
 
 def l1_to_linf(points: Sequence[Sequence[float]]) -> list[Point]:
@@ -210,23 +212,22 @@ class SquareKernel:
                  cx: float, cy: float, delta: float) -> tuple[float, ...]:
         """Slab intersection of the ray apex+t*u with the square; see CircleKernel."""
         tol = EPS_REL * delta
-        lo = -math.inf
-        hi = math.inf
-        # x slab, then y slab (a near-zero direction component skips its slab)
-        if abs(ux) < 1e-300:
-            if abs(ax - cx) > delta + tol:
+        # x slab, then y slab (a near-zero direction component skips its slab);
+        # abs() is spelled out as two comparisons, which is cheaper here
+        if -1e-300 < ux < 1e-300:
+            d = ax - cx
+            if d > delta + tol or -d > delta + tol:
                 return ()
+            lo = -math.inf
+            hi = math.inf
         else:
-            t1 = (cx - delta - ax) / ux
-            t2 = (cx + delta - ax) / ux
-            if t1 > t2:
-                t1, t2 = t2, t1
-            if t1 > lo:
-                lo = t1
-            if t2 < hi:
-                hi = t2
-        if abs(uy) < 1e-300:
-            if abs(ay - cy) > delta + tol:
+            lo = (cx - delta - ax) / ux
+            hi = (cx + delta - ax) / ux
+            if lo > hi:
+                lo, hi = hi, lo
+        if -1e-300 < uy < 1e-300:
+            d = ay - cy
+            if d > delta + tol or -d > delta + tol:
                 return ()
         else:
             t1 = (cy - delta - ay) / uy
@@ -251,11 +252,37 @@ class SquareKernel:
     @staticmethod
     def tangent_points(ax: float, ay: float, cx: float, cy: float,
                        delta: float) -> Optional[tuple[Point, ...]]:
-        """The four corners; the angular extremes among them are the tangent corners."""
-        dx = abs(cx - ax)
-        dy = abs(cy - ay)
-        if max(dx, dy) <= delta:
+        """Corners whose angular extremes seen from the apex are the tangent corners.
+
+        Seen from an apex clearly inside one of the eight regions around the
+        square, two corners bound its silhouette: the two near corners from a
+        side region, the two off-diagonal corners from a corner region.  Only
+        those two are returned.  "Clearly" means farther than
+        m = s * (1e-7 + 1e-12 * s / delta), s = |dx| + |dy|, from each side
+        line, which keeps the angle between a silhouette corner and the corner
+        it hides at least 2e-12 and 2e-7 * delta / s, far above the rounding
+        of the angles computed from them.  Closer to a side line, where two
+        corners line up with the apex, all four corners are returned.
+        """
+        dx = ax - cx
+        dy = ay - cy
+        adx = dx if dx >= 0.0 else -dx
+        ady = dy if dy >= 0.0 else -dy
+        if (adx if adx > ady else ady) <= delta:
             return None
+        s = adx + ady
+        m = s * (1e-7 + 1e-12 * s / delta)
+        if adx > delta + m:
+            if ady > delta + m:
+                if (dx > 0.0) is (dy > 0.0):
+                    return ((cx - delta, cy + delta), (cx + delta, cy - delta))
+                return ((cx - delta, cy - delta), (cx + delta, cy + delta))
+            if ady < delta - m:
+                x = cx + delta if dx > 0.0 else cx - delta
+                return ((x, cy - delta), (x, cy + delta))
+        elif ady > delta + m and adx < delta - m:
+            y = cy + delta if dy > 0.0 else cy - delta
+            return ((cx - delta, y), (cx + delta, y))
         return (
             (cx - delta, cy - delta),
             (cx - delta, cy + delta),

@@ -76,7 +76,16 @@ def _interval_linf(cx: float, cy: float, ax: float, ay: float, bx: float, by: fl
 
 def ball_segment_interval(center: Sequence[float], delta: float, metric: Metric,
                           seg_a: Sequence[float], seg_b: Sequence[float]) -> Optional[Interval]:
-    """The closed set {t in [0,1] : ||center - (a + t(b-a))||_m <= delta}, or None if empty."""
+    """The closed set {t in [0,1] : ||center - (a + t(b-a))||_m <= delta}, or None if empty.
+
+    ``metric`` is a ``Metric`` or its value ("l1", "l2" or "linf").
+    """
+    return _interval(center, delta, Metric(metric), seg_a, seg_b)
+
+
+def _interval(center: Sequence[float], delta: float, metric: Metric,
+              seg_a: Sequence[float], seg_b: Sequence[float]) -> Optional[Interval]:
+    """``ball_segment_interval`` for a ``metric`` that is a ``Metric`` member."""
     cx, cy = center[0], center[1]
     ax, ay = seg_a[0], seg_a[1]
     bx, by = seg_b[0], seg_b[1]
@@ -95,8 +104,9 @@ def shortcut_is_valid(pts: Sequence[Sequence[float]], i: int, k: int, delta: flo
 
     Indices are 0-based with i < k.  k == i+1 is always valid.  The degenerate
     zero-length shortcut (p_i == p_k) is valid iff every bridged vertex lies
-    within delta of p_i.
+    within delta of p_i.  ``metric`` is a ``Metric`` or its value.
     """
+    metric = Metric(metric)     # the code below branches on identity
     n = len(pts)
     if not (0 <= i < k < n):
         raise IndexError(f"need 0 <= i < k < {n}, got i={i} k={k}")
@@ -108,7 +118,7 @@ def shortcut_is_valid(pts: Sequence[Sequence[float]], i: int, k: int, delta: flo
         return all(lp_distance(pts[j], pi, metric) <= delta for j in range(i + 1, k))
     t = 0.0
     for j in range(i + 1, k):
-        iv = ball_segment_interval(pts[j], delta, metric, pi, pk)
+        iv = _interval(pts[j], delta, metric, pi, pk)
         if iv is None:
             return False
         lo, hi = iv
@@ -136,6 +146,7 @@ def valid_targets_from(coords: np.ndarray, i: int, delta: float,
     (capped for cache residency), which keeps the edge-tile overhead
     fraction constant across problem sizes.
     """
+    metric = Metric(metric)
     n = coords.shape[0]
     if not (0 <= i < n - 1):
         raise IndexError(f"need 0 <= i < n-1, got i={i}")
@@ -239,6 +250,7 @@ def shortcut_matrix_dense(coords: np.ndarray, delta: float,
     (pairs, n) grid whose mask i < j < k comes from ``_dense_layout``, built
     once per n.  Every (i, i+1) is valid and every k <= i False.
     """
+    metric = Metric(metric)
     pts = np.asarray(coords, dtype=float)
     if metric is Metric.L1:
         pts = np.column_stack((pts[:, 0] + pts[:, 1], pts[:, 1] - pts[:, 0]))

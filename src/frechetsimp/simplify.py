@@ -73,20 +73,26 @@ class SimplificationResult:
     stats: dict = field(default_factory=dict)
 
 
-def _targets_provider(pts, delta: float, metric: Metric, algo: str):
-    """Returns fn(i) -> ascending valid shortcut targets, plus a stats sink."""
+def _targets_provider(pts, delta: float, metric: Metric, algo: str, svg_sink=None):
+    """Returns fn(i) -> ascending valid shortcut targets, plus a stats sink.
+
+    ``svg_sink`` receives every sweep step as an SVG frame; the baseline runs
+    the sweeps for their frames alone.
+    """
     stats = {"max_wavefront_size": 0, "max_segment_count": 0, "sweep_aborts": 0}
+    work, kern = prepare(pts, metric)
     if algo == ALGO_BASELINE:
         coords = np.asarray(pts, dtype=float)
 
         def provider(i: int):
+            if svg_sink is not None:
+                sweep_targets(work, i, delta, kern, svg_sink=svg_sink)
             return oracle.valid_targets_from(coords, i, delta, metric).tolist()
 
         return provider, stats
-    work, kern = prepare(pts, metric)
 
     def provider(i: int):
-        targets, sw = sweep_targets(work, i, delta, kern)
+        targets, sw = sweep_targets(work, i, delta, kern, svg_sink=svg_sink)
         if sw.stats.max_arc_count > stats["max_wavefront_size"]:
             stats["max_wavefront_size"] = sw.stats.max_arc_count
         if sw.stats.max_segment_count > stats["max_segment_count"]:
@@ -122,15 +128,20 @@ def link_distances(n: int, targets_of):
 
 
 def link_distance_table(pts, delta: float, metric: Metric = Metric.L2,
-                        algo: str = ALGO_WAVEFRONT):
-    """Link-distance d and parent arrays over the (preprocessed) vertices, plus sweep stats."""
-    provider, stats = _targets_provider(pts, delta, metric, algo)
+                        algo: str = ALGO_WAVEFRONT, svg_sink=None):
+    """Link-distance d and parent arrays over the (preprocessed) vertices, plus sweep stats.
+
+    ``svg_sink(i, j, svg)``, if given, receives one debug frame per sweep step.
+    """
+    provider, stats = _targets_provider(pts, delta, metric, algo, svg_sink)
     d, parent = link_distances(len(pts), provider)
     return d, parent, stats
 
 
 def _simplify_impl(points, delta: float, metric: Metric, algo: str,
-                   workers: int = 1) -> SimplificationResult:
+                   workers: int = 1, svg_sink=None) -> SimplificationResult:
+    """``simplify``; a ``svg_sink`` gets the frames of the sweeps as they run,
+    which keeps the run in this process."""
     if delta <= 0.0 or not math.isfinite(delta):
         raise InvalidInputError("delta must be a positive finite number")
     try:
@@ -140,12 +151,12 @@ def _simplify_impl(points, delta: float, metric: Metric, algo: str,
     poly = preprocess(points)
     n_orig = len(points)
     t0 = time.perf_counter()
-    if workers > 1:
+    if workers > 1 and svg_sink is None:
         lists, stats = all_shortcut_lists(poly.vertices, delta, metric, algo, workers)
         d, parent = link_distances(poly.n, lists.__getitem__)
         stats["parallel_workers"] = workers
     else:
-        d, parent, stats = link_distance_table(poly.vertices, delta, metric, algo)
+        d, parent, stats = link_distance_table(poly.vertices, delta, metric, algo, svg_sink)
     t1 = time.perf_counter()
     chain = [0]
     at = 0

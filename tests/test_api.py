@@ -34,3 +34,19 @@ def test_readme_quickstart_runs():
     assert frechetsimp.shortcuts(points, 0, 1.0, metric.L1) == \
         [k for k in range(1, 5) if frechetsimp.shortcut_is_valid(points, 0, k, 1.0, metric.L1)]
     assert frechetsimp.shortcut_is_valid(points, 0, 4, 1.0)
+
+
+def test_public_calls_take_a_metric_by_value():
+    # L2 rejects the shortcut <p0, p3> at delta 0.5 that Linf accepts
+    zigzag = [(0, 0), (1, 0.9), (2, 0), (3, 0.9), (4, 0)]
+    assert frechetsimp.shortcut_is_valid(zigzag, 0, 3, 0.5, "l2") is False
+    assert frechetsimp.ball_segment_interval(zigzag[2], 0.5, "l2", zigzag[0], zigzag[3]) is None
+    assert frechetsimp.shortcuts(zigzag, 0, 0.5, "l2") == [1]
+    for metric in frechetsimp.Metric:
+        v = metric.value
+        assert (frechetsimp.shortcut_is_valid(zigzag, 0, 3, 0.5, v)
+                == frechetsimp.shortcut_is_valid(zigzag, 0, 3, 0.5, metric))
+        assert (frechetsimp.ball_segment_interval(zigzag[2], 0.5, v, zigzag[0], zigzag[3])
+                == frechetsimp.ball_segment_interval(zigzag[2], 0.5, metric, zigzag[0], zigzag[3]))
+        assert (frechetsimp.shortcuts(zigzag, 0, 0.5, v)
+                == frechetsimp.shortcuts(zigzag, 0, 0.5, metric))

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frechetsimp import cli, polyio
+from frechetsimp._engine import Sweep
+
+from walks import stop_and_go
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -112,6 +115,33 @@ class TestSimplifyCommand:
         assert body.count("<line") == 2 and "<text" in body and "<path" in body
 
 
+    @pytest.mark.parametrize("algo", ["wavefront", "baseline"])
+    def test_svg_debug_dir_runs_each_sweep_once(self, tmp_path, capsys, monkeypatch, algo):
+        pts = stop_and_go(120, 11)
+        content = polyio.dump_polyline(pts)
+        code, plain = self.run(tmp_path, content, "--delta", "1", "--metric", "linf",
+                               "--algo", algo)
+        want = json.loads(capsys.readouterr().out)
+        want_file = plain.read_bytes()
+        starts = []
+        init = Sweep.__init__
+
+        def counting(self, pts, i, *args, **kw):
+            starts.append(i)
+            init(self, pts, i, *args, **kw)
+
+        monkeypatch.setattr(Sweep, "__init__", counting)
+        dbg = tmp_path / "frames"
+        code, dst = self.run(tmp_path, content, "--delta", "1", "--metric", "linf",
+                             "--algo", algo, "--svg-debug-dir", str(dbg))
+        assert code == 0
+        assert sorted(starts) == list(range(len(pts) - 1))
+        got = json.loads(capsys.readouterr().out)
+        assert got.pop("millis") >= 0 and want.pop("millis") >= 0
+        assert got == want and dst.read_bytes() == want_file
+        assert {name.split("_")[1] for name in os.listdir(dbg)} == {str(i) for i in starts}
+
+
 class TestVerifyCommand:
     def test_clean_run_exit_zero(self, capsys):
         code = cli.main(["verify", "--count", "40", "--seed", "11", "--max-n", "14"])
@@ -128,16 +158,17 @@ class TestVerifyCommand:
         # corrupt one case's surgery: the differential check must catch it
         from frechetsimp import _engine
 
-        orig = _engine.Sweep._case_bb
+        orig = _engine.Sweep._narrow
 
-        def broken(self, j, px, py, ql, qr):
-            rep = orig(self, j, px, py, ql, qr)
-            arc = self.arcs[0]
-            # pull the replacement arc inward: wavefront now lies
-            arc.cx += 0.4 * self.delta
-            return rep
+        def broken(self, j, px, py, ck):
+            case = orig(self, j, px, py, ck)
+            if case == "BB":
+                arc = self.arcs[0]
+                # pull the replacement arc inward: wavefront now lies
+                arc.cx += 0.4 * self.delta
+            return case
 
-        monkeypatch.setattr(_engine.Sweep, "_case_bb", broken)
+        monkeypatch.setattr(_engine.Sweep, "_narrow", broken)
         monkeypatch.chdir(tmp_path)
         code = cli.main(["verify", "--count", "60", "--seed", "11",
                          "--metric", "l2", "--dump-prefix", "ce"])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frechetsimp._engine import Sweep
-from frechetsimp.geometry import CircleKernel, Metric, SquareKernel, l1_to_linf, lp_distance
+from frechetsimp.geometry import (CircleKernel, Metric, SquareKernel, _wrap_angle, l1_to_linf,
+                                 lp_distance)
 from frechetsimp.verify import _seg_point_dists
 
 D = 1e-9
@@ -173,6 +174,84 @@ class TestLocalWedge:
                 # distance from the center to the ray line equals delta
                 dist = abs(ux * c[1] - uy * c[0])
                 assert abs(dist - delta) <= 1e-9 * delta
+
+
+def _engine_extremes(corners, apex, center, rot):
+    """(right, left) touch points exactly as the sweep step picks them: atan2
+    keys in a frame rotated by ``rot``, each touch point's offset from the
+    center key wrapped to (-pi, pi], strict comparisons, first one wins."""
+    ax, ay = apex
+
+    def key(x, y):
+        a = math.atan2(y - ay, x - ax) - rot
+        if a <= -math.pi:
+            a += 2.0 * math.pi
+        elif a > math.pi:
+            a -= 2.0 * math.pi
+        return a
+
+    ck = key(*center)
+    if ck <= -0.5 * math.pi:
+        ck += 2.0 * math.pi
+    off_r = off_l = 0.0
+    tp_r = tp_l = None
+    for tp in corners:
+        off = key(*tp) - ck
+        if off <= -math.pi or off > math.pi:
+            off = _wrap_angle(off)
+        if tp_r is None or off < off_r:
+            off_r, tp_r = off, tp
+        if tp_l is None or off > off_l:
+            off_l, tp_l = off, tp
+    return tp_r, tp_l
+
+
+def _square_apexes(cx, cy, delta):
+    """(apex, clear) pairs: apexes in all eight regions around the square, out
+    to 1e4 * delta, and on, one ulp off and 1e-12 * delta off each of its four
+    side lines; ``clear`` when the apex is 1e-2 * delta or more off them."""
+    far = [1.0 + 1e-6, 1.01, 1.5, 3.0, 10.0, 100.0, 1e3, 1e4]
+    offs = [0.0, 0.3, 0.9, 0.99, 1.0 - 1e-6]
+    for sx in (-1.0, 1.0):
+        for sy in (-1.0, 1.0):
+            for a in far:
+                for b in far:           # corner regions
+                    yield (cx + sx * a * delta, cy + sy * b * delta), min(a, b) >= 1.01
+                for f in offs:          # side regions
+                    clear = a >= 1.01 and f <= 0.99
+                    yield (cx + sx * a * delta, cy + sy * f * delta), clear
+                    yield (cx + sx * f * delta, cy + sy * a * delta), clear
+    for line, vertical in ((cx - delta, True), (cx + delta, True),
+                           (cy - delta, False), (cy + delta, False)):
+        for v in (line, math.nextafter(line, -math.inf), math.nextafter(line, math.inf),
+                  line - 1e-12 * delta, line + 1e-12 * delta):
+            for sgn in (-1.0, 1.0):
+                for a in far:
+                    other = (cy if vertical else cx) + sgn * a * delta
+                    yield ((v, other) if vertical else (other, v)), False
+
+
+@pytest.mark.parametrize("cx,cy,delta", [(0.0, 0.0, 1.0), (12.3, -4.1, 0.37),
+                                         (-1e3 / 3, 250.7, 2.5)])
+def test_square_silhouette_corners_keep_the_engine_extremes(cx, cy, delta):
+    """Two silhouette corners in place of four leave the sweep's tangent
+    corners unchanged, bit for bit, in every frame rotation."""
+    corners = ((cx - delta, cy - delta), (cx - delta, cy + delta),
+               (cx + delta, cy - delta), (cx + delta, cy + delta))
+    short = 0
+    for apex, clear in _square_apexes(cx, cy, delta):
+        tps = SquareKernel.tangent_points(apex[0], apex[1], cx, cy, delta)
+        if tps is None:          # on a side line next to the square
+            assert SquareKernel.distance(apex[0], apex[1], cx, cy) <= delta
+            continue
+        assert set(tps) <= set(corners)
+        if clear:
+            assert len(tps) == 2, apex
+        short += len(tps) == 2
+        for rot in (0.0, 2.5, -3.0, math.atan2(cy - apex[1], cx - apex[0]) - 0.5 * math.pi):
+            assert (_engine_extremes(tps, apex, (cx, cy), rot)
+                    == _engine_extremes(corners, apex, (cx, cy), rot)), (apex, rot)
+    assert short > 500
 
 
 class TestWaveOf:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frechetsimp.geometry import Metric
+from frechetsimp.geometry import Metric, lp_distance
 from frechetsimp.oracle import (ball_segment_interval, shortcut_is_valid,
                                 shortcut_matrix_dense, valid_targets_from)
 from frechetsimp.verify import instance_margin
@@ -163,3 +163,16 @@ def test_vectorized_routes_match_scalar(metric):
             pts = np.round(np.cumsum(rng.normal(0, 0.5, (n, 2)), axis=0), 1)
         delta = float(rng.choice([0.3, 0.5, 1.0, 1.3]))
         _assert_routes_agree(pts, delta, metric)
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
+def test_metric_given_by_value(metric):
+    rng = np.random.default_rng(4)
+    pts = np.round(rng.uniform(-2, 2, (12, 2)), 1)
+    assert np.array_equal(shortcut_matrix_dense(pts, 0.7, metric.value),
+                          shortcut_matrix_dense(pts, 0.7, metric))
+    assert np.array_equal(valid_targets_from(pts, 2, 0.7, metric.value),
+                          valid_targets_from(pts, 2, 0.7, metric))
+    assert lp_distance(pts[0], pts[1], metric.value) == lp_distance(pts[0], pts[1], metric)
+    with pytest.raises(ValueError):
+        lp_distance(pts[0], pts[1], "l3")

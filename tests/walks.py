@@ -35,3 +35,23 @@ def stop_and_go(n, seed, delta=1.0, leg=20, dwell=8):
             pts.append((x + rng.gauss(0.0, 0.25 * delta), y + rng.gauss(0.0, 0.25 * delta)))
         heading += rng.uniform(-1.6, 1.6)
     return pts[:n]
+
+
+def quantized(pts, quantum):
+    """Every coordinate rounded to a multiple of ``quantum`` (fixed-decimal data)."""
+    return [(quantum * round(x / quantum), quantum * round(y / quantum)) for x, y in pts]
+
+
+def lattice_walk(n, seed):
+    """Integer-lattice walk drifting along +x: king moves that never stand
+    still or step back (integer pixels)."""
+    rng = random.Random(seed)
+    moves = [(1, -1), (1, 0), (1, 1), (0, -1), (0, 1)]
+    x = y = 0
+    pts = [(0.0, 0.0)]
+    while len(pts) < n:
+        dx, dy = rng.choice(moves)
+        x += dx
+        y += dy
+        pts.append((float(x), float(y)))
+    return pts
