@@ -35,12 +35,12 @@ are bit-identical either way.  Reuse is sound because keys depend only on the
 point and the frame rotation, and the frame is fixed once the first arc
 exists (the one step that rotates it clears the cache).  Inside the step a
 case travels as its label string, and the wedge rays are classified on plain
-floats; a ``StepReport`` is built only for the public ``step`` and the
-checker hook.  Keys stay on ``math.atan2`` and distances on ``math.hypot``,
-one call per point as the step needs it: numpy's vectorised ``arctan2`` and
-``hypot`` round differently from libm on some inputs (SIMD builds), and the
-engine compares keys and distances against tight tolerances, so precomputed
-arrays would change decisions, not just the last digits of the output.
+floats; a ``StepReport`` is built only for the public ``step``.  Keys stay
+on ``math.atan2`` and distances on ``math.hypot``, one call per point as the
+step needs it: numpy's vectorised ``arctan2`` and ``hypot`` round differently
+from libm on some inputs (SIMD builds), and the engine compares keys and
+distances against tight tolerances, so precomputed arrays would change
+decisions, not just the last digits of the output.
 """
 from __future__ import annotations
 
@@ -270,7 +270,7 @@ class Sweep:
             if segs > st.max_segment_count:
                 st.max_segment_count = segs
         if self.checker is not None and not self.aborted:
-            self.checker.after_step(self, j, StepReport(case))
+            self.checker.after_step(self, j)
         if self.svg_sink is not None:
             from . import svgdebug
             self.svg_sink(self.i, j, svgdebug.render_frame(self, j, case))

@@ -59,7 +59,7 @@ class InvariantChecker:
             if case == "TT" and len(uniq) == 2 and any(near):
                 raise InternalGeometryError("TT crossings must lie on the new top arc")
 
-    def after_step(self, sw, j, report):
+    def after_step(self, sw, j):
         arcs = sw.arcs
         if not arcs:
             return

@@ -10,8 +10,10 @@ Sufficiency follows from convexity: matching vertices monotonically bounds the
 distance of every bridged sub-segment by its endpoint distances.
 
 This module is the ground truth the sweep algorithms are verified against, so
-the scalar path stays deliberately simple.  A vectorized batch variant feeds
-the cubic baseline and the benchmarks; it mirrors the same closed comparisons.
+the scalar path stays deliberately simple.  One vectorized batch loop decides
+many shortcuts at once with the same closed comparisons.  It has two callers:
+``valid_targets_from`` lists one vertex's targets for the cubic baseline, and
+``shortcut_matrix_dense`` builds the whole matrix ``verify`` judges by.
 """
 from __future__ import annotations
 
@@ -130,74 +132,60 @@ def shortcut_is_valid(pts: Sequence[Sequence[float]], i: int, k: int, delta: flo
 
 
 # ---------------------------------------------------------------------------
-# Vectorized batch: all valid shortcut targets from one start vertex.  Used by
-# the cubic baseline; kept in lockstep with the scalar greedy above (same
-# closed comparisons) and cross-checked against it in the tests.
+# Vectorized batch: one greedy loop, cross-checked against the scalar path in
+# the tests, and its two callers.
 # ---------------------------------------------------------------------------
 
 
-def valid_targets_from(coords: np.ndarray, i: int, delta: float,
-                       metric: Metric = Metric.L2) -> np.ndarray:
-    """0-based indices k > i such that <p_i, p_k> is a valid shortcut.
+def linf_image(pts: np.ndarray) -> np.ndarray:
+    """(x, y) -> (x + y, y - x) for an (n, 2) array: L1 distances become Linf ones."""
+    return np.column_stack((pts[:, 0] + pts[:, 1], pts[:, 1] - pts[:, 0]))
 
-    ``coords`` is an (n, 2) float array.  Runs the greedy interval sweep for
-    every k simultaneously, O((n-i)^2) work, tiled over both the target and
-    the bridged-vertex axis.  The tile grows with the remaining suffix
-    (capped for cache residency), which keeps the edge-tile overhead
-    fraction constant across problem sizes.
+
+def _greedy_verdicts(coords: np.ndarray, blocks, delta: float, metric: Metric,
+                     tile: int) -> np.ndarray:
+    """Validity of the shortcuts (a, k) of ``blocks``, concatenated in block order.
+
+    ``coords`` is an (n, 2) float array and ``metric`` a ``Metric`` member.
+    Each block is (a, ks): index arrays of the starts and the targets, every
+    k > a, that broadcast together.  A one-element ``a`` is shared by the
+    whole block (a row), and the terms of j and a then stay one column wide.
+    A block is crossed with its bridged vertices j on a (j, pair) grid,
+    ``tile`` rows of j at a time, carrying the greedy running max from one j
+    tile to the next.
     """
-    metric = Metric(metric)
-    n = coords.shape[0]
-    if not (0 <= i < n - 1):
-        raise IndexError(f"need 0 <= i < n-1, got i={i}")
-    tile = max(64, min(256, (n - 1 - i) // 8))
-    pts = coords
-    if metric is Metric.L1:
-        pts = np.column_stack((coords[:, 0] + coords[:, 1], coords[:, 1] - coords[:, 0]))
-    pi = pts[i]
-    rest = pts[i + 1:]                      # rows 0..m-1 are vertices i+1..n-1
-    m = rest.shape[0]
-    valid = np.ones(m, dtype=bool)
-    if m <= 1:
-        return np.arange(i + 1, n)[valid]
-    seg = rest - pi                         # segment vector for target k = row + i+1
-    off = rest[:-1] - pi                    # intermediate vertex offsets (vertex i+1..n-2)
-    if metric is Metric.L2:
-        aa_all = np.einsum("kd,kd->k", seg, seg)
-        cc_all = np.einsum("jd,jd->j", off, off) - delta * delta
-    for c0 in range(0, m, tile):
-        c1 = min(c0 + tile, m)
-        sv = seg[c0:c1]                     # (K, 2) targets in this tile
-        run = np.full(c1 - c0, -np.inf)     # greedy running max, carried over j tiles
-        dead = np.zeros(c1 - c0, dtype=bool)
-        for r0 in range(0, min(c1 - 1, off.shape[0]), tile):
-            r1 = min(r0 + tile, off.shape[0], c1 - 1)
-            ov = off[r0:r1]
+    pts = linf_image(coords) if metric is Metric.L1 else coords
+    X = pts[:, 0]
+    Y = pts[:, 1]
+    verdicts = []
+    for a, ks in blocks:
+        sx = X[ks] - X[a]                   # segment p_k - p_a, per pair
+        sy = Y[ks] - Y[a]
+        aa = sx * sx + sy * sy
+        zero = aa == 0.0                    # degenerate target p_k == p_a
+        jj = np.arange(int(a.min()) + 1, int(ks.max()))[:, None]
+        ox = X[jj] - X[a]                   # p_j - p_a: (J, 1) for a shared start
+        oy = Y[jj] - Y[a]
+        dead = np.zeros(ks.size, dtype=bool)
+        for r0 in range(0, jj.size, tile):
+            j, px, py = jj[r0:r0 + tile], ox[r0:r0 + tile], oy[r0:r0 + tile]
             if metric is Metric.L2:
-                aa = aa_all[c0:c1]
                 # broadcasted dot keeps this off the BLAS thread pool
-                bb = ov[:, 0][:, None] * sv[:, 0][None, :] \
-                    + ov[:, 1][:, None] * sv[:, 1][None, :]
-                cc = cc_all[r0:r1][:, None]
-                disc = bb * bb - aa[None, :] * cc
+                bb = px * sx + py * sy
+                cc = px * px + py * py - delta * delta
+                disc = bb * bb - aa * cc
                 empty = disc < 0.0
                 root = np.sqrt(np.maximum(disc, 0.0))
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    lo = (bb - root) / aa[None, :]
-                    hi = (bb + root) / aa[None, :]
-                zero_len = aa == 0.0                         # degenerate target p_k == p_i
-                if zero_len.any():
-                    inside = cc[:, 0] <= 0.0
-                    lo[:, zero_len] = 0.0
-                    hi[:, zero_len] = 1.0
-                    empty[:, zero_len] = ~inside[:, None]
+                    lo = (bb - root) / aa
+                    hi = (bb + root) / aa
+                if zero.any():
+                    lo[:, zero] = 0.0
+                    hi[:, zero] = 1.0
+                    empty[:, zero] = np.broadcast_to(cc > 0.0, empty.shape)[:, zero]
             else:
-                lo = np.zeros((r1 - r0, c1 - c0))
-                hi = np.ones_like(lo)
-                empty = np.zeros(lo.shape, dtype=bool)
-                for d in (0, 1):
-                    p0 = ov[:, d][:, None]
-                    v = sv[:, d][None, :]
+                lo, hi, empty = 0.0, 1.0, False
+                for p0, v in ((px, sx), (py, sy)):
                     with np.errstate(divide="ignore", invalid="ignore"):
                         t1 = (p0 - delta) / v
                         t2 = (p0 + delta) / v
@@ -215,93 +203,61 @@ def valid_targets_from(coords: np.ndarray, i: int, delta: float,
             lo = np.maximum(lo, 0.0)
             hi = np.minimum(hi, 1.0)
             empty |= lo > hi
-            # vertex j only constrains targets k > j
-            rows = np.arange(r0, r1)[:, None]
-            cols = np.arange(c0, c1)[None, :]
-            active = rows < cols
+            # vertex j only constrains the shortcuts that bridge it, a < j < k
+            active = (j > a) & (j < ks)
             lo = np.where(active, lo, -np.inf)
             cm = np.maximum.accumulate(lo, axis=0)
-            np.maximum(cm, run[None, :], out=cm)
+            if r0:                          # the first j tile has nothing to carry
+                np.maximum(cm, run, out=cm)
             dead |= (active & (empty | (cm > hi))).any(axis=0)
-            run = cm[-1]
-        valid[c0:c1] = ~dead
-    return np.arange(i + 1, n)[valid]
+            run = cm[-1]                    # greedy running max, carried over j tiles
+        verdicts.append(~dead)
+    return np.concatenate(verdicts)
+
+
+def valid_targets_from(coords: np.ndarray, i: int, delta: float,
+                       metric: Metric = Metric.L2) -> np.ndarray:
+    """0-based indices k > i such that <p_i, p_k> is a valid shortcut.
+
+    ``coords`` is an (n, 2) float array.  O((n-i)^2) work, in tiles over the
+    targets and the bridged vertices that grow with the remaining suffix
+    (capped for cache residency), which keeps the edge-tile overhead
+    fraction constant across problem sizes.
+    """
+    metric = Metric(metric)
+    n = coords.shape[0]
+    if not (0 <= i < n - 1):
+        raise IndexError(f"need 0 <= i < n-1, got i={i}")
+    tile = max(64, min(256, (n - 1 - i) // 8))
+    ks = np.arange(i + 1, n)
+    a = np.array([i])
+    blocks = [(a, ks[c:c + tile]) for c in range(0, ks.size, tile)]
+    return ks[_greedy_verdicts(coords, blocks, delta, metric, tile)]
 
 
 @functools.lru_cache(maxsize=64)
-def _dense_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairs (i, k) with k >= i+2 and their (pair, j) mask i < j < k; read-only."""
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, k) with k >= i+2, the shortcuts that bridge a vertex; read-only."""
     pi, pk = np.nonzero(np.triu(np.ones((n, n), dtype=bool), 2))
-    jj = np.arange(n)[None, :]
-    active = (jj > pi[:, None]) & (jj < pk[:, None])
-    for arr in (pi, pk, active):
+    for arr in (pi, pk):
         arr.flags.writeable = False
-    return pi, pk, active
+    return pi, pk
 
 
 def shortcut_matrix_dense(coords: np.ndarray, delta: float,
                           metric: Metric = Metric.L2) -> np.ndarray:
     """One-shot (n, n) validity matrix for small polylines.
 
-    Same semantics as repeated ``valid_targets_from`` but computed in one
-    vectorized pass, which is much faster for the n <= ~40 instances the
-    randomized verification sweeps through.  Only the pairs (i, k) with
-    k >= i+2 bridge a vertex; each is crossed with the whole j axis, a
-    (pairs, n) grid whose mask i < j < k comes from ``_dense_layout``, built
-    once per n.  Every (i, i+1) is valid and every k <= i False.
+    The greedy loop of ``valid_targets_from``, with all the pairs (i, k >=
+    i+2) of a per-n cached list as one block against the whole j axis: much
+    faster for the n <= ~40 instances ``verify`` draws.  Every (i, i+1) is
+    valid and every k <= i False.
     """
     metric = Metric(metric)
     pts = np.asarray(coords, dtype=float)
-    if metric is Metric.L1:
-        pts = np.column_stack((pts[:, 0] + pts[:, 1], pts[:, 1] - pts[:, 0]))
     n = pts.shape[0]
-    out = np.zeros((n, n), dtype=bool)
-    out[np.arange(n - 1), np.arange(1, n)] = True
-    pi, pk, active = _dense_layout(n)
-    if not pi.size:
-        return out
-    sx = (pts[pk, 0] - pts[pi, 0])[:, None]           # segment p_k - p_i, (pair, 1)
-    sy = (pts[pk, 1] - pts[pi, 1])[:, None]
-    dx = pts[None, :, 0] - pts[:, None, 0]            # p_j - p_i on the (i, j) grid
-    dy = pts[None, :, 1] - pts[:, None, 1]
-    ox = dx[pi]                                       # (pair, j)
-    oy = dy[pi]
-    if metric is Metric.L2:
-        aa = sx * sx + sy * sy                        # (pair, 1)
-        bb = ox * sx + oy * sy
-        cc = (dx * dx + dy * dy - delta * delta)[pi]
-        disc = bb * bb - aa * cc
-        empty = disc < 0.0
-        root = np.sqrt(np.maximum(disc, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lo = (bb - root) / aa
-            hi = (bb + root) / aa
-        zero = aa[:, 0] == 0.0                        # p_k == p_i targets
-        if zero.any():
-            lo[zero] = 0.0
-            hi[zero] = 1.0
-            empty[zero] = cc[zero] > 0.0
-    else:
-        lo = np.zeros(ox.shape)
-        hi = np.ones(ox.shape)
-        empty = np.zeros(ox.shape, dtype=bool)
-        for p0, v in ((ox, sx), (oy, sy)):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = (p0 - delta) / v
-                t2 = (p0 + delta) / v
-            tl = np.minimum(t1, t2)
-            th = np.maximum(t1, t2)
-            vz = np.broadcast_to(v == 0.0, tl.shape)
-            far = np.abs(p0) > delta
-            tl = np.where(vz, np.where(far, np.inf, -np.inf), tl)
-            th = np.where(vz, np.where(far, -np.inf, np.inf), th)
-            lo = np.maximum(lo, tl)
-            hi = np.minimum(hi, th)
-    lo = np.maximum(lo, 0.0)
-    hi = np.minimum(hi, 1.0)
-    empty |= lo > hi
-    lo = np.where(active, lo, -np.inf)
-    run = np.maximum.accumulate(lo, axis=1)
-    bad = active & (empty | (run > hi))
-    out[pi, pk] = ~bad.any(axis=1)
+    out = np.eye(n, k=1, dtype=bool)
+    pi, pk = _pairs(n)
+    if pi.size:
+        out[pi, pk] = _greedy_verdicts(pts, [(pi, pk)], delta, metric, n)
     return out

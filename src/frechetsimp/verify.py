@@ -87,9 +87,7 @@ def _seg_point_dists(pts: np.ndarray, metric: Metric) -> np.ndarray:
     the distance from pts[1] to segment (pts[0], pts[2]).  The index arrays
     are built once per n and cached.
     """
-    P = pts
-    if metric is Metric.L1:
-        P = np.column_stack((pts[:, 0] + pts[:, 1], pts[:, 1] - pts[:, 0]))
+    P = oracle.linf_image(pts) if metric is Metric.L1 else pts
     a, c, b = _triples(len(P))
     X = P[:, 0]
     Y = P[:, 1]

@@ -10,6 +10,7 @@ from frechetsimp.oracle import (ball_segment_interval, shortcut_is_valid,
 from frechetsimp.verify import instance_margin
 
 from oracles import dp_reachable, interval_scan
+from walks import drift_walk, lattice_walk, quantized
 
 METRICS = (Metric.L2, Metric.L1, Metric.LINF)
 
@@ -166,6 +167,25 @@ def test_vectorized_routes_match_scalar(metric):
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
+@pytest.mark.parametrize("n", [130, 300])
+def test_multi_tile_rows_match_scalar(n, metric):
+    """Rows long enough to span several 64-wide tiles, so the greedy running
+    max is carried across bridged-vertex tiles; the lattice and the
+    one-decimal walk are full of exact ties.  The sawtooth turns back exactly
+    at row 0's first tile boundary, so only the carried max rejects its
+    shortcut (0, 129)."""
+    sawtooth = [(0.5 * (j % 65), 0.1 * (j % 2)) for j in range(n)]
+    inputs = ((drift_walk(n, 1), 0.8), (quantized(drift_walk(n, 2), 0.1), 0.8),
+              (lattice_walk(n, 5), 6.0), (sawtooth, 1.0))
+    for pts, delta in inputs:
+        coords = np.asarray(pts, dtype=float)
+        for i in (0, 1, n // 2, n - 3):
+            expect = [k for k in range(i + 1, n)
+                      if shortcut_is_valid(pts, i, k, delta, metric)]
+            assert valid_targets_from(coords, i, delta, metric).tolist() == expect, (i, delta)
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
 def test_metric_given_by_value(metric):
     rng = np.random.default_rng(4)
     pts = np.round(rng.uniform(-2, 2, (12, 2)), 1)
@@ -176,3 +196,5 @@ def test_metric_given_by_value(metric):
     assert lp_distance(pts[0], pts[1], metric.value) == lp_distance(pts[0], pts[1], metric)
     with pytest.raises(ValueError):
         lp_distance(pts[0], pts[1], "l3")
+    with pytest.raises(ValueError):         # even where no pair bridges a vertex
+        shortcut_matrix_dense(pts[:2], 0.7, "l3")
