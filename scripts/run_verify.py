@@ -26,8 +26,8 @@ def main() -> int:
                                workers=args.workers, style=style)
             rep = run_verify(cfg)
             tag = f"{style:8s} strict={strict!s:5s}"
-            print(f"{tag} checked={rep.checked:7d} maxWF={rep.max_wavefront_size:2d} "
-                  f"maxSeg={rep.max_segment_count} wall={rep.wall_s:7.1f}s "
+            print(f"{tag} checked={rep.checked:7d} maxWF={rep.stats.max_arc_count:2d} "
+                  f"maxSeg={rep.stats.max_segment_count} wall={rep.wall_s:7.1f}s "
                   f"mismatches={len(rep.mismatches)}")
             for m in rep.mismatches[:3]:
                 print("   ", {k: v for k, v in m.items() if k != "points"})

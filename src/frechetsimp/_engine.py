@@ -126,12 +126,29 @@ class StepReport:
 
 @dataclass
 class SweepStats:
+    """Counters and gauges of one sweep, or of many folded together."""
+
     max_arc_count: int = 0
     max_segment_count: int = 0
     inserted: int = 0
     removed: int = 0
     steps: int = 0
+    aborts: int = 0
     case_histogram: dict = field(default_factory=dict)
+
+    def fold(self, other: "SweepStats") -> None:
+        """Adds ``other`` in: gauges by max, counts by sum, the histogram by case."""
+        if other.max_arc_count > self.max_arc_count:
+            self.max_arc_count = other.max_arc_count
+        if other.max_segment_count > self.max_segment_count:
+            self.max_segment_count = other.max_segment_count
+        self.inserted += other.inserted
+        self.removed += other.removed
+        self.steps += other.steps
+        self.aborts += other.aborts
+        h = self.case_histogram
+        for case, k in other.case_histogram.items():
+            h[case] = h.get(case, 0) + k
 
 
 class Sweep:
@@ -348,6 +365,7 @@ class Sweep:
                     break
             else:
                 self.aborted = True
+                self.stats.aborts += 1
                 return "WEDGE_EMPTY"
         nkr = r if r > kr else kr         # max(kr, r), min(kl, l)
         nkl = l if l < kl else kl
@@ -369,6 +387,7 @@ class Sweep:
             n_ul = self.ul
         if nkl < nkr - EPS_ANGLE:
             self.aborted = True
+            self.stats.aborts += 1
             return "WEDGE_EMPTY"
         if nkl < nkr:
             nkl = nkr
@@ -597,6 +616,7 @@ class Sweep:
         left = self._scan_left(px, py)
         if left is None:
             self.aborted = True
+            self.stats.aborts += 1
             return "TT_EMPTY"
         il, k1, p1 = left
         right = self._scan_right(px, py)

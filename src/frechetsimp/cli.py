@@ -14,7 +14,7 @@ import time
 
 from . import __version__, bench, polyio, svgdebug
 from .geometry import Metric
-from ._engine import prepare, sweep_targets
+from ._engine import SweepStats, prepare, sweep_targets
 from .simplify import InvalidInputError, _simplify_impl, nu_diagnostics, preprocess
 from .verify import VerifyConfig, run_verify
 
@@ -120,8 +120,8 @@ def _cmd_verify(args) -> int:
     summary = {
         "checked": rep.checked,
         "mismatches": len(rep.mismatches),
-        "maxWavefrontSize": rep.max_wavefront_size,
-        "maxSegmentCount": rep.max_segment_count,
+        "maxWavefrontSize": rep.stats.max_arc_count,
+        "maxSegmentCount": rep.stats.max_segment_count,
         "resamples": rep.resamples,
         "seconds": round(rep.wall_s, 3),
     }
@@ -168,15 +168,17 @@ def _cmd_stats(args) -> int:
     diag = nu_diagnostics(points, args.delta, args.metric)
     work, kern = prepare(poly.vertices, args.metric)
     per_start = []
+    total = SweepStats()
     for i in range(poly.n - 1):
         _, sw = sweep_targets(work, i, args.delta, kern)
         per_start.append(sw.stats.max_arc_count)
+        total.fold(sw.stats)
     out = {
         "maxVerticesInDeltaBall": diag["max_vertices_in_delta_ball"],
         "nuEstimate": diag["nu_estimate"],
         "impliedWavefrontBound": diag["implied_wavefront_bound"],
         "maxWavefrontSizePerStart": per_start,
-        "maxWavefrontSize": max(per_start) if per_start else 0,
+        "maxWavefrontSize": total.max_arc_count,
     }
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK

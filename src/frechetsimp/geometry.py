@@ -13,6 +13,7 @@ from delta.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from enum import Enum
 from typing import Optional, Sequence
@@ -179,12 +180,6 @@ class CircleKernel:
         return (p_start, p_end)
 
     @staticmethod
-    def arc_segments(ax: float, ay: float, cx: float, cy: float, delta: float,
-                     x0: float, y0: float, x1: float, y1: float) -> int:
-        """Segment count of a bottom-arc piece: a circular arc counts as one."""
-        return 1
-
-    @staticmethod
     def graze_fallback(ax: float, ay: float, ux: float, uy: float,
                        cx: float, cy: float, delta: float) -> float:
         """Touch parameter for a ray that should graze the circle but missed numerically."""
@@ -298,47 +293,32 @@ class SquareKernel:
         ytie = abs(c2y - c1y) <= tol
         if xtie and ytie:
             return _COINCIDENT
-        xlo, plo_x = (c1x - delta, 1) if c1x >= c2x else (c2x - delta, 2)
-        xhi, phi_x = (c1x + delta, 1) if c1x <= c2x else (c2x + delta, 2)
-        ylo, plo_y = (c1y - delta, 1) if c1y >= c2y else (c2y - delta, 2)
-        yhi, phi_y = (c1y + delta, 1) if c1y <= c2y else (c2y + delta, 2)
+        # the overlap box of the two squares
+        xlo = (c1x if c1x >= c2x else c2x) - delta
+        xhi = (c1x if c1x <= c2x else c2x) + delta
+        ylo = (c1y if c1y >= c2y else c2y) - delta
+        yhi = (c1y if c1y <= c2y else c2y) + delta
         if xlo > xhi + tol or ylo > yhi + tol:
             return ()
         if not (xtie or ytie):
-            # each bound of the overlap box comes from one square; the
-            # crossings are the two box corners whose x and y bounds come
-            # from different squares (the general rule below, unrolled)
-            if plo_x == plo_y:
+            # the crossings are the two box corners whose x and y bounds come
+            # from different squares
+            if (c1x >= c2x) == (c1y >= c2y):
                 p, q = (xlo, yhi), (xhi, ylo)
             else:
                 p, q = (xlo, ylo), (xhi, yhi)
             if abs(q[0] - p[0]) <= tol and abs(q[1] - p[1]) <= tol:
                 return (p,)
             return (p, q)
-        pts = []
-        for x, px in ((xlo, plo_x), (xhi, phi_x)):
-            for y, py in ((ylo, plo_y), (yhi, phi_y)):
-                on1 = px == 1 or py == 1 or xtie or ytie
-                on2 = px == 2 or py == 2 or xtie or ytie
-                mixed = (px != py) or xtie or ytie
-                if on1 and on2 and mixed:
-                    pts.append((x, y))
-        # dedupe
+        # tied centres share an edge line: every distinct box corner is on
+        # both boundaries, and the two farthest apart bound the shared segment
         out: list[Point] = []
-        for p in pts:
+        for p in ((xlo, ylo), (xlo, yhi), (xhi, ylo), (xhi, yhi)):
             if not any(abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol for q in out):
                 out.append(p)
         if len(out) > 2:
-            # shared-edge overlap: keep the two extreme points of the shared segment
-            best = None
-            pair = None
-            for i in range(len(out)):
-                for j in range(i + 1, len(out)):
-                    d = abs(out[i][0] - out[j][0]) + abs(out[i][1] - out[j][1])
-                    if best is None or d > best:
-                        best = d
-                        pair = (out[i], out[j])
-            out = list(pair)
+            out = max(itertools.combinations(out, 2),
+                      key=lambda pq: abs(pq[0][0] - pq[1][0]) + abs(pq[0][1] - pq[1][1]))
         return tuple(out)
 
     @staticmethod

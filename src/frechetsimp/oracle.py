@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Metric, lp_distance
+from .geometry import Metric
 
 Interval = tuple[float, float]
 
@@ -106,7 +106,9 @@ def shortcut_is_valid(pts: Sequence[Sequence[float]], i: int, k: int, delta: flo
 
     Indices are 0-based with i < k.  k == i+1 is always valid.  The degenerate
     zero-length shortcut (p_i == p_k) is valid iff every bridged vertex lies
-    within delta of p_i.  ``metric`` is a ``Metric`` or its value.
+    within delta of p_i, decided by the comparisons the batch loop makes (the
+    squared L2 length; L1 on its Linf image).  ``metric`` is a ``Metric`` or
+    its value.
     """
     metric = Metric(metric)     # the code below branches on identity
     n = len(pts)
@@ -116,8 +118,6 @@ def shortcut_is_valid(pts: Sequence[Sequence[float]], i: int, k: int, delta: flo
         return True
     pi = pts[i]
     pk = pts[k]
-    if pi[0] == pk[0] and pi[1] == pk[1]:
-        return all(lp_distance(pts[j], pi, metric) <= delta for j in range(i + 1, k))
     t = 0.0
     for j in range(i + 1, k):
         iv = _interval(pts[j], delta, metric, pi, pk)

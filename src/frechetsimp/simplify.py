@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from ._engine import prepare, sweep_targets
+from ._engine import SweepStats, prepare, sweep_targets
 from .geometry import Metric, lp_distance
 
 __all__ = ["SimplificationResult", "Polyline", "preprocess", "simplify",
@@ -73,52 +73,43 @@ class SimplificationResult:
     stats: dict = field(default_factory=dict)
 
 
-def _targets_provider(pts, delta: float, metric: Metric, algo: str, svg_sink=None):
-    """Returns fn(i) -> ascending valid shortcut targets, plus a stats sink.
+def _target_lists(pts, delta: float, metric: Metric, algo: str, starts, total: SweepStats,
+                  svg_sink=None):
+    """Yields each start vertex's ascending valid shortcut targets, in the order given.
 
-    ``svg_sink`` receives every sweep step as an SVG frame; the baseline runs
-    the sweeps for their frames alone.
+    Each wavefront sweep's stats are folded into ``total``.  ``svg_sink``
+    receives every sweep step as an SVG frame; the baseline runs the sweeps
+    for their frames alone and folds no stats.
     """
-    stats = {"max_wavefront_size": 0, "max_segment_count": 0, "sweep_aborts": 0}
     work, kern = prepare(pts, metric)
     if algo == ALGO_BASELINE:
         coords = np.asarray(pts, dtype=float)
-
-        def provider(i: int):
+        for i in starts:
             if svg_sink is not None:
                 sweep_targets(work, i, delta, kern, svg_sink=svg_sink)
-            return oracle.valid_targets_from(coords, i, delta, metric).tolist()
-
-        return provider, stats
-
-    def provider(i: int):
+            yield oracle.valid_targets_from(coords, i, delta, metric).tolist()
+        return
+    for i in starts:
         targets, sw = sweep_targets(work, i, delta, kern, svg_sink=svg_sink)
-        if sw.stats.max_arc_count > stats["max_wavefront_size"]:
-            stats["max_wavefront_size"] = sw.stats.max_arc_count
-        if sw.stats.max_segment_count > stats["max_segment_count"]:
-            stats["max_segment_count"] = sw.stats.max_segment_count
-        if sw.aborted:
-            stats["sweep_aborts"] += 1
-        return targets
-
-    return provider, stats
+        total.fold(sw.stats)
+        yield targets
 
 
-def link_distances(n: int, targets_of):
+def link_distances(n: int, lists):
     """Link-distance d and parent arrays of the shortcut graph on n vertices.
 
-    ``targets_of(i)`` returns vertex i's valid shortcut targets in ascending
-    order; it is called once per vertex, for i = n-2 down to 0, so a caller
-    may compute each list on demand.  d[n-1] = 0 and d[i] = 1 + min d[j]
-    over the targets, with parent[i] the smallest minimizing j; an empty
-    list stands for the always-valid <p_i, p_i+1>.
+    ``lists`` yields the valid shortcut targets of vertex i in ascending
+    order, for i = n-2 down to 0, so a caller may compute each list on
+    demand.  d[n-1] = 0 and d[i] = 1 + min d[j] over the targets, with
+    parent[i] the smallest minimizing j; an empty list stands for the
+    always-valid <p_i, p_i+1>.
     """
     d = [0] * n
     parent = [-1] * n
-    for i in range(n - 2, -1, -1):
+    for i, targets in zip(range(n - 2, -1, -1), lists, strict=True):
         best = n                      # above every distance
         arg = i + 1
-        for j in targets_of(i):
+        for j in targets:
             if d[j] < best:
                 best = d[j]
                 arg = j
@@ -128,14 +119,37 @@ def link_distances(n: int, targets_of):
 
 
 def link_distance_table(pts, delta: float, metric: Metric = Metric.L2,
-                        algo: str = ALGO_WAVEFRONT, svg_sink=None):
-    """Link-distance d and parent arrays over the (preprocessed) vertices, plus sweep stats.
+                        algo: str = ALGO_WAVEFRONT, workers: int = 1, svg_sink=None):
+    """Link-distance d and parent arrays over the (preprocessed) vertices, plus
+    the stats of every sweep folded into one ``SweepStats``.
 
-    ``svg_sink(i, j, svg)``, if given, receives one debug frame per sweep step.
+    ``workers > 1`` lists the shortcuts in a process pool, unless the input
+    is too short to pay for it.  ``svg_sink(i, j, svg)``, if given, receives
+    one debug frame per sweep step and keeps the run in this process.
     """
-    provider, stats = _targets_provider(pts, delta, metric, algo, svg_sink)
-    d, parent = link_distances(len(pts), provider)
-    return d, parent, stats
+    n = len(pts)
+    total = SweepStats()
+    if workers <= 1 or svg_sink is not None or n < 64:
+        lists = _target_lists(pts, delta, metric, algo, range(n - 2, -1, -1), total, svg_sink)
+        d, parent = link_distances(n, lists)
+        return d, parent, total
+    chunk = max(8, n // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        # the lowest start vertices sweep the longest, so their chunks go
+        # first; the table consumes the chunks last to first
+        futures = [ex.submit(_pool_worker, pts, delta, metric, algo, lo, min(lo + chunk, n - 1))
+                   for lo in range(0, n - 1, chunk)]
+        d, parent = link_distances(n, (targets for fut in reversed(futures)
+                                       for targets in fut.result()[0]))
+    for fut in futures:
+        total.fold(fut.result()[1])
+    return d, parent, total
+
+
+def _pool_worker(pts, delta: float, metric: Metric, algo: str, lo: int, hi: int):
+    """Target lists of start vertices hi-1 down to lo, plus their folded stats."""
+    total = SweepStats()
+    return list(_target_lists(pts, delta, metric, algo, range(hi - 1, lo - 1, -1), total)), total
 
 
 def _simplify_impl(points, delta: float, metric: Metric, algo: str,
@@ -151,12 +165,7 @@ def _simplify_impl(points, delta: float, metric: Metric, algo: str,
     poly = preprocess(points)
     n_orig = len(points)
     t0 = time.perf_counter()
-    if workers > 1 and svg_sink is None:
-        lists, stats = all_shortcut_lists(poly.vertices, delta, metric, algo, workers)
-        d, parent = link_distances(poly.n, lists.__getitem__)
-        stats["parallel_workers"] = workers
-    else:
-        d, parent, stats = link_distance_table(poly.vertices, delta, metric, algo, svg_sink)
+    d, parent, total = link_distance_table(poly.vertices, delta, metric, algo, workers, svg_sink)
     t1 = time.perf_counter()
     chain = [0]
     at = 0
@@ -171,7 +180,11 @@ def _simplify_impl(points, delta: float, metric: Metric, algo: str,
     else:
         indices = [poly.indices[c] for c in chain]
         indices[-1] = n_orig - 1   # a collapsed duplicate run at the end keeps the true endpoint
-    stats = dict(stats)
+    stats = {"max_wavefront_size": total.max_arc_count,
+             "max_segment_count": total.max_segment_count,
+             "sweep_aborts": total.aborts}
+    if workers > 1 and svg_sink is None:
+        stats["parallel_workers"] = workers
     stats["wall_ms_per_phase"] = {
         "shortcuts_and_table_ms": (t1 - t0) * 1e3,
         "path_extraction_ms": (t2 - t1) * 1e3,
@@ -189,8 +202,9 @@ def simplify(points, delta: float, metric: Metric = Metric.L2,
     equally short simplifications resolve to the smallest next index.
     ``metric`` is a ``Metric`` or its value ("l1", "l2" or "linf").
 
-    ``workers > 1`` switches to a two-pass mode that materializes all
-    shortcut lists in parallel (more memory, same result).
+    ``workers > 1`` sweeps chunks of start vertices in that many processes
+    and feeds their shortcut lists to the same table (same result; a chunk's
+    lists are held until the table reaches them).
     """
     if algo not in (ALGO_WAVEFRONT, ALGO_BASELINE):
         raise InvalidInputError(f"unknown algorithm {algo!r}")
@@ -200,56 +214,6 @@ def simplify(points, delta: float, metric: Metric = Metric.L2,
 def simplify_baseline(points, delta: float, metric: Metric = Metric.L2) -> SimplificationResult:
     """Cubic-time reference: validity of every pair via the interval oracle."""
     return _simplify_impl(points, delta, metric, ALGO_BASELINE)
-
-
-# ---------------------------------------------------------------------------
-# Two-pass parallel shortcut listing (optional; trades O(E) memory for speed)
-# ---------------------------------------------------------------------------
-
-_POOL_ARGS = None
-
-
-def _pool_worker(args):
-    lo, hi = args
-    pts, delta, metric, algo = _POOL_ARGS
-    provider, stats = _targets_provider(pts, delta, metric, algo)
-    return [(i, provider(i)) for i in range(lo, hi)], stats
-
-
-def _merge_sweep_stats(parts: list) -> dict:
-    """Stats over all sweeps from the workers' stats: gauges by max, aborts by sum."""
-    return {"max_wavefront_size": max(p["max_wavefront_size"] for p in parts),
-            "max_segment_count": max(p["max_segment_count"] for p in parts),
-            "sweep_aborts": sum(p["sweep_aborts"] for p in parts)}
-
-
-def _pool_init(pts, delta, metric, algo):
-    global _POOL_ARGS
-    _POOL_ARGS = (pts, delta, metric, algo)
-
-
-def all_shortcut_lists(pts, delta: float, metric: Metric = Metric.L2,
-                       algo: str = ALGO_WAVEFRONT, workers: int = 1):
-    """Materialized shortcut lists of the (preprocessed) vertices, optionally in parallel.
-
-    Returns the lists and the sweep stats merged over all sweeps (the same
-    keys and values ``link_distance_table`` reports).
-    """
-    n = len(pts)
-    if workers <= 1 or n < 64:
-        provider, stats = _targets_provider(pts, delta, metric, algo)
-        return [provider(i) for i in range(n - 1)] + [[]], stats
-    chunk = max(8, n // (workers * 8))
-    ranges = [(lo, min(lo + chunk, n - 1)) for lo in range(0, n - 1, chunk)]
-    out: list[list[int]] = [[] for _ in range(n)]
-    part_stats = []
-    with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                             initargs=(pts, delta, metric, algo)) as ex:
-        for part, stats in ex.map(_pool_worker, ranges):
-            for i, targets in part:
-                out[i] = list(targets)
-            part_stats.append(stats)
-    return out, _merge_sweep_stats(part_stats)
 
 
 # ---------------------------------------------------------------------------

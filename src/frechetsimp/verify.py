@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from ._engine import prepare, sweep_targets
+from ._engine import SweepStats, prepare, sweep_targets
 from .diagnostics import InvariantChecker
 from .geometry import InternalGeometryError, Metric
 from .simplify import link_distances
@@ -44,8 +44,7 @@ class VerifyReport:
     checked: int = 0
     sweeps: int = 0
     resamples: int = 0
-    max_wavefront_size: int = 0
-    max_segment_count: int = 0
+    stats: SweepStats = field(default_factory=SweepStats)   # folded over every sweep
     wall_s: float = 0.0
     mismatches: list = field(default_factory=list)
 
@@ -167,30 +166,28 @@ def random_instance(cfg: VerifyConfig, idx: int):
 
 
 def _sweep_sets(pts_list, delta: float, metric: Metric, strict: bool):
-    """Wavefront shortcut targets per start vertex, plus sweep statistics."""
+    """Wavefront shortcut targets per start vertex, plus the sweeps' folded stats."""
     work, kern = prepare(pts_list, metric)
     sets = []
-    max_arcs = 0
-    max_segs = 0
+    total = SweepStats()
     for i in range(len(work) - 1):
         checker = InvariantChecker() if strict else None
         targets, sw = sweep_targets(work, i, delta, kern, checker=checker)
         sets.append(targets)
-        max_arcs = max(max_arcs, sw.stats.max_arc_count)
-        max_segs = max(max_segs, sw.stats.max_segment_count)
-    return sets, max_arcs, max_segs
+        total.fold(sw.stats)
+    return sets, total
 
 
 def check_instance(pts, delta: float, metric: Metric, strict: bool = False):
-    """Compare sweeps against the oracle; returns (problems, max_arcs, max_segs)."""
+    """Compare sweeps against the oracle; returns (problems, folded sweep stats)."""
     pts_list = [(float(p[0]), float(p[1])) for p in pts]
     n = len(pts_list)
     problems = []
     M = oracle.shortcut_matrix_dense(np.asarray(pts_list), delta, metric)
     try:
-        sets, max_arcs, max_segs = _sweep_sets(pts_list, delta, metric, strict)
+        sets, stats = _sweep_sets(pts_list, delta, metric, strict)
     except InternalGeometryError as exc:
-        return [{"kind": "invariant", "detail": str(exc)}], 0, 0
+        return [{"kind": "invariant", "detail": str(exc)}], SweepStats()
     rows = [np.nonzero(M[i])[0].tolist() for i in range(n - 1)]
     for i in range(n - 2, -1, -1):
         if rows[i] != sets[i]:
@@ -198,8 +195,8 @@ def check_instance(pts, delta: float, metric: Metric, strict: bool = False):
                 "kind": "shortcut_set", "i": i,
                 "oracle": rows[i], "wavefront": sets[i],
             })
-    d_o, _ = link_distances(n, rows.__getitem__)
-    d_w, par_w = link_distances(n, sets.__getitem__)
+    d_o, _ = link_distances(n, reversed(rows))
+    d_w, par_w = link_distances(n, reversed(sets))
     if d_o[0] != d_w[0]:
         problems.append({"kind": "link_count", "oracle": d_o[0], "wavefront": d_w[0]})
     # revalidate the emitted wavefront path link by link
@@ -209,7 +206,7 @@ def check_instance(pts, delta: float, metric: Metric, strict: bool = False):
         if not oracle.shortcut_is_valid(pts_list, at, j, delta, metric):
             problems.append({"kind": "invalid_link", "i": at, "j": j})
         at = j
-    return problems, max_arcs, max_segs
+    return problems, stats
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +221,10 @@ def _run_range(args):
         pts, delta, resamples = random_instance(cfg, idx)
         part.resamples += resamples
         for metric in cfg.metrics:
-            problems, max_arcs, max_segs = check_instance(pts, delta, metric,
-                                                          strict=cfg.strict)
+            problems, stats = check_instance(pts, delta, metric, strict=cfg.strict)
             part.checked += 1
             part.sweeps += len(pts) - 1
-            part.max_wavefront_size = max(part.max_wavefront_size, max_arcs)
-            part.max_segment_count = max(part.max_segment_count, max_segs)
+            part.stats.fold(stats)
             for p in problems:
                 p["instance"] = idx
                 p["metric"] = metric.value
@@ -254,8 +249,7 @@ def run_verify(cfg: VerifyConfig) -> VerifyReport:
         report.checked += p.checked
         report.sweeps += p.sweeps
         report.resamples += p.resamples
-        report.max_wavefront_size = max(report.max_wavefront_size, p.max_wavefront_size)
-        report.max_segment_count = max(report.max_segment_count, p.max_segment_count)
+        report.stats.fold(p.stats)
         report.mismatches.extend(p.mismatches)
     report.wall_s = time.perf_counter() - t0
     return report

@@ -66,7 +66,7 @@ def test_c3_structural_invariants(corpus_report):
     (ray-crossing uniqueness, crossing budget, wavefront containment,
     monotone recession, arc and segment bounds) on strict sub-corpora plus
     the always-on checks across the criterion-1 corpus."""
-    assert corpus_report.max_segment_count <= 2      # square wavefront budget, full corpus
+    assert corpus_report.stats.max_segment_count <= 2  # square wavefront budget, full corpus
     totals = 0
     for style, count in (("uniform", STRICT_COUNT),
                          ("walk", STRICT_COUNT // 2),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -78,6 +79,25 @@ class TestCircleCircle:
                 assert abs(d2 - delta) <= 1e-9 * delta
                 checked += 1
         assert checked > 100_000
+
+    def test_square_crossings_are_pinned(self):
+        # sha256 of the exact outputs over seeded square pairs, half on a
+        # quarter grid, with ~30% of x and of y coordinates tied (some only
+        # within the tie tolerance): any change to a returned tuple shows
+        rng = np.random.default_rng(17)
+        count = 60_000
+        grid = rng.integers(-8, 9, (count, 4)) * 0.25
+        free = rng.uniform(-2.0, 2.0, (count, 4))
+        c = np.where((rng.random(count) < 0.5)[:, None], grid, free)
+        for k in (0, 1):
+            tie = rng.random(count) < 0.3
+            c[tie, 2 + k] = c[tie, k] + rng.choice([0.0, 0.0, 1e-12, -1e-12], int(tie.sum()))
+        deltas = rng.choice([0.5, 1.0, 1.25], count).tolist()
+        digest = hashlib.sha256()
+        for (ax, ay, bx, by), d in zip(c.tolist(), deltas):
+            digest.update(repr(SquareKernel.boundary_intersections(ax, ay, bx, by, d)).encode())
+        assert digest.hexdigest() == \
+            "7804939c0d85f6f1230a398398b8a65c68c649218df6d5e61898a73c1be3b295"
 
 
 def _ray_points(kern, origin, unit, center, delta):

@@ -185,6 +185,24 @@ def test_multi_tile_rows_match_scalar(n, metric):
             assert valid_targets_from(coords, i, delta, metric).tolist() == expect, (i, delta)
 
 
+def test_zero_length_shortcuts_match_the_batch_oracle_at_ties():
+    """One-decimal p0, p1, p0 at one-decimal deltas: p1 often sits exactly at
+    distance delta, where the scalar and the batch oracle must still agree."""
+    rng = np.random.default_rng(9)
+    count = 6000
+    p0 = np.round(rng.uniform(-1.0, 1.0, (count, 2)), 1)
+    p1 = np.round(p0 + rng.uniform(-1.5, 1.5, (count, 2)), 1)
+    deltas = rng.choice([0.3, 0.5, 0.7, 1.0, 1.3], count)
+    checks = 0
+    for a, b, delta in zip(p0.tolist(), p1.tolist(), deltas.tolist()):
+        pts = [tuple(a), tuple(b), tuple(a)]
+        for metric in METRICS:
+            dense = shortcut_matrix_dense(np.asarray(pts), delta, metric)
+            assert shortcut_is_valid(pts, 0, 2, delta, metric) == dense[0, 2], (pts, delta, metric)
+            checks += 1
+    assert checks == 18_000
+
+
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
 def test_metric_given_by_value(metric):
     rng = np.random.default_rng(4)

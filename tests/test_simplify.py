@@ -129,10 +129,10 @@ class TestOptimalityProperties:
         # vertex 0 ties between 1 and 2 and takes the smaller index; the
         # empty list of vertex 3 stands for the link <p_3, p_4>
         lists = [[1, 2], [3], [3], [], []]
-        d, parent = link_distances(5, lists.__getitem__)
+        d, parent = link_distances(5, (lists[i] for i in range(3, -1, -1)))
         assert d == [3, 2, 2, 1, 0]
         assert parent == [1, 3, 3, 4, -1]
-        assert link_distances(1, lists.__getitem__) == ([0], [-1])
+        assert link_distances(1, iter([])) == ([0], [-1])
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_wavefront_equals_baseline_sizes(self, metric):
@@ -161,12 +161,19 @@ class TestOptimalityProperties:
             assert d[i] <= d[i + 1] + 1
             assert 1 <= d[i] <= n - 1 - i
 
-    def test_parallel_two_pass_matches_sequential(self):
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("algo", ["wavefront", "baseline"])
+    def test_parallel_two_pass_matches_sequential(self, algo, metric):
+        # 120 vertices: enough for the pool to run rather than fall back
         rng = np.random.default_rng(4)
         pts = [tuple(p) for p in rng.uniform(0, 10, (120, 2))]
-        seq = simplify(pts, 1.5)
-        par = simplify(pts, 1.5, workers=2)
+        seq = simplify(pts, 1.5, metric, algo=algo)
+        par = simplify(pts, 1.5, metric, algo=algo, workers=2)
         assert seq.indices == par.indices
+        assert par.stats.pop("parallel_workers") == 2
+        for res in (seq, par):
+            del res.stats["wall_ms_per_phase"]
+        assert par.stats == seq.stats
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_parallel_stats_equal_sequential(self, metric):

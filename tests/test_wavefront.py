@@ -209,7 +209,7 @@ class TestStrictInvariants:
         cfg = VerifyConfig(count=40, seed=808, strict=True)
         for idx in range(40):
             pts, delta, _ = random_instance(cfg, idx)
-            problems, _, _ = check_instance(pts, delta, Metric.L2, strict=True)
+            problems, _ = check_instance(pts, delta, Metric.L2, strict=True)
             assert problems == [], problems
 
     def test_checker_catches_fault_injection(self):
