@@ -14,7 +14,7 @@ import time
 
 from . import __version__, bench, polyio, svgdebug
 from .geometry import Metric
-from ._engine import SweepStats, prepare, sweep_targets
+from ._engine import SweepStats, prepare, sweeps
 from .simplify import InvalidInputError, _simplify_impl, nu_diagnostics, preprocess
 from .verify import VerifyConfig, run_verify
 
@@ -169,8 +169,7 @@ def _cmd_stats(args) -> int:
     work, kern = prepare(poly.vertices, args.metric)
     per_start = []
     total = SweepStats()
-    for i in range(poly.n - 1):
-        _, sw = sweep_targets(work, i, args.delta, kern)
+    for _, sw in sweeps(work, range(poly.n - 1), args.delta, kern):
         per_start.append(sw.stats.max_arc_count)
         total.fold(sw.stats)
     out = {

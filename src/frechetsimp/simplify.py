@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from ._engine import SweepStats, prepare, sweep_targets
+from ._engine import _BATCH_MIN_ROWS, CASES, SweepStats, prepare, sweep_targets, sweeps
 from .geometry import Metric, lp_distance
 
 __all__ = ["SimplificationResult", "Polyline", "preprocess", "simplify",
@@ -89,8 +89,7 @@ def _target_lists(pts, delta: float, metric: Metric, algo: str, starts, total: S
                 sweep_targets(work, i, delta, kern, svg_sink=svg_sink)
             yield oracle.valid_targets_from(coords, i, delta, metric).tolist()
         return
-    for i in starts:
-        targets, sw = sweep_targets(work, i, delta, kern, svg_sink=svg_sink)
+    for targets, sw in sweeps(work, starts, delta, kern, svg_sink=svg_sink):
         total.fold(sw.stats)
         yield targets
 
@@ -133,7 +132,8 @@ def link_distance_table(pts, delta: float, metric: Metric = Metric.L2,
         lists = _target_lists(pts, delta, metric, algo, range(n - 2, -1, -1), total, svg_sink)
         d, parent = link_distances(n, lists)
         return d, parent, total
-    chunk = max(8, n // (workers * 8))
+    # no chunk is too short for the batched square sweeps
+    chunk = max(_BATCH_MIN_ROWS, n // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as ex:
         # the lowest start vertices sweep the longest, so their chunks go
         # first; the table consumes the chunks last to first
@@ -182,7 +182,12 @@ def _simplify_impl(points, delta: float, metric: Metric, algo: str,
         indices[-1] = n_orig - 1   # a collapsed duplicate run at the end keeps the true endpoint
     stats = {"max_wavefront_size": total.max_arc_count,
              "max_segment_count": total.max_segment_count,
-             "sweep_aborts": total.aborts}
+             "sweep_aborts": total.aborts,
+             "sweep_steps": total.steps,
+             "case_histogram": {case: total.case_histogram[case] for case in CASES
+                                if case in total.case_histogram},
+             "arcs_inserted": total.inserted,
+             "arcs_removed": total.removed}
     if workers > 1 and svg_sink is None:
         stats["parallel_workers"] = workers
     stats["wall_ms_per_phase"] = {

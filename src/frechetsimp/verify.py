@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from ._engine import SweepStats, prepare, sweep_targets
+from ._engine import SweepStats, prepare, sweeps
 from .diagnostics import InvariantChecker
 from .geometry import InternalGeometryError, Metric
 from .simplify import link_distances
@@ -170,9 +170,8 @@ def _sweep_sets(pts_list, delta: float, metric: Metric, strict: bool):
     work, kern = prepare(pts_list, metric)
     sets = []
     total = SweepStats()
-    for i in range(len(work) - 1):
-        checker = InvariantChecker() if strict else None
-        targets, sw = sweep_targets(work, i, delta, kern, checker=checker)
+    for targets, sw in sweeps(work, range(len(work) - 1), delta, kern,
+                              InvariantChecker if strict else None):
         sets.append(targets)
         total.fold(sw.stats)
     return sets, total

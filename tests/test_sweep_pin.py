@@ -4,13 +4,17 @@ The engine's hot path is tuned for speed without changing a single floating
 point decision, so every sweep here must reproduce the recorded digest of its
 per-start target lists, its summed case histogram and its gauges exactly.
 A change that moves any of these values changed the sweep's arithmetic.
+The square sweeps must reproduce them through the batched entry
+``_engine.sweeps`` too, which also has to match the per-start loop in every
+target, counter, final state and exception.
 """
 import dataclasses
 import hashlib
 
 import pytest
 
-from frechetsimp._engine import CASES, VALID, Sweep, prepare, sweep_targets
+from frechetsimp import _engine
+from frechetsimp._engine import CASES, VALID, Sweep, prepare, sweep_targets, sweeps
 from frechetsimp.diagnostics import InvariantChecker
 from frechetsimp.geometry import Metric
 
@@ -32,7 +36,32 @@ TIE_INPUTS = {
 }
 
 
-def sweep_summary(pts, delta, metric):
+def each_sweep(work, starts, delta, kern, batched=False):
+    """(i, (targets, sweep) or the exception its sweep raised) per start vertex.
+
+    ``batched`` takes the sweeps from ``sweeps``, whose generator ends at a
+    raise; it is then called again on the start vertices after that one.
+    """
+    todo = list(starts)
+    while todo:
+        rows = sweeps(work, todo, delta, kern) if batched else (
+            sweep_targets(work, i, delta, kern) for i in todo)
+        done = todo
+        todo = []
+        for k, i in enumerate(done):
+            try:
+                res = next(rows)
+            except Exception as exc:  # noqa: BLE001 - the failure itself is compared
+                yield i, exc
+                if batched:
+                    todo = done[k + 1:]
+                    break
+                rows = (sweep_targets(work, i, delta, kern) for i in done[k + 1:])
+                continue
+            yield i, res
+
+
+def sweep_summary(pts, delta, metric, batched=False):
     """Digest of every start vertex's targets plus the summed sweep stats.
 
     A sweep that raises adds its start vertex and exception type to the
@@ -42,12 +71,11 @@ def sweep_summary(pts, delta, metric):
     digest = hashlib.sha256()
     hist = {}
     max_arcs = max_segs = aborts = 0
-    for i in range(len(work) - 1):
-        try:
-            targets, sw = sweep_targets(work, i, delta, kern)
-        except Exception as exc:  # noqa: BLE001 - the failure itself is pinned
-            digest.update(repr((i, type(exc).__name__)).encode())
+    for i, res in each_sweep(work, range(len(work) - 1), delta, kern, batched):
+        if isinstance(res, Exception):
+            digest.update(repr((i, type(res).__name__)).encode())
             continue
+        targets, sw = res
         digest.update(repr((i, targets)).encode())
         for case, k in sw.stats.case_histogram.items():
             hist[case] = hist.get(case, 0) + k
@@ -193,12 +221,21 @@ def _stepwise_targets(pts, i, delta, kern, checker):
 def _outcome(run):
     """Targets, stats and final state of a sweep, or the exception it raised."""
     try:
-        targets, sw = run()
+        res = run()
     except Exception as exc:  # noqa: BLE001 - the failure itself is compared
-        return ("raised", type(exc).__name__, str(exc))
+        res = exc
+    return _state(res)
+
+
+def _state(res):
+    """``_outcome`` of a (targets, sweep) pair or of the exception raised instead;
+    the case histogram is compared in its order of first occurrence too."""
+    if isinstance(res, Exception):
+        return ("raised", type(res).__name__, str(res))
+    targets, sw = res
     arcs = [(a.k0, a.k1, a.x0, a.y0, a.x1, a.y1, a.cx, a.cy, a.idx, a.ck) for a in sw.arcs]
-    return repr((targets, dataclasses.asdict(sw.stats), sw.aborted, sw.rot,
-                 sw.kr, sw.kl, sw.ur, sw.ul, arcs, sw.keys))
+    return repr((targets, dataclasses.asdict(sw.stats), list(sw.stats.case_histogram),
+                 sw.aborted, sw.rot, sw.kr, sw.kl, sw.ur, sw.ul, arcs, sw.keys))
 
 
 @pytest.mark.parametrize("checked", [False, True], ids=["plain", "checker"])
@@ -217,3 +254,59 @@ def test_sweep_targets_matches_the_stepwise_api(name, metric, checked):
         assert fast == stepwise, i
         raised += fast[0] == "raised"
     assert raised < len(work) - 1      # some sweeps run to the end
+
+
+SQUARE = [Metric.LINF, Metric.L1]
+
+
+@pytest.mark.parametrize("metric", SQUARE, ids=lambda m: m.value)
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_batched_sweep_outputs_are_pinned(name, metric):
+    make, delta = INPUTS[name]
+    assert sweep_summary(make(), delta, metric, batched=True) == PINNED[(name, metric.value)]
+
+
+@pytest.mark.parametrize("metric", SQUARE, ids=lambda m: m.value)
+@pytest.mark.parametrize("name", sorted(TIE_INPUTS))
+def test_batched_tie_sweeps_are_pinned(name, metric):
+    # some of these sweeps raise: the digest pins at which start vertex, and what
+    make, delta = TIE_INPUTS[name]
+    assert sweep_summary(make(), delta, metric, batched=True) == TIE_PINNED[(name, metric.value)]
+
+
+# longer than the batch's row threshold; each seed differs from the pins'
+DIFF_INPUTS = {
+    "drift": (lambda: drift_walk(260, 3), 1.0, "descending"),
+    "stopgo": (lambda: stop_and_go(240, 5), 1.0, "descending"),
+    "quantized": (lambda: quantized(stop_and_go(220, 9, leg=16, dwell=10), 0.01), 0.8,
+                  "ascending"),
+    "lattice": (lambda: lattice_walk(200, 4), 1.5, "ascending"),
+}
+
+
+@pytest.mark.parametrize("metric", SQUARE, ids=lambda m: m.value)
+@pytest.mark.parametrize("name", sorted(DIFF_INPUTS))
+def test_batched_sweeps_match_the_per_start_loop(name, metric, monkeypatch):
+    make, delta, order = DIFF_INPUTS[name]
+    work, kern = prepare(make(), metric)
+    starts = list(range(len(work) - 1))
+    if order == "descending":           # simplify's order; verify and stats ascend
+        starts.reverse()
+    assert len(starts) > 2 * _engine._BATCH_MIN_ROWS
+    reference = list(each_sweep(work, starts, delta, kern))
+    scalar_steps = 0
+    step = Sweep._step
+
+    def counted(sw, j):
+        nonlocal scalar_steps
+        scalar_steps += 1
+        return step(sw, j)
+    monkeypatch.setattr(Sweep, "_step", counted)
+    batched = [(i, _state(res)) for i, res in each_sweep(work, starts, delta, kern, True)]
+    assert batched == [(i, _state(res)) for i, res in reference]
+    if any(isinstance(res, Exception) for _, res in reference):
+        return                  # each raise runs the rest of its block again
+    steps = sum(res[1].stats.steps for _, res in reference)
+    assert scalar_steps < steps            # the batch took steps of its own
+    if name == "drift" and metric is Metric.LINF:
+        assert scalar_steps < 0.1 * steps  # nearly all of them: one arc throughout
