@@ -1,15 +1,18 @@
-"""Batched square sweeps: many start vertices' one-arc steps in numpy tiles.
+"""Batched sweeps: many start vertices' one-arc steps in numpy tiles.
 
-``_engine.sweeps`` hands a block of start vertices here when their sweeps
-run on ``SquareKernel`` (Linf, and L1 on its image).  While a sweep's
+``_engine.sweeps`` hands a block of start vertices here, on either kernel
+(disks for L2, squares for Linf and L1 on its image).  While a sweep's
 wavefront is one arc (or still empty), its PREFIX, INIT, BB and WEDGE_EMPTY
 steps advance in tiles of start vertices x steps; every other step is
-``Sweep._step``'s, from the same state.  Keys and distances come from
-``math.atan2`` and ``math.hypot``, one call per element, since numpy's
-vectorised versions round differently on some inputs; numpy does only
-+ - * /, comparisons and ``np.where`` selections, each mirroring a scalar
-conditional in its order, so every target, counter, final state and
-exception is the per-start loop's, bit for bit.
+``Sweep._step``'s, from the same state.  The block talks to the kernel
+through the numpy mirrors of its primitives (``tangent_points_np``,
+``ray_hits_np``, and the square's ``arc_segments_np`` for the segment gauge).
+Keys and distances come from ``math.atan2`` and ``math.hypot``, one call
+per element, since numpy's vectorised versions round differently on some
+inputs; numpy does only + - * /, sqrt, comparisons and ``np.where``
+selections, each mirroring a scalar conditional in its order, so every
+target, counter, final state and exception is the per-start loop's, bit for
+bit.
 """
 from __future__ import annotations
 
@@ -18,8 +21,7 @@ from array import array
 
 import numpy as np
 
-from ._engine import (_HALF_PI, _KEY_SLACK, _PI, _TAU, EPS_ANGLE, EPS_REL, VALID, Arc,
-                      SquareKernel, Sweep)
+from ._engine import _HALF_PI, _KEY_SLACK, _PI, _TAU, EPS_ANGLE, EPS_REL, VALID, Arc, Sweep
 
 _BLOCK_ROWS = 256       # start vertices batched together
 _TILE_SIZE = 2048       # rows x steps of one tile, at most
@@ -35,17 +37,18 @@ _F = ("rot", "kr", "kl", "urx", "ury", "ulx", "uly",
 _C = ("PREFIX", "INIT", "BB", "WEDGE_EMPTY", "segs")
 
 
-def square_sweeps(pts, starts: list, delta: float):
+def batched_sweeps(pts, starts: list, delta: float, kern):
     """Per start vertex, in order: its sweep's (targets, sweep) pair or the
     exception it raised, computed in blocks of ``_BLOCK_ROWS``."""
     coords = np.asarray(pts, dtype=float).reshape(-1, 2)
     X = np.ascontiguousarray(coords[:, 0])
     Y = np.ascontiguousarray(coords[:, 1])
     for b in range(0, len(starts), _BLOCK_ROWS):
-        yield from SquareBlock(pts, X, Y, starts[b:b + _BLOCK_ROWS], delta).run()
+        yield from Block(pts, X, Y, starts[b:b + _BLOCK_ROWS], delta, kern).run()
 
 
 # -- elementwise mirrors of the scalar rules ------------------------------------
+# The engine's own rules; the kernels' mirrors sit next to their scalar twins.
 # Each takes and returns numpy arrays and does only + - * /, comparisons and
 # selections, in the order the scalar code does them, so every float agrees
 # with it bit for bit.
@@ -55,72 +58,10 @@ def _wrap(a):
     return np.where(a <= -_PI, a + _TAU, np.where(a > _PI, a - _TAU, a))
 
 
-def _corner_offset(a, rot, ck):
+def _touch_offset(a, rot, ck):
     """A touch point's key offset from the center key, as ``_step_proper``."""
     off = _wrap(a - rot) - ck
     return np.where((off <= -_PI) | (off > _PI), _wrap(np.fmod(off, _TAU)), off)
-
-
-def _silhouette(ax, ay, cx, cy, delta):
-    """``SquareKernel.tangent_points`` where it returns two corners:
-    (x0, y0, x1, y1, two), ``two`` False where it returns None or four."""
-    dx = ax - cx
-    dy = ay - cy
-    adx = np.abs(dx)
-    ady = np.abs(dy)
-    s = adx + ady
-    m = s * (1e-7 + 1e-12 * s / delta)
-    far = delta + m
-    near = delta - m
-    xs = adx > far
-    corner = xs & (ady > far)
-    xside = xs & (ady < near)
-    yside = ~xs & (ady > far) & (adx < near)
-    west, east = cx - delta, cx + delta
-    south, north = cy - delta, cy + delta
-    same = (dx > 0.0) == (dy > 0.0)
-    x0 = np.where(xside, np.where(dx > 0.0, east, west), west)
-    x1 = np.where(xside, x0, east)
-    y0 = np.where(corner, np.where(same, north, south),
-                  np.where(xside, south, np.where(dy > 0.0, north, south)))
-    y1 = np.where(corner, np.where(same, south, north), np.where(xside, north, y0))
-    return x0, y0, x1, y1, corner | xside | yside
-
-
-def _slab(ax, ay, ux, uy, cx, cy, delta):
-    """``SquareKernel.ray_hits``: (lo, hi, hit).  Where ``hit``, the scalar
-    returns (lo, hi), or (hi,) when lo < 0; elsewhere ()."""
-    tol = EPS_REL * delta
-    a = (cx - delta - ax) / ux
-    b = (cx + delta - ax) / ux
-    lo = np.where(a > b, b, a)
-    hi = np.where(a > b, a, b)
-    a = (cy - delta - ay) / uy
-    b = (cy + delta - ay) / uy
-    t1 = np.where(a > b, b, a)
-    t2 = np.where(a > b, a, b)
-    zx = (-1e-300 < ux) & (ux < 1e-300)
-    zy = (-1e-300 < uy) & (uy < 1e-300)
-    miss = False
-    if zx.any() or zy.any():
-        # a near-zero direction component skips its slab, or misses it
-        d = ax - cx
-        miss = zx & ((d > delta + tol) | (-d > delta + tol))
-        d = ay - cy
-        miss |= zy & ((d > delta + tol) | (-d > delta + tol))
-        lo = np.where(zx, -np.inf, lo)
-        hi = np.where(zx, np.inf, hi)
-        t1 = np.where(zy, lo, t1)
-        t2 = np.where(zy, hi, t2)
-    lo = np.where(t1 > lo, t1, lo)
-    hi = np.where(t2 < hi, t2, hi)
-    crossed = lo > hi
-    graze = crossed & (lo - hi <= tol / np.maximum(np.abs(ux), np.abs(uy)))
-    if graze.any():
-        mid = 0.5 * (lo + hi)
-        lo = np.where(graze, mid, lo)
-        hi = np.where(graze, mid, hi)
-    return lo, hi, ~(miss | (crossed & ~graze) | (hi < 0.0))
 
 
 def _short(w, q1, q2, delta):
@@ -128,22 +69,6 @@ def _short(w, q1, q2, delta):
     tau = EPS_REL * (delta + w + q2)
     d = w - q1
     return ~((q2 - q1 <= tau) & (-tau <= d) & (d <= tau)) & (w < q1 - tau)
-
-
-def _segments(ax, ay, cx, cy, delta, x0, y0, x1, y1):
-    """``SquareKernel.arc_segments``."""
-    tol = 1e-7 * delta
-    west, east = cx - delta, cx + delta
-    south, north = cy - delta, cy + delta
-    one = (((np.abs(x0 - west) <= tol) & (np.abs(x1 - west) <= tol))
-           | ((np.abs(x0 - east) <= tol) & (np.abs(x1 - east) <= tol))
-           | ((np.abs(y0 - south) <= tol) & (np.abs(y1 - south) <= tol))
-           | ((np.abs(y0 - north) <= tol) & (np.abs(y1 - north) <= tol)))
-    kx = np.where(ax < cx, west, east)
-    ky = np.where(ay < cy, south, north)
-    one |= (((np.abs(kx - x0) <= tol) & (np.abs(ky - y0) <= tol))
-            | ((np.abs(kx - x1) <= tol) & (np.abs(ky - y1) <= tol)))
-    return np.where(one, 1, 2)
 
 
 def _libm(fn, a, b, flat):
@@ -158,18 +83,19 @@ def _lag(x, carry, first, col):
     out = np.empty_like(x)
     out[:, 1:] = x[:, :-1]
     out[:, 0] = carry
-    return np.where(col <= first, carry[:, None], out)
+    np.copyto(out, carry[:, None], where=col <= first)
+    return out
 
 
 def _cone(Ac, A0, A1, rot):
-    """Per step, from the center and silhouette-corner atan2s: the center key k
-    (as ``_locate``), its unwrapped ck, the right and left corners' offsets
-    from ck, and whether corner 1 (not corner 0) is the right and the left
-    one, as ``_step_proper`` picks them."""
+    """Per step, from the center and touch point atan2s: the center key k (as
+    ``_locate``), its unwrapped ck, the right and left touch points' offsets
+    from ck, and whether touch point 1 (not 0) is the right and the left one,
+    as ``_step_proper`` picks them."""
     k = _wrap(Ac - rot)
     ck = np.where(k <= -_HALF_PI, k + _TAU, k)
-    off0 = _corner_offset(A0, rot, ck)
-    off1 = _corner_offset(A1, rot, ck)
+    off0 = _touch_offset(A0, rot, ck)
+    off1 = _touch_offset(A1, rot, ck)
     rs = off1 < off0
     ls = off1 > off0
     return k, ck, np.where(rs, off1, off0), np.where(ls, off1, off0), rs, ls
@@ -184,17 +110,18 @@ def _ffill(setting, col, ux, uy, carry_x, carry_y):
             np.where(src >= 0, uy[pick], carry_y[:, None]))
 
 
-def _clip_end(cut, ax, ay, ux, uy, cx, cy, x, y, delta):
+def _clip_end(hits, cut, ax, ay, ux, uy, cx, cy, x, y, delta):
     """``Sweep._clip`` at one end: the end point moves to where the wedge ray
-    (ux, uy) crosses the arc's square, where ``cut``.  Returns (x, y, missed),
-    ``missed`` where the ray misses the square (the scalar grazes or raises)."""
-    lo, hi, hit = _slab(ax, ay, ux, uy, cx, cy, delta)
+    (ux, uy) crosses the arc's circle, where ``cut``; ``hits`` is the kernel's
+    ``ray_hits_np``.  Returns (x, y, missed), ``missed`` where the ray misses
+    the circle (the scalar grazes or raises)."""
+    lo, hi, hit = hits(ax, ay, ux, uy, cx, cy, delta)
     t = np.where(lo < 0.0, hi, lo)
     return np.where(cut, ax + t * ux, x), np.where(cut, ay + t * uy, y), cut & ~hit
 
 
-class SquareBlock:
-    """Square sweeps of a block of start vertices, advanced one tile at a time.
+class Block:
+    """Sweeps of a block of start vertices, advanced one tile at a time.
 
     A tile is the block's batch rows times a few steps.  Every row whose
     wavefront is one arc (or still empty) takes its PREFIX, INIT, BB and
@@ -203,8 +130,8 @@ class SquareBlock:
     the unit rays are forward-filled from the last step that set them, and
     the arc a step clips is the previous step's.  The first step of any
     other kind (another case, a ``_side`` tie, a ray miss, a seam shift, four
-    silhouette corners, the apex inside C_j, a zero offset, or a locate that
-    would raise) goes to ``Sweep._step`` from the same state, and the row
+    square silhouette corners, the apex inside C_j, a zero offset, or a locate
+    that would raise) goes to ``Sweep._step`` from the same state, and the row
     runs there to the end of the tile.  It comes back at a tile boundary once
     its last ``_CALM`` scalar steps were BB steps from one arc to one arc:
     the steps a tile computes past a row's hand-off are wasted, so a row that
@@ -215,15 +142,16 @@ class SquareBlock:
     most hand off or abort, and long sweeps then take few array calls.
     """
 
-    def __init__(self, pts, X, Y, starts, delta):
+    def __init__(self, pts, X, Y, starts, delta, kern):
         n = len(pts)
         self.n = n
-        self.X, self.Y, self.delta = X, Y, delta
+        self.X, self.Y, self.delta, self.kern = X, Y, delta, kern
         self.I = I = np.asarray(starts, dtype=np.intp)
         self.last = (n - 1) - I                    # offset of each row's last step
         self.AX = X[I]
         self.AY = Y[I]
-        self.sws = [Sweep(pts, i, delta, SquareKernel) for i in starts]
+        self.sws = [Sweep(pts, i, delta, kern) for i in starts]
+        self.square = self.sws[0].square            # gauge the square segments
         # targets as packed int64 until a row is done: a block holds many rows' lists
         self.outs = [array("q") for _ in starts]
         self.res = [None] * len(starts)
@@ -363,8 +291,15 @@ class SquareBlock:
         py = self.Y[J]
         dx = px - ax
         dy = py - ay
-        near = np.maximum(np.abs(dx), np.abs(dy)) <= delta   # apex in C_j: PREFIX or handed off
-        tx0, ty0, tx1, ty1, two = _silhouette(ax, ay, px, py, delta)
+        tx0, ty0, tx1, ty1, two = self.kern.tangent_points_np(ax, ay, px, py, delta)
+        # the apex in C_j, a PREFIX step or a hand-off: by the kernel's distance,
+        # or where the disk's tangent_points finds it inside (as _step_proper)
+        if self.square:
+            near = np.maximum(np.abs(dx), np.abs(dy)) <= delta
+            dc = None
+        else:
+            dc = _libm(math.hypot, dx, dy, np.flatnonzero(inrow))   # _locate's dist too
+            near = (dc <= delta) | ~two
         noarc = self.mode[rows] == _NO_ARC
         proper = inrow & ~near
         q = np.where(proper.any(1), proper.argmax(1), T)   # a no-arc row's INIT column
@@ -375,6 +310,7 @@ class SquareBlock:
         Ac = _libm(atan2, dy, dx, flat)
         A0 = _libm(atan2, ty0 - ay, tx0 - ax, flat)
         A1 = _libm(atan2, ty1 - ay, tx1 - ax, flat)
+        del flat
         start = np.where(noarc, T, 0)       # first column of a row's one-arc steps
         handoffs = []
 
@@ -421,8 +357,10 @@ class SquareBlock:
                 ji = J[ib, iq][ok]
                 self.IDX[g] = ji
                 C[1, g] += 1
-                segs = _segments(iax, iay, cx, cy, delta, trx, tr_y, tlx, tly)[ok]
-                C[4, g] = np.maximum(C[4, g], segs)
+                if self.square:
+                    segs = self.kern.arc_segments_np(iax, iay, cx, cy, delta,
+                                                     trx, tr_y, tlx, tly)[ok]
+                    C[4, g] = np.maximum(C[4, g], segs)
                 for r, j in zip(g.tolist(), ji.tolist()):
                     self.outs[r].append(j)
                 self.mode[g] = _ONE_ARC
@@ -430,25 +368,39 @@ class SquareBlock:
         for r, o in handoffs:
             self._hand_off(r, o)
 
-        # BB and WEDGE_EMPTY steps of the rows with one arc
+        # BB and WEDGE_EMPTY steps of the rows with one arc, from each step's
+        # cone in the row's frame: its keys and its right and left touch points
         sub = np.nonzero(start < T)[0]
         if sub.size == rows.size:
             sub = slice(None)
-        if rows[sub].size:
-            self._one_arc(rows[sub], start[sub], o0, col, inrow[sub], J[sub],
-                          ax[sub], ay[sub], px[sub], py[sub], dx[sub], dy[sub],
-                          need[sub], near[sub] | ~two[sub], Ac[sub], A0[sub], A1[sub],
-                          tx0[sub], ty0[sub], tx1[sub], ty1[sub])
+        if not rows[sub].size:
+            return
+        ax = ax[sub]
+        ay = ay[sub]
+        k, ck, r, l, rs, ls = _cone(Ac[sub], A0[sub], A1[sub], F[0, rows[sub]][:, None])
+        del Ac, A0, A1
+        rx = np.where(rs, tx1[sub], tx0[sub]) - ax
+        ry = np.where(rs, ty1[sub], ty0[sub]) - ay
+        lx = np.where(ls, tx1[sub], tx0[sub]) - ax
+        ly = np.where(ls, ty1[sub], ty0[sub]) - ay
+        del rs, ls, tx0, ty0, tx1, ty1
+        self._one_arc(rows[sub], start[sub], o0, col, inrow[sub], J[sub], ax, ay,
+                      px[sub], py[sub], dx[sub], dy[sub], None if dc is None else dc[sub],
+                      need[sub], near[sub] | ~two[sub], k, ck, ck + r, ck + l, rx, ry, lx, ly)
 
-    def _one_arc(self, rows, start, o0, col, inrow, J, ax, ay, px, py, dx, dy,
-                 need, early, Ac, A0, A1, tx0, ty0, tx1, ty1):
+    def _one_arc(self, rows, start, o0, col, inrow, J, ax, ay, px, py, dx, dy, dc,
+                 need, early, k, ck, r, l, rx, ry, lx, ly):
         """BB and WEDGE_EMPTY steps of one-arc rows, each from its column ``start`` on.
 
-        ``need`` marks the columns with a proper step from two silhouette
-        corners (where Ac, A0 and A1 hold the center and corner atan2s), and
-        ``early`` those that hand off before any arithmetic of the step.
+        ``need`` marks the columns with a proper step from two tangent points,
+        and ``early`` those that hand off before any arithmetic of the step.
+        Where ``need``, k and ck are C_j's center key (as ``_locate``) and its
+        unwrapped twin, r and l the cone's right and left keys, and (rx, ry)
+        and (lx, ly) its right and left touch points less the apex.  ``dc`` is
+        |p_j - apex| (``math.hypot``) where the caller computed it, or None.
         """
         delta = self.delta
+        ray_hits = self.kern.ray_hits_np
         E = EPS_ANGLE
         T = col.size
         (rot, kr_in, kl_in, urx_in, ury_in, ulx_in, uly_in,
@@ -456,9 +408,6 @@ class SquareBlock:
         s = start[:, None]
         on = col >= s
         need = need & on
-        k, ck, r, l, rs, ls = _cone(Ac, A0, A1, rot[:, None])
-        r = ck + r                          # the cone's right and left keys
-        l = ck + l
         # the wedge: running max of the right keys, running min of the left
         kr = np.maximum.accumulate(
             np.concatenate([kr_in[:, None], np.where(inrow & on, r, -np.inf)], 1), 1)[:, 1:]
@@ -472,6 +421,9 @@ class SquareBlock:
                         & ((l + -_TAU < pkr - E) | (r + -_TAU > pkl + E)))
         nkl = np.where(l < pkl, l, pkl)
         emptied = nkl < kr - E
+        # locate_vertex(j) against the wedge the step starts from
+        outside = (k < pkr - _KEY_SLACK) | (k > pkl + _KEY_SLACK)
+        del pkr, pkl
         # no step runs past a seam or an early exit, nor past an emptied
         # wedge or a zero offset, so the tile is computed up to the first
         halt = on & (~inrow | early | seam)
@@ -479,11 +431,6 @@ class SquareBlock:
         set_r = need & (col < f) & (kr <= r + E)
         set_l = need & (col < f) & (nkl >= l - E)
         del r, l, nkl
-        rx = np.where(rs, tx1, tx0) - ax
-        ry = np.where(rs, ty1, ty0) - ay
-        lx = np.where(ls, tx1, tx0) - ax
-        ly = np.where(ls, ty1, ty0) - ay
-        del rs, ls, tx0, ty0, tx1, ty1
         dr = _libm(math.hypot, rx, ry, np.flatnonzero(set_r))
         dl = _libm(math.hypot, lx, ly, np.flatnonzero(set_l))
         zero = (set_r & (dr == 0.0)) | (set_l & (dl == 0.0))
@@ -492,45 +439,51 @@ class SquareBlock:
         T2 = min(T, int(f.max()) + 1)
         if T2 < T:
             (col, on, inrow, J, px, py, dx, dy, need, early, seam, empty, zero, emptied,
-             k, ck, kr, kl, pkr, pkl, set_r, set_l, rx, ry, lx, ly, dr, dl) = (
+             k, ck, kr, kl, outside, set_r, set_l, rx, ry, lx, ly, dr, dl) = (
                 a[..., :T2] for a in (
                     col, on, inrow, J, px, py, dx, dy, need, early, seam, empty, zero, emptied,
-                    k, ck, kr, kl, pkr, pkl, set_r, set_l, rx, ry, lx, ly, dr, dl))
+                    k, ck, kr, kl, outside, set_r, set_l, rx, ry, lx, ly, dr, dl))
+            if dc is not None:
+                dc = dc[:, :T2]
         upto = need & (col <= f[:, None])
         # unit rays, forward-filled from the last step that set them
         urx, ury = _ffill(set_r, col, rx / dr, ry / dr, urx_in, ury_in)
         ulx, uly = _ffill(set_l, col, lx / dl, ly / dl, ulx_in, uly_in)
         del rx, ry, lx, ly, dr, dl, set_r, set_l
-        # C_j on the wedge rays, and the arc a BB step would make
-        lo, r2, hit = _slab(ax, ay, urx, ury, px, py, delta)
-        r1 = np.where(lo < 0.0, 0.0, lo)
-        lo, l2, hit_l = _slab(ax, ay, ulx, uly, px, py, delta)
-        hit &= hit_l
-        l1 = np.where(lo < 0.0, 0.0, lo)
-        nx0 = ax + r1 * urx
-        ny0 = ay + r1 * ury
-        nx1 = ax + l1 * ulx
-        ny1 = ay + l1 * uly
-        # the previous step's arc, clipped to the new wedge, on the wedge rays
+        # the previous step's arc
         pk0 = _lag(kr, k0_in, s, col)
         pk1 = _lag(kl, k1_in, s, col)
         pcx = _lag(px, cx_in, s, col)
         pcy = _lag(py, cy_in, s, col)
-        wx0, wy0, missed = _clip_end(pk0 < kr - E, ax, ay, urx, ury, pcx, pcy,
+        # locate_vertex(j) on that arc
+        if dc is None:
+            dc = _libm(math.hypot, dx, dy, np.flatnonzero(upto))
+        lo, hi, hit = ray_hits(ax, ay, dx / dc, dy / dc, pcx, pcy, delta)
+        target = ~outside & (dc >= np.where(lo < 0.0, hi, lo) - EPS_REL * (delta + dc))
+        early |= ~outside & ~((pk0 - _KEY_SLACK <= k) & (k <= pk1 + _KEY_SLACK) & hit)
+        del dx, dy, dc, lo, hi, outside
+        # C_j on the wedge rays, and the arc a BB step would make
+        lo, r2, hit = ray_hits(ax, ay, urx, ury, px, py, delta)
+        r1 = np.where(lo < 0.0, 0.0, lo)
+        lo, l2, hit_l = ray_hits(ax, ay, ulx, uly, px, py, delta)
+        hit &= hit_l
+        l1 = np.where(lo < 0.0, 0.0, lo)
+        del lo, hit_l
+        nx0 = ax + r1 * urx
+        ny0 = ay + r1 * ury
+        nx1 = ax + l1 * ulx
+        ny1 = ay + l1 * uly
+        # that arc clipped to the new wedge, on the wedge rays
+        wx0, wy0, missed = _clip_end(ray_hits, pk0 < kr - E, ax, ay, urx, ury, pcx, pcy,
                                      _lag(nx0, x0_in, s, col), _lag(ny0, y0_in, s, col), delta)
-        wx1, wy1, missed_l = _clip_end(pk1 > kl + E, ax, ay, ulx, uly, pcx, pcy,
+        wx1, wy1, missed_l = _clip_end(ray_hits, pk1 > kl + E, ax, ay, ulx, uly, pcx, pcy,
                                        _lag(nx1, x1_in, s, col), _lag(ny1, y1_in, s, col), delta)
+        del pk0, pk1, pcx, pcy
         missed |= missed_l
         f3 = np.flatnonzero(upto & ~seam & ~zero & ~emptied)
         bb = (hit & _short(_libm(math.hypot, wx1 - ax, wy1 - ay, f3), l1, l2, delta)
               & _short(_libm(math.hypot, wx0 - ax, wy0 - ay, f3), r1, r2, delta))
-        del wx0, wy0, wx1, wy1, r1, r2, l1, l2
-        # locate_vertex(j) against the state the step starts from
-        dc = _libm(math.hypot, dx, dy, np.flatnonzero(upto))
-        outside = (k < pkr - _KEY_SLACK) | (k > pkl + _KEY_SLACK)
-        lo, hi, hit = _slab(ax, ay, dx / dc, dy / dc, pcx, pcy, delta)
-        target = ~outside & (dc >= np.where(lo < 0.0, hi, lo) - EPS_REL * (delta + dc))
-        early |= ~outside & ~((pk0 - _KEY_SLACK <= k) & (k <= pk1 + _KEY_SLACK) & hit)
+        del wx0, wy0, wx1, wy1, r1, r2, l1, l2, f3
         empty = ~early & (empty | (~seam & ~zero & emptied))
         stop = on & (~inrow | early | seam | zero | emptied | missed | ~bb)
         f = np.where(stop.any(1), stop.argmax(1), T)
@@ -538,14 +491,15 @@ class SquareBlock:
         fb = (rix, np.minimum(f, T2 - 1))
         aborts = (f < T) & inrow[fb] & empty[fb]
         taken = on & (col < f[:, None])
-        hits = (taken | ((col == f[:, None]) & aborts[:, None])) & target
+        got = (taken | ((col == f[:, None]) & aborts[:, None])) & target
         nbb = f - start
         C = self.C
         C[2, rows] += nbb
         C[3, rows] += aborts
-        segs = np.where(taken, _segments(ax, ay, px, py, delta, nx0, ny0, nx1, ny1), 0).max(1)
-        C[4, rows] = np.maximum(C[4, rows], segs)
-        bi, bj = np.nonzero(hits)
+        if self.square:
+            segs = self.kern.arc_segments_np(ax, ay, px, py, delta, nx0, ny0, nx1, ny1)
+            C[4, rows] = np.maximum(C[4, rows], np.where(taken, segs, 0).max(1))
+        bi, bj = np.nonzero(got)
         targets = J[bi, bj].astype(np.int64)
         cuts = np.searchsorted(bi, np.arange(len(rows) + 1)).tolist()
         for b, row in enumerate(rows.tolist()):

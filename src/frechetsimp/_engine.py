@@ -42,20 +42,23 @@ from libm on some inputs (SIMD builds), and the engine compares keys and
 distances against tight tolerances, so precomputed arrays would change
 decisions, not just the last digits of the output.
 
-Batched square sweeps.  ``sweeps(pts, starts, ...)`` runs the sweeps of many
-start vertices.  Under ``SquareKernel`` (Linf, and L1 on its image), with no
-checker or SVG sink and at least ``_BATCH_MIN_ROWS`` start vertices, it
-advances every sweep whose wavefront is one arc (or still empty) through its
-PREFIX, INIT, BB and WEDGE_EMPTY steps in tiles of start vertices x steps
-(``_batch.SquareBlock``), and hands every other step to ``Sweep._step`` from
-the same state.  The one-arc state is a few floats per sweep: the wedge keys are
-a running max and min, the unit rays are forward-filled, and the arc a step
-clips is the one the step before made.  Keys and distances still come from
-``math.atan2`` and ``math.hypot``, one call per element; numpy does only
-+ - * /, comparisons and ``np.where`` selections that mirror the scalar
-conditionals in their order, so every target, counter, final state and
-exception is the per-start loop's, bit for bit.  Fewer start vertices, a
-checker, a sink or ``CircleKernel`` run the per-start loop.
+Batched sweeps.  ``sweeps(pts, starts, ...)`` runs the sweeps of many start
+vertices.  With no checker or SVG sink and at least ``_BATCH_MIN_ROWS`` start
+vertices, it advances every sweep whose wavefront is one arc (or still empty)
+through its PREFIX, INIT, BB and WEDGE_EMPTY steps in tiles of start
+vertices x steps (``_batch.Block``), on either kernel, and hands every other
+step to ``Sweep._step`` from the same state.  The one-arc state is a few
+floats per sweep: the wedge keys are a running max and min, the unit rays are
+forward-filled, and the arc a step clips is the one the step before made.
+The block reaches the kernel through the numpy mirrors of its primitives
+(``tangent_points_np``, ``ray_hits_np``; ``arc_segments_np`` for the square
+segment gauge).  Keys and distances still come from ``math.atan2`` and
+``math.hypot``, one call per element (a disk's apex-in-C_j distance is the
+hypot ``_locate`` reads too); numpy does only + - * /, sqrt, comparisons and
+``np.where`` selections that mirror the scalar conditionals in their order,
+so every target, counter, final state and exception is the per-start loop's,
+bit for bit.  Fewer start vertices, a checker or a sink run the per-start
+loop.
 """
 from __future__ import annotations
 
@@ -320,6 +323,10 @@ class Sweep:
     def _step_proper(self, j: int, px: float, py: float) -> str:
         ax, ay = self.ax, self.ay
         corners = self.kern.tangent_points(ax, ay, px, py, self.delta)
+        if corners is None:
+            # the kernel finds the apex in C_j where ``distance`` did not (a
+            # disk's sqrt of the squares against hypot): it is the apex-inside step
+            return self._narrow(j, px, py, None) if self.arcs else "PREFIX"
         if self.rot is None:
             self._init_frame(px, py)
         rot = self.rot
@@ -906,11 +913,12 @@ def sweep_targets(pts: Sequence[Sequence[float]], i: int, delta: float, kern,
 
 
 # ---------------------------------------------------------------------------
-# All start vertices of a polyline: square sweeps batched in their one-arc regime
+# All start vertices of a polyline: sweeps batched in their one-arc regime
 # ---------------------------------------------------------------------------
 
 # fewer start vertices run the per-start loop: the tiles' fixed cost made the
-# batch slower at 32 start vertices and faster from 48 on (drift and gps slices)
+# batch slower at 32 start vertices on both kernels; from 48 on it is even or
+# faster where one-arc steps are common (gps slices; drift walks under Linf)
 _BATCH_MIN_ROWS = 48
 
 
@@ -921,19 +929,18 @@ def sweeps(pts: Sequence[Sequence[float]], starts, delta: float, kern,
     Each start vertex gets its own sweep, and the pairs come in the order of
     ``starts``; a sweep that raises raises here when its turn comes.
     ``make_checker()``, if given, builds each sweep's invariant checker.
-    Square sweeps (``SquareKernel``) of at least ``_BATCH_MIN_ROWS`` start
-    vertices, without checker or SVG sink, run batched (``_batch``); every
-    target, counter, final state and exception is the per-start loop's.
+    Sweeps of at least ``_BATCH_MIN_ROWS`` start vertices, without checker or
+    SVG sink, run batched (``_batch``) on either kernel; every target,
+    counter, final state and exception is the per-start loop's.
     """
     starts = list(starts)
-    if (kern is not SquareKernel or make_checker is not None or svg_sink is not None
-            or len(starts) < _BATCH_MIN_ROWS):
+    if make_checker is not None or svg_sink is not None or len(starts) < _BATCH_MIN_ROWS:
         for i in starts:
             checker = make_checker() if make_checker is not None else None
             yield sweep_targets(pts, i, delta, kern, checker=checker, svg_sink=svg_sink)
         return
-    from ._batch import square_sweeps   # imported only where sweeps are batched
-    for row in square_sweeps(pts, starts, float(delta)):
+    from ._batch import batched_sweeps   # imported only where sweeps are batched
+    for row in batched_sweeps(pts, starts, float(delta), kern):
         if isinstance(row, Exception):
             raise row
         yield row

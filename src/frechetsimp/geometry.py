@@ -18,6 +18,8 @@ import math
 from enum import Enum
 from typing import Optional, Sequence
 
+import numpy as np
+
 EPS_REL = 1e-9      # relative tolerance for coincidence tests
 EPS_ANGLE = 1e-12   # closed-wedge slack in radians
 
@@ -68,7 +70,10 @@ def _wrap_angle(a: float) -> float:
 # ---------------------------------------------------------------------------
 # Metric kernels: the few shape primitives the sweep needs, one namespace per
 # unit-circle shape.  All take unpacked floats; hot paths avoid tuples where
-# cheap to do so.
+# cheap to do so.  A primitive the batched sweeps use has an elementwise numpy
+# mirror next to it (``*_np``): it takes arrays that broadcast together and
+# does only + - * /, sqrt, comparisons and ``np.where`` selections, in the
+# scalar code's order, so every float is the scalar's, bit for bit.
 # ---------------------------------------------------------------------------
 
 _COINCIDENT = "coincident"
@@ -121,6 +126,27 @@ class CircleKernel:
         return (t1, t2)
 
     @staticmethod
+    def ray_hits_np(ax, ay, ux, uy, cx, cy, delta):
+        """``ray_hits`` elementwise: (lo, hi, hit).  Where ``hit``, the scalar
+        returns (lo, hi), or (hi,) when lo < 0; elsewhere ()."""
+        ox = cx - ax
+        oy = cy - ay
+        m = ux * ox + uy * oy
+        dd = ox * ox + oy * oy
+        del ox, oy
+        rr = delta * delta
+        inside = dd <= rr
+        disc = m * m - dd + rr
+        neg = disc < 0.0
+        graze = ~inside & neg & (disc >= -1e-12 * (dd + rr)) & (m > 0.0)
+        del dd
+        root = np.sqrt(np.where(neg, 0.0, disc))
+        del disc
+        lo = np.where(inside, -np.inf, np.where(graze, m, m - root))
+        hi = np.where(graze, m, m + root)
+        return lo, hi, inside | graze | (~neg & ~(hi < 0.0))
+
+    @staticmethod
     def tangent_points(ax: float, ay: float, cx: float, cy: float,
                        delta: float) -> Optional[tuple[Point, ...]]:
         """Boundary points where the tangents from the apex touch, or None if apex inside."""
@@ -140,6 +166,24 @@ class CircleKernel:
         p1 = (ax + c * ox - s * oy, ay + s * ox + c * oy)
         p2 = (ax + c * ox + s * oy, ay - s * ox + c * oy)
         return (p1, p2)
+
+    @staticmethod
+    def tangent_points_np(ax, ay, cx, cy, delta):
+        """``tangent_points`` elementwise: (x0, y0, x1, y1, two), ``two``
+        False where the scalar returns None."""
+        ox = cx - ax
+        oy = cy - ay
+        dd = ox * ox + oy * oy
+        two = ~(np.sqrt(dd) <= delta)
+        ll = dd - delta * delta
+        ll = np.where(ll < 0.0, 0.0, ll)
+        c = ll / dd
+        s = np.sqrt(ll) * delta / dd
+        cox = c * ox
+        coy = c * oy
+        sox = s * ox
+        soy = s * oy
+        return ax + cox - soy, ay + sox + coy, ax + cox + soy, ay - sox + coy, two
 
     @staticmethod
     def boundary_intersections(c1x: float, c1y: float, c2x: float, c2y: float,
@@ -245,6 +289,43 @@ class SquareKernel:
         return (lo, hi)
 
     @staticmethod
+    def ray_hits_np(ax, ay, ux, uy, cx, cy, delta):
+        """``ray_hits`` elementwise: (lo, hi, hit), as ``CircleKernel.ray_hits_np``."""
+        tol = EPS_REL * delta
+        a = (cx - delta - ax) / ux
+        b = (cx + delta - ax) / ux
+        lo = np.where(a > b, b, a)
+        hi = np.where(a > b, a, b)
+        a = (cy - delta - ay) / uy
+        b = (cy + delta - ay) / uy
+        t1 = np.where(a > b, b, a)
+        t2 = np.where(a > b, a, b)
+        del a, b
+        zx = (-1e-300 < ux) & (ux < 1e-300)
+        zy = (-1e-300 < uy) & (uy < 1e-300)
+        miss = False
+        if zx.any() or zy.any():
+            # a near-zero direction component skips its slab, or misses it
+            d = ax - cx
+            miss = zx & ((d > delta + tol) | (-d > delta + tol))
+            d = ay - cy
+            miss |= zy & ((d > delta + tol) | (-d > delta + tol))
+            lo = np.where(zx, -np.inf, lo)
+            hi = np.where(zx, np.inf, hi)
+            t1 = np.where(zy, lo, t1)
+            t2 = np.where(zy, hi, t2)
+        lo = np.where(t1 > lo, t1, lo)
+        hi = np.where(t2 < hi, t2, hi)
+        del t1, t2
+        crossed = lo > hi
+        graze = crossed & (lo - hi <= tol / np.maximum(np.abs(ux), np.abs(uy)))
+        if graze.any():
+            mid = 0.5 * (lo + hi)
+            lo = np.where(graze, mid, lo)
+            hi = np.where(graze, mid, hi)
+        return lo, hi, ~(miss | (crossed & ~graze) | (hi < 0.0))
+
+    @staticmethod
     def tangent_points(ax: float, ay: float, cx: float, cy: float,
                        delta: float) -> Optional[tuple[Point, ...]]:
         """Corners whose angular extremes seen from the apex are the tangent corners.
@@ -284,6 +365,32 @@ class SquareKernel:
             (cx + delta, cy - delta),
             (cx + delta, cy + delta),
         )
+
+    @staticmethod
+    def tangent_points_np(ax, ay, cx, cy, delta):
+        """``tangent_points`` elementwise where it returns two corners:
+        (x0, y0, x1, y1, two), ``two`` False where it returns None or four."""
+        dx = ax - cx
+        dy = ay - cy
+        adx = np.abs(dx)
+        ady = np.abs(dy)
+        s = adx + ady
+        m = s * (1e-7 + 1e-12 * s / delta)
+        far = delta + m
+        near = delta - m
+        xs = adx > far
+        corner = xs & (ady > far)
+        xside = xs & (ady < near)
+        yside = ~xs & (ady > far) & (adx < near)
+        west, east = cx - delta, cx + delta
+        south, north = cy - delta, cy + delta
+        same = (dx > 0.0) == (dy > 0.0)
+        x0 = np.where(xside, np.where(dx > 0.0, east, west), west)
+        x1 = np.where(xside, x0, east)
+        y0 = np.where(corner, np.where(same, north, south),
+                      np.where(xside, south, np.where(dy > 0.0, north, south)))
+        y1 = np.where(corner, np.where(same, south, north), np.where(xside, north, y0))
+        return x0, y0, x1, y1, corner | xside | yside
 
     @staticmethod
     def boundary_intersections(c1x: float, c1y: float, c2x: float, c2y: float,
@@ -370,6 +477,22 @@ class SquareKernel:
                 or (abs(kx - x1) <= tol and abs(ky - y1) <= tol)):
             return 1
         return 2
+
+    @staticmethod
+    def arc_segments_np(ax, ay, cx, cy, delta, x0, y0, x1, y1):
+        """``arc_segments`` elementwise."""
+        tol = 1e-7 * delta
+        west, east = cx - delta, cx + delta
+        south, north = cy - delta, cy + delta
+        one = (((np.abs(x0 - west) <= tol) & (np.abs(x1 - west) <= tol))
+               | ((np.abs(x0 - east) <= tol) & (np.abs(x1 - east) <= tol))
+               | ((np.abs(y0 - south) <= tol) & (np.abs(y1 - south) <= tol))
+               | ((np.abs(y0 - north) <= tol) & (np.abs(y1 - north) <= tol)))
+        kx = np.where(ax < cx, west, east)
+        ky = np.where(ay < cy, south, north)
+        one |= (((np.abs(kx - x0) <= tol) & (np.abs(ky - y0) <= tol))
+                | ((np.abs(kx - x1) <= tol) & (np.abs(ky - y1) <= tol)))
+        return np.where(one, 1, 2)
 
     @staticmethod
     def graze_fallback(ax: float, ay: float, ux: float, uy: float,

@@ -132,7 +132,7 @@ def link_distance_table(pts, delta: float, metric: Metric = Metric.L2,
         lists = _target_lists(pts, delta, metric, algo, range(n - 2, -1, -1), total, svg_sink)
         d, parent = link_distances(n, lists)
         return d, parent, total
-    # no chunk is too short for the batched square sweeps
+    # no chunk is too short for the batched sweeps
     chunk = max(_BATCH_MIN_ROWS, n // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as ex:
         # the lowest start vertices sweep the longest, so their chunks go

@@ -384,3 +384,85 @@ def test_segment_point_distance_vs_scan(metric):
         exact = float(_seg_point_dists(np.array([a, c, b]), metric)[0])
         assert exact <= scan + 1e-12
         assert exact >= scan - 1e-3
+
+
+# -- the numpy mirrors the batched sweeps use ----------------------------------
+
+def _near_delta(delta):
+    """Distances at, one ulp inside and one ulp outside delta, and a few near it."""
+    return [delta, math.nextafter(delta, 0.0), math.nextafter(delta, math.inf),
+            delta * (1.0 - 1e-12), delta * (1.0 + 1e-12), 0.5 * delta, 1.7 * delta,
+            30.0 * delta]
+
+
+def _mirror_cases(seed, count=400):
+    """Seeded (apex, center, direction, delta) quadruples: random ones, centers
+    at, 1 ulp inside and 1 ulp outside distance delta (on an axis and at random
+    bearings), one-decimal ties, rays grazing C at distance delta(1 +- tiny)
+    from the center, apexes inside C and centers behind the apex."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        delta = float(rng.choice([0.3, 0.5, 1.0, 1.3, rng.uniform(0.05, 4.0)]))
+        ax, ay = rng.uniform(-5.0, 5.0, 2).tolist()
+        th = float(rng.uniform(-math.pi, math.pi))
+        for d in _near_delta(delta):
+            for cx, cy in ((ax + d, ay), (ax, ay - d),
+                           (ax + d * math.cos(th), ay + d * math.sin(th))):
+                phi = float(rng.uniform(-math.pi, math.pi))
+                out.append((ax, ay, cx, cy, math.cos(phi), math.sin(phi), delta))
+        # a ray at angle phi, and centers at distance h from its line, ahead
+        # of the apex (grazing when h ~ delta) or behind it
+        phi = float(rng.uniform(-math.pi, math.pi))
+        ux, uy = math.cos(phi), math.sin(phi)
+        for h in _near_delta(delta) + [0.0]:
+            for t in (3.0 * delta, 0.2 * delta, -2.0 * delta):
+                out.append((ax, ay, ax + t * ux - h * uy, ay + t * uy + h * ux, ux, uy, delta))
+        # one-decimal ties, as fixed-decimal data has them
+        qa = np.round(rng.uniform(-1.0, 1.0, 2), 1)
+        qc = np.round(qa + rng.uniform(-1.5, 1.5, 2), 1)
+        out.append((*qa.tolist(), *qc.tolist(), ux, uy, float(rng.choice([0.3, 0.5, 1.0, 1.3]))))
+    # the apex on the center, and axis-parallel rays
+    out += [(0.6, 0.3, 0.6, 0.3, 1.0, 0.0, 1.3), (0.0, 0.0, 2.0, 1.0, 1.0, 0.0, 1.0),
+            (0.0, 0.0, 2.0, 1.0, 0.0, 1.0, 1.0), (0.0, 0.0, -2.0, 0.0, 1.0, 0.0, 1.0)]
+    return [np.array(col) for col in zip(*out)]
+
+
+@pytest.mark.parametrize("kern", [CircleKernel, SquareKernel], ids=["disk", "square"])
+def test_numpy_mirrors_match_the_scalar_primitives_bit_for_bit(kern):
+    ax, ay, cx, cy, ux, uy, delta = _mirror_cases(17)
+    with np.errstate(all="ignore"):     # as the batch runs them: 0/0 where the apex is C's center
+        x0, y0, x1, y1, two = kern.tangent_points_np(ax, ay, cx, cy, delta)
+        lo, hi, hit = kern.ray_hits_np(ax, ay, ux, uy, cx, cy, delta)
+    seen = set()
+    for e in range(ax.size):
+        args = (float(ax[e]), float(ay[e]), float(cx[e]), float(cy[e]), float(delta[e]))
+        tps = kern.tangent_points(*args)
+        if two[e]:
+            assert repr(tps) == repr(((float(x0[e]), float(y0[e])),
+                                      (float(x1[e]), float(y1[e])))), (e, args)
+        else:
+            assert tps is None or len(tps) == 4, (e, args)
+        ts = kern.ray_hits(args[0], args[1], float(ux[e]), float(uy[e]), *args[2:])
+        want = (() if not hit[e] else (float(hi[e]),) if lo[e] < 0.0
+                else (float(lo[e]), float(hi[e])))
+        assert repr(ts) == repr(want), (e, args, float(ux[e]), float(uy[e]))
+        seen.add(("tangents" if two[e] else "inside" if tps is None else "four", len(ts)))
+    # every branch shows up: tangents, apex inside, entry and exit, exit only, miss
+    assert {("tangents", 2), ("tangents", 0), ("inside", 1)} <= seen, seen
+
+
+def test_disk_mirror_grazes_and_ties_are_exercised():
+    ax, ay, cx, cy, ux, uy, delta = _mirror_cases(17)
+    ox, oy = cx - ax, cy - ay
+    m = ux * ox + uy * oy
+    dd = ox * ox + oy * oy
+    rr = delta * delta
+    disc = m * m - dd + rr
+    graze = (dd > rr) & (disc < 0.0) & (disc >= -1e-12 * (dd + rr)) & (m > 0.0)
+    assert graze.sum() >= 20
+    # the disagreement that once crashed the sweep: hypot and sqrt of the
+    # squares on opposite sides of delta
+    split = [e for e in range(ax.size)
+             if (math.hypot(ox[e], oy[e]) <= delta[e]) != (math.sqrt(dd[e]) <= delta[e])]
+    assert split

@@ -4,9 +4,9 @@ The engine's hot path is tuned for speed without changing a single floating
 point decision, so every sweep here must reproduce the recorded digest of its
 per-start target lists, its summed case histogram and its gauges exactly.
 A change that moves any of these values changed the sweep's arithmetic.
-The square sweeps must reproduce them through the batched entry
-``_engine.sweeps`` too, which also has to match the per-start loop in every
-target, counter, final state and exception.
+The sweeps must reproduce them through the batched entry ``_engine.sweeps``
+too, which also has to match the per-start loop in every target, counter,
+final state and exception.
 """
 import dataclasses
 import hashlib
@@ -16,7 +16,7 @@ import pytest
 from frechetsimp import _engine
 from frechetsimp._engine import CASES, VALID, Sweep, prepare, sweep_targets, sweeps
 from frechetsimp.diagnostics import InvariantChecker
-from frechetsimp.geometry import Metric
+from frechetsimp.geometry import CircleKernel, Metric
 
 from walks import drift_walk, lattice_walk, quantized, stop_and_go
 
@@ -256,17 +256,26 @@ def test_sweep_targets_matches_the_stepwise_api(name, metric, checked):
     assert raised < len(work) - 1      # some sweeps run to the end
 
 
-SQUARE = [Metric.LINF, Metric.L1]
+METRICS = [Metric.L2, Metric.LINF, Metric.L1]
 
 
-@pytest.mark.parametrize("metric", SQUARE, ids=lambda m: m.value)
+def test_apex_inside_by_the_kernel_alone_is_the_apex_inside_step():
+    # hypot puts p1 at 1.3000000000000003 from p0, outside the disk; the
+    # tangent points' sqrt of the squares puts it at 1.3, inside: the step
+    # takes the apex-inside path (here PREFIX) instead of raising TypeError
+    targets, sw = sweep_targets([(0.6, 0.3), (1.8, 0.8), (0.6, 0.3)], 0, 1.3, CircleKernel)
+    assert targets == [1, 2]
+    assert sw.stats.case_histogram == {"PREFIX": 2} and not sw.aborted
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_batched_sweep_outputs_are_pinned(name, metric):
     make, delta = INPUTS[name]
     assert sweep_summary(make(), delta, metric, batched=True) == PINNED[(name, metric.value)]
 
 
-@pytest.mark.parametrize("metric", SQUARE, ids=lambda m: m.value)
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
 @pytest.mark.parametrize("name", sorted(TIE_INPUTS))
 def test_batched_tie_sweeps_are_pinned(name, metric):
     # some of these sweeps raise: the digest pins at which start vertex, and what
@@ -278,13 +287,15 @@ def test_batched_tie_sweeps_are_pinned(name, metric):
 DIFF_INPUTS = {
     "drift": (lambda: drift_walk(260, 3), 1.0, "descending"),
     "stopgo": (lambda: stop_and_go(240, 5), 1.0, "descending"),
+    # the gps-trip workload's legs and dwells: 40 moving fixes, 12 at a stop
+    "trip": (lambda: stop_and_go(240, 5, leg=40, dwell=12), 1.0, "descending"),
     "quantized": (lambda: quantized(stop_and_go(220, 9, leg=16, dwell=10), 0.01), 0.8,
                   "ascending"),
     "lattice": (lambda: lattice_walk(200, 4), 1.5, "ascending"),
 }
 
 
-@pytest.mark.parametrize("metric", SQUARE, ids=lambda m: m.value)
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
 @pytest.mark.parametrize("name", sorted(DIFF_INPUTS))
 def test_batched_sweeps_match_the_per_start_loop(name, metric, monkeypatch):
     make, delta, order = DIFF_INPUTS[name]
@@ -310,3 +321,5 @@ def test_batched_sweeps_match_the_per_start_loop(name, metric, monkeypatch):
     assert scalar_steps < steps            # the batch took steps of its own
     if name == "drift" and metric is Metric.LINF:
         assert scalar_steps < 0.1 * steps  # nearly all of them: one arc throughout
+    if name == "trip" and metric is Metric.L2:
+        assert scalar_steps < 0.5 * steps  # most of them: long legs of one-arc steps

@@ -1,4 +1,4 @@
-"""``verify`` on instances long enough for the batched square sweeps."""
+"""``verify`` on instances long enough for the batched sweeps."""
 from frechetsimp import _engine
 from frechetsimp.geometry import Metric
 from frechetsimp.verify import VerifyConfig, random_instance, run_verify
@@ -6,14 +6,14 @@ from frechetsimp.verify import VerifyConfig, random_instance, run_verify
 
 def test_oracle_judges_batched_sweeps():
     # max_n 60: instances with more than _BATCH_MIN_ROWS start vertices take
-    # their L1 and Linf sweeps from the batched entry, and the dense oracle
-    # judges every one of them
-    cfg = VerifyConfig(count=6, max_n=60, metrics=(Metric.LINF, Metric.L1), seed=3,
-                       style="walk")
+    # their sweeps from the batched entry, and the dense oracle judges every
+    # one of them
+    cfg = VerifyConfig(count=6, max_n=60, metrics=(Metric.L2, Metric.LINF, Metric.L1),
+                       seed=3, style="walk")
     sizes = [len(random_instance(cfg, idx)[0]) for idx in range(cfg.count)]
     assert sum(n - 1 >= _engine._BATCH_MIN_ROWS for n in sizes) >= 2
     rep = run_verify(cfg)
     assert rep.ok, rep.mismatches[:1]
-    assert rep.checked == 2 * cfg.count
-    assert rep.sweeps == 2 * sum(n - 1 for n in sizes)
+    assert rep.checked == 3 * cfg.count
+    assert rep.sweeps == 3 * sum(n - 1 for n in sizes)
     assert rep.stats.steps > 0 and rep.stats.case_histogram.get("BB", 0) > 0
