@@ -5,7 +5,8 @@
 wavefront is one arc (or still empty), its PREFIX, INIT, BB and WEDGE_EMPTY
 steps advance in tiles of start vertices x steps; every other step is
 ``Sweep._step``'s, from the same state.  The block talks to the kernel
-through the numpy mirrors of its primitives (``tangent_points_np``,
+through the numpy mirrors of its primitives (``tangent_points_np``, whose
+``inside`` mask is ``Sweep._step``'s apex-in-C_j rule on either kernel,
 ``ray_hits_np``, and the square's ``arc_segments_np`` for the segment gauge).
 Keys and distances come from ``math.atan2`` and ``math.hypot``, one call
 per element, since numpy's vectorised versions round differently on some
@@ -291,17 +292,10 @@ class Block:
         py = self.Y[J]
         dx = px - ax
         dy = py - ay
-        tx0, ty0, tx1, ty1, two = self.kern.tangent_points_np(ax, ay, px, py, delta)
-        # the apex in C_j, a PREFIX step or a hand-off: by the kernel's distance,
-        # or where the disk's tangent_points finds it inside (as _step_proper)
-        if self.square:
-            near = np.maximum(np.abs(dx), np.abs(dy)) <= delta
-            dc = None
-        else:
-            dc = _libm(math.hypot, dx, dy, np.flatnonzero(inrow))   # _locate's dist too
-            near = (dc <= delta) | ~two
+        # ``inside``: the apex in C_j, a PREFIX step or a hand-off
+        tx0, ty0, tx1, ty1, two, inside = self.kern.tangent_points_np(ax, ay, px, py, delta)
         noarc = self.mode[rows] == _NO_ARC
-        proper = inrow & ~near
+        proper = inrow & ~inside
         q = np.where(proper.any(1), proper.argmax(1), T)   # a no-arc row's INIT column
         first = np.where(noarc, q, 0)
         need = proper & two & (col >= first[:, None])
@@ -385,10 +379,10 @@ class Block:
         ly = np.where(ls, ty1[sub], ty0[sub]) - ay
         del rs, ls, tx0, ty0, tx1, ty1
         self._one_arc(rows[sub], start[sub], o0, col, inrow[sub], J[sub], ax, ay,
-                      px[sub], py[sub], dx[sub], dy[sub], None if dc is None else dc[sub],
-                      need[sub], near[sub] | ~two[sub], k, ck, ck + r, ck + l, rx, ry, lx, ly)
+                      px[sub], py[sub], dx[sub], dy[sub], need[sub], ~two[sub],
+                      k, ck, ck + r, ck + l, rx, ry, lx, ly)
 
-    def _one_arc(self, rows, start, o0, col, inrow, J, ax, ay, px, py, dx, dy, dc,
+    def _one_arc(self, rows, start, o0, col, inrow, J, ax, ay, px, py, dx, dy,
                  need, early, k, ck, r, l, rx, ry, lx, ly):
         """BB and WEDGE_EMPTY steps of one-arc rows, each from its column ``start`` on.
 
@@ -396,8 +390,7 @@ class Block:
         and ``early`` those that hand off before any arithmetic of the step.
         Where ``need``, k and ck are C_j's center key (as ``_locate``) and its
         unwrapped twin, r and l the cone's right and left keys, and (rx, ry)
-        and (lx, ly) its right and left touch points less the apex.  ``dc`` is
-        |p_j - apex| (``math.hypot``) where the caller computed it, or None.
+        and (lx, ly) its right and left touch points less the apex.
         """
         delta = self.delta
         ray_hits = self.kern.ray_hits_np
@@ -443,8 +436,6 @@ class Block:
                 a[..., :T2] for a in (
                     col, on, inrow, J, px, py, dx, dy, need, early, seam, empty, zero, emptied,
                     k, ck, kr, kl, outside, set_r, set_l, rx, ry, lx, ly, dr, dl))
-            if dc is not None:
-                dc = dc[:, :T2]
         upto = need & (col <= f[:, None])
         # unit rays, forward-filled from the last step that set them
         urx, ury = _ffill(set_r, col, rx / dr, ry / dr, urx_in, ury_in)
@@ -456,8 +447,7 @@ class Block:
         pcx = _lag(px, cx_in, s, col)
         pcy = _lag(py, cy_in, s, col)
         # locate_vertex(j) on that arc
-        if dc is None:
-            dc = _libm(math.hypot, dx, dy, np.flatnonzero(upto))
+        dc = _libm(math.hypot, dx, dy, np.flatnonzero(upto))
         lo, hi, hit = ray_hits(ax, ay, dx / dc, dy / dc, pcx, pcy, delta)
         target = ~outside & (dc >= np.where(lo < 0.0, hi, lo) - EPS_REL * (delta + dc))
         early |= ~outside & ~((pk0 - _KEY_SLACK <= k) & (k <= pk1 + _KEY_SLACK) & hit)

@@ -26,7 +26,9 @@ narrowing step, which is what enforces the Frechet ordering (skipping it
 admits shortcuts that visit vertices out of order).
 
 Per-step cost.  A sweep runs Theta(n) steps per start vertex, so the step is
-written for the interpreter.  The angular key of vertex j (one atan2) is
+written for the interpreter.  It asks the kernel's ``tangent_points`` once:
+None means the apex lies in C_j (for disks dd <= delta^2, as both oracles
+compare), else its corners give C_j's cone.  The key of vertex j (one atan2) is
 computed at most once per step: ``locate_vertex(j)`` leaves it in
 ``_loc_cache`` as (j, key), the ``step(j)`` that follows reads it back, and
 the step hands the center key on to the case that needs it.  A ``step``
@@ -51,10 +53,10 @@ step to ``Sweep._step`` from the same state.  The one-arc state is a few
 floats per sweep: the wedge keys are a running max and min, the unit rays are
 forward-filled, and the arc a step clips is the one the step before made.
 The block reaches the kernel through the numpy mirrors of its primitives
-(``tangent_points_np``, ``ray_hits_np``; ``arc_segments_np`` for the square
-segment gauge).  Keys and distances still come from ``math.atan2`` and
-``math.hypot``, one call per element (a disk's apex-in-C_j distance is the
-hypot ``_locate`` reads too); numpy does only + - * /, sqrt, comparisons and
+(``tangent_points_np``, whose ``inside`` mask is the step's apex-in-C_j
+rule, ``ray_hits_np``; ``arc_segments_np`` for the square segment gauge).
+Keys and distances still come from ``math.atan2`` and ``math.hypot``, one
+call per element; numpy does only + - * /, sqrt, comparisons and
 ``np.where`` selections that mirror the scalar conditionals in their order,
 so every target, counter, final state and exception is the per-start loop's,
 bit for bit.  Fewer start vertices, a checker or a sink run the per-start
@@ -284,7 +286,8 @@ class Sweep:
         px, py = float(p[0]), float(p[1])
         st = self.stats
         st.steps += 1
-        if self.kern.distance(self.ax, self.ay, px, py) <= self.delta:
+        corners = self.kern.tangent_points(self.ax, self.ay, px, py, self.delta)
+        if corners is None:       # the apex lies in C_j
             if not self.arcs:
                 case = "PREFIX"       # within delta before any constraint
             else:
@@ -292,7 +295,7 @@ class Sweep:
                 # visit order stays enforced
                 case = self._narrow(j, px, py, None)
         else:
-            case = self._step_proper(j, px, py)
+            case = self._step_proper(j, px, py, corners)
         h = st.case_histogram
         h[case] = h.get(case, 0) + 1
         n_arcs = len(self.arcs)
@@ -320,13 +323,9 @@ class Sweep:
             total += segs(ax, ay, a.cx, a.cy, delta, a.x0, a.y0, a.x1, a.y1)
         return total
 
-    def _step_proper(self, j: int, px: float, py: float) -> str:
+    def _step_proper(self, j: int, px: float, py: float, corners) -> str:
+        """The step for an apex outside C_j, from C_j's tangent ``corners``."""
         ax, ay = self.ax, self.ay
-        corners = self.kern.tangent_points(ax, ay, px, py, self.delta)
-        if corners is None:
-            # the kernel finds the apex in C_j where ``distance`` did not (a
-            # disk's sqrt of the squares against hypot): it is the apex-inside step
-            return self._narrow(j, px, py, None) if self.arcs else "PREFIX"
         if self.rot is None:
             self._init_frame(px, py)
         rot = self.rot

@@ -60,8 +60,9 @@ def _fit_exponent(ns, times) -> float:
 
 
 def run_bench(sizes=DEFAULT_SIZES, seed: int = 0, delta: float = 1.0) -> BenchResult:
-    """Time every (size, algorithm, metric) job of ``JOBS``; keeps the minimum
-    over ``REPEATS`` runs, the usual noise-robust wall-clock estimator."""
+    """Time every (size, algorithm, metric) job of ``JOBS`` in process CPU time,
+    which other jobs on a shared machine disturb less than wall time; keeps the
+    minimum over ``REPEATS`` runs."""
     result = BenchResult()
     series: dict = {}
     for n in sizes:
@@ -69,9 +70,9 @@ def run_bench(sizes=DEFAULT_SIZES, seed: int = 0, delta: float = 1.0) -> BenchRe
         for algo, metric in JOBS:
             ms = math.inf
             for _ in range(REPEATS):
-                t0 = time.perf_counter()
+                t0 = time.process_time()
                 res = simplify(pts, delta, metric, algo=algo)
-                ms = min(ms, (time.perf_counter() - t0) * 1e3)
+                ms = min(ms, (time.process_time() - t0) * 1e3)
             wf = res.stats.get("max_wavefront_size", 0)
             if metric is not Metric.L2:
                 wf = res.stats.get("max_segment_count", 0)

@@ -50,7 +50,7 @@ class InvariantChecker:
         if len(uniq) > 2:
             raise InternalGeometryError(
                 f"circle of vertex {j} meets the wavefront {len(uniq)} times (max 2)")
-        inside = sw.kern.distance(sw.ax, sw.ay, px, py) <= delta
+        inside = sw.kern.tangent_points(sw.ax, sw.ay, px, py, delta) is None
         if not inside and uniq:
             near = [sw.kern.on_near_side(sw.ax, sw.ay, px, py, p[0], p[1], delta)
                     for _, p in uniq]

@@ -70,10 +70,11 @@ def _wrap_angle(a: float) -> float:
 # ---------------------------------------------------------------------------
 # Metric kernels: the few shape primitives the sweep needs, one namespace per
 # unit-circle shape.  All take unpacked floats; hot paths avoid tuples where
-# cheap to do so.  A primitive the batched sweeps use has an elementwise numpy
-# mirror next to it (``*_np``): it takes arrays that broadcast together and
-# does only + - * /, sqrt, comparisons and ``np.where`` selections, in the
-# scalar code's order, so every float is the scalar's, bit for bit.
+# cheap to do so.  ``tangent_points`` returning None is the one test of "the
+# apex lies in C_j".  A primitive the batched sweeps use has an elementwise
+# numpy mirror next to it (``*_np``): it takes arrays that broadcast together
+# and does only + - * /, sqrt, comparisons and ``np.where`` selections, in
+# the scalar code's order, so every float is the scalar's, bit for bit.
 # ---------------------------------------------------------------------------
 
 _COINCIDENT = "coincident"
@@ -84,6 +85,7 @@ class CircleKernel:
 
     metric = Metric.L2
 
+    # unused by the sweep; kept since perfbench/tracing.py counts every primitive
     @staticmethod
     def distance(ax: float, ay: float, bx: float, by: float) -> float:
         return math.hypot(bx - ax, by - ay)
@@ -149,16 +151,15 @@ class CircleKernel:
     @staticmethod
     def tangent_points(ax: float, ay: float, cx: float, cy: float,
                        delta: float) -> Optional[tuple[Point, ...]]:
-        """Boundary points where the tangents from the apex touch, or None if apex inside."""
+        """Points where the tangents from the apex touch, or None if dd <= delta^2
+        (the apex inside; both oracles compare these squares)."""
         ox = cx - ax
         oy = cy - ay
         dd = ox * ox + oy * oy
-        d = math.sqrt(dd)
-        if d <= delta:
+        rr = delta * delta
+        if dd <= rr:
             return None
-        ll = dd - delta * delta
-        if ll < 0.0:
-            ll = 0.0
+        ll = dd - rr
         tlen = math.sqrt(ll)           # tangent length
         c = ll / dd                    # cos(beta) * tlen / d  folded below
         s = tlen * delta / dd          # sin(beta) scaled
@@ -169,21 +170,21 @@ class CircleKernel:
 
     @staticmethod
     def tangent_points_np(ax, ay, cx, cy, delta):
-        """``tangent_points`` elementwise: (x0, y0, x1, y1, two), ``two``
-        False where the scalar returns None."""
+        """``tangent_points`` elementwise: (x0, y0, x1, y1, two, inside),
+        ``inside`` where the scalar returns None, ``two`` elsewhere."""
         ox = cx - ax
         oy = cy - ay
         dd = ox * ox + oy * oy
-        two = ~(np.sqrt(dd) <= delta)
-        ll = dd - delta * delta
-        ll = np.where(ll < 0.0, 0.0, ll)
+        rr = delta * delta
+        inside = dd <= rr
+        ll = dd - rr
         c = ll / dd
         s = np.sqrt(ll) * delta / dd
         cox = c * ox
         coy = c * oy
         sox = s * ox
         soy = s * oy
-        return ax + cox - soy, ay + sox + coy, ax + cox + soy, ay - sox + coy, two
+        return ax + cox - soy, ay + sox + coy, ax + cox + soy, ay - sox + coy, ~inside, inside
 
     @staticmethod
     def boundary_intersections(c1x: float, c1y: float, c2x: float, c2y: float,
@@ -235,6 +236,7 @@ class SquareKernel:
 
     metric = Metric.LINF
 
+    # unused by the sweep; kept since perfbench/tracing.py counts every primitive
     @staticmethod
     def distance(ax: float, ay: float, bx: float, by: float) -> float:
         dx = abs(bx - ax)
@@ -368,12 +370,13 @@ class SquareKernel:
 
     @staticmethod
     def tangent_points_np(ax, ay, cx, cy, delta):
-        """``tangent_points`` elementwise where it returns two corners:
-        (x0, y0, x1, y1, two), ``two`` False where it returns None or four."""
+        """``tangent_points`` elementwise: (x0, y0, x1, y1, two, inside), ``two``
+        where it returns two corners and ``inside`` where it returns None."""
         dx = ax - cx
         dy = ay - cy
         adx = np.abs(dx)
         ady = np.abs(dy)
+        inside = np.maximum(adx, ady) <= delta
         s = adx + ady
         m = s * (1e-7 + 1e-12 * s / delta)
         far = delta + m
@@ -390,7 +393,7 @@ class SquareKernel:
         y0 = np.where(corner, np.where(same, north, south),
                       np.where(xside, south, np.where(dy > 0.0, north, south)))
         y1 = np.where(corner, np.where(same, south, north), np.where(xside, north, y0))
-        return x0, y0, x1, y1, corner | xside | yside
+        return x0, y0, x1, y1, corner | xside | yside, inside
 
     @staticmethod
     def boundary_intersections(c1x: float, c1y: float, c2x: float, c2y: float,

@@ -83,9 +83,10 @@ def test_c3_structural_invariants(corpus_report):
 
 
 def test_c4_complexity_evidence():
-    """Criterion 4: doubling n multiplies the baseline wall time by 6.5-9.5
-    and the wavefront wall time by 3.4-5.0 at the top sizes; fit exponents
-    land in the cubic and quadratic bands; whole bench under 10 minutes."""
+    """Criterion 4: doubling n multiplies the baseline CPU time by 6.5-9.5
+    and the wavefront CPU time by 3.4-5.0 at the top sizes; fit exponents
+    land in the cubic and quadratic bands; whole bench under 10 minutes of
+    wall time."""
     t0 = time.perf_counter()
     result = bench_mod.run_bench(sizes=BENCH_SIZES, seed=1)
     wall = time.perf_counter() - t0

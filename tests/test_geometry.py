@@ -432,12 +432,13 @@ def _mirror_cases(seed, count=400):
 def test_numpy_mirrors_match_the_scalar_primitives_bit_for_bit(kern):
     ax, ay, cx, cy, ux, uy, delta = _mirror_cases(17)
     with np.errstate(all="ignore"):     # as the batch runs them: 0/0 where the apex is C's center
-        x0, y0, x1, y1, two = kern.tangent_points_np(ax, ay, cx, cy, delta)
+        x0, y0, x1, y1, two, inside = kern.tangent_points_np(ax, ay, cx, cy, delta)
         lo, hi, hit = kern.ray_hits_np(ax, ay, ux, uy, cx, cy, delta)
     seen = set()
     for e in range(ax.size):
         args = (float(ax[e]), float(ay[e]), float(cx[e]), float(cy[e]), float(delta[e]))
         tps = kern.tangent_points(*args)
+        assert inside[e] == (tps is None), (e, args)
         if two[e]:
             assert repr(tps) == repr(((float(x0[e]), float(y0[e])),
                                       (float(x1[e]), float(y1[e])))), (e, args)
@@ -466,3 +467,6 @@ def test_disk_mirror_grazes_and_ties_are_exercised():
     split = [e for e in range(ax.size)
              if (math.hypot(ox[e], oy[e]) <= delta[e]) != (math.sqrt(dd[e]) <= delta[e])]
     assert split
+    # ties the apex-inside rule decides by the squares, as the oracles do,
+    # where the square root alone would put the apex inside
+    assert ((np.sqrt(dd) <= delta) & (dd > rr)).any()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frechetsimp.geometry import Metric, lp_distance
+import frechetsimp
+from frechetsimp.geometry import InternalGeometryError, Metric, lp_distance
 from frechetsimp.oracle import (ball_segment_interval, shortcut_is_valid,
                                 shortcut_matrix_dense, valid_targets_from)
 from frechetsimp.verify import instance_margin
@@ -187,20 +188,32 @@ def test_multi_tile_rows_match_scalar(n, metric):
 
 def test_zero_length_shortcuts_match_the_batch_oracle_at_ties():
     """One-decimal p0, p1, p0 at one-decimal deltas: p1 often sits exactly at
-    distance delta, where the scalar and the batch oracle must still agree."""
+    distance delta, where the scalar and the batch oracle must still agree,
+    and the sweep with them."""
     rng = np.random.default_rng(9)
     count = 6000
     p0 = np.round(rng.uniform(-1.0, 1.0, (count, 2)), 1)
     p1 = np.round(p0 + rng.uniform(-1.5, 1.5, (count, 2)), 1)
     deltas = rng.choice([0.3, 0.5, 0.7, 1.0, 1.3], count)
     checks = 0
+    raised = {metric: 0 for metric in METRICS}
     for a, b, delta in zip(p0.tolist(), p1.tolist(), deltas.tolist()):
         pts = [tuple(a), tuple(b), tuple(a)]
         for metric in METRICS:
             dense = shortcut_matrix_dense(np.asarray(pts), delta, metric)
-            assert shortcut_is_valid(pts, 0, 2, delta, metric) == dense[0, 2], (pts, delta, metric)
+            valid = shortcut_is_valid(pts, 0, 2, delta, metric)
+            assert valid == dense[0, 2], (pts, delta, metric)
             checks += 1
+            try:
+                targets = frechetsimp.shortcuts(pts, 0, delta, metric)
+            except InternalGeometryError:
+                raised[metric] += 1
+                continue
+            assert targets == ([1, 2] if valid else [1]), (pts, delta, metric)
     assert checks == 18_000
+    # tied square edges still raise "case TM/MT must have one crossing"
+    # (ROADMAP item 1); the L2 sweep decides every tie as the oracles do
+    assert raised == {Metric.L2: 0, Metric.L1: 3, Metric.LINF: 8}
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)

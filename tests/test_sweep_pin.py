@@ -17,6 +17,7 @@ from frechetsimp import _engine
 from frechetsimp._engine import CASES, VALID, Sweep, prepare, sweep_targets, sweeps
 from frechetsimp.diagnostics import InvariantChecker
 from frechetsimp.geometry import CircleKernel, Metric
+from frechetsimp.oracle import shortcut_is_valid
 
 from walks import drift_walk, lattice_walk, quantized, stop_and_go
 
@@ -260,12 +261,19 @@ METRICS = [Metric.L2, Metric.LINF, Metric.L1]
 
 
 def test_apex_inside_by_the_kernel_alone_is_the_apex_inside_step():
-    # hypot puts p1 at 1.3000000000000003 from p0, outside the disk; the
-    # tangent points' sqrt of the squares puts it at 1.3, inside: the step
-    # takes the apex-inside path (here PREFIX) instead of raising TypeError
-    targets, sw = sweep_targets([(0.6, 0.3), (1.8, 0.8), (0.6, 0.3)], 0, 1.3, CircleKernel)
-    assert targets == [1, 2]
-    assert sw.stats.case_histogram == {"PREFIX": 2} and not sw.aborted
+    # the kernel's tangent_points alone decides "the apex lies in C_j", by
+    # the squares both oracles compare, so the sweep keeps exactly their targets
+    for pts, delta in (
+        # hypot 1.3000000000000003 > delta, sqrt of the squares 1.3 <= delta,
+        # dd 1.6900000000000004 > delta^2 1.6900000000000002
+        ([(0.6, 0.3), (1.8, 0.8), (0.6, 0.3)], 1.3),
+        # hypot 0.5 <= delta, yet dd 0.25000000000000006 > delta^2 0.25
+        ([(0.4, 0.8), (0.1, 0.4), (0.4, 0.8)], 0.5),
+    ):
+        targets, sw = sweep_targets(pts, 0, delta, CircleKernel)
+        expect = [k for k in (1, 2) if shortcut_is_valid(pts, 0, k, delta, Metric.L2)]
+        assert targets == expect, (pts, delta)
+        assert not sw.aborted
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
