@@ -1,51 +1,90 @@
-"""Batched sweeps: many start vertices' one-arc steps in numpy tiles.
+"""Batched sweeps: many start vertices' steps in numpy, one-arc runs in tiles
+and multi-arc steps in lockstep.
 
 ``_engine.sweeps`` hands a block of start vertices here, on either kernel
-(disks for L2, squares for Linf and L1 on its image).  While a sweep's
-wavefront is one arc (or still empty), its PREFIX, INIT, BB and WEDGE_EMPTY
-steps advance in tiles of start vertices x steps; every other step is
-``Sweep._step``'s, from the same state.  The block talks to the kernel
-through the numpy mirrors of its primitives (``tangent_points_np``, whose
-``inside`` mask is ``Sweep._step``'s apex-in-C_j rule on either kernel,
-``ray_hits_np``, and the square's ``arc_segments_np`` for the segment gauge).
-Keys and distances come from ``math.atan2`` and ``math.hypot``, one call
-per element, since numpy's vectorised versions round differently on some
-inputs; numpy does only + - * /, sqrt, comparisons and ``np.where``
+(disks for L2, squares for Linf and L1 on its image).  A sweep whose
+wavefront is one arc (or still empty) takes its PREFIX, INIT, BB and
+WEDGE_EMPTY steps in tiles of start vertices x steps, which a few running
+scans compute at once.  A sweep whose wavefront holds 1 to ``_K`` arcs takes
+its BB, MB, BM, MM and WEDGE_EMPTY steps in lockstep with the block's other
+such sweeps, one step (column) at a time, since each step reads the arcs
+the one before left.  Every other step is ``Sweep._step``'s, from the same
+state, and the sweep rejoins the lockstep on the next step its wavefront
+fits.  The block talks to the kernel through the numpy mirrors of its
+primitives (``tangent_points_np``, whose ``inside`` mask is
+``Sweep._step``'s apex-in-C_j rule on either kernel, ``ray_hits_np``,
+``boundary_intersections_np``, ``on_near_side_np``, ``contains_np``, and the
+square's ``arc_segments_np`` for the segment gauge).  Keys and distances
+come from ``math.atan2`` and ``math.hypot``, one call per element
+(``libm_np``); numpy does only + - * /, sqrt, comparisons and ``np.where``
 selections, each mirroring a scalar conditional in its order, so every
-target, counter, final state and exception is the per-start loop's, bit for
-bit.
+target, counter, gauge, final state and exception is the per-start loop's,
+bit for bit.
 """
 from __future__ import annotations
 
 import math
-from array import array
 
 import numpy as np
 
 from ._engine import _HALF_PI, _KEY_SLACK, _PI, _TAU, EPS_ANGLE, EPS_REL, VALID, Arc, Sweep
+from .geometry import libm_np
 
-_BLOCK_ROWS = 256       # start vertices batched together
+_LIVE_ROWS = 160        # live rows per step of a block, on average (``_blocks``)
 _TILE_SIZE = 2048       # rows x steps of one tile, at most
 _MIN_COLS, _MAX_COLS = 8, 64
-_CALM = 8               # BB steps a scalar row must end on to come back
+_K = 4                  # arcs of a lockstep row, at most
+_SLOTS = np.arange(_K)
+# a lockstep column costs a few hundred numpy calls (about 1 ms) whatever its
+# row count, and a scalar step about 15 us: fewer rows, discounted by the share
+# of its steps the last column handed back, take the scalar steps instead
+# (56, not the break-even ~90, keeps the drift walks' scalar share below 10%)
+_LOCKSTEP_MIN_ROWS = 56
 
-# batch row modes
-_NO_ARC, _ONE_ARC, _SCALAR, _DONE = range(4)
-# carried state of a batch row: frame, wedge, unit rays, and its one arc
-_F = ("rot", "kr", "kl", "urx", "ury", "ulx", "uly",
-      "k0", "k1", "x0", "y0", "x1", "y1", "cx", "cy", "ck")
-# counters a batch row keeps until they are folded into its Sweep's stats
-_C = ("PREFIX", "INIT", "BB", "WEDGE_EMPTY", "segs")
+# batch row modes: in a tile (no arc or one arc), in lockstep, in the scalar code
+_NO_ARC, _ONE_ARC, _LOCKSTEP, _SCALAR, _DONE = range(5)
+# carried state of a batch row: frame, wedge and unit rays, and per arc
+_W = ("rot", "kr", "kl", "urx", "ury", "ulx", "uly")
+_A = ("k0", "k1", "x0", "y0", "x1", "y1", "cx", "cy", "ck")
+_PAD = [(0.0,) * len(_A)] * _K              # the unused arc slots of a row
+_K0X0Y0 = np.array([0, 2, 3])               # an arc's right end, and its left end
+_K1X1Y1 = np.array([1, 4, 5])
+# the cases a batch row counts until they are folded into its Sweep's stats,
+# and its other counters and gauges
+_BC = ("PREFIX", "INIT", "BB", "MB", "BM", "MM", "WEDGE_EMPTY")
+_PRE, _INI, _BB, _MB, _BM, _MM, _WE = range(len(_BC))
+_INS, _REM, _ARCS, _SEGS = range(4)
 
 
 def batched_sweeps(pts, starts: list, delta: float, kern):
     """Per start vertex, in order: its sweep's (targets, sweep) pair or the
-    exception it raised, computed in blocks of ``_BLOCK_ROWS``."""
+    exception it raised, computed in blocks (``_blocks``)."""
     coords = np.asarray(pts, dtype=float).reshape(-1, 2)
     X = np.ascontiguousarray(coords[:, 0])
     Y = np.ascontiguousarray(coords[:, 1])
-    for b in range(0, len(starts), _BLOCK_ROWS):
-        yield from Block(pts, X, Y, starts[b:b + _BLOCK_ROWS], delta, kern).run()
+    cuts = _blocks(len(pts), starts)
+    for a, b in zip(cuts, cuts[1:]):
+        yield from Block(pts, X, Y, starts[a:b], delta, kern).run()
+
+
+def _blocks(n: int, starts: list) -> list:
+    """Cuts of ``starts`` into blocks whose sweeps take ``_LIVE_ROWS`` steps
+    per step of the longest, about: then each lockstep column's fixed cost is
+    shared by about as many rows at any n, and a step costs about the same.
+    A block of the shortest sweeps holds twice as many as one of long sweeps,
+    and a last block too thin for the lockstep joins the one before."""
+    cuts = [0]
+    steps = longest = 0
+    for k, i in enumerate(starts):
+        m = n - 1 - i
+        if steps + m > _LIVE_ROWS * max(longest, m, 1):
+            cuts.append(k)
+            steps = longest = 0
+        steps += m
+        longest = max(longest, m)
+    if len(cuts) > 1 and len(starts) - cuts[-1] < _LOCKSTEP_MIN_ROWS:
+        cuts.pop()
+    return cuts + [len(starts)]
 
 
 # -- elementwise mirrors of the scalar rules ------------------------------------
@@ -59,24 +98,33 @@ def _wrap(a):
     return np.where(a <= -_PI, a + _TAU, np.where(a > _PI, a - _TAU, a))
 
 
-def _touch_offset(a, rot, ck):
-    """A touch point's key offset from the center key, as ``_step_proper``."""
-    off = _wrap(a - rot) - ck
-    return np.where((off <= -_PI) | (off > _PI), _wrap(np.fmod(off, _TAU)), off)
-
-
-def _short(w, q1, q2, delta):
-    """``_side(w, q1, q2, delta) == "B"``."""
+def _letters(w, q1, q2, delta):
+    """Where ``_side(w, q1, q2, delta)`` is "B", and where it is "M"."""
     tau = EPS_REL * (delta + w + q2)
     d = w - q1
-    return ~((q2 - q1 <= tau) & (-tau <= d) & (d <= tau)) & (w < q1 - tau)
+    deg = (q2 - q1 <= tau) & (-tau <= d) & (d <= tau)
+    return ~deg & (w < q1 - tau), deg | ((q1 + tau < w) & (w < q2 - tau))
 
 
-def _libm(fn, a, b, flat):
-    """fn(a, b) at the flat indices ``flat``, one ``math`` call per element; nan elsewhere."""
-    out = np.full(a.shape, np.nan)
-    out.flat[flat] = list(map(fn, a.take(flat).tolist(), b.take(flat).tolist()))
-    return out
+def _count_le(keys, valid, x):
+    """Per row, how many valid keys are <= x: ``bisect_right`` on sorted keys."""
+    return ((keys <= x[:, None]) & valid).sum(1)
+
+
+def _pick(v, kk, xs, ys, coinc, at, least):
+    """The crossings of (point, row, slot) arrays on each row's arc ``at``:
+    (any, coincident, key, x, y) of the one of least key where ``least``,
+    else of greatest, as ``_arc_crossings`` orders them."""
+    f0 = np.arange(at.size) * _K + at
+    f1 = f0 + at.size * _K
+    v0 = v.take(f0)
+    v1 = v.take(f1)
+    k0 = kk.take(f0)
+    k1 = kk.take(f1)
+    swap = v0 & v1 & (k1 < k0)
+    t1 = np.where(least, v1 & (~v0 | swap), v1 & ~swap)
+    return (v0 | v1, coinc.take(f0), np.where(t1, k1, k0),
+            np.where(t1, xs.take(f1), xs.take(f0)), np.where(t1, ys.take(f1), ys.take(f0)))
 
 
 def _lag(x, carry, first, col):
@@ -88,18 +136,22 @@ def _lag(x, carry, first, col):
     return out
 
 
-def _cone(Ac, A0, A1, rot):
-    """Per step, from the center and touch point atan2s: the center key k (as
-    ``_locate``), its unwrapped ck, the right and left touch points' offsets
-    from ck, and whether touch point 1 (not 0) is the right and the left one,
-    as ``_step_proper`` picks them."""
-    k = _wrap(Ac - rot)
+def _cone(A, rot):
+    """Per step, from the atan2s of C_j's center and of its touch points 0 and 1
+    (stacked on the first axis): the center key k (as ``_locate``), its
+    unwrapped ck, the right and left touch points' offsets from ck, and
+    whether touch point 1 (not 0) is the right and the left one, as
+    ``_step_proper`` picks them."""
+    a = _wrap(A - rot)
+    k = a[0]
     ck = np.where(k <= -_HALF_PI, k + _TAU, k)
-    off0 = _touch_offset(A0, rot, ck)
-    off1 = _touch_offset(A1, rot, ck)
-    rs = off1 < off0
-    ls = off1 > off0
-    return k, ck, np.where(rs, off1, off0), np.where(ls, off1, off0), rs, ls
+    off = a[1:] - ck
+    wrap = (off <= -_PI) | (off > _PI)
+    if wrap.any():
+        off = np.where(wrap, _wrap(np.fmod(off, _TAU)), off)
+    rs = off[1] < off[0]
+    ls = off[1] > off[0]
+    return k, ck, np.where(rs, off[1], off[0]), np.where(ls, off[1], off[0]), rs, ls
 
 
 def _ffill(setting, col, ux, uy, carry_x, carry_y):
@@ -124,19 +176,27 @@ def _clip_end(hits, cut, ax, ay, ux, uy, cx, cy, x, y, delta):
 class Block:
     """Sweeps of a block of start vertices, advanced one tile at a time.
 
-    A tile is the block's batch rows times a few steps.  Every row whose
+    A tile is the block's rows times a few steps.  First every row whose
     wavefront is one arc (or still empty) takes its PREFIX, INIT, BB and
     WEDGE_EMPTY steps in one pass of array operations: kr is a running max
     of the cones' right keys, kl = max(kr, running min of the left keys),
     the unit rays are forward-filled from the last step that set them, and
-    the arc a step clips is the previous step's.  The first step of any
-    other kind (another case, a ``_side`` tie, a ray miss, a seam shift, four
-    square silhouette corners, the apex inside C_j, a zero offset, or a locate
-    that would raise) goes to ``Sweep._step`` from the same state, and the row
-    runs there to the end of the tile.  It comes back at a tile boundary once
-    its last ``_CALM`` scalar steps were BB steps from one arc to one arc:
-    the steps a tile computes past a row's hand-off are wasted, so a row that
-    keeps changing state (two-arc states) stays with the scalar step.
+    the arc a step clips is the previous step's.  At its first step of any
+    other kind the row joins the lockstep.  Then the tile's steps run one
+    column at a time: the rows holding 1 to ``_K`` arcs (a padded array per
+    arc field, and a count) take their BB, MB, BM, MM and WEDGE_EMPTY steps
+    together (``_lockstep``), mirroring ``_clip``, ``_locate``, ``_narrow``,
+    the crossing scans and the splices.  A step of any other kind (TT, TM,
+    MT, TT_EMPTY, an MM other than one arc crossing in from each side, a
+    ``_side`` tie, a graze, a coincident crossing, a seam shift, keys out of
+    order, four square silhouette corners, the apex inside C_j, a zero
+    offset, a locate that would raise, or more than ``_K`` arcs after it) is
+    ``Sweep._step``'s, from the same state, and the row rejoins the lockstep
+    on its next step if its wavefront fits.  Once a column has fewer than
+    ``_LOCKSTEP_MIN_ROWS`` rows (discounted by the share the last column
+    handed back), the rest of the tile is the scalar code's.  At the tile's
+    end the rows left with one arc go back to the tiles.  Every path marks
+    the targets it finds in ``tgt``, by row and step offset.
 
     Tiles start ``_MIN_COLS`` steps wide and double up to ``_MAX_COLS``,
     within ``_TILE_SIZE`` elements: the first steps of a sweep are where
@@ -145,6 +205,7 @@ class Block:
 
     def __init__(self, pts, X, Y, starts, delta, kern):
         n = len(pts)
+        rows = len(starts)
         self.n = n
         self.X, self.Y, self.delta, self.kern = X, Y, delta, kern
         self.I = I = np.asarray(starts, dtype=np.intp)
@@ -153,131 +214,432 @@ class Block:
         self.AY = Y[I]
         self.sws = [Sweep(pts, i, delta, kern) for i in starts]
         self.square = self.sws[0].square            # gauge the square segments
-        # targets as packed int64 until a row is done: a block holds many rows' lists
-        self.outs = [array("q") for _ in starts]
-        self.res = [None] * len(starts)
-        self.mode = np.full(len(starts), _NO_ARC)
-        self.F = np.zeros((len(_F), len(starts)))
-        self.IDX = np.zeros(len(starts), dtype=np.intp)
-        self.C = np.zeros((len(_C), len(starts)), dtype=np.int64)
-        self.nxt = np.zeros(len(starts), dtype=np.intp)    # next vertex of a scalar row
-        self.calm = [0] * len(starts)   # a scalar row's latest run of BB steps from one arc
+        self.res = [None] * rows
+        self.mode = np.full(rows, _NO_ARC)
+        self.W = np.zeros((len(_W), rows))
+        self.A = np.zeros((len(_A), rows, _K))
+        self.IDX = np.zeros((rows, _K), dtype=np.intp)
+        self.cnt = np.zeros(rows, dtype=np.intp)
+        # case counts and the column each case first came at, since the last fold
+        self.C = np.zeros((len(_BC), rows), dtype=np.int64)
+        self.FIRST = np.full((len(_BC), rows), np.inf)
+        self.G = np.zeros((4, rows), dtype=np.int64)
+        self.nxt = np.zeros(rows, dtype=np.intp)    # offset of a lockstep or scalar row's step
+        self.taken = 1.0        # share of its rows' steps the last lockstep column took
+        # the targets found so far, by row and offset
+        self.tgt = np.zeros((rows, max(int(self.last.max()), 0) + 1), dtype=bool)
 
     def run(self):
         """Yields per start vertex, in order, its (targets, sweep) pair or the
         exception it raised; each as soon as it and those before it are done."""
-        for r in np.nonzero(self.last <= 0)[0]:
-            self._finish(r, False)
+        self._finish(np.nonzero(self.last <= 0)[0], False)
         o0 = 1
         w = _MIN_COLS // 2
         ready = 0
         while ready < len(self.res):
             while ready < len(self.res) and self.res[ready] is not None:
                 yield self.res[ready]
-                self.res[ready] = self.outs[ready] = self.sws[ready] = None
+                self.res[ready] = self.sws[ready] = None
                 ready += 1
             if ready == len(self.res):
                 return
             rows = np.nonzero(self.mode <= _ONE_ARC)[0]
             w = min(2 * w, _MAX_COLS, max(_MIN_COLS, _TILE_SIZE // max(rows.size, 1)))
             o1 = o0 + w
-            if rows.size:
-                with np.errstate(all="ignore"):
+            with np.errstate(all="ignore"):
+                if rows.size:
                     self._tile(rows, o0, o1)
-            for r in np.nonzero(self.mode == _SCALAR)[0]:
-                self._scalar(r, min(int(self.I[r]) + o1, self.n))
-            for r in np.nonzero((self.mode <= _ONE_ARC) & (self.last < o1))[0]:
-                self._finish(r, False)
+                self._finish(np.nonzero((self.mode <= _ONE_ARC) & (self.last < o1))[0], False)
+                out = np.nonzero((self.mode == _LOCKSTEP) | (self.mode == _SCALAR))[0]
+                self.taken = 1.0
+                for c in range(o0, o1):
+                    out = out[self.mode[out] != _DONE]
+                    act = out[self.nxt[out] == c]
+                    if act.size * self.taken < _LOCKSTEP_MIN_ROWS:
+                        # too few steps for the lockstep: the rest of the
+                        # tile is the scalar code's, row by row
+                        self._leave(out[self.mode[out] == _LOCKSTEP])
+                        for r in out.tolist():
+                            self._scalar(r, o1)
+                        break
+                    self._column(act, c)
+            # rows left with one arc go back to the tiles
+            self.mode[(self.mode == _LOCKSTEP) & (self.cnt == 1)] = _ONE_ARC
+            self._load([r for r in np.nonzero(self.mode == _SCALAR)[0].tolist()
+                        if len(self.sws[r].arcs) == 1], _ONE_ARC)
             o0 = o1
 
     # -- rows entering and leaving the batch -------------------------------------
 
-    def _store(self, r):
-        """The carried one-arc state into the row's Sweep."""
+    def _store(self, rows):
+        """The rows' carried state into their Sweeps."""
+        if not rows.size:
+            return
+        for r, (rot, kr, kl, urx, ury, ulx, uly), arcs, idx, m in zip(
+                rows.tolist(), self.W[:, rows].T.tolist(), self.A[:, rows].transpose(1, 2, 0).tolist(),
+                self.IDX[rows].tolist(), self.cnt[rows].tolist()):
+            sw = self.sws[r]
+            sw.rot, sw.kr, sw.kl = rot, kr, kl
+            sw.ur = (urx, ury)
+            sw.ul = (ulx, uly)
+            sw.arcs = [Arc(k0, k1, x0, y0, x1, y1, cx, cy, i, ck)
+                       for (k0, k1, x0, y0, x1, y1, cx, cy, ck), i in zip(arcs[:m], idx)]
+            sw.keys = [a.k0 for a in sw.arcs]
+
+    def _load(self, rows, mode):
+        """The Sweeps' states (1 to _K arcs) into the rows' carried state."""
+        if not len(rows):
+            return
+        wedges, arcs, idx, counts = [], [], [], []
+        for r in rows:
+            sw = self.sws[r]
+            wedges.append((sw.rot, sw.kr, sw.kl, sw.ur[0], sw.ur[1], sw.ul[0], sw.ul[1]))
+            arcs += [(a.k0, a.k1, a.x0, a.y0, a.x1, a.y1, a.cx, a.cy, a.ck) for a in sw.arcs]
+            arcs += _PAD[len(sw.arcs):]
+            idx += [a.idx for a in sw.arcs] + [0] * (_K - len(sw.arcs))
+            counts.append(len(sw.arcs))
+        self.W[:, rows] = np.array(wedges).T
+        self.A[:, rows] = np.array(arcs).reshape(len(rows), _K, len(_A)).transpose(2, 0, 1)
+        self.IDX[rows] = np.array(idx).reshape(len(rows), _K)
+        self.cnt[rows] = counts
+        self.mode[rows] = mode
+
+    def _fold(self, rows):
+        """The rows' batch counters into their Sweeps' stats, cases in the order they came."""
+        if not len(rows):
+            return
+        for r, counts, first, (ins, rem, arcs, segs) in zip(
+                rows.tolist(), self.C[:, rows].T.tolist(), self.FIRST[:, rows].T.tolist(),
+                self.G[:, rows].T.tolist()):
+            st = self.sws[r].stats
+            if any(counts):
+                st.steps += sum(counts)
+                st.aborts += counts[_WE]
+                h = st.case_histogram
+                for _, case, k in sorted((first[i], _BC[i], k) for i, k in enumerate(counts) if k):
+                    h[case] = h.get(case, 0) + k
+            st.inserted += ins
+            st.removed += rem
+            if arcs > st.max_arc_count:
+                st.max_arc_count = arcs
+            if segs > st.max_segment_count:
+                st.max_segment_count = segs
+        self.C[:, rows] = 0
+        self.FIRST[:, rows] = np.inf
+        self.G[_INS:_REM + 1, rows] = 0
+
+    def _leave(self, rows):
+        """The rows' state and counters into their Sweeps."""
+        if not rows.size:
+            return
+        mode = self.mode[rows]
+        self._store(rows[(mode == _ONE_ARC) | (mode == _LOCKSTEP)])
+        self._fold(rows)
+
+    def _finish(self, rows, aborted: bool):
+        if not rows.size:
+            return
+        self._leave(rows)
+        self.mode[rows] = _DONE
+        for r in rows.tolist():
+            self.sws[r].aborted = aborted
+            self.res[r] = (self._targets(r), self.sws[r])
+
+    def _targets(self, r):
+        """Row r's targets, in order."""
+        return (self.tgt[r].nonzero()[0] + int(self.I[r])).tolist()
+
+    def _count(self, case, rows, c):
+        self.C[case, rows] += 1
+        self.FIRST[case, rows] = np.minimum(self.FIRST[case, rows], c)
+
+    # -- one column: the lockstep rows together, the others one by one ------------
+
+    def _scalar(self, r, o1: int):
+        """``sweep_targets``' loop over row r's steps up to offset o1."""
         sw = self.sws[r]
-        (sw.rot, sw.kr, sw.kl, urx, ury, ulx, uly,
-         k0, k1, x0, y0, x1, y1, cx, cy, ck) = self.F[:, r].tolist()
-        sw.ur = (urx, ury)
-        sw.ul = (ulx, uly)
-        sw.arcs = [Arc(k0, k1, x0, y0, x1, y1, cx, cy, int(self.IDX[r]), ck)]
-        sw.keys = [k0]
-
-    def _load(self, r):
-        sw = self.sws[r]
-        a = sw.arcs[0]
-        self.F[:, r] = (sw.rot, sw.kr, sw.kl, sw.ur[0], sw.ur[1], sw.ul[0], sw.ul[1],
-                        a.k0, a.k1, a.x0, a.y0, a.x1, a.y1, a.cx, a.cy, a.ck)
-        self.IDX[r] = a.idx
-        self.mode[r] = _ONE_ARC
-
-    def _fold(self, r):
-        """The row's batch counters into its Sweep's stats, in the order the cases came."""
-        npre, ninit, nbb, nwe, segs = self.C[:, r].tolist()
-        self.C[:, r] = 0
-        st = self.sws[r].stats
-        st.steps += npre + ninit + nbb + nwe
-        h = st.case_histogram
-        for case, k in (("PREFIX", npre), ("INIT", ninit), ("BB", nbb), ("WEDGE_EMPTY", nwe)):
-            if k:
-                h[case] = h.get(case, 0) + k
-        st.inserted += ninit + nbb
-        st.removed += nbb
-        st.aborts += nwe
-        if ninit + nbb + nwe and st.max_arc_count < 1:
-            st.max_arc_count = 1
-        if segs > st.max_segment_count:
-            st.max_segment_count = segs
-
-    def _leave(self, r):
-        if self.mode[r] == _ONE_ARC:
-            self._store(r)
-        self._fold(r)
-
-    def _finish(self, r, aborted: bool):
-        self._leave(r)
-        self.sws[r].aborted = aborted
-        self.mode[r] = _DONE
-        self.res[r] = (self.outs[r].tolist(), self.sws[r])
-
-    def _hand_off(self, r, o: int):
-        """Row r leaves the batch before its step at offset o."""
-        self._leave(r)
+        i = int(self.I[r])
+        found = []
         self.mode[r] = _SCALAR
-        self.nxt[r] = int(self.I[r]) + o
-        self.calm[r] = 0
-
-    def _scalar(self, r, end: int):
-        """``sweep_targets``' loop from the row's next vertex up to ``end``."""
-        sw = self.sws[r]
-        out = self.outs[r]
-        calm = self.calm[r]
         try:
-            for j in range(int(self.nxt[r]), end):
+            for j in range(i + int(self.nxt[r]), min(i + o1, self.n)):
                 if sw.locate_vertex(j) is VALID:
-                    out.append(j)
-                one = len(sw.arcs) == 1
-                calm = calm + 1 if sw._step(j) == "BB" and one else 0
+                    found.append(j - i)
+                sw._step(j)
                 if sw.aborted:
                     break
         except Exception as exc:  # noqa: BLE001 - raised again in the row's turn
             self.res[r] = exc
             self.mode[r] = _DONE
             return
-        if sw.aborted or end >= self.n:
+        self.tgt[r, found] = True
+        if sw.aborted or i + o1 >= self.n:
             self.mode[r] = _DONE
-            self.res[r] = (out.tolist(), sw)
-        elif calm >= _CALM:
-            self._load(r)
-        else:
-            self.nxt[r] = end
-            self.calm[r] = calm
+            self.res[r] = (self._targets(r), sw)
+        self.nxt[r] = o1
+
+    def _column(self, act, c: int):
+        """The steps at offset c of the rows ``act``: the lockstep rows'
+        together, the others' and those the lockstep hands back one by one;
+        these rejoin the lockstep where their wavefront fits."""
+        mode = self.mode
+        lock = act[mode[act] == _LOCKSTEP]
+        if lock.size:
+            m = lock.size
+            lock = self._lockstep(lock, c)
+            self.taken = 1.0 - lock.size / m
+            self._leave(lock)
+            mode[lock] = _SCALAR
+        back = []
+        for r in act[mode[act] == _SCALAR].tolist():
+            self._scalar(r, c + 1)
+            if mode[r] == _SCALAR and 0 < len(self.sws[r].arcs) <= _K:
+                back.append(r)
+        self._load(back, _LOCKSTEP)
+        self.nxt[act] = c + 1
+        self._finish(act[(mode[act] == _LOCKSTEP) & (self.last[act] == c)], False)
+
+    def _lockstep(self, rows, c: int):
+        """The step at offset c of the lockstep rows; returns those whose step
+        is the scalar code's."""
+        delta = self.delta
+        kern = self.kern
+        hits = kern.ray_hits_np
+        atan2 = math.atan2
+        hypot = math.hypot
+        E = EPS_ANGLE
+        R = rows.size
+        rix = np.arange(R)
+        col = rix[:, None]
+        J = self.I[rows] + c
+        ax = self.AX[rows]
+        ay = self.AY[rows]
+        px = self.X[J]
+        py = self.Y[J]
+        rot, kr, kl, urx, ury, ulx, uly = self.W[:, rows]
+        S = self.A[:, rows]
+        ID = self.IDX[rows]
+        n = self.cnt[rows]
+        valid = _SLOTS < n[:, None]
+        tx0, ty0, tx1, ty1, two, _ = kern.tangent_points_np(ax, ay, px, py, delta)
+        # ``fb``: the step is the scalar code's, and nothing computed for it
+        # here is kept; so far where the apex lies in C_j, where a square
+        # shows four corners, and where the keys are out of order (their
+        # bisections are then no counts)
+        fb = ~two | (valid[:, 1:] & (S[0][:, 1:] < S[0][:, :-1])).any(1)
+        dx = px - ax
+        dy = py - ay
+        k, ck, r, l, rs, ls = _cone(libm_np(atan2, np.array([dy, ty0 - ay, ty1 - ay]),
+                                            np.array([dx, tx0 - ax, tx1 - ax]),
+                                            np.array([two, two, two])), rot)
+        r = ck + r
+        l = ck + l
+
+        # the wedge: the cone intersected with it, as ``_step_proper``, and
+        # the sides it moves (right, left)
+        seam = (l < kr - E) | (r > kl + E)
+        if seam.any():
+            fb |= seam & (~((l + _TAU < kr - E) | (r + _TAU > kl + E))
+                          | ~((l + -_TAU < kr - E) | (r + -_TAU > kl + E)))
+        nkr = np.where(r > kr, r, kr)
+        nkl = np.where(l < kl, l, kl)
+        moved = ~seam & np.array([nkr <= r + E, nkl >= l - E])
+        abort = seam | (nkl < nkr - E)
+        # locate_vertex(j) needs C_j's distance, and a side the cone moves the
+        # distance of its touch point: one hypot each
+        outside = (k < kr - _KEY_SLACK) | (k > kl + _KEY_SLACK)
+        ex = np.array([dx, np.where(rs, tx1, tx0) - ax, np.where(ls, tx1, tx0) - ax])
+        ey = np.array([dy, np.where(rs, ty1, ty0) - ay, np.where(ls, ty1, ty0) - ay])
+        d = libm_np(hypot, ex, ey, np.concatenate([~outside[None], moved]) & two)
+        ux = ex / d
+        uy = ey / d
+        fb |= (moved & (d[1:] == 0.0)).any(0)
+        urx, ulx = np.where(moved, ux[1:], (urx, ulx))
+        ury, uly = np.where(moved, uy[1:], (ury, uly))
+        nkl = np.where(nkl < nkr, nkr, nkl)
+
+        # _clip: the arcs outside [nkr, nkl] go; the locate reads arc pos of
+        # the arcs before, the first ``_front_dist_at`` tries
+        pos = np.maximum(_count_le(S[0], valid, k) - 1, 0)
+        at_pos = S[:, rix, pos]
+        lo = np.zeros(R, dtype=np.intp)
+        hi = n - 1
+        # with the keys in order, a row keeps every arc unless one of these holds
+        drop = (n > 1) & ((S[0][:, 1] <= nkr) | (S[1][:, 0] < nkr - _KEY_SLACK)
+                          | (S[0][rix, hi] > nkl))
+        if drop.any():
+            lo = np.maximum(_count_le(S[0], valid, nkr) - 1, 0)[:, None]
+            lo = ((_SLOTS >= lo) & ((_SLOTS >= hi[:, None])
+                                    | ~(S[1] < (nkr - _KEY_SLACK)[:, None]))).argmax(1)
+            hi = np.maximum(_count_le(S[0], valid, nkl) - 1, lo)[:, None]
+            hi = _K - 1 - ((_SLOTS <= hi) & ((_SLOTS <= lo[:, None])
+                                             | ~(S[0] > (nkl + _KEY_SLACK)[:, None])))[:, ::-1].argmax(1)
+        removed = lo + (n - 1 - hi)
+        if lo.any():
+            shift = np.minimum(lo[:, None] + _SLOTS, _K - 1)
+            S = S[:, col, shift]
+            ID = ID[col, shift]
+        n = hi - lo + 1
+        e = n - 1
+        # every ray the step follows, in one call: locate_vertex(j)'s ray on
+        # arc pos; the right ray on the first arc and the left on the last,
+        # which they cut where they moved in; the left and right rays on C_j
+        lo, hi, hit = hits(ax[:, None], ay[:, None],
+                           np.array([ux[0], urx, ulx, ulx, urx]).T,
+                           np.array([uy[0], ury, uly, uly, ury]).T,
+                           np.array([at_pos[6], S[6][:, 0], S[6][rix, e], px, px]).T,
+                           np.array([at_pos[7], S[7][:, 0], S[7][rix, e], py, py]).T, delta)
+        t = np.where(lo < 0.0, hi, lo)
+        fb |= ~outside & ~((at_pos[0] - _KEY_SLACK <= k) & (k <= at_pos[1] + _KEY_SLACK)
+                           & hit[:, 0])
+        dist = d[0]
+        target = ~outside & (dist >= t[:, 0] - EPS_REL * (delta + dist))
+        cut0 = S[0][:, 0] < nkr - E
+        cut1 = S[1][rix, e] > nkl + E
+        fb |= ~abort & ((cut0 & ~hit[:, 1]) | (cut1 & ~hit[:, 2]))
+        S[_K0X0Y0, :, 0] = np.where(cut0, (nkr, ax + t[:, 1] * urx, ay + t[:, 1] * ury),
+                                    S[_K0X0Y0, :, 0])
+        S[_K1X1Y1[:, None], rix, e] = np.where(cut1, (nkl, ax + t[:, 2] * ulx, ay + t[:, 2] * uly),
+                                               S[_K1X1Y1[:, None], rix, e])
+        q1 = np.where(lo[:, 3:] < 0.0, 0.0, lo[:, 3:])
+        q2 = hi[:, 3:]
+        hit = hit[:, 3:]
+
+        # _narrow: the left and right wedge rays' letters, from the end arcs'
+        # distances and C_j's span on the ray
+        live = ~fb & ~abort
+        wd = libm_np(hypot, np.array([S[4][rix, e], S[2][:, 0]]).T - ax[:, None],
+                     np.array([S[5][rix, e], S[3][:, 0]]).T - ay[:, None],
+                     np.array([live, live]).T)
+        short, inner = _letters(wd, q1, q2, delta)
+        mb = inner[:, 0] & short[:, 1]
+        bm = short[:, 0] & inner[:, 1]
+        bb = short[:, 0] & short[:, 1]
+        mm = inner[:, 0] & inner[:, 1]
+        fb |= ~abort & ~(hit.all(1) & (mb | bm | bb | mm))
+
+        # the crossings of C_j's boundary with the arcs, on an arc and on its
+        # near side: MB takes the least key's on the first arc from the right
+        # end with one (_scan_right), BM the greatest key's on the first from
+        # the left (_scan_left); MM (_case_mm, where C_j's boundary meets the
+        # wavefront between the rays) the greatest key's on arc pos, where
+        # C_j's center key falls among the arcs', and the least key's on arc
+        # pos - 1.  A right end moves to crossing R (MB, MM), a left end to L
+        # (BM, MM); any other outcome of the scans is the scalar code's.
+        eR = np.zeros(R, dtype=np.intp)
+        eL = np.zeros(R, dtype=np.intp)
+        kR, xR, yR, kL, xL, yL = np.zeros((6, R))
+        b = (~fb & ~abort & (mb | bm | mm)).nonzero()[0]
+        if b.size:
+            Sb = S[:, b]
+            nb = n[b]
+            bx = ax[b][:, None]
+            by = ay[b][:, None]
+            x0, y0, x1, y1, m, coinc = kern.boundary_intersections_np(
+                Sb[6], Sb[7], px[b][:, None], py[b][:, None], delta)
+            inb = _SLOTS < nb[:, None]
+            want = inb & ~coinc
+            xs = np.array([x0, x1])
+            ys = np.array([y0, y1])
+            near = kern.on_near_side_np(bx, by, Sb[6], Sb[7], xs, ys, delta,
+                                        np.array([want & (m >= 1), want & (m >= 2)]))
+            kk = _wrap(libm_np(atan2, ys - by, xs - bx, near) - rot[b][:, None])
+            v = near & (Sb[0] - _KEY_SLACK <= kk) & (kk <= Sb[1] + _KEY_SLACK)
+            found = v[0] | v[1] | (inb & coinc)
+            mbb = mb[b]
+            mmb = mm[b]
+            pos = ((Sb[8] > ck[b][:, None]) & inb).sum(1)
+            at = np.where(mbb, found.argmax(1),
+                          np.where(mmb, np.minimum(pos, _K - 1), _K - 1 - found[:, ::-1].argmax(1)))
+            gotA, coinA, kA, xA, yA = _pick(v, kk, xs, ys, coinc, at, mbb)
+            bad = ~gotA | coinA
+            if mmb.any():
+                atB = np.maximum(pos - 1, 0)
+                gotB, coinB, kB, xB, yB = _pick(v, kk, xs, ys, coinc, atB, True)
+                # _case_mm's first test: both arcs' ends inside C_j
+                br = np.arange(b.size)
+                inside = kern.contains_np(
+                    px[b], py[b], np.array([Sb[2, br, atB], Sb[4, br, atB], Sb[2, br, at], Sb[4, br, at]]),
+                    np.array([Sb[3, br, atB], Sb[5, br, atB], Sb[3, br, at], Sb[5, br, at]]),
+                    delta, 4.0 * EPS_REL, np.array([mmb, mmb, mmb, mmb])).all(0)
+                bad |= mmb & ((pos < 1) | (pos >= nb) | ~gotB | coinB | inside
+                              | (inb[:, 1:] & (Sb[8][:, 1:] > Sb[8][:, :-1])).any(1))
+                eL[b] = np.where(mmb, atB, at)
+                kL[b] = np.where(mmb, kB, kA)
+                xL[b] = np.where(mmb, xB, xA)
+                yL[b] = np.where(mmb, yB, yA)
+            else:
+                eL[b] = at
+                kL[b] = kA
+                xL[b] = xA
+                yL[b] = yA
+            fb[b[bad]] = True
+            eR[b] = at
+            kR[b] = kA
+            xR[b] = xA
+            yR[b] = yA
+        fb |= ~abort & ((mb & (n - eR + 1 > _K)) | (bm & (eL + 2 > _K)) | (mm & (n == _K)))
+
+        # the splices: the crossed arcs end at the crossings, and the new arc
+        # goes in front of them (MB), after them (BM), between them (MM) or
+        # in place of all (BB)
+        done = ~fb
+        live = done & ~abort
+        toR = mb | mm
+        toL = bm | mm
+        p = (live & toR).nonzero()[0]
+        if p.size:
+            e = eR[p]
+            S[_K0X0Y0[:, None], p, e] = (kR[p], xR[p], yR[p])
+            S[1, p, e] = np.where(S[1, p, e] < kR[p], kR[p], S[1, p, e])
+        p = (live & toL).nonzero()[0]
+        if p.size:
+            e = eL[p]
+            S[_K1X1Y1[:, None], p, e] = (kL[p], xL[p], yL[p])
+            S[0, p, e] = np.where(S[0, p, e] > kL[p], kL[p], S[0, p, e])
+        new = (np.where(toL, kL, nkr), np.where(toR, kR, nkl),
+               np.where(toL, xL, ax + q1[:, 1] * urx), np.where(toL, yL, ay + q1[:, 1] * ury),
+               np.where(toR, xR, ax + q1[:, 0] * ulx), np.where(toR, yR, ay + q1[:, 0] * uly),
+               px, py, ck)
+        # slot s of the result holds the new arc at ``ins``, else old slot
+        # s + sh before it and s + sh - 1 after it (sh: MB's arcs removed)
+        ins = np.where(bm, eL + 1, np.where(mm, eR, 0))[:, None]
+        src = np.where(_SLOTS == ins, _K, np.minimum(np.maximum(
+            _SLOTS - (_SLOTS > ins) + np.where(mb, eR, 0)[:, None], 0), _K - 1))
+        S = np.concatenate([S, np.array(new)[:, :, None]], 2)[:, col, src]
+        ID = np.concatenate([ID, J[:, None]], 1)[col, src]
+        removed += np.where(bb, n, np.where(mb, eR, np.where(bm, n - eL - 1, 0)))
+        n = np.where(bb, 1, np.where(mb, n - eR + 1, np.where(bm, eL + 2, n + 1)))
+
+        # commit the state and the counters of the steps taken here
+        lr = rows[live]
+        self.W[:, lr] = np.array([rot, nkr, nkl, urx, ury, ulx, uly])[:, live]
+        self.A[:, lr] = S[:, live]
+        self.IDX[lr] = ID[live]
+        self.cnt[lr] = n[live]
+        self.G[_INS, lr] += 1
+        self.G[_REM, lr] += removed[live]
+        dr = rows[done]
+        self.G[_ARCS, dr] = np.maximum(self.G[_ARCS, dr], self.cnt[dr])
+        if self.square:
+            sq = dr[2 * self.cnt[dr] > self.G[_SEGS, dr]]
+            if sq.size:
+                a = self.A[:, sq]
+                segs = kern.arc_segments_np(self.AX[sq][:, None], self.AY[sq][:, None], a[6], a[7],
+                                            delta, a[2], a[3], a[4], a[5])
+                segs = np.where(_SLOTS < self.cnt[sq][:, None], segs, 0).sum(1)
+                self.G[_SEGS, sq] = np.maximum(self.G[_SEGS, sq], segs)
+        self._count(np.where(abort, _WE, np.where(bb, _BB, np.where(mb, _MB, np.where(
+            bm, _BM, _MM))))[done], dr, c)
+        self.tgt[rows[done & target], c] = True
+        self._finish(rows[done & abort], True)
+        return rows[fb]
 
     # -- one tile -------------------------------------------------------------
 
     def _tile(self, rows, o0: int, o1: int):
         """Batch steps o0 .. o1-1 of the rows with no arc or one arc."""
         delta = self.delta
-        F = self.F
         C = self.C
         last = self.last[rows]
         o1 = min(o1, int(last.max()) + 1)
@@ -299,31 +661,25 @@ class Block:
         q = np.where(proper.any(1), proper.argmax(1), T)   # a no-arc row's INIT column
         first = np.where(noarc, q, 0)
         need = proper & two & (col >= first[:, None])
-        flat = np.flatnonzero(need)
-        atan2 = math.atan2
-        Ac = _libm(atan2, dy, dx, flat)
-        A0 = _libm(atan2, ty0 - ay, tx0 - ax, flat)
-        A1 = _libm(atan2, ty1 - ay, tx1 - ax, flat)
-        del flat
+        A = libm_np(math.atan2, np.array([dy, ty0 - ay, ty1 - ay]), np.array([dx, tx0 - ax, tx1 - ax]),
+                    np.array([need, need, need]))
         start = np.where(noarc, T, 0)       # first column of a row's one-arc steps
-        handoffs = []
 
         # PREFIX steps of the rows with no arc: every one is a target
         if noarc.any():
             npre = np.where(noarc, np.minimum(first, last - o0 + 1), 0)
-            C[0, rows] += npre
-            for b in np.nonzero(npre)[0].tolist():
-                j0 = int(I[b]) + o0
-                self.outs[rows[b]].extend(range(j0, j0 + int(npre[b])))
+            C[_PRE, rows] += npre
+            self.FIRST[_PRE, rows[npre > 0]] = np.minimum(self.FIRST[_PRE, rows[npre > 0]], o0)
+            self.tgt[rows, o0:o0 + T] |= col < npre[:, None]
 
         # INIT: the first proper step sets the frame, the wedge and the arc
         ib = np.nonzero(noarc & (q < T))[0]
         if ib.size:
             iq = q[ib]
             ok = two[ib, iq]
-            A = Ac[ib, iq]
-            rot = A - 0.5 * _PI
-            _, ck, off_r, off_l, rs, ls = _cone(A, A0[ib, iq], A1[ib, iq], rot)
+            Ai = A[:, ib, iq]
+            rot = Ai[0] - 0.5 * _PI
+            _, ck, off_r, off_l, rs, ls = _cone(Ai, rot)
             trx = np.where(rs, tx1[ib, iq], tx0[ib, iq])
             tr_y = np.where(rs, ty1[ib, iq], ty0[ib, iq])
             tlx = np.where(ls, tx1[ib, iq], tx0[ib, iq])
@@ -335,32 +691,34 @@ class Block:
             kl = ck + off_l
             iax = ax[ib, 0]
             iay = ay[ib, 0]
-            okf = np.flatnonzero(ok)
             erx, ery, elx, ely = trx - iax, tr_y - iay, tlx - iax, tly - iay
-            dr = _libm(math.hypot, erx, ery, okf)
-            dl = _libm(math.hypot, elx, ely, okf)
+            dr = libm_np(math.hypot, erx, ery, ok)
+            dl = libm_np(math.hypot, elx, ely, ok)
             ok &= (dr != 0.0) & (dl != 0.0)
             cx = px[ib, iq]
             cy = py[ib, iq]
-            for b in np.nonzero(~ok)[0].tolist():
-                handoffs.append((int(rows[ib[b]]), o0 + int(iq[b])))
+            # four square corners or a zero offset: the scalar code's INIT
+            h = rows[ib[~ok]]
+            self._fold(h)
+            self.mode[h] = _SCALAR
+            self.nxt[h] = o0 + iq[~ok]
             g = rows[ib[ok]]
             if g.size:
-                F[:, g] = np.stack([rot, kr, kl, erx / dr, ery / dr, elx / dl, ely / dl,
-                                    kr, kl, trx, tr_y, tlx, tly, cx, cy, ck])[:, ok]
+                self.W[:, g] = np.stack([rot, kr, kl, erx / dr, ery / dr, elx / dl, ely / dl])[:, ok]
+                self.A[:, g, 0] = np.stack([kr, kl, trx, tr_y, tlx, tly, cx, cy, ck])[:, ok]
                 ji = J[ib, iq][ok]
-                self.IDX[g] = ji
-                C[1, g] += 1
+                self.IDX[g, 0] = ji
+                self.cnt[g] = 1
+                self._count(_INI, g, o0 + iq[ok])
+                self.G[_INS, g] += 1
+                self.G[_ARCS, g] = np.maximum(self.G[_ARCS, g], 1)
                 if self.square:
                     segs = self.kern.arc_segments_np(iax, iay, cx, cy, delta,
                                                      trx, tr_y, tlx, tly)[ok]
-                    C[4, g] = np.maximum(C[4, g], segs)
-                for r, j in zip(g.tolist(), ji.tolist()):
-                    self.outs[r].append(j)
+                    self.G[_SEGS, g] = np.maximum(self.G[_SEGS, g], segs)
+                self.tgt[g, o0 + iq[ok]] = True
                 self.mode[g] = _ONE_ARC
                 start[ib[ok]] = iq[ok] + 1
-        for r, o in handoffs:
-            self._hand_off(r, o)
 
         # BB and WEDGE_EMPTY steps of the rows with one arc, from each step's
         # cone in the row's frame: its keys and its right and left touch points
@@ -371,8 +729,8 @@ class Block:
             return
         ax = ax[sub]
         ay = ay[sub]
-        k, ck, r, l, rs, ls = _cone(Ac[sub], A0[sub], A1[sub], F[0, rows[sub]][:, None])
-        del Ac, A0, A1
+        k, ck, r, l, rs, ls = _cone(A[:, sub], self.W[0, rows[sub]][:, None])
+        del A
         rx = np.where(rs, tx1[sub], tx0[sub]) - ax
         ry = np.where(rs, ty1[sub], ty0[sub]) - ay
         lx = np.where(ls, tx1[sub], tx0[sub]) - ax
@@ -396,8 +754,8 @@ class Block:
         ray_hits = self.kern.ray_hits_np
         E = EPS_ANGLE
         T = col.size
-        (rot, kr_in, kl_in, urx_in, ury_in, ulx_in, uly_in,
-         k0_in, k1_in, x0_in, y0_in, x1_in, y1_in, cx_in, cy_in, _) = self.F[:, rows]
+        rot, kr_in, kl_in, urx_in, ury_in, ulx_in, uly_in = self.W[:, rows]
+        k0_in, k1_in, x0_in, y0_in, x1_in, y1_in, cx_in, cy_in, _ = self.A[:, rows, 0]
         s = start[:, None]
         on = col >= s
         need = need & on
@@ -424,8 +782,8 @@ class Block:
         set_r = need & (col < f) & (kr <= r + E)
         set_l = need & (col < f) & (nkl >= l - E)
         del r, l, nkl
-        dr = _libm(math.hypot, rx, ry, np.flatnonzero(set_r))
-        dl = _libm(math.hypot, lx, ly, np.flatnonzero(set_l))
+        dr = libm_np(math.hypot, rx, ry, set_r)
+        dl = libm_np(math.hypot, lx, ly, set_l)
         zero = (set_r & (dr == 0.0)) | (set_l & (dl == 0.0))
         halt |= on & (zero | emptied)
         f = np.where(halt.any(1), halt.argmax(1), T)
@@ -447,7 +805,7 @@ class Block:
         pcx = _lag(px, cx_in, s, col)
         pcy = _lag(py, cy_in, s, col)
         # locate_vertex(j) on that arc
-        dc = _libm(math.hypot, dx, dy, np.flatnonzero(upto))
+        dc = libm_np(math.hypot, dx, dy, upto)
         lo, hi, hit = ray_hits(ax, ay, dx / dc, dy / dc, pcx, pcy, delta)
         target = ~outside & (dc >= np.where(lo < 0.0, hi, lo) - EPS_REL * (delta + dc))
         early |= ~outside & ~((pk0 - _KEY_SLACK <= k) & (k <= pk1 + _KEY_SLACK) & hit)
@@ -470,9 +828,9 @@ class Block:
                                        _lag(nx1, x1_in, s, col), _lag(ny1, y1_in, s, col), delta)
         del pk0, pk1, pcx, pcy
         missed |= missed_l
-        f3 = np.flatnonzero(upto & ~seam & ~zero & ~emptied)
-        bb = (hit & _short(_libm(math.hypot, wx1 - ax, wy1 - ay, f3), l1, l2, delta)
-              & _short(_libm(math.hypot, wx0 - ax, wy0 - ay, f3), r1, r2, delta))
+        f3 = upto & ~seam & ~zero & ~emptied
+        bb = (hit & _letters(libm_np(math.hypot, wx1 - ax, wy1 - ay, f3), l1, l2, delta)[0]
+              & _letters(libm_np(math.hypot, wx0 - ax, wy0 - ay, f3), r1, r2, delta)[0])
         del wx0, wy0, wx1, wy1, r1, r2, l1, l2, f3
         empty = ~early & (empty | (~seam & ~zero & emptied))
         stop = on & (~inrow | early | seam | zero | emptied | missed | ~bb)
@@ -483,28 +841,27 @@ class Block:
         taken = on & (col < f[:, None])
         got = (taken | ((col == f[:, None]) & aborts[:, None])) & target
         nbb = f - start
-        C = self.C
-        C[2, rows] += nbb
-        C[3, rows] += aborts
+        m = np.nonzero(nbb > 0)[0]
+        self.C[_BB, rows] += nbb
+        self.FIRST[_BB, rows[m]] = np.minimum(self.FIRST[_BB, rows[m]], o0 + start[m])
+        self.G[_INS, rows] += nbb
+        self.G[_REM, rows] += nbb
+        a = np.nonzero(aborts)[0]
+        self._count(_WE, rows[a], o0 + f[a])
         if self.square:
             segs = self.kern.arc_segments_np(ax, ay, px, py, delta, nx0, ny0, nx1, ny1)
-            C[4, rows] = np.maximum(C[4, rows], np.where(taken, segs, 0).max(1))
-        bi, bj = np.nonzero(got)
-        targets = J[bi, bj].astype(np.int64)
-        cuts = np.searchsorted(bi, np.arange(len(rows) + 1)).tolist()
-        for b, row in enumerate(rows.tolist()):
-            if cuts[b] < cuts[b + 1]:
-                self.outs[row].frombytes(targets[cuts[b]:cuts[b + 1]].tobytes())
-        m = np.nonzero(nbb > 0)[0]
+            self.G[_SEGS, rows] = np.maximum(self.G[_SEGS, rows], np.where(taken, segs, 0).max(1))
+        self.tgt[rows, o0:o0 + col.size] |= got
         if m.size:
             c = f[m] - 1
-            self.F[:, rows[m]] = np.stack([
-                rot[m], kr[m, c], kl[m, c], urx[m, c], ury[m, c], ulx[m, c], uly[m, c],
-                kr[m, c], kl[m, c], nx0[m, c], ny0[m, c], nx1[m, c], ny1[m, c],
-                px[m, c], py[m, c], ck[m, c]])
-            self.IDX[rows[m]] = J[m, c]
-        for b in np.nonzero((f < T) & inrow[fb])[0].tolist():
-            if aborts[b]:
-                self._finish(int(rows[b]), True)
-            else:
-                self._hand_off(int(rows[b]), o0 + int(f[b]))
+            self.W[:, rows[m]] = np.stack([rot[m], kr[m, c], kl[m, c], urx[m, c], ury[m, c],
+                                           ulx[m, c], uly[m, c]])
+            self.A[:, rows[m], 0] = np.stack([kr[m, c], kl[m, c], nx0[m, c], ny0[m, c],
+                                              nx1[m, c], ny1[m, c], px[m, c], py[m, c], ck[m, c]])
+            self.IDX[rows[m], 0] = J[m, c]
+        # the first step of another kind joins the lockstep
+        stop = (f < T) & inrow[fb]
+        self._finish(rows[stop & aborts], True)
+        h = stop & ~aborts
+        self.mode[rows[h]] = _LOCKSTEP
+        self.nxt[rows[h]] = o0 + f[h]

@@ -46,21 +46,28 @@ decisions, not just the last digits of the output.
 
 Batched sweeps.  ``sweeps(pts, starts, ...)`` runs the sweeps of many start
 vertices.  With no checker or SVG sink and at least ``_BATCH_MIN_ROWS`` start
-vertices, it advances every sweep whose wavefront is one arc (or still empty)
-through its PREFIX, INIT, BB and WEDGE_EMPTY steps in tiles of start
-vertices x steps (``_batch.Block``), on either kernel, and hands every other
-step to ``Sweep._step`` from the same state.  The one-arc state is a few
-floats per sweep: the wedge keys are a running max and min, the unit rays are
-forward-filled, and the arc a step clips is the one the step before made.
-The block reaches the kernel through the numpy mirrors of its primitives
-(``tangent_points_np``, whose ``inside`` mask is the step's apex-in-C_j
-rule, ``ray_hits_np``; ``arc_segments_np`` for the square segment gauge).
-Keys and distances still come from ``math.atan2`` and ``math.hypot``, one
-call per element; numpy does only + - * /, sqrt, comparisons and
-``np.where`` selections that mirror the scalar conditionals in their order,
-so every target, counter, final state and exception is the per-start loop's,
-bit for bit.  Fewer start vertices, a checker or a sink run the per-start
-loop.
+vertices, it batches them (``_batch.Block``), on either kernel, in two
+regimes.  A sweep whose wavefront is one arc (or still empty) takes its
+PREFIX, INIT, BB and WEDGE_EMPTY steps in tiles of start vertices x steps:
+that state is a few floats per sweep, the wedge keys are a running max and
+min, the unit rays are forward-filled, and the arc a step clips is the one
+the step before made.  A sweep whose wavefront holds 1 to ``_batch._K``
+arcs (a padded array per arc field, and a count) takes its BB, MB, BM, MM
+and WEDGE_EMPTY steps in lockstep with the block's other such sweeps, one
+step at a time, since each step reads the arcs the one before left; the
+lockstep mirrors ``_clip``, ``_locate``, ``_narrow``, the crossing scans and
+the splices.  Every other step, and every step of a column too thin to pay
+for the lockstep, is ``Sweep._step``'s from the same state; the sweep
+rejoins the lockstep on the next step its wavefront fits.  The block reaches
+the kernel through the numpy mirrors of its primitives (``tangent_points_np``,
+whose ``inside`` mask is the step's apex-in-C_j rule, ``ray_hits_np``,
+``boundary_intersections_np``, ``on_near_side_np``, ``contains_np``;
+``arc_segments_np`` for the square segment gauge).  Keys and distances still
+come from ``math.atan2`` and ``math.hypot``, one call per element; numpy
+does only + - * /, sqrt, comparisons and ``np.where`` selections that mirror
+the scalar conditionals in their order, so every target, counter, gauge,
+final state and exception is the per-start loop's, bit for bit.  Fewer start
+vertices, a checker or a sink run the per-start loop.
 """
 from __future__ import annotations
 

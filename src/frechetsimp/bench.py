@@ -8,6 +8,8 @@ the whole polyline, which is the regime where the asymptotic gap shows.
 from __future__ import annotations
 
 import math
+import signal
+import statistics
 import time
 from dataclasses import dataclass, field
 
@@ -19,6 +21,9 @@ from .simplify import simplify
 DEFAULT_SIZES = (250, 500, 1000, 2000)
 JOBS = (("wavefront", Metric.L2), ("wavefront", Metric.LINF), ("baseline", Metric.L2))
 REPEATS = 2
+REF_INTERVAL = 0.02     # seconds between reference-loop samples during a job
+REF_SECONDS = 1e-4      # nominal CPU time of one reference loop
+REF_EXPONENT = 0.75     # job time goes as loop time to this power (perfbench/clock.py)
 
 
 @dataclass
@@ -59,20 +64,65 @@ def _fit_exponent(ns, times) -> float:
     return float(slope)
 
 
+def _reference_loop(k: int = 2000) -> float:
+    """Float arithmetic on two locals: it allocates next to nothing, so the
+    job it interrupts changes its speed little through the caches."""
+    x = 0.0
+    for _ in range(k):
+        x = x * 0.999 + 1.0
+    return x
+
+
+def _timed(fn) -> tuple:
+    """``fn()``'s result and its CPU time in ms on a core where the reference
+    loop takes ``REF_SECONDS``: the loop is timed every ``REF_INTERVAL``
+    while ``fn`` runs (main thread only), and the job's own CPU time is
+    scaled by (REF_SECONDS / median loop time) ** REF_EXPONENT."""
+    loops = []
+
+    def sample(signum=None, frame=None):
+        t0 = time.process_time()
+        _reference_loop()
+        loops.append(time.process_time() - t0)
+
+    previous = signal.signal(signal.SIGALRM, sample)
+    signal.setitimer(signal.ITIMER_REAL, REF_INTERVAL, REF_INTERVAL)
+    try:
+        t0 = time.process_time()
+        result = fn()
+        cpu = time.process_time() - t0 - sum(loops)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    if not loops:
+        sample()                    # a job shorter than REF_INTERVAL
+    return result, cpu * (REF_SECONDS / statistics.median(loops)) ** REF_EXPONENT * 1e3
+
+
 def run_bench(sizes=DEFAULT_SIZES, seed: int = 0, delta: float = 1.0) -> BenchResult:
     """Time every (size, algorithm, metric) job of ``JOBS`` in process CPU time,
-    which other jobs on a shared machine disturb less than wall time; keeps the
-    minimum over ``REPEATS`` runs."""
+    which other jobs on a shared machine disturb less than wall time, rescaled
+    to a fixed core speed by ``_timed``; keeps the minimum over ``REPEATS`` runs.
+
+    On a shared 2-vCPU cloud VM one core's speed drifted by up to 1.8x over
+    seconds to minutes, which swings unscaled doubling ratios past the bands
+    of the scaling test; the reference loop, timed while the job runs,
+    follows that drift.  The runs go in rounds, each over every size and
+    job, so a job's runs lie a round apart rather than back to back.
+    """
+    walks = {n: generate_walk(n, seed, delta) for n in sizes}
+    best: dict = {}                                 # (n, algo, metric) -> (ms, result)
+    for _ in range(REPEATS):
+        for n in sizes:
+            for algo, metric in JOBS:
+                res, ms = _timed(lambda: simplify(walks[n], delta, metric, algo=algo))
+                if ms < best.get((n, algo, metric), (math.inf,))[0]:
+                    best[n, algo, metric] = (ms, res)
     result = BenchResult()
     series: dict = {}
     for n in sizes:
-        pts = generate_walk(n, seed, delta)
         for algo, metric in JOBS:
-            ms = math.inf
-            for _ in range(REPEATS):
-                t0 = time.process_time()
-                res = simplify(pts, delta, metric, algo=algo)
-                ms = min(ms, (time.process_time() - t0) * 1e3)
+            ms, res = best[n, algo, metric]
             wf = res.stats.get("max_wavefront_size", 0)
             if metric is not Metric.L2:
                 wf = res.stats.get("max_segment_count", 0)

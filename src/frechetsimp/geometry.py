@@ -80,6 +80,18 @@ def _wrap_angle(a: float) -> float:
 _COINCIDENT = "coincident"
 
 
+def libm_np(fn, a, b, where):
+    """fn(a, b) where ``where``, one ``math`` call per element; nan elsewhere.
+    Keys and distances go through libm, since numpy's vectorised ``arctan2``
+    and ``hypot`` round differently on some (SIMD) builds."""
+    flat = where.ravel().nonzero()[0]
+    out = np.empty(a.shape)
+    out.fill(np.nan)
+    out.flat[flat] = np.fromiter(map(fn, a.take(flat).tolist(), b.take(flat).tolist()),
+                                 float, flat.size)
+    return out
+
+
 class CircleKernel:
     """Euclidean disks of radius delta."""
 
@@ -93,6 +105,11 @@ class CircleKernel:
     @staticmethod
     def contains(cx: float, cy: float, px: float, py: float, delta: float, slack: float) -> bool:
         return math.hypot(px - cx, py - cy) <= delta * (1.0 + slack)
+
+    @staticmethod
+    def contains_np(cx, cy, px, py, delta, slack, want):
+        """``contains`` elementwise, where ``want``; False elsewhere."""
+        return want & (libm_np(math.hypot, px - cx, py - cy, want) <= delta * (1.0 + slack))
 
     @staticmethod
     def ray_hits(ax: float, ay: float, ux: float, uy: float,
@@ -213,10 +230,36 @@ class CircleKernel:
         return ((mx - h * dy, my + h * dx), (mx + h * dy, my - h * dx))
 
     @staticmethod
+    def boundary_intersections_np(c1x, c1y, c2x, c2y, delta):
+        """``boundary_intersections`` elementwise: (x0, y0, x1, y1, count, coincident).
+        Where not ``coincident`` the scalar returns the first ``count`` of the
+        points (x0, y0), (x1, y1)."""
+        dx = c2x - c1x
+        dy = c2y - c1y
+        dd = dx * dx + dy * dy
+        coincident = dd <= (EPS_REL * delta) ** 2
+        d = np.sqrt(dd)
+        far = d > 2.0 * delta
+        hh = delta * delta - 0.25 * dd
+        one = np.where(far, d <= 2.0 * delta * (1.0 + EPS_REL), hh <= 0.0)
+        h = np.sqrt(hh) / d
+        mx = c1x + 0.5 * dx
+        my = c1y + 0.5 * dy
+        two = ~far & ~one
+        count = np.where(one, 1, np.where(two, 2, 0))
+        return (np.where(two, mx - h * dy, mx), np.where(two, my + h * dx, my),
+                mx + h * dy, my - h * dx, count, coincident)
+
+    @staticmethod
     def on_near_side(ax: float, ay: float, cx: float, cy: float,
                      px: float, py: float, delta: float) -> bool:
         """True if boundary point p lies on the bottom arc of the circle as seen from the apex."""
         return (px - ax) * (px - cx) + (py - ay) * (py - cy) <= EPS_REL * delta * delta
+
+    @staticmethod
+    def on_near_side_np(ax, ay, cx, cy, px, py, delta, want):
+        """``on_near_side`` elementwise, where ``want``; False elsewhere."""
+        return want & ((px - ax) * (px - cx) + (py - ay) * (py - cy) <= EPS_REL * delta * delta)
 
     @staticmethod
     def wave_path(ax: float, ay: float, cx: float, cy: float, delta: float,
@@ -247,6 +290,12 @@ class SquareKernel:
     def contains(cx: float, cy: float, px: float, py: float, delta: float, slack: float) -> bool:
         lim = delta * (1.0 + slack)
         return abs(px - cx) <= lim and abs(py - cy) <= lim
+
+    @staticmethod
+    def contains_np(cx, cy, px, py, delta, slack, want):
+        """``contains`` elementwise, where ``want``; False elsewhere."""
+        lim = delta * (1.0 + slack)
+        return want & (np.abs(px - cx) <= lim) & (np.abs(py - cy) <= lim)
 
     @staticmethod
     def ray_hits(ax: float, ay: float, ux: float, uy: float,
@@ -432,6 +481,32 @@ class SquareKernel:
         return tuple(out)
 
     @staticmethod
+    def boundary_intersections_np(c1x, c1y, c2x, c2y, delta):
+        """``boundary_intersections`` elementwise, as ``CircleKernel``'s.
+
+        With tied centres the box corners within tol of each other collapse;
+        of four distinct ones the scalar's first farthest pair is the
+        (xlo, ylo)-(xhi, yhi) diagonal, since both sides exceed tol."""
+        tol = EPS_REL * delta
+        xtie = np.abs(c2x - c1x) <= tol
+        ytie = np.abs(c2y - c1y) <= tol
+        xlo = np.where(c1x >= c2x, c1x, c2x) - delta
+        xhi = np.where(c1x <= c2x, c1x, c2x) + delta
+        ylo = np.where(c1y >= c2y, c1y, c2y) - delta
+        yhi = np.where(c1y <= c2y, c1y, c2y) + delta
+        none = (xlo > xhi + tol) | (ylo > yhi + tol)
+        tied = xtie | ytie
+        same = (c1x >= c2x) == (c1y >= c2y)
+        xcoll = np.abs(xhi - xlo) <= tol
+        ycoll = np.abs(yhi - ylo) <= tol
+        y0 = np.where(tied | ~same, ylo, yhi)
+        x1 = np.where(tied & xcoll, xlo, xhi)
+        y1 = np.where(tied, np.where(ycoll, ylo, yhi), np.where(same, ylo, yhi))
+        one = np.where(tied, xcoll & ycoll, (np.abs(x1 - xlo) <= tol) & (np.abs(y1 - y0) <= tol))
+        count = np.where(none, 0, np.where(one, 1, 2))
+        return xlo, y0, x1, y1, count, xtie & ytie
+
+    @staticmethod
     def on_near_side(ax: float, ay: float, cx: float, cy: float,
                      px: float, py: float, delta: float) -> bool:
         dx = px - ax
@@ -443,6 +518,16 @@ class SquareKernel:
         if not hits:
             return False
         return abs(hits[0] - dist) <= 1e-6 * (delta + dist)
+
+    @staticmethod
+    def on_near_side_np(ax, ay, cx, cy, px, py, delta, want):
+        """``on_near_side`` elementwise, where ``want``; False elsewhere."""
+        dx = px - ax
+        dy = py - ay
+        dist = libm_np(math.hypot, dx, dy, want)
+        lo, hi, hit = SquareKernel.ray_hits_np(ax, ay, dx / dist, dy / dist, cx, cy, delta)
+        return (want & ~(dist <= EPS_REL * delta) & hit
+                & (np.abs(np.where(lo < 0.0, hi, lo) - dist) <= 1e-6 * (delta + dist)))
 
     @staticmethod
     def wave_path(ax: float, ay: float, cx: float, cy: float, delta: float,

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frechetsimp._engine import Sweep
-from frechetsimp.geometry import (CircleKernel, Metric, SquareKernel, _wrap_angle, l1_to_linf,
-                                 lp_distance)
+from frechetsimp.geometry import (EPS_REL, CircleKernel, Metric, SquareKernel, _wrap_angle,
+                                 l1_to_linf, lp_distance)
 from frechetsimp.verify import _seg_point_dists
 
 D = 1e-9
@@ -451,6 +451,82 @@ def test_numpy_mirrors_match_the_scalar_primitives_bit_for_bit(kern):
         seen.add(("tangents" if two[e] else "inside" if tps is None else "four", len(ts)))
     # every branch shows up: tangents, apex inside, entry and exit, exit only, miss
     assert {("tangents", 2), ("tangents", 0), ("inside", 1)} <= seen, seen
+    _crossing_mirrors_match(kern)
+
+
+def _pair_cases(seed, count=300):
+    """Seeded (center 1, center 2, apex, delta): centers at random distances
+    up to 2.5 delta, coincident ones (0 and 0.3 EPS_REL delta apart), circles
+    tangent at 2 delta (exactly and 1e-10 and 1e-8 relative off), tied square
+    edges (equal x or y, x within EPS_REL delta, sides on one line), squares
+    touching at a corner, and one-decimal ties."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        delta = float(rng.choice([0.3, 0.5, 1.0, 1.3, rng.uniform(0.05, 4.0)]))
+        cx, cy = rng.uniform(-5.0, 5.0, 2).tolist()
+        ax = cx + float(rng.uniform(-3.0, 3.0)) * delta
+        ay = cy + float(rng.uniform(-3.0, 3.0)) * delta
+        th = float(rng.uniform(-math.pi, math.pi))
+        for d in (float(rng.uniform(0.0, 2.5)) * delta, 0.0, 0.3 * EPS_REL * delta, 2.0 * delta,
+                  2.0 * delta * (1.0 + 1e-10), 2.0 * delta * (1.0 - 1e-10), 2.0 * delta * (1.0 + 1e-8)):
+            out.append((cx, cy, cx + d * math.cos(th), cy + d * math.sin(th), ax, ay, delta))
+        t = float(rng.uniform(-2.2, 2.2)) * delta
+        out += [(cx, cy, cx, cy + t, ax, ay, delta), (cx, cy, cx + t, cy, ax, ay, delta),
+                (cx, cy, cx + 0.5 * EPS_REL * delta, cy + t, ax, ay, delta),
+                (cx, cy, cx + t, cy + 2.0 * delta, ax, ay, delta),
+                (cx, cy, cx + 2.0 * delta, cy + t, ax, ay, delta),
+                (cx, cy, cx + 2.0 * delta, cy - 2.0 * delta, ax, ay, delta)]
+        q = np.round(rng.uniform(-1.0, 1.0, 4), 1).tolist()
+        out.append((*q, ax, ay, float(rng.choice([0.3, 0.5, 1.0]))))
+    return [np.array(col) for col in zip(*out)]
+
+
+def _crossing_mirrors_match(kern):
+    """``boundary_intersections_np``, ``on_near_side_np`` and ``contains_np``
+    against their scalar twins, element for element."""
+    c1x, c1y, c2x, c2y, ax, ay, delta = _pair_cases(23)
+    with np.errstate(all="ignore"):
+        x0, y0, x1, y1, count, coinc = kern.boundary_intersections_np(c1x, c1y, c2x, c2y, delta)
+    seen = set()
+    probe = []          # (apex, center 1, center 2, point, delta) for the point primitives
+    for e in range(c1x.size):
+        args = (float(c1x[e]), float(c1y[e]), float(c2x[e]), float(c2y[e]), float(delta[e]))
+        res = kern.boundary_intersections(*args)
+        d = math.hypot(args[2] - args[0], args[3] - args[1])
+        if coinc[e]:
+            assert res == "coincident", (e, args)
+            seen.add("coincident")
+            continue
+        want = ((float(x0[e]), float(y0[e])), (float(x1[e]), float(y1[e])))[:int(count[e])]
+        assert repr(res) == repr(want), (e, args)
+        tied = min(abs(args[2] - args[0]), abs(args[3] - args[1])) <= EPS_REL * args[4]
+        seen.add((len(res), "apart" if d > 2.0 * args[4] else "tied" if tied else ""))
+        apex = (float(ax[e]), float(ay[e]))
+        h = 0.3 * EPS_REL * args[4]
+        for pt in res + ((apex[0] + h, apex[1]), apex, (args[0] + args[4], args[1])):
+            probe.append((*apex, *args[:4], *pt, args[4]))
+    # misses, one point from centers over 2 delta apart (disks tangent within
+    # EPS_REL, squares touching at a corner), two crossings; disks tangent at
+    # exactly 2 delta, and squares with tied edges
+    assert {"coincident", (0, "apart"), (1, "apart"), (2, "")} <= seen, seen
+    assert (2, "tied") in seen if kern is SquareKernel else (1, "") in seen, seen
+    pax, pay, pcx, pcy, qcx, qcy, px, py, pd = (np.array(col) for col in zip(*probe))
+    every = np.ones(pax.size, dtype=bool)
+    with np.errstate(all="ignore"):
+        near = kern.on_near_side_np(pax, pay, pcx, pcy, px, py, pd, every)
+        inside = kern.contains_np(qcx, qcy, px, py, pd, 4.0 * EPS_REL, every)
+    exits = 0
+    for e in range(pax.size):
+        a = (float(pax[e]), float(pay[e]))
+        p = (float(px[e]), float(py[e]))
+        assert near[e] == kern.on_near_side(*a, float(pcx[e]), float(pcy[e]), *p,
+                                            float(pd[e])), (e, a, p)
+        assert inside[e] == kern.contains(float(qcx[e]), float(qcy[e]), *p, float(pd[e]),
+                                          4.0 * EPS_REL), (e, p)
+        exits += math.hypot(p[0] - a[0], p[1] - a[1]) <= EPS_REL * float(pd[e])
+    # the dist <= EPS_REL * delta early exit, and both answers of each test
+    assert exits and near.any() and not near.all() and inside.any() and not inside.all()
 
 
 def test_disk_mirror_grazes_and_ties_are_exercised():
