@@ -68,6 +68,14 @@ does only + - * /, sqrt, comparisons and ``np.where`` selections that mirror
 the scalar conditionals in their order, so every target, counter, gauge,
 final state and exception is the per-start loop's, bit for bit.  Fewer start
 vertices, a checker or a sink run the per-start loop.
+
+Callers.  ``simplify``, ``verify``, ``shortcuts`` and the ``stats`` command
+reach this engine through ``_square.sweep_rows``, which runs it for L2 only;
+for Linf and L1 it runs the square sweep of ``_square``, which keeps four
+face extremes and one cone per quadrant and needs no angle.  The engine
+still runs squares for ``verify --strict`` (the invariant checker reads its
+arcs) and for the SVG frames of ``simplify`` (which takes its targets and
+stats from the square sweep).
 """
 from __future__ import annotations
 

@@ -14,7 +14,8 @@ import time
 
 from . import __version__, bench, polyio, svgdebug
 from .geometry import Metric
-from ._engine import SweepStats, prepare, sweeps
+from ._engine import SweepStats, prepare
+from ._square import sweep_rows
 from .simplify import InvalidInputError, _simplify_impl, nu_diagnostics, preprocess
 from .verify import VerifyConfig, run_verify
 
@@ -169,9 +170,9 @@ def _cmd_stats(args) -> int:
     work, kern = prepare(poly.vertices, args.metric)
     per_start = []
     total = SweepStats()
-    for _, sw in sweeps(work, range(poly.n - 1), args.delta, kern):
-        per_start.append(sw.stats.max_arc_count)
-        total.fold(sw.stats)
+    for _, stats in sweep_rows(work, range(poly.n - 1), args.delta, kern):
+        per_start.append(stats.max_arc_count)
+        total.fold(stats)
     out = {
         "maxVerticesInDeltaBall": diag["max_vertices_in_delta_ball"],
         "nuEstimate": diag["nu_estimate"],

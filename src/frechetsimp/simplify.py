@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from ._engine import _BATCH_MIN_ROWS, CASES, SweepStats, prepare, sweep_targets, sweeps
+from ._engine import _BATCH_MIN_ROWS, CASES, SweepStats, prepare, sweep_targets
+from ._square import sweep_rows
 from .geometry import Metric, lp_distance
 
 __all__ = ["SimplificationResult", "Polyline", "preprocess", "simplify",
@@ -77,9 +78,10 @@ def _target_lists(pts, delta: float, metric: Metric, algo: str, starts, total: S
                   svg_sink=None):
     """Yields each start vertex's ascending valid shortcut targets, in the order given.
 
-    Each wavefront sweep's stats are folded into ``total``.  ``svg_sink``
-    receives every sweep step as an SVG frame; the baseline runs the sweeps
-    for their frames alone and folds no stats.
+    Each wavefront sweep's stats are folded into ``total``; L-inf and L1 take
+    the square sweep (``_square.sweep_rows``).  ``svg_sink`` receives every
+    generic sweep step as an SVG frame; the square sweep and the baseline run
+    the generic sweeps for their frames alone.
     """
     work, kern = prepare(pts, metric)
     if algo == ALGO_BASELINE:
@@ -89,8 +91,8 @@ def _target_lists(pts, delta: float, metric: Metric, algo: str, starts, total: S
                 sweep_targets(work, i, delta, kern, svg_sink=svg_sink)
             yield oracle.valid_targets_from(coords, i, delta, metric).tolist()
         return
-    for targets, sw in sweeps(work, starts, delta, kern, svg_sink=svg_sink):
-        total.fold(sw.stats)
+    for targets, stats in sweep_rows(work, starts, delta, kern, svg_sink=svg_sink):
+        total.fold(stats)
         yield targets
 
 

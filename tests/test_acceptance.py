@@ -10,6 +10,7 @@ whole corpus.  Set FRECHETSIMP_C3_COUNT to enlarge the strict sub-corpus.
 """
 import math
 import os
+import random
 import time
 
 import numpy as np
@@ -198,3 +199,42 @@ def test_c6_degenerate_suite():
         assert 3 not in got
         assert not shortcut_is_valid(trap, 0, 3, 1.0, metric)
     print("PASS criterion 6: degenerate suite matches the oracle under all norms")
+
+
+def _tie_instance(rng):
+    """One-decimal coordinates, uniform in [0, 3]^2 or a walk of steps up to
+    0.5 per axis: every distance is a tie of some other."""
+    n = rng.randint(3, 15)
+    delta = rng.choice((0.3, 0.5, 1.0, 1.3))
+    if rng.random() < 0.5:
+        return [(rng.randint(0, 30) / 10, rng.randint(0, 30) / 10) for _ in range(n)], delta
+    x = y = 0
+    pts = []
+    for _ in range(n):
+        x += rng.randint(-5, 5)
+        y += rng.randint(-5, 5)
+        pts.append((x / 10, y / 10))
+    return pts, delta
+
+
+def test_c7_tie_contract():
+    """Criterion 7: on 1,500 fixed-decimal inputs L-inf and L1 ``simplify``
+    never raises, every link is valid at delta(1+eps), and the link count lies
+    between the oracle's optima at delta(1+eps) and delta(1-eps), eps = 1e-6.
+    L2 stays out: its sweep still raises on some of these inputs (ROADMAP
+    item 1, "wedge ray points away")."""
+    eps = 1e-6
+    rng = random.Random(9)
+    checked = 0
+    for _ in range(1500):
+        pts, delta = _tie_instance(rng)
+        for metric in (Metric.LINF, Metric.L1):
+            res = simplify(pts, delta, metric)
+            for a, b in zip(res.indices, res.indices[1:]):
+                assert shortcut_is_valid(pts, a, b, delta * (1 + eps), metric), (pts, delta, metric)
+            lo = simplify_baseline(pts, delta * (1 + eps), metric).link_count
+            hi = simplify_baseline(pts, delta * (1 - eps), metric).link_count
+            assert lo <= res.link_count <= hi, (pts, delta, metric)
+            checked += 1
+    print(f"PASS criterion 7: {checked} tied L-inf/L1 simplifications within the "
+          f"eps-contract")

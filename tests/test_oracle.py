@@ -211,9 +211,9 @@ def test_zero_length_shortcuts_match_the_batch_oracle_at_ties():
                 continue
             assert targets == ([1, 2] if valid else [1]), (pts, delta, metric)
     assert checks == 18_000
-    # tied square edges still raise "case TM/MT must have one crossing"
-    # (ROADMAP item 1); the L2 sweep decides every tie as the oracles do
-    assert raised == {Metric.L2: 0, Metric.L1: 3, Metric.LINF: 8}
+    # every sweep decides every tie as the oracles do: the L2 sweep by the
+    # kernel's apex-inside rule, L-inf and L1 by the square sweep's faces
+    assert raised == {metric: 0 for metric in METRICS}
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frechetsimp import shortcuts
-from frechetsimp._engine import Sweep, prepare, sweep_targets
+from frechetsimp._engine import _BATCH_MIN_ROWS, Sweep, prepare, sweep_targets, sweeps
 from frechetsimp.geometry import Metric, SquareKernel
 from frechetsimp.oracle import shortcut_is_valid
 from frechetsimp.verify import VerifyConfig, random_instance
@@ -131,6 +131,22 @@ class TestSegmentBudget:
             for i in range(len(work) - 1):
                 _, sw = sweep_targets(work, i, delta, kern)
                 worst = max(worst, sw.stats.max_segment_count)
+        assert worst <= 2
+
+    @pytest.mark.parametrize("metric", SQ)
+    def test_batched_sweeps_keep_the_budget(self, metric):
+        # simplify and verify run the square sweep for squares, so this is
+        # where the generic engine's square budget is checked over a
+        # non-strict corpus long enough for the batched entry
+        cfg = VerifyConfig(count=40, max_n=60, seed=3, style="walk", metrics=(metric,))
+        worst = batched = 0
+        for idx in range(cfg.count):
+            pts, delta, _ = random_instance(cfg, idx)
+            work, kern = prepare([tuple(p) for p in pts], metric)
+            batched += len(work) - 1 >= _BATCH_MIN_ROWS
+            for _, sw in sweeps(work, range(len(work) - 1), delta, kern):
+                worst = max(worst, sw.stats.max_segment_count)
+        assert batched >= 5
         assert worst <= 2
 
     def test_two_segment_state_reachable_with_corner(self):

@@ -1,13 +1,14 @@
-"""``verify`` on instances long enough for the batched sweeps."""
+"""``verify`` on instances long enough for the batched L2 sweeps."""
 from frechetsimp import _engine
 from frechetsimp.geometry import Metric
 from frechetsimp.verify import VerifyConfig, random_instance, run_verify
 
 
 def test_oracle_judges_batched_sweeps():
-    # max_n 60: instances with more than _BATCH_MIN_ROWS start vertices take
-    # their sweeps from the batched entry, and the dense oracle judges every
-    # one of them
+    # max_n 60: under L2, instances with more than _BATCH_MIN_ROWS start
+    # vertices take their sweeps from the batched entry, and the dense oracle
+    # judges every one of them; L-inf and L1 run the square sweep, whose
+    # batched engine path test_rect and test_sweep_pin cover
     cfg = VerifyConfig(count=6, max_n=60, metrics=(Metric.L2, Metric.LINF, Metric.L1),
                        seed=3, style="walk")
     sizes = [len(random_instance(cfg, idx)[0]) for idx in range(cfg.count)]
