@@ -1,25 +1,23 @@
-"""Batched sweeps: many start vertices' steps in numpy, one-arc runs in tiles
-and multi-arc steps in lockstep.
+"""Batched L2 sweeps: many start vertices' steps in numpy, one-arc runs in
+tiles and multi-arc steps in lockstep.
 
-``_engine.sweeps`` hands a block of start vertices here, on either kernel
-(disks for L2, squares for Linf and L1 on its image).  A sweep whose
-wavefront is one arc (or still empty) takes its PREFIX, INIT, BB and
-WEDGE_EMPTY steps in tiles of start vertices x steps, which a few running
+``_engine.sweeps`` hands a block of start vertices here when it sweeps
+Euclidean disks; squares (Linf, and L1 on its image) never come here.  A
+sweep whose wavefront is one arc (or still empty) takes its PREFIX, INIT, BB
+and WEDGE_EMPTY steps in tiles of start vertices x steps, which a few running
 scans compute at once.  A sweep whose wavefront holds 1 to ``_K`` arcs takes
 its BB, MB, BM, MM and WEDGE_EMPTY steps in lockstep with the block's other
 such sweeps, one step (column) at a time, since each step reads the arcs
 the one before left.  Every other step is ``Sweep._step``'s, from the same
 state, and the sweep rejoins the lockstep on the next step its wavefront
-fits.  The block talks to the kernel through the numpy mirrors of its
-primitives (``tangent_points_np``, whose ``inside`` mask is
-``Sweep._step``'s apex-in-C_j rule on either kernel, ``ray_hits_np``,
-``boundary_intersections_np``, ``on_near_side_np``, ``contains_np``, and the
-square's ``arc_segments_np`` for the segment gauge).  Keys and distances
-come from ``math.atan2`` and ``math.hypot``, one call per element
-(``libm_np``); numpy does only + - * /, sqrt, comparisons and ``np.where``
-selections, each mirroring a scalar conditional in its order, so every
-target, counter, gauge, final state and exception is the per-start loop's,
-bit for bit.
+fits.  The block calls the numpy mirrors of ``CircleKernel``'s primitives
+(``tangent_points_np``, whose ``inside`` mask is ``Sweep._step``'s
+apex-in-C_j rule, ``ray_hits_np``, ``boundary_intersections_np``,
+``on_near_side_np`` and ``contains_np``).  Keys and distances come from
+``math.atan2`` and ``math.hypot``, one call per element (``libm_np``); numpy
+does only + - * /, sqrt, comparisons and ``np.where`` selections, each
+mirroring a scalar conditional in its order, so every target, counter,
+gauge, final state and exception is the per-start loop's, bit for bit.
 """
 from __future__ import annotations
 
@@ -28,7 +26,7 @@ import math
 import numpy as np
 
 from ._engine import _HALF_PI, _KEY_SLACK, _PI, _TAU, EPS_ANGLE, EPS_REL, VALID, Arc, Sweep
-from .geometry import libm_np
+from .geometry import CircleKernel, libm_np
 
 _LIVE_ROWS = 160        # live rows per step of a block, on average (``_blocks``)
 _TILE_SIZE = 2048       # rows x steps of one tile, at most
@@ -53,10 +51,10 @@ _K1X1Y1 = np.array([1, 4, 5])
 # and its other counters and gauges
 _BC = ("PREFIX", "INIT", "BB", "MB", "BM", "MM", "WEDGE_EMPTY")
 _PRE, _INI, _BB, _MB, _BM, _MM, _WE = range(len(_BC))
-_INS, _REM, _ARCS, _SEGS = range(4)
+_INS, _REM, _ARCS = range(3)
 
 
-def batched_sweeps(pts, starts: list, delta: float, kern):
+def batched_sweeps(pts, starts: list, delta: float):
     """Per start vertex, in order: its sweep's (targets, sweep) pair or the
     exception it raised, computed in blocks (``_blocks``)."""
     coords = np.asarray(pts, dtype=float).reshape(-1, 2)
@@ -64,7 +62,7 @@ def batched_sweeps(pts, starts: list, delta: float, kern):
     Y = np.ascontiguousarray(coords[:, 1])
     cuts = _blocks(len(pts), starts)
     for a, b in zip(cuts, cuts[1:]):
-        yield from Block(pts, X, Y, starts[a:b], delta, kern).run()
+        yield from Block(pts, X, Y, starts[a:b], delta).run()
 
 
 def _blocks(n: int, starts: list) -> list:
@@ -163,12 +161,11 @@ def _ffill(setting, col, ux, uy, carry_x, carry_y):
             np.where(src >= 0, uy[pick], carry_y[:, None]))
 
 
-def _clip_end(hits, cut, ax, ay, ux, uy, cx, cy, x, y, delta):
+def _clip_end(cut, ax, ay, ux, uy, cx, cy, x, y, delta):
     """``Sweep._clip`` at one end: the end point moves to where the wedge ray
-    (ux, uy) crosses the arc's circle, where ``cut``; ``hits`` is the kernel's
-    ``ray_hits_np``.  Returns (x, y, missed), ``missed`` where the ray misses
-    the circle (the scalar grazes or raises)."""
-    lo, hi, hit = hits(ax, ay, ux, uy, cx, cy, delta)
+    (ux, uy) crosses the arc's circle, where ``cut``.  Returns (x, y, missed),
+    ``missed`` where the ray misses the circle (the scalar grazes or raises)."""
+    lo, hi, hit = CircleKernel.ray_hits_np(ax, ay, ux, uy, cx, cy, delta)
     t = np.where(lo < 0.0, hi, lo)
     return np.where(cut, ax + t * ux, x), np.where(cut, ay + t * uy, y), cut & ~hit
 
@@ -189,31 +186,30 @@ class Block:
     the crossing scans and the splices.  A step of any other kind (TT, TM,
     MT, TT_EMPTY, an MM other than one arc crossing in from each side, a
     ``_side`` tie, a graze, a coincident crossing, a seam shift, keys out of
-    order, four square silhouette corners, the apex inside C_j, a zero
-    offset, a locate that would raise, or more than ``_K`` arcs after it) is
-    ``Sweep._step``'s, from the same state, and the row rejoins the lockstep
-    on its next step if its wavefront fits.  Once a column has fewer than
-    ``_LOCKSTEP_MIN_ROWS`` rows (discounted by the share the last column
-    handed back), the rest of the tile is the scalar code's.  At the tile's
-    end the rows left with one arc go back to the tiles.  Every path marks
-    the targets it finds in ``tgt``, by row and step offset.
+    order, the apex inside C_j, a zero offset, a locate that would raise, or
+    more than ``_K`` arcs after it) is ``Sweep._step``'s, from the same
+    state, and the row rejoins the lockstep on its next step if its wavefront
+    fits.  Once a column has fewer than ``_LOCKSTEP_MIN_ROWS`` rows
+    (discounted by the share the last column handed back), the rest of the
+    tile is the scalar code's.  At the tile's end the rows left with one arc
+    go back to the tiles.  Every path marks the targets it finds in ``tgt``,
+    by row and step offset.
 
     Tiles start ``_MIN_COLS`` steps wide and double up to ``_MAX_COLS``,
     within ``_TILE_SIZE`` elements: the first steps of a sweep are where
     most hand off or abort, and long sweeps then take few array calls.
     """
 
-    def __init__(self, pts, X, Y, starts, delta, kern):
+    def __init__(self, pts, X, Y, starts, delta):
         n = len(pts)
         rows = len(starts)
         self.n = n
-        self.X, self.Y, self.delta, self.kern = X, Y, delta, kern
+        self.X, self.Y, self.delta = X, Y, delta
         self.I = I = np.asarray(starts, dtype=np.intp)
         self.last = (n - 1) - I                    # offset of each row's last step
         self.AX = X[I]
         self.AY = Y[I]
-        self.sws = [Sweep(pts, i, delta, kern) for i in starts]
-        self.square = self.sws[0].square            # gauge the square segments
+        self.sws = [Sweep(pts, i, delta, CircleKernel) for i in starts]
         self.res = [None] * rows
         self.mode = np.full(rows, _NO_ARC)
         self.W = np.zeros((len(_W), rows))
@@ -223,7 +219,7 @@ class Block:
         # case counts and the column each case first came at, since the last fold
         self.C = np.zeros((len(_BC), rows), dtype=np.int64)
         self.FIRST = np.full((len(_BC), rows), np.inf)
-        self.G = np.zeros((4, rows), dtype=np.int64)
+        self.G = np.zeros((3, rows), dtype=np.int64)
         self.nxt = np.zeros(rows, dtype=np.intp)    # offset of a lockstep or scalar row's step
         self.taken = 1.0        # share of its rows' steps the last lockstep column took
         # the targets found so far, by row and offset
@@ -308,7 +304,7 @@ class Block:
         """The rows' batch counters into their Sweeps' stats, cases in the order they came."""
         if not len(rows):
             return
-        for r, counts, first, (ins, rem, arcs, segs) in zip(
+        for r, counts, first, (ins, rem, arcs) in zip(
                 rows.tolist(), self.C[:, rows].T.tolist(), self.FIRST[:, rows].T.tolist(),
                 self.G[:, rows].T.tolist()):
             st = self.sws[r].stats
@@ -322,8 +318,6 @@ class Block:
             st.removed += rem
             if arcs > st.max_arc_count:
                 st.max_arc_count = arcs
-            if segs > st.max_segment_count:
-                st.max_segment_count = segs
         self.C[:, rows] = 0
         self.FIRST[:, rows] = np.inf
         self.G[_INS:_REM + 1, rows] = 0
@@ -403,8 +397,7 @@ class Block:
         """The step at offset c of the lockstep rows; returns those whose step
         is the scalar code's."""
         delta = self.delta
-        kern = self.kern
-        hits = kern.ray_hits_np
+        hits = CircleKernel.ray_hits_np
         atan2 = math.atan2
         hypot = math.hypot
         E = EPS_ANGLE
@@ -421,17 +414,17 @@ class Block:
         ID = self.IDX[rows]
         n = self.cnt[rows]
         valid = _SLOTS < n[:, None]
-        tx0, ty0, tx1, ty1, two, _ = kern.tangent_points_np(ax, ay, px, py, delta)
+        tx0, ty0, tx1, ty1, inside = CircleKernel.tangent_points_np(ax, ay, px, py, delta)
+        cone = ~inside                  # C_j has a cone: its tangent points
         # ``fb``: the step is the scalar code's, and nothing computed for it
-        # here is kept; so far where the apex lies in C_j, where a square
-        # shows four corners, and where the keys are out of order (their
-        # bisections are then no counts)
-        fb = ~two | (valid[:, 1:] & (S[0][:, 1:] < S[0][:, :-1])).any(1)
+        # here is kept; so far where the apex lies in C_j and where the keys
+        # are out of order (their bisections are then no counts)
+        fb = inside | (valid[:, 1:] & (S[0][:, 1:] < S[0][:, :-1])).any(1)
         dx = px - ax
         dy = py - ay
         k, ck, r, l, rs, ls = _cone(libm_np(atan2, np.array([dy, ty0 - ay, ty1 - ay]),
                                             np.array([dx, tx0 - ax, tx1 - ax]),
-                                            np.array([two, two, two])), rot)
+                                            np.array([cone, cone, cone])), rot)
         r = ck + r
         l = ck + l
 
@@ -450,7 +443,7 @@ class Block:
         outside = (k < kr - _KEY_SLACK) | (k > kl + _KEY_SLACK)
         ex = np.array([dx, np.where(rs, tx1, tx0) - ax, np.where(ls, tx1, tx0) - ax])
         ey = np.array([dy, np.where(rs, ty1, ty0) - ay, np.where(ls, ty1, ty0) - ay])
-        d = libm_np(hypot, ex, ey, np.concatenate([~outside[None], moved]) & two)
+        d = libm_np(hypot, ex, ey, np.concatenate([~outside[None], moved]) & cone)
         ux = ex / d
         uy = ey / d
         fb |= (moved & (d[1:] == 0.0)).any(0)
@@ -535,14 +528,14 @@ class Block:
             nb = n[b]
             bx = ax[b][:, None]
             by = ay[b][:, None]
-            x0, y0, x1, y1, m, coinc = kern.boundary_intersections_np(
+            x0, y0, x1, y1, m, coinc = CircleKernel.boundary_intersections_np(
                 Sb[6], Sb[7], px[b][:, None], py[b][:, None], delta)
             inb = _SLOTS < nb[:, None]
             want = inb & ~coinc
             xs = np.array([x0, x1])
             ys = np.array([y0, y1])
-            near = kern.on_near_side_np(bx, by, Sb[6], Sb[7], xs, ys, delta,
-                                        np.array([want & (m >= 1), want & (m >= 2)]))
+            near = CircleKernel.on_near_side_np(bx, by, Sb[6], Sb[7], xs, ys, delta,
+                                                np.array([want & (m >= 1), want & (m >= 2)]))
             kk = _wrap(libm_np(atan2, ys - by, xs - bx, near) - rot[b][:, None])
             v = near & (Sb[0] - _KEY_SLACK <= kk) & (kk <= Sb[1] + _KEY_SLACK)
             found = v[0] | v[1] | (inb & coinc)
@@ -558,11 +551,11 @@ class Block:
                 gotB, coinB, kB, xB, yB = _pick(v, kk, xs, ys, coinc, atB, True)
                 # _case_mm's first test: both arcs' ends inside C_j
                 br = np.arange(b.size)
-                inside = kern.contains_np(
+                ends_in = CircleKernel.contains_np(
                     px[b], py[b], np.array([Sb[2, br, atB], Sb[4, br, atB], Sb[2, br, at], Sb[4, br, at]]),
                     np.array([Sb[3, br, atB], Sb[5, br, atB], Sb[3, br, at], Sb[5, br, at]]),
                     delta, 4.0 * EPS_REL, np.array([mmb, mmb, mmb, mmb])).all(0)
-                bad |= mmb & ((pos < 1) | (pos >= nb) | ~gotB | coinB | inside
+                bad |= mmb & ((pos < 1) | (pos >= nb) | ~gotB | coinB | ends_in
                               | (inb[:, 1:] & (Sb[8][:, 1:] > Sb[8][:, :-1])).any(1))
                 eL[b] = np.where(mmb, atB, at)
                 kL[b] = np.where(mmb, kB, kA)
@@ -621,14 +614,6 @@ class Block:
         self.G[_REM, lr] += removed[live]
         dr = rows[done]
         self.G[_ARCS, dr] = np.maximum(self.G[_ARCS, dr], self.cnt[dr])
-        if self.square:
-            sq = dr[2 * self.cnt[dr] > self.G[_SEGS, dr]]
-            if sq.size:
-                a = self.A[:, sq]
-                segs = kern.arc_segments_np(self.AX[sq][:, None], self.AY[sq][:, None], a[6], a[7],
-                                            delta, a[2], a[3], a[4], a[5])
-                segs = np.where(_SLOTS < self.cnt[sq][:, None], segs, 0).sum(1)
-                self.G[_SEGS, sq] = np.maximum(self.G[_SEGS, sq], segs)
         self._count(np.where(abort, _WE, np.where(bb, _BB, np.where(mb, _MB, np.where(
             bm, _BM, _MM))))[done], dr, c)
         self.tgt[rows[done & target], c] = True
@@ -655,12 +640,12 @@ class Block:
         dx = px - ax
         dy = py - ay
         # ``inside``: the apex in C_j, a PREFIX step or a hand-off
-        tx0, ty0, tx1, ty1, two, inside = self.kern.tangent_points_np(ax, ay, px, py, delta)
+        tx0, ty0, tx1, ty1, inside = CircleKernel.tangent_points_np(ax, ay, px, py, delta)
         noarc = self.mode[rows] == _NO_ARC
         proper = inrow & ~inside
         q = np.where(proper.any(1), proper.argmax(1), T)   # a no-arc row's INIT column
         first = np.where(noarc, q, 0)
-        need = proper & two & (col >= first[:, None])
+        need = proper & (col >= first[:, None])
         A = libm_np(math.atan2, np.array([dy, ty0 - ay, ty1 - ay]), np.array([dx, tx0 - ax, tx1 - ax]),
                     np.array([need, need, need]))
         start = np.where(noarc, T, 0)       # first column of a row's one-arc steps
@@ -676,7 +661,6 @@ class Block:
         ib = np.nonzero(noarc & (q < T))[0]
         if ib.size:
             iq = q[ib]
-            ok = two[ib, iq]
             Ai = A[:, ib, iq]
             rot = Ai[0] - 0.5 * _PI
             _, ck, off_r, off_l, rs, ls = _cone(Ai, rot)
@@ -692,12 +676,13 @@ class Block:
             iax = ax[ib, 0]
             iay = ay[ib, 0]
             erx, ery, elx, ely = trx - iax, tr_y - iay, tlx - iax, tly - iay
-            dr = libm_np(math.hypot, erx, ery, ok)
-            dl = libm_np(math.hypot, elx, ely, ok)
-            ok &= (dr != 0.0) & (dl != 0.0)
+            every = np.ones(ib.size, dtype=bool)
+            dr = libm_np(math.hypot, erx, ery, every)
+            dl = libm_np(math.hypot, elx, ely, every)
+            ok = (dr != 0.0) & (dl != 0.0)
             cx = px[ib, iq]
             cy = py[ib, iq]
-            # four square corners or a zero offset: the scalar code's INIT
+            # a zero offset: the scalar code's INIT
             h = rows[ib[~ok]]
             self._fold(h)
             self.mode[h] = _SCALAR
@@ -712,10 +697,6 @@ class Block:
                 self._count(_INI, g, o0 + iq[ok])
                 self.G[_INS, g] += 1
                 self.G[_ARCS, g] = np.maximum(self.G[_ARCS, g], 1)
-                if self.square:
-                    segs = self.kern.arc_segments_np(iax, iay, cx, cy, delta,
-                                                     trx, tr_y, tlx, tly)[ok]
-                    self.G[_SEGS, g] = np.maximum(self.G[_SEGS, g], segs)
                 self.tgt[g, o0 + iq[ok]] = True
                 self.mode[g] = _ONE_ARC
                 start[ib[ok]] = iq[ok] + 1
@@ -737,7 +718,7 @@ class Block:
         ly = np.where(ls, ty1[sub], ty0[sub]) - ay
         del rs, ls, tx0, ty0, tx1, ty1
         self._one_arc(rows[sub], start[sub], o0, col, inrow[sub], J[sub], ax, ay,
-                      px[sub], py[sub], dx[sub], dy[sub], need[sub], ~two[sub],
+                      px[sub], py[sub], dx[sub], dy[sub], need[sub], inside[sub],
                       k, ck, ck + r, ck + l, rx, ry, lx, ly)
 
     def _one_arc(self, rows, start, o0, col, inrow, J, ax, ay, px, py, dx, dy,
@@ -751,7 +732,7 @@ class Block:
         and (lx, ly) its right and left touch points less the apex.
         """
         delta = self.delta
-        ray_hits = self.kern.ray_hits_np
+        ray_hits = CircleKernel.ray_hits_np
         E = EPS_ANGLE
         T = col.size
         rot, kr_in, kl_in, urx_in, ury_in, ulx_in, uly_in = self.W[:, rows]
@@ -822,9 +803,9 @@ class Block:
         nx1 = ax + l1 * ulx
         ny1 = ay + l1 * uly
         # that arc clipped to the new wedge, on the wedge rays
-        wx0, wy0, missed = _clip_end(ray_hits, pk0 < kr - E, ax, ay, urx, ury, pcx, pcy,
+        wx0, wy0, missed = _clip_end(pk0 < kr - E, ax, ay, urx, ury, pcx, pcy,
                                      _lag(nx0, x0_in, s, col), _lag(ny0, y0_in, s, col), delta)
-        wx1, wy1, missed_l = _clip_end(ray_hits, pk1 > kl + E, ax, ay, ulx, uly, pcx, pcy,
+        wx1, wy1, missed_l = _clip_end(pk1 > kl + E, ax, ay, ulx, uly, pcx, pcy,
                                        _lag(nx1, x1_in, s, col), _lag(ny1, y1_in, s, col), delta)
         del pk0, pk1, pcx, pcy
         missed |= missed_l
@@ -848,9 +829,6 @@ class Block:
         self.G[_REM, rows] += nbb
         a = np.nonzero(aborts)[0]
         self._count(_WE, rows[a], o0 + f[a])
-        if self.square:
-            segs = self.kern.arc_segments_np(ax, ay, px, py, delta, nx0, ny0, nx1, ny1)
-            self.G[_SEGS, rows] = np.maximum(self.G[_SEGS, rows], np.where(taken, segs, 0).max(1))
         self.tgt[rows, o0:o0 + col.size] |= got
         if m.size:
             c = f[m] - 1

@@ -45,9 +45,9 @@ distances against tight tolerances, so precomputed arrays would change
 decisions, not just the last digits of the output.
 
 Batched sweeps.  ``sweeps(pts, starts, ...)`` runs the sweeps of many start
-vertices.  With no checker or SVG sink and at least ``_BATCH_MIN_ROWS`` start
-vertices, it batches them (``_batch.Block``), on either kernel, in two
-regimes.  A sweep whose wavefront is one arc (or still empty) takes its
+vertices.  On Euclidean disks, with no checker or SVG sink and at least
+``_BATCH_MIN_ROWS`` start vertices, it batches them (``_batch.Block``), in
+two regimes.  A sweep whose wavefront is one arc (or still empty) takes its
 PREFIX, INIT, BB and WEDGE_EMPTY steps in tiles of start vertices x steps:
 that state is a few floats per sweep, the wedge keys are a running max and
 min, the unit rays are forward-filled, and the arc a step clips is the one
@@ -58,27 +58,28 @@ step at a time, since each step reads the arcs the one before left; the
 lockstep mirrors ``_clip``, ``_locate``, ``_narrow``, the crossing scans and
 the splices.  Every other step, and every step of a column too thin to pay
 for the lockstep, is ``Sweep._step``'s from the same state; the sweep
-rejoins the lockstep on the next step its wavefront fits.  The block reaches
-the kernel through the numpy mirrors of its primitives (``tangent_points_np``,
+rejoins the lockstep on the next step its wavefront fits.  The block calls
+the numpy mirrors of ``CircleKernel``'s primitives (``tangent_points_np``,
 whose ``inside`` mask is the step's apex-in-C_j rule, ``ray_hits_np``,
-``boundary_intersections_np``, ``on_near_side_np``, ``contains_np``;
-``arc_segments_np`` for the square segment gauge).  Keys and distances still
-come from ``math.atan2`` and ``math.hypot``, one call per element; numpy
-does only + - * /, sqrt, comparisons and ``np.where`` selections that mirror
-the scalar conditionals in their order, so every target, counter, gauge,
-final state and exception is the per-start loop's, bit for bit.  Fewer start
-vertices, a checker or a sink run the per-start loop.
+``boundary_intersections_np``, ``on_near_side_np``, ``contains_np``).  Keys
+and distances still come from ``math.atan2`` and ``math.hypot``, one call
+per element; numpy does only + - * /, sqrt, comparisons and ``np.where``
+selections that mirror the scalar conditionals in their order, so every
+target, counter, gauge, final state and exception is the per-start loop's,
+bit for bit.  Squares, fewer start vertices, a checker or a sink run the
+per-start loop.
 
 Callers.  ``simplify``, ``verify``, ``shortcuts`` and the ``stats`` command
 reach this engine through ``_square.sweep_rows``, which runs it for L2 only;
 for Linf and L1 it runs the square sweep of ``_square``, which keeps four
 face extremes and one cone per quadrant and needs no angle.  The engine
-still runs squares for ``verify --strict`` (the invariant checker reads its
-arcs) and for the SVG frames of ``simplify`` (which takes its targets and
-stats from the square sweep).
+still runs squares, one start vertex at a time, for ``verify --strict`` (the
+invariant checker reads its arcs) and for the SVG frames of ``simplify``
+(``draw_frames``; the targets and stats come from the square sweep).
 """
 from __future__ import annotations
 
+import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -95,6 +96,7 @@ _KEY_SLACK = 1e-9          # radians: key-span filters and closed-wedge tests
 _COINC = "coincident"
 _AWAY = "wedge ray points away from the new circle"
 _MISSED = "wedge ray misses an arc it should cross"
+_log = logging.getLogger("frechetsimp")
 
 
 class Location(Enum):
@@ -926,13 +928,32 @@ def sweep_targets(pts: Sequence[Sequence[float]], i: int, delta: float, kern,
     return out, sw
 
 
+def draw_frames(pts: Sequence[Sequence[float]], i: int, delta: float, kern, svg_sink) -> None:
+    """Runs the sweep from start vertex i for its SVG frames alone, where the
+    targets come from elsewhere (the square sweep, the cubic baseline).
+
+    A step that raises ``InternalGeometryError`` ends the frames of this
+    sweep: the frames drawn so far stay, and one warning names the start
+    vertex, the vertex and the message.
+    """
+    sw = Sweep(pts, i, delta, kern, svg_sink=svg_sink)
+    for j in range(i + 1, len(pts)):
+        try:
+            sw._step(j)
+        except InternalGeometryError as exc:
+            _log.warning("SVG frames of the sweep from vertex %d end at vertex %d: %s", i, j, exc)
+            return
+        if sw.aborted:
+            return
+
+
 # ---------------------------------------------------------------------------
 # All start vertices of a polyline: sweeps batched in their one-arc regime
 # ---------------------------------------------------------------------------
 
 # fewer start vertices run the per-start loop: the tiles' fixed cost made the
-# batch slower at 32 start vertices on both kernels; from 48 on it is even or
-# faster where one-arc steps are common (gps slices; drift walks under Linf)
+# batch slower at 32 start vertices; from 48 on it is even or faster where
+# one-arc steps are common (gps slices)
 _BATCH_MIN_ROWS = 48
 
 
@@ -943,18 +964,19 @@ def sweeps(pts: Sequence[Sequence[float]], starts, delta: float, kern,
     Each start vertex gets its own sweep, and the pairs come in the order of
     ``starts``; a sweep that raises raises here when its turn comes.
     ``make_checker()``, if given, builds each sweep's invariant checker.
-    Sweeps of at least ``_BATCH_MIN_ROWS`` start vertices, without checker or
-    SVG sink, run batched (``_batch``) on either kernel; every target,
-    counter, final state and exception is the per-start loop's.
+    Disk sweeps of at least ``_BATCH_MIN_ROWS`` start vertices, without
+    checker or SVG sink, run batched (``_batch``); every target, counter,
+    final state and exception is the per-start loop's.
     """
     starts = list(starts)
-    if make_checker is not None or svg_sink is not None or len(starts) < _BATCH_MIN_ROWS:
+    if (kern is not CircleKernel or make_checker is not None or svg_sink is not None
+            or len(starts) < _BATCH_MIN_ROWS):
         for i in starts:
             checker = make_checker() if make_checker is not None else None
             yield sweep_targets(pts, i, delta, kern, checker=checker, svg_sink=svg_sink)
         return
     from ._batch import batched_sweeps   # imported only where sweeps are batched
-    for row in batched_sweeps(pts, starts, float(delta), kern):
+    for row in batched_sweeps(pts, starts, float(delta)):
         if isinstance(row, Exception):
             raise row
         yield row

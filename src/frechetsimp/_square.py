@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ._engine import SweepStats, sweep_targets, sweeps
+from ._engine import SweepStats, draw_frames, sweeps
 from .geometry import SquareKernel
 
 _INF = math.inf
@@ -224,8 +224,8 @@ def sweep_rows(pts: Sequence[Sequence[float]], starts, delta: float, kern,
 
     Squares take the square sweep unless ``make_checker`` is given: the
     invariant checker reads the generic engine's arcs.  With ``svg_sink``
-    they run the generic sweep only to draw its frames.  Disks run the
-    generic engine (``_engine.sweeps``) with either.
+    they run the generic sweep only to draw its frames (``draw_frames``).
+    Disks run the generic engine (``_engine.sweeps``) with either.
     """
     if kern is not SquareKernel or make_checker is not None:
         for targets, sw in sweeps(pts, starts, delta, kern, make_checker, svg_sink):
@@ -234,5 +234,5 @@ def sweep_rows(pts: Sequence[Sequence[float]], starts, delta: float, kern,
     starts = list(starts)
     for i, row in zip(starts, square_sweeps(pts, starts, delta)):
         if svg_sink is not None:
-            sweep_targets(pts, i, delta, kern, svg_sink=svg_sink)
+            draw_frames(pts, i, delta, kern, svg_sink)
         yield row

@@ -3,8 +3,11 @@
 Everything here works on plain float pairs.  A "unit circle" of radius delta is
 a Euclidean disk for L2 and an axis-aligned square of side 2*delta for Linf.
 L1 is reduced to Linf by the exact change of coordinates (x, y) -> (x+y, y-x),
-under which the L1 ball becomes the Linf ball of the same radius; only one
-square code path exists.
+under which the L1 ball becomes the Linf ball of the same radius, so the
+square kernel serves both.  ``simplify`` and ``verify`` sweep squares with
+``_square``, which needs none of these primitives; ``SquareKernel`` serves
+the generic engine where it still runs squares (``verify --strict``, the SVG
+frames and the benchmark's tracer).
 
 Coordinates are double precision.  Coincidence decisions use the relative
 tolerance EPS_REL; there is no exact arithmetic.  Callers that need clean
@@ -71,10 +74,11 @@ def _wrap_angle(a: float) -> float:
 # Metric kernels: the few shape primitives the sweep needs, one namespace per
 # unit-circle shape.  All take unpacked floats; hot paths avoid tuples where
 # cheap to do so.  ``tangent_points`` returning None is the one test of "the
-# apex lies in C_j".  A primitive the batched sweeps use has an elementwise
-# numpy mirror next to it (``*_np``): it takes arrays that broadcast together
-# and does only + - * /, sqrt, comparisons and ``np.where`` selections, in
-# the scalar code's order, so every float is the scalar's, bit for bit.
+# apex lies in C_j".  The batched sweeps run disks only, so a disk primitive
+# they use has an elementwise numpy mirror next to it (``*_np``): it takes
+# arrays that broadcast together and does only + - * /, sqrt, comparisons and
+# ``np.where`` selections, in the scalar code's order, so every float is the
+# scalar's, bit for bit.
 # ---------------------------------------------------------------------------
 
 _COINCIDENT = "coincident"
@@ -187,8 +191,8 @@ class CircleKernel:
 
     @staticmethod
     def tangent_points_np(ax, ay, cx, cy, delta):
-        """``tangent_points`` elementwise: (x0, y0, x1, y1, two, inside),
-        ``inside`` where the scalar returns None, ``two`` elsewhere."""
+        """``tangent_points`` elementwise: (x0, y0, x1, y1, inside), ``inside``
+        where the scalar returns None; elsewhere it returns the two points."""
         ox = cx - ax
         oy = cy - ay
         dd = ox * ox + oy * oy
@@ -201,7 +205,7 @@ class CircleKernel:
         coy = c * oy
         sox = s * ox
         soy = s * oy
-        return ax + cox - soy, ay + sox + coy, ax + cox + soy, ay - sox + coy, ~inside, inside
+        return ax + cox - soy, ay + sox + coy, ax + cox + soy, ay - sox + coy, inside
 
     @staticmethod
     def boundary_intersections(c1x: float, c1y: float, c2x: float, c2y: float,
@@ -261,6 +265,7 @@ class CircleKernel:
         """``on_near_side`` elementwise, where ``want``; False elsewhere."""
         return want & ((px - ax) * (px - cx) + (py - ay) * (py - cy) <= EPS_REL * delta * delta)
 
+    # unused by the sweep; kept since perfbench/tracing.py counts every primitive
     @staticmethod
     def wave_path(ax: float, ay: float, cx: float, cy: float, delta: float,
                   p_start: Point, p_end: Point) -> tuple[Point, ...]:
@@ -290,12 +295,6 @@ class SquareKernel:
     def contains(cx: float, cy: float, px: float, py: float, delta: float, slack: float) -> bool:
         lim = delta * (1.0 + slack)
         return abs(px - cx) <= lim and abs(py - cy) <= lim
-
-    @staticmethod
-    def contains_np(cx, cy, px, py, delta, slack, want):
-        """``contains`` elementwise, where ``want``; False elsewhere."""
-        lim = delta * (1.0 + slack)
-        return want & (np.abs(px - cx) <= lim) & (np.abs(py - cy) <= lim)
 
     @staticmethod
     def ray_hits(ax: float, ay: float, ux: float, uy: float,
@@ -340,43 +339,6 @@ class SquareKernel:
         return (lo, hi)
 
     @staticmethod
-    def ray_hits_np(ax, ay, ux, uy, cx, cy, delta):
-        """``ray_hits`` elementwise: (lo, hi, hit), as ``CircleKernel.ray_hits_np``."""
-        tol = EPS_REL * delta
-        a = (cx - delta - ax) / ux
-        b = (cx + delta - ax) / ux
-        lo = np.where(a > b, b, a)
-        hi = np.where(a > b, a, b)
-        a = (cy - delta - ay) / uy
-        b = (cy + delta - ay) / uy
-        t1 = np.where(a > b, b, a)
-        t2 = np.where(a > b, a, b)
-        del a, b
-        zx = (-1e-300 < ux) & (ux < 1e-300)
-        zy = (-1e-300 < uy) & (uy < 1e-300)
-        miss = False
-        if zx.any() or zy.any():
-            # a near-zero direction component skips its slab, or misses it
-            d = ax - cx
-            miss = zx & ((d > delta + tol) | (-d > delta + tol))
-            d = ay - cy
-            miss |= zy & ((d > delta + tol) | (-d > delta + tol))
-            lo = np.where(zx, -np.inf, lo)
-            hi = np.where(zx, np.inf, hi)
-            t1 = np.where(zy, lo, t1)
-            t2 = np.where(zy, hi, t2)
-        lo = np.where(t1 > lo, t1, lo)
-        hi = np.where(t2 < hi, t2, hi)
-        del t1, t2
-        crossed = lo > hi
-        graze = crossed & (lo - hi <= tol / np.maximum(np.abs(ux), np.abs(uy)))
-        if graze.any():
-            mid = 0.5 * (lo + hi)
-            lo = np.where(graze, mid, lo)
-            hi = np.where(graze, mid, hi)
-        return lo, hi, ~(miss | (crossed & ~graze) | (hi < 0.0))
-
-    @staticmethod
     def tangent_points(ax: float, ay: float, cx: float, cy: float,
                        delta: float) -> Optional[tuple[Point, ...]]:
         """Corners whose angular extremes seen from the apex are the tangent corners.
@@ -418,33 +380,6 @@ class SquareKernel:
         )
 
     @staticmethod
-    def tangent_points_np(ax, ay, cx, cy, delta):
-        """``tangent_points`` elementwise: (x0, y0, x1, y1, two, inside), ``two``
-        where it returns two corners and ``inside`` where it returns None."""
-        dx = ax - cx
-        dy = ay - cy
-        adx = np.abs(dx)
-        ady = np.abs(dy)
-        inside = np.maximum(adx, ady) <= delta
-        s = adx + ady
-        m = s * (1e-7 + 1e-12 * s / delta)
-        far = delta + m
-        near = delta - m
-        xs = adx > far
-        corner = xs & (ady > far)
-        xside = xs & (ady < near)
-        yside = ~xs & (ady > far) & (adx < near)
-        west, east = cx - delta, cx + delta
-        south, north = cy - delta, cy + delta
-        same = (dx > 0.0) == (dy > 0.0)
-        x0 = np.where(xside, np.where(dx > 0.0, east, west), west)
-        x1 = np.where(xside, x0, east)
-        y0 = np.where(corner, np.where(same, north, south),
-                      np.where(xside, south, np.where(dy > 0.0, north, south)))
-        y1 = np.where(corner, np.where(same, south, north), np.where(xside, north, y0))
-        return x0, y0, x1, y1, corner | xside | yside, inside
-
-    @staticmethod
     def boundary_intersections(c1x: float, c1y: float, c2x: float, c2y: float,
                                delta: float):
         tol = EPS_REL * delta
@@ -481,32 +416,6 @@ class SquareKernel:
         return tuple(out)
 
     @staticmethod
-    def boundary_intersections_np(c1x, c1y, c2x, c2y, delta):
-        """``boundary_intersections`` elementwise, as ``CircleKernel``'s.
-
-        With tied centres the box corners within tol of each other collapse;
-        of four distinct ones the scalar's first farthest pair is the
-        (xlo, ylo)-(xhi, yhi) diagonal, since both sides exceed tol."""
-        tol = EPS_REL * delta
-        xtie = np.abs(c2x - c1x) <= tol
-        ytie = np.abs(c2y - c1y) <= tol
-        xlo = np.where(c1x >= c2x, c1x, c2x) - delta
-        xhi = np.where(c1x <= c2x, c1x, c2x) + delta
-        ylo = np.where(c1y >= c2y, c1y, c2y) - delta
-        yhi = np.where(c1y <= c2y, c1y, c2y) + delta
-        none = (xlo > xhi + tol) | (ylo > yhi + tol)
-        tied = xtie | ytie
-        same = (c1x >= c2x) == (c1y >= c2y)
-        xcoll = np.abs(xhi - xlo) <= tol
-        ycoll = np.abs(yhi - ylo) <= tol
-        y0 = np.where(tied | ~same, ylo, yhi)
-        x1 = np.where(tied & xcoll, xlo, xhi)
-        y1 = np.where(tied, np.where(ycoll, ylo, yhi), np.where(same, ylo, yhi))
-        one = np.where(tied, xcoll & ycoll, (np.abs(x1 - xlo) <= tol) & (np.abs(y1 - y0) <= tol))
-        count = np.where(none, 0, np.where(one, 1, 2))
-        return xlo, y0, x1, y1, count, xtie & ytie
-
-    @staticmethod
     def on_near_side(ax: float, ay: float, cx: float, cy: float,
                      px: float, py: float, delta: float) -> bool:
         dx = px - ax
@@ -519,16 +428,7 @@ class SquareKernel:
             return False
         return abs(hits[0] - dist) <= 1e-6 * (delta + dist)
 
-    @staticmethod
-    def on_near_side_np(ax, ay, cx, cy, px, py, delta, want):
-        """``on_near_side`` elementwise, where ``want``; False elsewhere."""
-        dx = px - ax
-        dy = py - ay
-        dist = libm_np(math.hypot, dx, dy, want)
-        lo, hi, hit = SquareKernel.ray_hits_np(ax, ay, dx / dist, dy / dist, cx, cy, delta)
-        return (want & ~(dist <= EPS_REL * delta) & hit
-                & (np.abs(np.where(lo < 0.0, hi, lo) - dist) <= 1e-6 * (delta + dist)))
-
+    # unused by the sweep; kept since perfbench/tracing.py counts every primitive
     @staticmethod
     def wave_path(ax: float, ay: float, cx: float, cy: float, delta: float,
                   p_start: Point, p_end: Point) -> tuple[Point, ...]:
@@ -565,22 +465,6 @@ class SquareKernel:
                 or (abs(kx - x1) <= tol and abs(ky - y1) <= tol)):
             return 1
         return 2
-
-    @staticmethod
-    def arc_segments_np(ax, ay, cx, cy, delta, x0, y0, x1, y1):
-        """``arc_segments`` elementwise."""
-        tol = 1e-7 * delta
-        west, east = cx - delta, cx + delta
-        south, north = cy - delta, cy + delta
-        one = (((np.abs(x0 - west) <= tol) & (np.abs(x1 - west) <= tol))
-               | ((np.abs(x0 - east) <= tol) & (np.abs(x1 - east) <= tol))
-               | ((np.abs(y0 - south) <= tol) & (np.abs(y1 - south) <= tol))
-               | ((np.abs(y0 - north) <= tol) & (np.abs(y1 - north) <= tol)))
-        kx = np.where(ax < cx, west, east)
-        ky = np.where(ay < cy, south, north)
-        one |= (((np.abs(kx - x0) <= tol) & (np.abs(ky - y0) <= tol))
-                | ((np.abs(kx - x1) <= tol) & (np.abs(ky - y1) <= tol)))
-        return np.where(one, 1, 2)
 
     @staticmethod
     def graze_fallback(ax: float, ay: float, ux: float, uy: float,

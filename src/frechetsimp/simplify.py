@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from ._engine import _BATCH_MIN_ROWS, CASES, SweepStats, prepare, sweep_targets
+from ._engine import _BATCH_MIN_ROWS, CASES, SweepStats, draw_frames, prepare
 from ._square import sweep_rows
 from .geometry import Metric, lp_distance
 
@@ -81,14 +81,14 @@ def _target_lists(pts, delta: float, metric: Metric, algo: str, starts, total: S
     Each wavefront sweep's stats are folded into ``total``; L-inf and L1 take
     the square sweep (``_square.sweep_rows``).  ``svg_sink`` receives every
     generic sweep step as an SVG frame; the square sweep and the baseline run
-    the generic sweeps for their frames alone.
+    the generic sweeps for their frames alone (``_engine.draw_frames``).
     """
     work, kern = prepare(pts, metric)
     if algo == ALGO_BASELINE:
         coords = np.asarray(pts, dtype=float)
         for i in starts:
             if svg_sink is not None:
-                sweep_targets(work, i, delta, kern, svg_sink=svg_sink)
+                draw_frames(work, i, delta, kern, svg_sink)
             yield oracle.valid_targets_from(coords, i, delta, metric).tolist()
         return
     for targets, stats in sweep_rows(work, starts, delta, kern, svg_sink=svg_sink):

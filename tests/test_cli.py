@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from frechetsimp import cli, polyio
 from frechetsimp._engine import Sweep
 
-from walks import stop_and_go
+from walks import lattice_walk, stop_and_go
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -116,13 +116,13 @@ class TestSimplifyCommand:
 
 
     @pytest.mark.parametrize("algo", ["wavefront", "baseline"])
-    def test_svg_debug_dir_runs_each_sweep_once(self, tmp_path, capsys, monkeypatch, algo):
-        pts = stop_and_go(120, 11)
-        content = polyio.dump_polyline(pts)
-        code, plain = self.run(tmp_path, content, "--delta", "1", "--metric", "linf",
-                               "--algo", algo)
-        want = json.loads(capsys.readouterr().out)
-        want_file = plain.read_bytes()
+    def test_svg_debug_dir_runs_each_sweep_once(self, tmp_path, capsys, caplog, monkeypatch,
+                                                algo):
+        # on the lattice walk some of the generic sweeps that only draw
+        # frames raise: their frames end there, with a warning, and the
+        # result stays the one without the flag
+        inputs = [(stop_and_go(120, 11), "linf", False), (lattice_walk(120, 5), "linf", True),
+                  (lattice_walk(120, 5), "l1", True)]
         starts = []
         init = Sweep.__init__
 
@@ -131,15 +131,28 @@ class TestSimplifyCommand:
             init(self, pts, i, *args, **kw)
 
         monkeypatch.setattr(Sweep, "__init__", counting)
-        dbg = tmp_path / "frames"
-        code, dst = self.run(tmp_path, content, "--delta", "1", "--metric", "linf",
-                             "--algo", algo, "--svg-debug-dir", str(dbg))
-        assert code == 0
-        assert sorted(starts) == list(range(len(pts) - 1))
-        got = json.loads(capsys.readouterr().out)
-        assert got.pop("millis") >= 0 and want.pop("millis") >= 0
-        assert got == want and dst.read_bytes() == want_file
-        assert {name.split("_")[1] for name in os.listdir(dbg)} == {str(i) for i in starts}
+        for k, (pts, metric, ties) in enumerate(inputs):
+            content = polyio.dump_polyline(pts)
+            code, plain = self.run(tmp_path, content, "--delta", "1", "--metric", metric,
+                                   "--algo", algo)
+            assert code == 0
+            want = json.loads(capsys.readouterr().out)
+            want_file = plain.read_bytes()
+            starts.clear()
+            caplog.clear()
+            dbg = tmp_path / f"frames{k}"
+            code, dst = self.run(tmp_path, content, "--delta", "1", "--metric", metric,
+                                 "--algo", algo, "--svg-debug-dir", str(dbg))
+            assert code == 0
+            assert sorted(starts) == list(range(len(pts) - 1))
+            got = json.loads(capsys.readouterr().out)
+            assert got.pop("millis") >= 0 and want.pop("millis") >= 0
+            assert got == want and dst.read_bytes() == want_file
+            assert {name.split("_")[1] for name in os.listdir(dbg)} == {str(i) for i in starts}
+            ended = [r for r in caplog.records if r.name == "frechetsimp"]
+            assert bool(ended) == ties, metric
+            assert all(r.levelname == "WARNING" and "must have one crossing" in r.getMessage()
+                       for r in ended)
 
 
 class TestVerifyCommand:

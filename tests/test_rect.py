@@ -137,7 +137,8 @@ class TestSegmentBudget:
     def test_batched_sweeps_keep_the_budget(self, metric):
         # simplify and verify run the square sweep for squares, so this is
         # where the generic engine's square budget is checked over a
-        # non-strict corpus long enough for the batched entry
+        # non-strict corpus long enough that disks would take the batched
+        # entry; squares stay on the per-start loop of sweeps()
         cfg = VerifyConfig(count=40, max_n=60, seed=3, style="walk", metrics=(metric,))
         worst = batched = 0
         for idx in range(cfg.count):

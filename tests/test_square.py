@@ -11,13 +11,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from frechetsimp import _square, oracle
-from frechetsimp._engine import prepare, sweep_targets, sweeps
+from frechetsimp import _batch, _square, oracle
+from frechetsimp._engine import _BATCH_MIN_ROWS, prepare, sweep_targets, sweeps
 from frechetsimp.diagnostics import InvariantChecker
 from frechetsimp.geometry import Metric
 from frechetsimp.verify import VerifyConfig, random_instance
 
-from test_sweep_pin import INPUTS, PINNED, TIE_INPUTS
+from test_sweep_pin import INPUTS, PINNED, TIE_INPUTS, refuse_the_batch
 
 SQUARES = [Metric.LINF, Metric.L1]
 
@@ -34,7 +34,8 @@ def _outcome(res):
 
 
 @pytest.mark.parametrize("metric", SQUARES, ids=lambda m: m.value)
-def test_sweep_rows_routes_squares(metric):
+def test_sweep_rows_routes_squares(metric, monkeypatch):
+    monkeypatch.setattr(_batch, "Block", refuse_the_batch)
     make, delta = INPUTS["stopgo-a"]
     work, kern = prepare(make(), metric)
     starts = range(len(work) - 1)
@@ -46,6 +47,11 @@ def test_sweep_rows_routes_squares(metric):
     engine = [(t, sw.stats) for t, sw in sweeps(work, starts, delta, kern)]
     assert checked == [_outcome(r) for r in engine]
     assert checked != square        # the engine's case labels differ
+    # enough start vertices for the batch, which squares never reach: the
+    # engine's entry takes the per-start loop
+    assert len(starts) >= _BATCH_MIN_ROWS
+    assert engine == [(t, sw.stats) for t, sw in (sweep_targets(work, i, delta, kern)
+                                                   for i in starts)]
 
 
 @pytest.mark.parametrize("metric", SQUARES, ids=lambda m: m.value)

@@ -4,9 +4,10 @@ The engine's hot path is tuned for speed without changing a single floating
 point decision, so every sweep here must reproduce the recorded digest of its
 per-start target lists, its summed case histogram and its gauges exactly.
 A change that moves any of these values changed the sweep's arithmetic.
-The sweeps must reproduce them through the batched entry ``_engine.sweeps``
-too, which also has to match the per-start loop in every target, counter,
-final state and exception.
+The sweeps must reproduce them through the entry ``_engine.sweeps`` too,
+which batches disk sweeps and keeps squares in the per-start loop; either
+way it has to match the per-start loop in every target, counter, final
+state and exception.
 """
 import dataclasses
 import hashlib
@@ -303,6 +304,10 @@ DIFF_INPUTS = {
 }
 
 
+def refuse_the_batch(*args, **kw):
+    raise AssertionError("a square sweep reached the batch")
+
+
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
 @pytest.mark.parametrize("name", sorted(DIFF_INPUTS))
 def test_batched_sweeps_match_the_per_start_loop(name, metric, monkeypatch):
@@ -321,17 +326,20 @@ def test_batched_sweeps_match_the_per_start_loop(name, metric, monkeypatch):
         scalar_steps += 1
         return step(sw, j)
     monkeypatch.setattr(Sweep, "_step", counted)
+    if metric is not Metric.L2:
+        monkeypatch.setattr(_batch, "Block", refuse_the_batch)
     batched = [(i, _state(res)) for i, res in each_sweep(work, starts, delta, kern, True)]
     assert batched == [(i, _state(res)) for i, res in reference]
+    if metric is not Metric.L2:
+        return                  # squares take the per-start loop, and nothing else
     if any(isinstance(res, Exception) for _, res in reference):
         return                  # each raise runs the rest of its block again
     steps = sum(res[1].stats.steps for _, res in reference)
     assert scalar_steps < steps            # the batch took steps of its own
     if name == "drift":
-        # nearly all of them: one-arc tiles under Linf, the multi-arc
-        # lockstep's MB, BM, BB and MM steps under L2 and L1
+        # nearly all of them: the multi-arc lockstep's MB, BM, BB and MM steps
         assert scalar_steps < 0.1 * steps
-    if name == "trip" and metric is Metric.L2:
+    if name == "trip":
         assert scalar_steps < 0.5 * steps  # most of them: long legs of one-arc steps
         # some wavefronts outgrow the lockstep's arcs, hand off and rejoin
         assert max(res[1].stats.max_arc_count for _, res in reference) > _batch._K
