@@ -10,10 +10,12 @@ Sufficiency follows from convexity: matching vertices monotonically bounds the
 distance of every bridged sub-segment by its endpoint distances.
 
 This module is the ground truth the sweep algorithms are verified against, so
-the scalar path stays deliberately simple.  One vectorized batch loop decides
-many shortcuts at once with the same closed comparisons.  It has two callers:
-``valid_targets_from`` lists one vertex's targets for the cubic baseline, and
-``shortcut_matrix_dense`` builds the whole matrix ``verify`` judges by.
+the scalar path stays deliberately simple.  One vectorized interval rule,
+``_bounds``, decides many (vertex, shortcut) cells at once with the same
+closed comparisons.  It has two callers: ``valid_targets_from`` lists one
+vertex's targets for the cubic baseline on a tiled (j, k) grid, and
+``shortcut_matrix_dense`` builds the whole matrix ``verify`` judges by on a
+packed grid that holds each triple i < j < k once.
 """
 from __future__ import annotations
 
@@ -132,7 +134,7 @@ def shortcut_is_valid(pts: Sequence[Sequence[float]], i: int, k: int, delta: flo
 
 
 # ---------------------------------------------------------------------------
-# Vectorized batch: one greedy loop, cross-checked against the scalar path in
+# Vectorized batch: one interval rule, cross-checked against the scalar path in
 # the tests, and its two callers.
 # ---------------------------------------------------------------------------
 
@@ -142,122 +144,173 @@ def linf_image(pts: np.ndarray) -> np.ndarray:
     return np.column_stack((pts[:, 0] + pts[:, 1], pts[:, 1] - pts[:, 0]))
 
 
-def _greedy_verdicts(coords: np.ndarray, blocks, delta: float, metric: Metric,
-                     tile: int) -> np.ndarray:
-    """Validity of the shortcuts (a, k) of ``blocks``, concatenated in block order.
+def _bounds(px, py, sx, sy, delta: float, metric: Metric):
+    """Elementwise (lo, hi, empty) of vertex p_j's interval on shortcut (p_a, p_k).
 
-    ``coords`` is an (n, 2) float array and ``metric`` a ``Metric`` member.
-    Each block is (a, ks): index arrays of the starts and the targets, every
-    k > a, that broadcast together.  A one-element ``a`` is shared by the
-    whole block (a row), and the terms of j and a then stay one column wide.
-    A block is crossed with its bridged vertices j on a (j, pair) grid,
-    ``tile`` rows of j at a time, carrying the greedy running max from one j
-    tile to the next.
+    (px, py) is p_j - p_a and (sx, sy) is p_k - p_a; the arrays broadcast
+    together, and ``metric`` is a ``Metric`` member (L1 coordinates come as
+    their Linf image).  The comparisons are the scalar path's: the L2
+    quadratic, where a zero-length shortcut takes all of [0,1] iff p_j lies
+    within delta of p_a, and the Linf slabs, where a zero direction keeps or
+    empties a whole axis.  ``lo``/``hi`` are clamped to [0,1] one-sidedly,
+    so an interval entirely outside stays empty.
     """
-    pts = linf_image(coords) if metric is Metric.L1 else coords
-    X = pts[:, 0]
-    Y = pts[:, 1]
-    verdicts = []
-    for a, ks in blocks:
-        sx = X[ks] - X[a]                   # segment p_k - p_a, per pair
-        sy = Y[ks] - Y[a]
+    if metric is Metric.L2:
+        # broadcasted dot keeps this off the BLAS thread pool
         aa = sx * sx + sy * sy
-        zero = aa == 0.0                    # degenerate target p_k == p_a
-        jj = np.arange(int(a.min()) + 1, int(ks.max()))[:, None]
-        ox = X[jj] - X[a]                   # p_j - p_a: (J, 1) for a shared start
-        oy = Y[jj] - Y[a]
-        dead = np.zeros(ks.size, dtype=bool)
-        for r0 in range(0, jj.size, tile):
-            j, px, py = jj[r0:r0 + tile], ox[r0:r0 + tile], oy[r0:r0 + tile]
-            if metric is Metric.L2:
-                # broadcasted dot keeps this off the BLAS thread pool
-                bb = px * sx + py * sy
-                cc = px * px + py * py - delta * delta
-                disc = bb * bb - aa * cc
-                empty = disc < 0.0
-                root = np.sqrt(np.maximum(disc, 0.0))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    lo = (bb - root) / aa
-                    hi = (bb + root) / aa
-                if zero.any():
-                    lo[:, zero] = 0.0
-                    hi[:, zero] = 1.0
-                    empty[:, zero] = np.broadcast_to(cc > 0.0, empty.shape)[:, zero]
-            else:
-                lo, hi, empty = 0.0, 1.0, False
-                for p0, v in ((px, sx), (py, sy)):
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        t1 = (p0 - delta) / v
-                        t2 = (p0 + delta) / v
-                    tl = np.minimum(t1, t2)
-                    th = np.maximum(t1, t2)
-                    vz = v == 0.0
-                    if vz.any():
-                        far = np.abs(p0) > delta
-                        tl = np.where(vz, np.where(far, np.inf, -np.inf), tl)
-                        th = np.where(vz, np.where(far, -np.inf, np.inf), th)
-                    lo = np.maximum(lo, tl)
-                    hi = np.minimum(hi, th)
-            # one-sided clamps, matching the scalar path: an interval entirely
-            # outside [0,1] stays empty
-            lo = np.maximum(lo, 0.0)
-            hi = np.minimum(hi, 1.0)
-            empty |= lo > hi
-            # vertex j only constrains the shortcuts that bridge it, a < j < k
-            active = (j > a) & (j < ks)
-            lo = np.where(active, lo, -np.inf)
-            cm = np.maximum.accumulate(lo, axis=0)
-            if r0:                          # the first j tile has nothing to carry
-                np.maximum(cm, run, out=cm)
-            dead |= (active & (empty | (cm > hi))).any(axis=0)
-            run = cm[-1]                    # greedy running max, carried over j tiles
-        verdicts.append(~dead)
-    return np.concatenate(verdicts)
+        bb = px * sx + py * sy
+        cc = px * px + py * py - delta * delta
+        disc = bb * bb - aa * cc
+        empty = disc < 0.0
+        root = np.sqrt(np.maximum(disc, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo = (bb - root) / aa
+            hi = (bb + root) / aa
+        zero = aa == 0.0                    # degenerate shortcut p_k == p_a
+        if zero.any():
+            lo = np.where(zero, 0.0, lo)
+            hi = np.where(zero, 1.0, hi)
+            empty = np.where(zero, cc > 0.0, empty)
+    else:
+        lo, hi, empty = 0.0, 1.0, False
+        for p0, v in ((px, sx), (py, sy)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = (p0 - delta) / v
+                t2 = (p0 + delta) / v
+            tl = np.minimum(t1, t2)
+            th = np.maximum(t1, t2)
+            vz = v == 0.0
+            if vz.any():
+                far = np.abs(p0) > delta
+                tl = np.where(vz, np.where(far, np.inf, -np.inf), tl)
+                th = np.where(vz, np.where(far, -np.inf, np.inf), th)
+            lo = np.maximum(lo, tl)
+            hi = np.minimum(hi, th)
+    lo = np.maximum(lo, 0.0)
+    hi = np.minimum(hi, 1.0)
+    return lo, hi, empty | (lo > hi)
 
 
 def valid_targets_from(coords: np.ndarray, i: int, delta: float,
                        metric: Metric = Metric.L2) -> np.ndarray:
     """0-based indices k > i such that <p_i, p_k> is a valid shortcut.
 
-    ``coords`` is an (n, 2) float array.  O((n-i)^2) work, in tiles over the
-    targets and the bridged vertices that grow with the remaining suffix
-    (capped for cache residency), which keeps the edge-tile overhead
-    fraction constant across problem sizes.
+    ``coords`` is an (n, 2) float array.  O((n-i)^2) work on a (j, k) grid,
+    in tiles over the targets and the bridged vertices that grow with the
+    remaining suffix (capped for cache residency), which keeps the edge-tile
+    overhead fraction constant across problem sizes.  The greedy running max
+    of ``lo`` is carried from one j tile to the next.
     """
     metric = Metric(metric)
     n = coords.shape[0]
     if not (0 <= i < n - 1):
         raise IndexError(f"need 0 <= i < n-1, got i={i}")
     tile = max(64, min(256, (n - 1 - i) // 8))
-    ks = np.arange(i + 1, n)
+    pts = linf_image(coords) if metric is Metric.L1 else coords
+    X = pts[:, 0]
+    Y = pts[:, 1]
     a = np.array([i])
-    blocks = [(a, ks[c:c + tile]) for c in range(0, ks.size, tile)]
-    return ks[_greedy_verdicts(coords, blocks, delta, metric, tile)]
+    ks = np.arange(i + 1, n)
+    valid = []
+    for c in range(0, ks.size, tile):
+        k = ks[c:c + tile]
+        sx = X[k] - X[a]                    # segment p_k - p_i, per target
+        sy = Y[k] - Y[a]
+        jj = np.arange(i + 1, int(k[-1]))[:, None]
+        ox = X[jj] - X[a]                   # p_j - p_i, per bridged vertex
+        oy = Y[jj] - Y[a]
+        dead = np.zeros(k.size, dtype=bool)
+        for r0 in range(0, jj.size, tile):
+            j = jj[r0:r0 + tile]
+            lo, hi, empty = _bounds(ox[r0:r0 + tile], oy[r0:r0 + tile], sx, sy,
+                                    delta, metric)
+            # vertex j only constrains the shortcuts that bridge it, j < k
+            active = j < k
+            cm = np.maximum.accumulate(np.where(active, lo, -np.inf), axis=0)
+            if r0:                          # the first j tile has nothing to carry
+                np.maximum(cm, run, out=cm)
+            dead |= (active & (empty | (cm > hi))).any(axis=0)
+            run = cm[-1]
+        valid.append(~dead)
+    return ks[np.concatenate(valid)]
 
 
 @functools.lru_cache(maxsize=64)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (i, k) with k >= i+2, the shortcuts that bridge a vertex; read-only."""
+def _packed(n: int):
+    """The packed (j, shortcut) grid of ``shortcut_matrix_dense`` for n >= 3 vertices.
+
+    Every shortcut (i, k >= i+2) bridges k-i-1 vertices.  Greedy two-pointer
+    packing, longest first: each of the grid's n-2 rows is a bridged vertex,
+    and each column holds one long shortcut from the top row down and,
+    where the two bridged counts sum to at most n-2, the shortest one left
+    from the bottom row up (5,712 cells at n = 30 for 4,060 triples
+    i < j < k).  Returns, all read-only: the flat indices a*n+j and a*n+k
+    of each cell (start a, bridged vertex j, target k; a cell of neither
+    shortcut repeats its top one's first row), the cell masks ``top`` and
+    ``bot``, the flat indices i*n+k of the columns' top shortcuts and of
+    their bottom ones, and which columns have a bottom one.
+    """
+    rows = n - 2
     pi, pk = np.nonzero(np.triu(np.ones((n, n), dtype=bool), 2))
-    for arr in (pi, pk):
+    span = pk - pi - 1
+    order = np.argsort(-span, kind="stable")
+    tops, bots = [], []
+    first, last = 0, order.size - 1
+    while first <= last:
+        tops.append(order[first])
+        first += 1
+        if first <= last and span[tops[-1]] + span[order[last]] <= rows:
+            bots.append(order[last])
+            last -= 1
+        else:
+            bots.append(-1)
+    tops = np.array(tops)
+    bots = np.array(bots)
+    has_bot = bots >= 0
+    r = np.arange(rows)[:, None]
+    top = r < span[tops]
+    skip = rows - np.where(has_bot, span[bots], 0)      # rows above the bottom one
+    bot = r >= skip
+    a = np.where(bot, pi[bots], pi[tops])
+    k = np.where(bot, pk[bots], pk[tops])
+    j = np.where(top, pi[tops] + 1 + r,
+                 np.where(bot, pi[bots] + 1 + r - skip, pi[tops] + 1))
+    bots = bots[has_bot]
+    out = (a * n + j, a * n + k, top, bot,
+           pi[tops] * n + pk[tops], pi[bots] * n + pk[bots], has_bot)
+    for arr in out:
         arr.flags.writeable = False
-    return pi, pk
+    return out
 
 
 def shortcut_matrix_dense(coords: np.ndarray, delta: float,
                           metric: Metric = Metric.L2) -> np.ndarray:
     """One-shot (n, n) validity matrix for small polylines.
 
-    The greedy loop of ``valid_targets_from``, with all the pairs (i, k >=
-    i+2) of a per-n cached list as one block against the whole j axis: much
-    faster for the n <= ~40 instances ``verify`` draws.  Every (i, i+1) is
-    valid and every k <= i False.
+    The intervals of ``valid_targets_from`` on the per-n cached packed grid
+    of ``_packed``, which holds each triple i < j < k once: much faster for
+    the n <= ~40 instances ``verify`` draws.  A column's top shortcut fails
+    where the running max of ``lo`` down from the top row exceeds ``hi``,
+    its bottom one where ``lo`` exceeds the running min of ``hi`` up from
+    the bottom row.  Each scan starts in its own shortcut's rows, and both
+    say that some bridged j1 <= j2 has lo[j1] > hi[j2], the greedy test of
+    ``shortcut_is_valid``; an empty interval fails the shortcut too.  Every
+    (i, i+1) is valid and every k <= i False.
     """
     metric = Metric(metric)
     pts = np.asarray(coords, dtype=float)
     n = pts.shape[0]
     out = np.eye(n, k=1, dtype=bool)
-    pi, pk = _pairs(n)
-    if pi.size:
-        out[pi, pk] = _greedy_verdicts(pts, [(pi, pk)], delta, metric, n)
+    if n < 3:
+        return out
+    aj, ak, top, bot, top_at, bot_at, has_bot = _packed(n)
+    P = linf_image(pts) if metric is Metric.L1 else pts
+    dx = (P[None, :, 0] - P[:, None, 0]).ravel()         # dx[a*n+b] = x_b - x_a
+    dy = (P[None, :, 1] - P[:, None, 1]).ravel()
+    lo, hi, empty = _bounds(dx[aj], dy[aj], dx[ak], dy[ak], delta, metric)
+    flat = out.reshape(-1)
+    cm = np.maximum.accumulate(lo, axis=0)
+    flat[top_at] = ~(top & (empty | (cm > hi))).any(axis=0)
+    cm = np.minimum.accumulate(hi[::-1], axis=0)[::-1]
+    flat[bot_at] = ~(bot & (empty | (lo > cm))).any(axis=0)[has_bot]
     return out

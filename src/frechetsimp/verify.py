@@ -182,26 +182,35 @@ def _sweep_sets(pts_list, delta: float, metric: Metric, strict: bool):
 
 
 def check_instance(pts, delta: float, metric: Metric, strict: bool = False):
-    """Compare sweeps against the oracle; returns (problems, folded sweep stats)."""
-    pts_list = [(float(p[0]), float(p[1])) for p in pts]
+    """Compare sweeps against the oracle; returns (problems, folded sweep stats).
+
+    The sweep's target lists are compared with the oracle's rows in one
+    pass; only where they differ are the per-row lists and the oracle's
+    link distances built (equal lists give equal link counts)."""
+    pts = np.asarray(pts, dtype=float)
+    pts_list = list(map(tuple, pts.tolist()))
     n = len(pts_list)
     problems = []
-    M = oracle.shortcut_matrix_dense(np.asarray(pts_list), delta, metric)
+    M = oracle.shortcut_matrix_dense(pts, delta, metric)
     try:
         sets, stats = _sweep_sets(pts_list, delta, metric, strict)
     except InternalGeometryError as exc:
         return [{"kind": "invariant", "detail": str(exc)}], SweepStats()
-    rows = [np.nonzero(M[i])[0].tolist() for i in range(n - 1)]
-    for i in range(n - 2, -1, -1):
-        if rows[i] != sets[i]:
-            problems.append({
-                "kind": "shortcut_set", "i": i,
-                "oracle": rows[i], "wavefront": sets[i],
-            })
-    d_o, _ = link_distances(n, reversed(rows))
     d_w, par_w = link_distances(n, reversed(sets))
-    if d_o[0] != d_w[0]:
-        problems.append({"kind": "link_count", "oracle": d_o[0], "wavefront": d_w[0]})
+    row_of, col = np.nonzero(M[:n - 1])
+    same = (col.tolist() == [k for targets in sets for k in targets]
+            and np.bincount(row_of, minlength=n - 1).tolist() == [len(t) for t in sets])
+    if not same:
+        rows = [np.nonzero(M[i])[0].tolist() for i in range(n - 1)]
+        for i in range(n - 2, -1, -1):
+            if rows[i] != sets[i]:
+                problems.append({
+                    "kind": "shortcut_set", "i": i,
+                    "oracle": rows[i], "wavefront": sets[i],
+                })
+        d_o, _ = link_distances(n, reversed(rows))
+        if d_o[0] != d_w[0]:
+            problems.append({"kind": "link_count", "oracle": d_o[0], "wavefront": d_w[0]})
     # revalidate the emitted wavefront path link by link
     at = 0
     while at != n - 1:

@@ -168,6 +168,27 @@ def test_vectorized_routes_match_scalar(metric):
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
+def test_packed_dense_grid_matches_scalar(metric):
+    """n = 17..45, where most columns of the dense oracle's packed grid hold
+    a long shortcut from the top and a short one from the bottom: random,
+    integer-lattice, one-decimal, repeated-vertex (zero-length shortcuts)
+    and axis-parallel (zero Linf directions) inputs, each dense cell against
+    ``shortcut_is_valid``."""
+    rng = np.random.default_rng(45)
+    for n in range(17, 46):
+        walk = np.round(np.cumsum(rng.normal(0, 0.5, (n, 2)), axis=0), 1)
+        repeated = walk.copy()
+        repeated[rng.integers(1, n, n // 3)] = walk[rng.integers(0, n, n // 3)]
+        steps = np.round(rng.normal(0, 0.7, (n, 2)))
+        steps[np.arange(n), (np.arange(n) // 4) % 2] = 0.0     # runs of 4 along an axis
+        inputs = (rng.uniform(0, 10, (n, 2)), np.round(rng.uniform(0, 5, (n, 2))),
+                  np.round(rng.uniform(0, 3, (n, 2)), 1), repeated,
+                  np.cumsum(steps, axis=0))
+        for pts in inputs:
+            _assert_routes_agree(pts, float(rng.choice([0.3, 0.5, 1.0, 1.3, 2.0])), metric)
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
 @pytest.mark.parametrize("n", [130, 300])
 def test_multi_tile_rows_match_scalar(n, metric):
     """Rows long enough to span several 64-wide tiles, so the greedy running

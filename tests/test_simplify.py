@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frechetsimp.geometry import Metric
+from frechetsimp.geometry import InternalGeometryError, Metric
 from frechetsimp.oracle import shortcut_is_valid
 from frechetsimp.simplify import (InvalidInputError, link_distance_table,
                                   link_distances, nu_diagnostics, preprocess,
@@ -122,6 +122,16 @@ class TestEdgeCasesAndErrors:
                 ties_seen += len(minimizers) > 1
                 assert nxt == min(minimizers)
                 at = nxt
+
+
+    @pytest.mark.xfail(strict=True, raises=InternalGeometryError,
+                       reason="L2 sweep from vertex 2 raises 'wedge ray points away "
+                              "from the new circle' where C_4 passes the apex by one rounding")
+    def test_l2_tie_where_a_circle_grazes_the_apex(self):
+        pts = [(1.4, 2.4), (1.6, 2.7), (1.7, 2.1), (1.5, 2.4), (2.0, 2.1), (2.6, 2.4),
+               (2.5, 1.8), (3.1, 2.3), (2.6, 2.2), (2.4, 2.4), (1.9, 2.5), (2.4, 2.3)]
+        res = simplify(pts, 0.3, "l2")
+        assert res.indices == simplify(pts, 0.3, "l2", algo="baseline").indices
 
 
 class TestOptimalityProperties:

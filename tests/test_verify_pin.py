@@ -23,9 +23,9 @@ METRIC_SETS = {"l2": (Metric.L2,), "linf": (Metric.LINF,), "l1": (Metric.L1,),
                "all": DEFAULT_METRICS}
 
 
-def corpus_digests(style, metrics, count=COUNT, seed=5):
+def corpus_digests(style, metrics, count=COUNT, seed=5, max_n=30):
     """sha256 of the drawn instances, their margins and their dense matrices."""
-    cfg = VerifyConfig(count=count, seed=seed, style=style, metrics=metrics)
+    cfg = VerifyConfig(count=count, seed=seed, style=style, metrics=metrics, max_n=max_n)
     drawn = hashlib.sha256()
     margins = hashlib.sha256()
     dense = hashlib.sha256()
@@ -93,6 +93,41 @@ PINNED = {
         "instances": "d5c0aa23f95e3ea4d0fc5498ab92beb67630b69e0d82e539745cdbef5e556ff7",
         "margins": "3007fe60575d76c55aba840390027980494b4aa0d35205b3315f41f8fef618bc",
         "dense": "c3e496d24d1e09dc8b2f7441ea0f65a726c7a9e2310e5ecb2f30f8aa1d5e0d54"},
+    # 100 instances of up to 45 vertices (count=100, max_n=45), where most
+    # columns of the dense oracle's packed grid hold two shortcuts; recorded
+    # from the (j, shortcut) grid the packed one replaced
+    ('walk', 45, 'all'): {
+        "instances": "cbe80b8d2fd24647436c08b388a4b4dbc90174eb174e7b5d47a36975d0cccde5",
+        "margins": "b0baca9fdaa69435238ba38b66432556f1b9e380f8b8e080de80918fb82ecc51",
+        "dense": "e4d5ddb7adf7654bb4a7e374a94266e6b226cd1d99ce68046077f80839ee8a22"},
+    ('walk', 45, 'l1'): {
+        "instances": "cbe80b8d2fd24647436c08b388a4b4dbc90174eb174e7b5d47a36975d0cccde5",
+        "margins": "b051cfcd7d991c196d44cddac73968f2964fbe953b0b1dbbded20483b9068635",
+        "dense": "e85b56c1f65392207397a901230afdd3f008f6986724aea8b57068772653355b"},
+    ('walk', 45, 'l2'): {
+        "instances": "cbe80b8d2fd24647436c08b388a4b4dbc90174eb174e7b5d47a36975d0cccde5",
+        "margins": "c0b1d8e59dfcd76a7014b64a6e6f06dfd97b7cc98f5ea0c71d3248f36361af2f",
+        "dense": "690366a590b2e22de23f1dce5bf4da1013bb6d095549db5fec1b718c595ec022"},
+    ('walk', 45, 'linf'): {
+        "instances": "cbe80b8d2fd24647436c08b388a4b4dbc90174eb174e7b5d47a36975d0cccde5",
+        "margins": "16b2d37047225a9fa710c1e4518d10f36293055515d149952b0a7388bc6afadd",
+        "dense": "84b755ab41c5a4be6cb389026e960d28197ac7b9856f79b22972f8d260962fba"},
+    ('cluster', 45, 'all'): {
+        "instances": "436e84ca5d62c74bf2719ce33ec3cd5d2c032970d62bdeaa011dfd9913c35fb7",
+        "margins": "c03d6ef9710997976d479f1d712c873d57655055002b5a1648b0c1dd35fda6cd",
+        "dense": "35570c63eb54ab9e4c47b730e75ae5ccfff0a09346fd39475f0466c768019a3e"},
+    ('cluster', 45, 'l1'): {
+        "instances": "c9a8e3210ef66f05cd3af49b3983f85bce602b824c86bb1df149fc4d0be4d061",
+        "margins": "e3c80b6da6b8acba3a5f3f1a496851e5ad829684393f15398d47c9726f237b7b",
+        "dense": "64f03129ff44550ec665e202c135050cf31affe02dc25ba031d81aa6590fde0a"},
+    ('cluster', 45, 'l2'): {
+        "instances": "41c220320c5bf563e95686cce11aa945221749b25daba8695b267ff160884c7a",
+        "margins": "501302dc5f8220fbefa0427b0334ed4537e472bcbedbeabbe2803896fc47b5b4",
+        "dense": "897f2f2e2d5f658692cd52eef2b32e7e2f6ad2f32deec82ff1a38f77755ae542"},
+    ('cluster', 45, 'linf'): {
+        "instances": "45d2abf4eb0a4a555cbc2483d137245f91add9482f66078ff4d2667fa9d83667",
+        "margins": "9300d9027dd130c2a04e5050c9a97b2610a0a6f1cac3554ed488358a3adf5e4f",
+        "dense": "f76cf978101bcd53a63201d3094ea02c80caebc284ef7a1a8c07c38f1090704e"},
 }
 
 
@@ -100,3 +135,10 @@ PINNED = {
 @pytest.mark.parametrize("style", ["uniform", "walk", "cluster"])
 def test_verify_corpus_is_pinned(style, metrics):
     assert corpus_digests(style, METRIC_SETS[metrics]) == PINNED[(style, metrics)]
+
+
+@pytest.mark.parametrize("metrics", sorted(METRIC_SETS))
+@pytest.mark.parametrize("style", ["walk", "cluster"])
+def test_long_verify_corpus_is_pinned(style, metrics):
+    assert (corpus_digests(style, METRIC_SETS[metrics], count=100, max_n=45)
+            == PINNED[(style, 45, metrics)])
