@@ -11,8 +11,7 @@ import os
 import numpy as np
 
 from frechetsimp import Metric
-from frechetsimp._engine import prepare, sweep_targets
-from frechetsimp.svgdebug import file_sink
+from frechetsimp.svgdebug import draw_frames, file_sink
 
 
 def bulge_cluster(m, delta=1.0, R=3.0, rho=0.8, span_deg=60.0, seed=0):
@@ -45,9 +44,7 @@ def main() -> int:
     args = ap.parse_args()
     for name, (pts, delta, metric) in SCENARIOS.items():
         directory = os.path.join(args.out, name)
-        sink = file_sink(directory)
-        work, kern = prepare(pts, metric)
-        sweep_targets(work, 0, delta, kern, svg_sink=sink)
+        draw_frames(pts, metric, [0], delta, file_sink(directory))
         print(f"{name}: {len(os.listdir(directory))} frames -> {directory}")
     return 0
 

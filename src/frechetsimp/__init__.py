@@ -12,12 +12,11 @@ correctness reference.
 targets of one vertex, and ``shortcut_is_valid`` is the decision oracle.
 """
 
-from ._engine import prepare
-from ._square import sweep_rows
+from ._engine import sweep_rows
 from .geometry import InternalGeometryError, Metric
 from .oracle import ball_segment_interval, shortcut_is_valid
-from .simplify import (InvalidInputError, SimplificationResult, simplify,
-                       simplify_baseline)
+from .simplify import (InvalidInputError, SimplificationResult, _checked_metric,
+                       _finite_vertices, simplify, simplify_baseline)
 
 __version__ = "0.1.0"
 
@@ -29,6 +28,11 @@ __all__ = [
 
 
 def shortcuts(points, i, delta, metric=Metric.L2):
-    """Ascending valid shortcut targets k > i of vertex i under any supported metric."""
-    work, kern = prepare(points, metric)
-    return next(sweep_rows(work, [i], delta, kern))[0]
+    """Ascending valid shortcut targets k > i of vertex i under any supported
+    metric; IndexError unless 0 <= i < len(points), and InvalidInputError for
+    the delta, metric and coordinates that ``simplify`` rejects."""
+    metric = _checked_metric(delta, metric)
+    pts = _finite_vertices(points)
+    if not 0 <= i < len(pts):
+        raise IndexError(f"need 0 <= i < {len(pts)}, got i={i}")
+    return next(sweep_rows(pts, metric, [i], delta))[0]

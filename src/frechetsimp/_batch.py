@@ -1,7 +1,7 @@
 """Batched L2 sweeps: many start vertices' steps in numpy, one-arc runs in
 tiles and multi-arc steps in lockstep.
 
-``_engine.sweeps`` hands a block of start vertices here when it sweeps
+``_engine.sweep_rows`` hands a block of start vertices here when it sweeps
 Euclidean disks; squares (Linf, and L1 on its image) never come here.  A
 sweep whose wavefront is one arc (or still empty) takes its PREFIX, INIT, BB
 and WEDGE_EMPTY steps in tiles of start vertices x steps, which a few running

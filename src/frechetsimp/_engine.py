@@ -44,48 +44,32 @@ from libm on some inputs (SIMD builds), and the engine compares keys and
 distances against tight tolerances, so precomputed arrays would change
 decisions, not just the last digits of the output.
 
-Batched sweeps.  ``sweeps(pts, starts, ...)`` runs the sweeps of many start
-vertices.  On Euclidean disks, with no checker or SVG sink and at least
-``_BATCH_MIN_ROWS`` start vertices, it batches them (``_batch.Block``), in
-two regimes.  A sweep whose wavefront is one arc (or still empty) takes its
-PREFIX, INIT, BB and WEDGE_EMPTY steps in tiles of start vertices x steps:
-that state is a few floats per sweep, the wedge keys are a running max and
-min, the unit rays are forward-filled, and the arc a step clips is the one
-the step before made.  A sweep whose wavefront holds 1 to ``_batch._K``
-arcs (a padded array per arc field, and a count) takes its BB, MB, BM, MM
-and WEDGE_EMPTY steps in lockstep with the block's other such sweeps, one
-step at a time, since each step reads the arcs the one before left; the
-lockstep mirrors ``_clip``, ``_locate``, ``_narrow``, the crossing scans and
-the splices.  Every other step, and every step of a column too thin to pay
-for the lockstep, is ``Sweep._step``'s from the same state; the sweep
-rejoins the lockstep on the next step its wavefront fits.  The block calls
-the numpy mirrors of ``CircleKernel``'s primitives (``tangent_points_np``,
-whose ``inside`` mask is the step's apex-in-C_j rule, ``ray_hits_np``,
-``boundary_intersections_np``, ``on_near_side_np``, ``contains_np``).  Keys
-and distances still come from ``math.atan2`` and ``math.hypot``, one call
-per element; numpy does only + - * /, sqrt, comparisons and ``np.where``
-selections that mirror the scalar conditionals in their order, so every
-target, counter, gauge, final state and exception is the per-start loop's,
-bit for bit.  Squares, fewer start vertices, a checker or a sink run the
-per-start loop.
+Picking a sweep.  ``sweep_rows(points, metric, starts, delta, strict)``
+runs the sweeps of many start vertices and is the one place that picks a
+sweep.  L2 without ``strict`` and with at least ``_BATCH_MIN_ROWS`` start
+vertices runs batched (``_batch``): one-arc runs in tiles of start vertices
+x steps, steps on wavefronts of 1 to ``_batch._K`` arcs in lockstep, every
+other step ``Sweep._step``'s, and every target, counter, gauge, final state
+and exception the per-start loop's, bit for bit.  Linf and L1 without
+``strict`` take the square sweep of ``_square``, which keeps four face
+extremes and one cone per quadrant and needs no angle.  Every other case
+runs ``sweep_targets`` per start vertex, with a fresh invariant checker
+under ``strict`` (the checker reads this engine's arcs).
 
 Callers.  ``simplify``, ``verify``, ``shortcuts`` and the ``stats`` command
-reach this engine through ``_square.sweep_rows``, which runs it for L2 only;
-for Linf and L1 it runs the square sweep of ``_square``, which keeps four
-face extremes and one cone per quadrant and needs no angle.  The engine
-still runs squares, one start vertex at a time, for ``verify --strict`` (the
-invariant checker reads its arcs) and for the SVG frames of ``simplify``
-(``draw_frames``; the targets and stats come from the square sweep).
+pass a ``Metric`` to ``sweep_rows``.  The SVG frames of ``simplify
+--svg-debug-dir`` are a pass of their own: ``svgdebug.draw_frames`` steps
+this engine from each start vertex, on any metric.
 """
 from __future__ import annotations
 
-import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
+from .diagnostics import InvariantChecker
 from .geometry import (EPS_ANGLE, EPS_REL, CircleKernel, InternalGeometryError, Metric,
                        SquareKernel, _wrap_angle, l1_to_linf)
 
@@ -96,7 +80,6 @@ _KEY_SLACK = 1e-9          # radians: key-span filters and closed-wedge tests
 _COINC = "coincident"
 _AWAY = "wedge ray points away from the new circle"
 _MISSED = "wedge ray misses an arc it should cross"
-_log = logging.getLogger("frechetsimp")
 
 
 class Location(Enum):
@@ -193,10 +176,10 @@ class Sweep:
 
     __slots__ = ("pts", "i", "delta", "kern", "ax", "ay", "rot",
                  "kr", "kl", "ur", "ul", "arcs", "keys", "aborted", "stats",
-                 "checker", "svg_sink", "square", "_loc_cache")
+                 "checker", "square", "_loc_cache")
 
     def __init__(self, pts: Sequence[Sequence[float]], i: int, delta: float, kern,
-                 checker=None, svg_sink: Optional[Callable[[int, int, str], None]] = None):
+                 checker=None):
         self.pts = pts
         self.i = i
         self.delta = float(delta)
@@ -210,7 +193,6 @@ class Sweep:
         self.aborted = False
         self.stats = SweepStats()
         self.checker = checker
-        self.svg_sink = svg_sink
         self.square = kern.metric is not Metric.L2   # gauge the square segments
         self._loc_cache = (None, 0.0)   # (vertex j, key of j); see the module docstring
 
@@ -326,9 +308,6 @@ class Sweep:
                 st.max_segment_count = segs
         if self.checker is not None and not self.aborted:
             self.checker.after_step(self, j)
-        if self.svg_sink is not None:
-            from . import svgdebug
-            self.svg_sink(self.i, j, svgdebug.render_frame(self, j, case))
         return case
 
     def _segment_count(self) -> int:
@@ -899,10 +878,8 @@ def prepare(points: Sequence[Sequence[float]], metric: Metric):
     with axis-aligned squares, and L1 sweeps their image under the exact
     change of coordinates (x, y) -> (x+y, y-x), which maps L1 balls onto
     Linf balls, with the same squares.  Sweeps report vertex indices, so
-    nothing maps back.  This is the one place a metric picks a kernel::
-
-        work, kern = prepare(points, metric)
-        targets, sweep = sweep_targets(work, i, delta, kern)
+    nothing maps back.  This is the one place a metric picks a kernel, for
+    ``sweep_rows`` and ``svgdebug.draw_frames``.
 
     ``metric`` is a ``Metric`` or its value; anything else raises ValueError.
     """
@@ -915,9 +892,9 @@ def prepare(points: Sequence[Sequence[float]], metric: Metric):
 
 
 def sweep_targets(pts: Sequence[Sequence[float]], i: int, delta: float, kern,
-                  checker=None, svg_sink=None) -> tuple[list[int], Sweep]:
+                  checker=None) -> tuple[list[int], Sweep]:
     """All j > i with a valid shortcut <p_i, p_j>, plus the final sweep state."""
-    sw = Sweep(pts, i, delta, kern, checker=checker, svg_sink=svg_sink)
+    sw = Sweep(pts, i, delta, kern, checker=checker)
     out = []
     for j in range(i + 1, len(pts)):
         if sw.locate_vertex(j) is VALID:
@@ -928,55 +905,32 @@ def sweep_targets(pts: Sequence[Sequence[float]], i: int, delta: float, kern,
     return out, sw
 
 
-def draw_frames(pts: Sequence[Sequence[float]], i: int, delta: float, kern, svg_sink) -> None:
-    """Runs the sweep from start vertex i for its SVG frames alone, where the
-    targets come from elsewhere (the square sweep, the cubic baseline).
-
-    A step that raises ``InternalGeometryError`` ends the frames of this
-    sweep: the frames drawn so far stay, and one warning names the start
-    vertex, the vertex and the message.
-    """
-    sw = Sweep(pts, i, delta, kern, svg_sink=svg_sink)
-    for j in range(i + 1, len(pts)):
-        try:
-            sw._step(j)
-        except InternalGeometryError as exc:
-            _log.warning("SVG frames of the sweep from vertex %d end at vertex %d: %s", i, j, exc)
-            return
-        if sw.aborted:
-            return
-
-
-# ---------------------------------------------------------------------------
-# All start vertices of a polyline: sweeps batched in their one-arc regime
-# ---------------------------------------------------------------------------
-
 # fewer start vertices run the per-start loop: the tiles' fixed cost made the
 # batch slower at 32 start vertices; from 48 on it is even or faster where
 # one-arc steps are common (gps slices)
 _BATCH_MIN_ROWS = 48
 
 
-def sweeps(pts: Sequence[Sequence[float]], starts, delta: float, kern,
-           make_checker=None, svg_sink=None):
-    """Yields ``sweep_targets(pts, i, delta, kern, ...)`` for each i in ``starts``.
-
-    Each start vertex gets its own sweep, and the pairs come in the order of
-    ``starts``; a sweep that raises raises here when its turn comes.
-    ``make_checker()``, if given, builds each sweep's invariant checker.
-    Disk sweeps of at least ``_BATCH_MIN_ROWS`` start vertices, without
-    checker or SVG sink, run batched (``_batch``); every target, counter,
-    final state and exception is the per-start loop's.
+def sweep_rows(points: Sequence[Sequence[float]], metric: Metric, starts, delta: float,
+               strict: bool = False):
+    """Yields (targets, ``SweepStats``) of the sweep from each start vertex i
+    of ``starts``, in order: the ascending j > i with a valid shortcut
+    <p_i, p_j> under ``metric``.  A sweep that raises raises here when its
+    turn comes.  See "Picking a sweep" above for the sweep each case takes.
     """
+    work, kern = prepare(points, metric)
     starts = list(starts)
-    if (kern is not CircleKernel or make_checker is not None or svg_sink is not None
-            or len(starts) < _BATCH_MIN_ROWS):
+    if not strict and kern is SquareKernel:
+        from ._square import square_sweeps
+        yield from square_sweeps(work, starts, delta)
+    elif not strict and len(starts) >= _BATCH_MIN_ROWS:
+        from ._batch import batched_sweeps   # imported only where sweeps are batched
+        for row in batched_sweeps(work, starts, float(delta)):
+            if isinstance(row, Exception):
+                raise row
+            yield row[0], row[1].stats
+    else:
         for i in starts:
-            checker = make_checker() if make_checker is not None else None
-            yield sweep_targets(pts, i, delta, kern, checker=checker, svg_sink=svg_sink)
-        return
-    from ._batch import batched_sweeps   # imported only where sweeps are batched
-    for row in batched_sweeps(pts, starts, float(delta)):
-        if isinstance(row, Exception):
-            raise row
-        yield row
+            targets, sw = sweep_targets(work, i, delta, kern,
+                                        InvariantChecker() if strict else None)
+            yield targets, sw.stats

@@ -45,17 +45,15 @@ moves onto it, on all or part of the cones), MM for a step that only narrows
 the cones, and WEDGE_EMPTY for the step that empties the last cone.  The
 engine's arc counters ``inserted`` and ``removed`` stay 0.
 
-``sweep_rows`` is the one entry point that chooses between this sweep and
-the generic engine for every caller (``simplify``, ``verify``, ``shortcuts``
-and the ``stats`` command).
+Callers reach this sweep through ``_engine.sweep_rows``, which picks it for
+Linf and L1 unless an invariant checker is asked for.
 """
 from __future__ import annotations
 
 import math
 from typing import Sequence
 
-from ._engine import SweepStats, draw_frames, sweeps
-from .geometry import SquareKernel
+from ._engine import SweepStats
 
 _INF = math.inf
 _POP = tuple(bin(m).count("1") for m in range(16))      # faces shown, by bit mask
@@ -215,24 +213,3 @@ def square_sweeps(pts: Sequence[Sequence[float]], starts, delta: float):
     for i in starts:
         yield _scalar(X, Y, i, delta)
 
-
-def sweep_rows(pts: Sequence[Sequence[float]], starts, delta: float, kern,
-               make_checker=None, svg_sink=None):
-    """Yields (targets, stats) of the sweep from each start vertex of
-    ``starts``, in order, for the working points and kernel of
-    ``_engine.prepare``.
-
-    Squares take the square sweep unless ``make_checker`` is given: the
-    invariant checker reads the generic engine's arcs.  With ``svg_sink``
-    they run the generic sweep only to draw its frames (``draw_frames``).
-    Disks run the generic engine (``_engine.sweeps``) with either.
-    """
-    if kern is not SquareKernel or make_checker is not None:
-        for targets, sw in sweeps(pts, starts, delta, kern, make_checker, svg_sink):
-            yield targets, sw.stats
-        return
-    starts = list(starts)
-    for i, row in zip(starts, square_sweeps(pts, starts, delta)):
-        if svg_sink is not None:
-            draw_frames(pts, i, delta, kern, svg_sink)
-        yield row

@@ -3,7 +3,10 @@
 Subcommands: simplify | verify | bench | stats.  Reports are JSON or CSV on
 stdout and are byte-stable for a fixed (input, config, seed), except for
 measured wall-clock fields.  Exit codes: 0 success, 1 input parse error,
-2 invalid configuration, 3 verification mismatch.
+2 invalid configuration, 3 verification mismatch, 4 internal geometry error
+(a sweep met a configuration it cannot decide).  ``simplify
+--svg-debug-dir`` draws its frames after the simplification, in a pass of
+their own (``svgdebug.draw_frames``).
 """
 from __future__ import annotations
 
@@ -13,16 +16,16 @@ import sys
 import time
 
 from . import __version__, bench, polyio, svgdebug
-from .geometry import Metric
-from ._engine import SweepStats, prepare
-from ._square import sweep_rows
-from .simplify import InvalidInputError, _simplify_impl, nu_diagnostics, preprocess
+from ._engine import SweepStats, sweep_rows
+from .geometry import InternalGeometryError, Metric
+from .simplify import InvalidInputError, nu_diagnostics, preprocess, simplify
 from .verify import VerifyConfig, run_verify
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_CONFIG = 2
 EXIT_MISMATCH = 3
+EXIT_GEOMETRY = 4
 
 
 def _metric(value: str) -> Metric:
@@ -89,16 +92,17 @@ def _cmd_simplify(args) -> int:
     except (OSError, polyio.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    sink = svgdebug.file_sink(args.svg_debug_dir) if args.svg_debug_dir else None
     t0 = time.perf_counter()
     try:
-        # the sweeps that simplify runs draw the frames
-        res = _simplify_impl(points, args.delta, args.metric, args.algo,
-                             workers=max(1, args.threads), svg_sink=sink)
+        res = simplify(points, args.delta, args.metric, args.algo, workers=max(1, args.threads))
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     millis = (time.perf_counter() - t0) * 1e3
+    if args.svg_debug_dir:
+        poly = preprocess(points)
+        svgdebug.draw_frames(poly.vertices, args.metric, range(poly.n - 1), args.delta,
+                             svgdebug.file_sink(args.svg_debug_dir))
     polyio.save_polyline(args.output, [points[k] for k in res.indices])
     summary = {
         "n": len(points),
@@ -112,6 +116,9 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_n < 2:
+        print("error: --max-n must be at least 2", file=sys.stderr)
+        return EXIT_CONFIG
     metrics = (args.metric,) if args.metric else (Metric.L2, Metric.L1, Metric.LINF)
     delta_range = (args.delta, args.delta) if args.delta else (0.1, 3.0)
     cfg = VerifyConfig(count=args.count, max_n=args.max_n, delta_range=delta_range,
@@ -150,6 +157,9 @@ def _cmd_bench(args) -> int:
         except ValueError:
             print("error: --sizes expects comma-separated integers", file=sys.stderr)
             return EXIT_CONFIG
+        if min(sizes) < 2:
+            print("error: --sizes needs vertex counts of at least 2", file=sys.stderr)
+            return EXIT_CONFIG
     result = bench.run_bench(sizes=sizes, seed=args.seed, delta=args.delta)
     sys.stdout.write(bench.to_csv(result))
     return EXIT_OK
@@ -167,10 +177,9 @@ def _cmd_stats(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     diag = nu_diagnostics(points, args.delta, args.metric)
-    work, kern = prepare(poly.vertices, args.metric)
     per_start = []
     total = SweepStats()
-    for _, stats in sweep_rows(work, range(poly.n - 1), args.delta, kern):
+    for _, stats in sweep_rows(poly.vertices, args.metric, range(poly.n - 1), args.delta):
         per_start.append(stats.max_arc_count)
         total.fold(stats)
     out = {
@@ -187,13 +196,13 @@ def _cmd_stats(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cmd == "simplify":
-        return _cmd_simplify(args)
-    if args.cmd == "verify":
-        return _cmd_verify(args)
-    if args.cmd == "bench":
-        return _cmd_bench(args)
-    return _cmd_stats(args)
+    run = {"simplify": _cmd_simplify, "verify": _cmd_verify, "bench": _cmd_bench,
+           "stats": _cmd_stats}[args.cmd]
+    try:
+        return run(args)
+    except InternalGeometryError as exc:
+        print(f"error: internal geometry error: {exc}", file=sys.stderr)
+        return EXIT_GEOMETRY
 
 
 if __name__ == "__main__":

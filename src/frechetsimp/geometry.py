@@ -4,10 +4,10 @@ Everything here works on plain float pairs.  A "unit circle" of radius delta is
 a Euclidean disk for L2 and an axis-aligned square of side 2*delta for Linf.
 L1 is reduced to Linf by the exact change of coordinates (x, y) -> (x+y, y-x),
 under which the L1 ball becomes the Linf ball of the same radius, so the
-square kernel serves both.  ``simplify`` and ``verify`` sweep squares with
+square kernel serves both.  ``_engine.sweep_rows`` sweeps squares with
 ``_square``, which needs none of these primitives; ``SquareKernel`` serves
-the generic engine where it still runs squares (``verify --strict``, the SVG
-frames and the benchmark's tracer).
+the generic engine where it still runs squares (``strict`` sweeps,
+``svgdebug.draw_frames`` and the benchmark's tracer).
 
 Coordinates are double precision.  Coincidence decisions use the relative
 tolerance EPS_REL; there is no exact arithmetic.  Callers that need clean

@@ -6,6 +6,9 @@ d[i] = 1 + min over valid shortcuts <p_i, p_j> of d[j].  That keeps memory
 linear; a parent-pointer array reconstructs the optimal path.  The cubic
 baseline drives the same table from the greedy interval oracle and exists as
 the correctness and performance reference.
+
+The wavefront's target lists come from ``_engine.sweep_rows``, in process or
+in each pool worker; the SVG debug frames are not drawn here.
 """
 from __future__ import annotations
 
@@ -18,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from ._engine import _BATCH_MIN_ROWS, CASES, SweepStats, draw_frames, prepare
-from ._square import sweep_rows
+from ._engine import _BATCH_MIN_ROWS, CASES, SweepStats, sweep_rows
 from .geometry import Metric, lp_distance
 
 __all__ = ["SimplificationResult", "Polyline", "preprocess", "simplify",
@@ -50,20 +52,24 @@ class Polyline:
         return len(self.vertices)
 
 
+def _finite_vertices(points: Sequence[Sequence[float]]) -> list[tuple[float, float]]:
+    """``points`` as (x, y) float pairs; InvalidInputError at a non-finite coordinate."""
+    out = [(float(p[0]), float(p[1])) for p in points]
+    for k, (x, y) in enumerate(out):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise InvalidInputError(f"non-finite coordinate at vertex {k}")
+    return out
+
+
 def preprocess(points: Sequence[Sequence[float]]) -> Polyline:
     if len(points) < 2:
         raise InvalidInputError("a polyline needs at least two vertices")
     verts: list[tuple[float, float]] = []
     idx: list[int] = []
-    for k, p in enumerate(points):
-        x = float(p[0])
-        y = float(p[1])
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise InvalidInputError(f"non-finite coordinate at vertex {k}")
-        if verts and verts[-1] == (x, y):
-            continue
-        verts.append((x, y))
-        idx.append(k)
+    for k, xy in enumerate(_finite_vertices(points)):
+        if not verts or verts[-1] != xy:
+            verts.append(xy)
+            idx.append(k)
     return Polyline(tuple(verts), tuple(idx))
 
 
@@ -74,24 +80,18 @@ class SimplificationResult:
     stats: dict = field(default_factory=dict)
 
 
-def _target_lists(pts, delta: float, metric: Metric, algo: str, starts, total: SweepStats,
-                  svg_sink=None):
+def _target_lists(pts, delta: float, metric: Metric, algo: str, starts, total: SweepStats):
     """Yields each start vertex's ascending valid shortcut targets, in the order given.
 
-    Each wavefront sweep's stats are folded into ``total``; L-inf and L1 take
-    the square sweep (``_square.sweep_rows``).  ``svg_sink`` receives every
-    generic sweep step as an SVG frame; the square sweep and the baseline run
-    the generic sweeps for their frames alone (``_engine.draw_frames``).
+    Each wavefront sweep's stats are folded into ``total``; ``sweep_rows``
+    picks the sweep.
     """
-    work, kern = prepare(pts, metric)
     if algo == ALGO_BASELINE:
         coords = np.asarray(pts, dtype=float)
         for i in starts:
-            if svg_sink is not None:
-                draw_frames(work, i, delta, kern, svg_sink)
             yield oracle.valid_targets_from(coords, i, delta, metric).tolist()
         return
-    for targets, stats in sweep_rows(work, starts, delta, kern, svg_sink=svg_sink):
+    for targets, stats in sweep_rows(pts, metric, starts, delta):
         total.fold(stats)
         yield targets
 
@@ -120,18 +120,17 @@ def link_distances(n: int, lists):
 
 
 def link_distance_table(pts, delta: float, metric: Metric = Metric.L2,
-                        algo: str = ALGO_WAVEFRONT, workers: int = 1, svg_sink=None):
+                        algo: str = ALGO_WAVEFRONT, workers: int = 1):
     """Link-distance d and parent arrays over the (preprocessed) vertices, plus
     the stats of every sweep folded into one ``SweepStats``.
 
     ``workers > 1`` lists the shortcuts in a process pool, unless the input
-    is too short to pay for it.  ``svg_sink(i, j, svg)``, if given, receives
-    one debug frame per sweep step and keeps the run in this process.
+    is too short to pay for it.
     """
     n = len(pts)
     total = SweepStats()
-    if workers <= 1 or svg_sink is not None or n < 64:
-        lists = _target_lists(pts, delta, metric, algo, range(n - 2, -1, -1), total, svg_sink)
+    if workers <= 1 or n < 64:
+        lists = _target_lists(pts, delta, metric, algo, range(n - 2, -1, -1), total)
         d, parent = link_distances(n, lists)
         return d, parent, total
     # no chunk is too short for the batched sweeps
@@ -154,20 +153,37 @@ def _pool_worker(pts, delta: float, metric: Metric, algo: str, lo: int, hi: int)
     return list(_target_lists(pts, delta, metric, algo, range(hi - 1, lo - 1, -1), total)), total
 
 
-def _simplify_impl(points, delta: float, metric: Metric, algo: str,
-                   workers: int = 1, svg_sink=None) -> SimplificationResult:
-    """``simplify``; a ``svg_sink`` gets the frames of the sweeps as they run,
-    which keeps the run in this process."""
+def _checked_metric(delta: float, metric) -> Metric:
+    """``metric`` as a ``Metric``; InvalidInputError for an unknown metric or a
+    delta that is not a positive finite number."""
     if delta <= 0.0 or not math.isfinite(delta):
         raise InvalidInputError("delta must be a positive finite number")
     try:
-        metric = Metric(metric)     # the code below branches on identity
+        return Metric(metric)
     except ValueError:
         raise InvalidInputError(f"unsupported metric {metric!r}") from None
+
+
+def simplify(points, delta: float, metric: Metric = Metric.L2,
+             algo: str = ALGO_WAVEFRONT, workers: int = 1) -> SimplificationResult:
+    """Minimum-link simplification under the local Frechet distance.
+
+    Returns 0-based indices into ``points``; first and last vertex are always
+    kept, and every consecutive index pair is a valid shortcut.  Ties between
+    equally short simplifications resolve to the smallest next index.
+    ``metric`` is a ``Metric`` or its value ("l1", "l2" or "linf").
+
+    ``workers > 1`` sweeps chunks of start vertices in that many processes
+    and feeds their shortcut lists to the same table (same result; a chunk's
+    lists are held until the table reaches them).
+    """
+    if algo not in (ALGO_WAVEFRONT, ALGO_BASELINE):
+        raise InvalidInputError(f"unknown algorithm {algo!r}")
+    metric = _checked_metric(delta, metric)     # the code below branches on identity
     poly = preprocess(points)
     n_orig = len(points)
     t0 = time.perf_counter()
-    d, parent, total = link_distance_table(poly.vertices, delta, metric, algo, workers, svg_sink)
+    d, parent, total = link_distance_table(poly.vertices, delta, metric, algo, workers)
     t1 = time.perf_counter()
     chain = [0]
     at = 0
@@ -190,7 +206,7 @@ def _simplify_impl(points, delta: float, metric: Metric, algo: str,
                                 if case in total.case_histogram},
              "arcs_inserted": total.inserted,
              "arcs_removed": total.removed}
-    if workers > 1 and svg_sink is None:
+    if workers > 1:
         stats["parallel_workers"] = workers
     stats["wall_ms_per_phase"] = {
         "shortcuts_and_table_ms": (t1 - t0) * 1e3,
@@ -200,27 +216,9 @@ def _simplify_impl(points, delta: float, metric: Metric, algo: str,
     return SimplificationResult(indices, len(indices) - 1, stats)
 
 
-def simplify(points, delta: float, metric: Metric = Metric.L2,
-             algo: str = ALGO_WAVEFRONT, workers: int = 1) -> SimplificationResult:
-    """Minimum-link simplification under the local Frechet distance.
-
-    Returns 0-based indices into ``points``; first and last vertex are always
-    kept, and every consecutive index pair is a valid shortcut.  Ties between
-    equally short simplifications resolve to the smallest next index.
-    ``metric`` is a ``Metric`` or its value ("l1", "l2" or "linf").
-
-    ``workers > 1`` sweeps chunks of start vertices in that many processes
-    and feeds their shortcut lists to the same table (same result; a chunk's
-    lists are held until the table reaches them).
-    """
-    if algo not in (ALGO_WAVEFRONT, ALGO_BASELINE):
-        raise InvalidInputError(f"unknown algorithm {algo!r}")
-    return _simplify_impl(points, delta, metric, algo, workers)
-
-
 def simplify_baseline(points, delta: float, metric: Metric = Metric.L2) -> SimplificationResult:
     """Cubic-time reference: validity of every pair via the interval oracle."""
-    return _simplify_impl(points, delta, metric, ALGO_BASELINE)
+    return simplify(points, delta, metric, ALGO_BASELINE)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,21 @@
 """SVG rendering of sweep states for debugging.
 
-One frame per step: the wedge rays as <line>, each wavefront arc as one
-<path> (sampled polyline, metric-agnostic), the circle being processed as a
-<path>, and the case label as <text>.  Element order is deterministic:
-rays (right, left), arcs in angular order, circle, label.
+``draw_frames`` renders one frame per step of the generic sweep: the wedge
+rays as <line>, each wavefront arc as one <path> (sampled polyline,
+metric-agnostic), the circle being processed as a <path>, and the case label
+as <text>.  Element order is deterministic: rays (right, left), arcs in
+angular order, circle, label.
 """
 from __future__ import annotations
 
+import logging
 import math
 from typing import Sequence
+
+from ._engine import Sweep, prepare
+from .geometry import InternalGeometryError
+
+_log = logging.getLogger("frechetsimp")
 
 _ARC_SAMPLES = 24
 _CIRCLE_SAMPLES = 64
@@ -86,6 +93,26 @@ def render_frame(sw, j: int, case: str) -> str:
         f'font-size="{_fmt(8 * stroke)}">i={sw.i} j={j} case={case}</text>')
     parts.append('</svg>')
     return "\n".join(parts)
+
+
+def draw_frames(points: Sequence[Sequence[float]], metric, starts, delta: float, sink) -> None:
+    """Steps ``_engine.Sweep`` from each start vertex i of ``starts`` and hands
+    ``sink(i, j, svg)`` the frame of every step j.  A step that raises
+    ``InternalGeometryError`` ends its sweep's frames with one warning that
+    names the start vertex, the vertex and the message."""
+    work, kern = prepare(points, metric)
+    for i in starts:
+        sw = Sweep(work, i, delta, kern)
+        for j in range(i + 1, len(work)):
+            try:
+                case = sw._step(j)
+            except InternalGeometryError as exc:
+                _log.warning("SVG frames of the sweep from vertex %d end at vertex %d: %s",
+                             i, j, exc)
+                break
+            sink(i, j, render_frame(sw, j, case))
+            if sw.aborted:
+                break
 
 
 def file_sink(directory):

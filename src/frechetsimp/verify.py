@@ -18,9 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from ._engine import SweepStats, prepare
-from ._square import sweep_rows
-from .diagnostics import InvariantChecker
+from ._engine import SweepStats, sweep_rows
 from .geometry import InternalGeometryError, Metric
 from .simplify import link_distances
 
@@ -169,13 +167,11 @@ def random_instance(cfg: VerifyConfig, idx: int):
 def _sweep_sets(pts_list, delta: float, metric: Metric, strict: bool):
     """Wavefront shortcut targets per start vertex, plus the sweeps' folded stats.
 
-    L-inf and L1 take the square sweep (``_square.sweep_rows``) unless
-    ``strict``, which attaches the invariant checker to the generic sweeps."""
-    work, kern = prepare(pts_list, metric)
+    ``strict`` attaches the invariant checker to every sweep (``sweep_rows``)."""
     sets = []
     total = SweepStats()
-    for targets, stats in sweep_rows(work, range(len(work) - 1), delta, kern,
-                                      InvariantChecker if strict else None):
+    for targets, stats in sweep_rows(pts_list, metric, range(len(pts_list) - 1), delta,
+                                     strict):
         sets.append(targets)
         total.fold(stats)
     return sets, total

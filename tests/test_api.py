@@ -1,6 +1,10 @@
 """The package's public surface: the exported names and the README quickstart."""
+import ast
+import math
 import os
 import re
+
+import pytest
 
 import frechetsimp
 
@@ -50,3 +54,119 @@ def test_public_calls_take_a_metric_by_value():
                 == frechetsimp.ball_segment_interval(zigzag[2], 0.5, metric, zigzag[0], zigzag[3]))
         assert (frechetsimp.shortcuts(zigzag, 0, 0.5, v)
                 == frechetsimp.shortcuts(zigzag, 0, 0.5, metric))
+
+
+PTS = [(0, 0), (1, 0.2), (2, -0.1), (3, 0), (4, 5)]
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("metric", list(frechetsimp.Metric), ids=lambda m: m.value)
+@pytest.mark.parametrize("i", [-1, -5, 5, 6])
+def test_shortcuts_rejects_a_vertex_index_out_of_range(i, metric):
+    # Python would wrap a negative index; shortcut_is_valid's rule holds instead
+    with pytest.raises(IndexError):
+        frechetsimp.shortcuts(PTS, i, 1.0, metric)
+    with pytest.raises(IndexError):
+        frechetsimp.shortcut_is_valid(PTS, i, 4, 1.0, metric)
+
+
+@pytest.mark.parametrize("metric", list(frechetsimp.Metric), ids=lambda m: m.value)
+@pytest.mark.parametrize("delta", [-1.0, 0.0])
+def test_shortcuts_rejects_a_nonpositive_delta(delta, metric):
+    with pytest.raises(frechetsimp.InvalidInputError):
+        frechetsimp.shortcuts(PTS, 0, delta, metric)
+
+
+@pytest.mark.parametrize("metric", list(frechetsimp.Metric), ids=lambda m: m.value)
+@pytest.mark.parametrize("delta", [NAN, math.inf])
+def test_shortcuts_rejects_a_nonfinite_delta(delta, metric):
+    with pytest.raises(frechetsimp.InvalidInputError):
+        frechetsimp.shortcuts(PTS, 0, delta, metric)
+
+
+@pytest.mark.parametrize("metric", list(frechetsimp.Metric), ids=lambda m: m.value)
+@pytest.mark.parametrize("bad", [(NAN, 0.0), (2.0, math.inf)])
+def test_shortcuts_rejects_a_nonfinite_coordinate(bad, metric):
+    pts = PTS[:2] + [bad] + PTS[3:]
+    with pytest.raises(frechetsimp.InvalidInputError):
+        frechetsimp.shortcuts(pts, 0, 1.0, metric)
+    with pytest.raises(frechetsimp.InvalidInputError):
+        frechetsimp.simplify(pts, 1.0, metric)
+
+
+def test_shortcuts_rejects_an_unknown_metric():
+    with pytest.raises(frechetsimp.InvalidInputError):
+        frechetsimp.shortcuts(PTS, 0, 1.0, "l7")
+
+
+def test_shortcuts_of_every_vertex_in_range():
+    for metric in frechetsimp.Metric:
+        for i in range(len(PTS)):
+            assert frechetsimp.shortcuts(PTS, i, 1.0, metric) == [
+                k for k in range(i + 1, len(PTS))
+                if frechetsimp.shortcut_is_valid(PTS, i, k, 1.0, metric)]
+
+
+# -- the single sweep dispatch, checked on the source ----------------------------
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "frechetsimp")
+
+
+def _modules():
+    """(module name, syntax tree) of every module of the package."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                yield name[:-3], ast.parse(fh.read())
+
+
+def _names(tree):
+    """Every identifier the module names: variables, attributes, parameters,
+    keywords, definitions, imports and identifier-like strings (``__slots__``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield node.name
+            yield node.asname
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value
+
+
+def _callers(tree, name):
+    """Names of the functions whose bodies call ``name`` (None: module level)."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
+                    found.add(where)
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_place_picks_the_sweep():
+    modules = dict(_modules())
+    callers = {(mod, fn) for mod, tree in modules.items() for fn in _callers(tree, "prepare")}
+    assert callers == {("_engine", "sweep_rows"), ("svgdebug", "draw_frames")}
+    for mod, tree in modules.items():
+        names = set(_names(tree))
+        assert "svg_sink" not in names, mod
+        if mod in ("simplify", "verify", "cli", "__init__"):
+            assert not names & {"CircleKernel", "SquareKernel"}, mod

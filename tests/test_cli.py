@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 from frechetsimp import cli, polyio
 from frechetsimp._engine import Sweep
 
-from walks import lattice_walk, stop_and_go
+from walks import drift_walk, lattice_walk, stop_and_go
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -154,8 +155,85 @@ class TestSimplifyCommand:
             assert all(r.levelname == "WARNING" and "must have one crossing" in r.getMessage()
                        for r in ended)
 
+    # sha256 over the sorted frame file names, each followed by its bytes;
+    # both --algo values draw the same frames.  On the lattice walk some
+    # square frame sweeps raise and end early, with a warning each.
+    FRAME_PINS = {
+        ("drift", "l2"): "63299fdfdea768ba915d5ecb1246aee4a42f093eb6d4c2f91fbeb24967c0e754",
+        ("drift", "linf"): "f3f93cc25013e7caa49e1ec78cc6539b96f25f49883a54615d58d9f93c0ebe84",
+        ("drift", "l1"): "605108fe6fa8643dd01dbbc41eb5f1c23bef80f46a5ad63ef97cf2762054c6a0",
+        ("lattice", "l2"): "c777c77fe6e0af76fc9bf815458ab44d0de196c0645a34046be3e0ed30e963d9",
+        ("lattice", "linf"): "14ca8cf0f0a15eb38daa8edbfa826774652e7c83934de40eb6f715a12b694eaf",
+        ("lattice", "l1"): "e9dac580916f16efc6a46628d4b09b6f5c20d0d90e19611dddbde06d16b68a55",
+    }
+    # 49 start vertices or more: enough for the batched L2 sweeps
+    FRAME_INPUTS = {"drift": lambda: drift_walk(50, 3), "lattice": lambda: lattice_walk(120, 5)}
+
+    @pytest.mark.parametrize("algo", ["wavefront", "baseline"])
+    @pytest.mark.parametrize("metric", ["l2", "linf", "l1"])
+    @pytest.mark.parametrize("name", ["drift", "lattice"])
+    def test_svg_frames_are_pinned(self, tmp_path, capsys, caplog, name, metric, algo):
+        content = polyio.dump_polyline(self.FRAME_INPUTS[name]())
+        args = ("--delta", "1", "--metric", metric, "--algo", algo)
+        code, plain = self.run(tmp_path, content, *args)
+        assert code == 0
+        want = json.loads(capsys.readouterr().out)
+        want_file = plain.read_bytes()
+        caplog.clear()
+        dbg = tmp_path / "frames"
+        code, dst = self.run(tmp_path, content, *args, "--svg-debug-dir", str(dbg))
+        assert code == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got.pop("millis") >= 0 and want.pop("millis") >= 0
+        assert got == want and dst.read_bytes() == want_file
+        digest = hashlib.sha256()
+        for frame in sorted(os.listdir(dbg)):
+            digest.update(frame.encode())
+            digest.update((dbg / frame).read_bytes())
+        assert digest.hexdigest() == self.FRAME_PINS[(name, metric)]
+        ended = [r for r in caplog.records if r.name == "frechetsimp"]
+        assert bool(ended) == (name == "lattice" and metric != "l2")
+
+
+# the L2 sweep from vertex 2 meets a configuration it cannot decide at delta
+# 0.3 (a FOUND line of CHANGES.md); the fault is injected below all the same,
+# so the exit-4 path stays tested once that input is mended
+UNDECIDED = [(1.4, 2.4), (1.6, 2.7), (1.7, 2.1), (1.5, 2.4), (2.0, 2.1), (2.6, 2.4),
+             (2.5, 1.8), (3.1, 2.3), (2.6, 2.2), (2.4, 2.4), (1.9, 2.5), (2.4, 2.3)]
+
+
+@pytest.mark.parametrize("cmd", ["simplify", "stats"])
+def test_internal_geometry_error_exits_4(cmd, tmp_path, capsys, monkeypatch):
+    from frechetsimp import _engine
+    from frechetsimp.geometry import InternalGeometryError
+
+    src = tmp_path / "in.csv"
+    src.write_text(polyio.dump_polyline(UNDECIDED))
+    dst = tmp_path / "out.csv"
+    argv = [cmd, "--input", str(src), "--delta", "0.3", "--metric", "l2"]
+    if cmd == "simplify":
+        argv += ["--output", str(dst)]
+    # without the injected fault: a result, or the one error line below
+    assert cli.main(argv) in (0, 4)
+    capsys.readouterr()
+
+    def undecided(self, j):
+        raise InternalGeometryError("injected")
+
+    monkeypatch.setattr(_engine.Sweep, "_step", undecided)
+    dst.unlink(missing_ok=True)
+    assert cli.main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and not dst.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "injected" in err
+
 
 class TestVerifyCommand:
+    def test_max_n_below_two_exits_2(self, capsys):
+        assert cli.main(["verify", "--count", "3", "--max-n", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_clean_run_exit_zero(self, capsys):
         code = cli.main(["verify", "--count", "40", "--seed", "11", "--max-n", "14"])
         assert code == 0
@@ -205,6 +283,11 @@ class TestBenchCommand:
 
     def test_bad_sizes_exit_2(self):
         assert cli.main(["bench", "--sizes", "abc"]) == 2
+
+    def test_sizes_below_two_exit_2(self, capsys):
+        assert cli.main(["bench", "--sizes", "1,2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestStatsCommand:

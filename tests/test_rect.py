@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from frechetsimp import shortcuts
-from frechetsimp._engine import _BATCH_MIN_ROWS, Sweep, prepare, sweep_targets, sweeps
+from frechetsimp import _batch
+from frechetsimp._engine import _BATCH_MIN_ROWS, Sweep, prepare, sweep_rows, sweep_targets
 from frechetsimp.geometry import Metric, SquareKernel
 from frechetsimp.oracle import shortcut_is_valid
 from frechetsimp.verify import VerifyConfig, random_instance
 
 from oracles import rasterize_valid_region, square_wave_path
+from test_sweep_pin import refuse_the_batch
 
 SQ = (Metric.L1, Metric.LINF)
 
@@ -134,18 +136,23 @@ class TestSegmentBudget:
         assert worst <= 2
 
     @pytest.mark.parametrize("metric", SQ)
-    def test_batched_sweeps_keep_the_budget(self, metric):
+    def test_batched_sweeps_keep_the_budget(self, metric, monkeypatch):
         # simplify and verify run the square sweep for squares, so this is
         # where the generic engine's square budget is checked over a
         # non-strict corpus long enough that disks would take the batched
-        # entry; squares stay on the per-start loop of sweeps()
+        # entry; sweep_rows never hands squares to the batch
+        monkeypatch.setattr(_batch, "Block", refuse_the_batch)
         cfg = VerifyConfig(count=40, max_n=60, seed=3, style="walk", metrics=(metric,))
         worst = batched = 0
         for idx in range(cfg.count):
             pts, delta, _ = random_instance(cfg, idx)
-            work, kern = prepare([tuple(p) for p in pts], metric)
-            batched += len(work) - 1 >= _BATCH_MIN_ROWS
-            for _, sw in sweeps(work, range(len(work) - 1), delta, kern):
+            pts = [tuple(p) for p in pts]
+            work, kern = prepare(pts, metric)
+            starts = range(len(work) - 1)
+            batched += len(starts) >= _BATCH_MIN_ROWS
+            for i, (targets, _) in zip(starts, sweep_rows(pts, metric, starts, delta)):
+                want, sw = sweep_targets(work, i, delta, kern)
+                assert targets == want
                 worst = max(worst, sw.stats.max_segment_count)
         assert batched >= 5
         assert worst <= 2

@@ -3,8 +3,9 @@
 On the generic pinned inputs the square sweep must agree with the generic
 engine sweep by sweep (targets, steps, aborts, both gauges, and the PREFIX
 and INIT counts) and so reproduce the engine's pins; on inputs full of ties,
-where the engine raises, its targets must be the oracle's.  ``sweep_rows``
-must hand squares to the square sweep unless a checker is attached.
+where the engine raises, its targets must be the oracle's.
+``_engine.sweep_rows`` must hand squares to the square sweep unless
+``strict`` asks for the invariant checker, and never to the batch.
 """
 import hashlib
 
@@ -12,8 +13,7 @@ import numpy as np
 import pytest
 
 from frechetsimp import _batch, _square, oracle
-from frechetsimp._engine import _BATCH_MIN_ROWS, prepare, sweep_targets, sweeps
-from frechetsimp.diagnostics import InvariantChecker
+from frechetsimp._engine import _BATCH_MIN_ROWS, prepare, sweep_rows, sweep_targets
 from frechetsimp.geometry import Metric
 from frechetsimp.verify import VerifyConfig, random_instance
 
@@ -37,21 +37,20 @@ def _outcome(res):
 def test_sweep_rows_routes_squares(metric, monkeypatch):
     monkeypatch.setattr(_batch, "Block", refuse_the_batch)
     make, delta = INPUTS["stopgo-a"]
-    work, kern = prepare(make(), metric)
+    pts = make()
+    work, kern = prepare(pts, metric)
+    # enough start vertices for the batch, which squares never reach
     starts = range(len(work) - 1)
+    assert len(starts) >= _BATCH_MIN_ROWS
     square = [_outcome(r) for r in _square.square_sweeps(work, starts, delta)]
-    assert [_outcome(r) for r in _square.sweep_rows(work, starts, delta, kern)] == square
-    # the invariant checker reads the generic engine's arcs
-    checked = [_outcome(r) for r in _square.sweep_rows(work, starts, delta, kern,
-                                                       InvariantChecker)]
-    engine = [(t, sw.stats) for t, sw in sweeps(work, starts, delta, kern)]
+    assert [_outcome(r) for r in sweep_rows(pts, metric, starts, delta)] == square
+    # the invariant checker reads the generic engine's arcs: strict takes
+    # the engine's per-start loop
+    checked = [_outcome(r) for r in sweep_rows(pts, metric, starts, delta, strict=True)]
+    engine = [(t, sw.stats) for t, sw in (sweep_targets(work, i, delta, kern)
+                                          for i in starts)]
     assert checked == [_outcome(r) for r in engine]
     assert checked != square        # the engine's case labels differ
-    # enough start vertices for the batch, which squares never reach: the
-    # engine's entry takes the per-start loop
-    assert len(starts) >= _BATCH_MIN_ROWS
-    assert engine == [(t, sw.stats) for t, sw in (sweep_targets(work, i, delta, kern)
-                                                   for i in starts)]
 
 
 @pytest.mark.parametrize("metric", SQUARES, ids=lambda m: m.value)

@@ -4,10 +4,10 @@ The engine's hot path is tuned for speed without changing a single floating
 point decision, so every sweep here must reproduce the recorded digest of its
 per-start target lists, its summed case histogram and its gauges exactly.
 A change that moves any of these values changed the sweep's arithmetic.
-The sweeps must reproduce them through the entry ``_engine.sweeps`` too,
-which batches disk sweeps and keeps squares in the per-start loop; either
-way it has to match the per-start loop in every target, counter, final
-state and exception.
+The disk sweeps must reproduce them through ``_batch.batched_sweeps`` too,
+the batch that ``_engine.sweep_rows`` runs for L2, and match the per-start
+loop in every target, counter, final state and exception; squares never
+reach the batch (``sweep_rows`` gives them the square sweep).
 """
 import dataclasses
 import hashlib
@@ -15,7 +15,7 @@ import hashlib
 import pytest
 
 from frechetsimp import _batch, _engine
-from frechetsimp._engine import CASES, VALID, Sweep, prepare, sweep_targets, sweeps
+from frechetsimp._engine import CASES, VALID, Sweep, prepare, sweep_rows, sweep_targets
 from frechetsimp.diagnostics import InvariantChecker
 from frechetsimp.geometry import CircleKernel, Metric
 from frechetsimp.oracle import shortcut_is_valid
@@ -41,26 +41,19 @@ TIE_INPUTS = {
 def each_sweep(work, starts, delta, kern, batched=False):
     """(i, (targets, sweep) or the exception its sweep raised) per start vertex.
 
-    ``batched`` takes the sweeps from ``sweeps``, whose generator ends at a
-    raise; it is then called again on the start vertices after that one.
+    ``batched`` takes the disk sweeps from ``_batch.batched_sweeps``, which
+    yields a raised exception in its sweep's place; squares take the
+    per-start loop either way.
     """
-    todo = list(starts)
-    while todo:
-        rows = sweeps(work, todo, delta, kern) if batched else (
-            sweep_targets(work, i, delta, kern) for i in todo)
-        done = todo
-        todo = []
-        for k, i in enumerate(done):
-            try:
-                res = next(rows)
-            except Exception as exc:  # noqa: BLE001 - the failure itself is compared
-                yield i, exc
-                if batched:
-                    todo = done[k + 1:]
-                    break
-                rows = (sweep_targets(work, i, delta, kern) for i in done[k + 1:])
-                continue
-            yield i, res
+    starts = list(starts)
+    if batched and kern is CircleKernel:
+        yield from zip(starts, _batch.batched_sweeps(work, starts, float(delta)))
+        return
+    for i in starts:
+        try:
+            yield i, sweep_targets(work, i, delta, kern)
+        except Exception as exc:  # noqa: BLE001 - the failure itself is compared
+            yield i, exc
 
 
 def sweep_summary(pts, delta, metric, batched=False):
@@ -331,9 +324,13 @@ def test_batched_sweeps_match_the_per_start_loop(name, metric, monkeypatch):
     batched = [(i, _state(res)) for i, res in each_sweep(work, starts, delta, kern, True)]
     assert batched == [(i, _state(res)) for i, res in reference]
     if metric is not Metric.L2:
-        return                  # squares take the per-start loop, and nothing else
+        # squares never reach the batch: sweep_rows gives them the square sweep
+        scalar_steps = 0
+        assert len(list(sweep_rows(make(), metric, starts, delta))) == len(starts)
+        assert scalar_steps == 0
+        return
     if any(isinstance(res, Exception) for _, res in reference):
-        return                  # each raise runs the rest of its block again
+        return                  # a sweep that raised has no stats to count steps by
     steps = sum(res[1].stats.steps for _, res in reference)
     assert scalar_steps < steps            # the batch took steps of its own
     if name == "drift":

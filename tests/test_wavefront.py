@@ -241,15 +241,15 @@ def test_svg_sink_receives_deterministic_frames(tmp_path):
     def sink(i, j, svg):
         frames[(i, j)] = svg
 
-    sweep_targets(pts, 0, 1.0, CircleKernel, svg_sink=sink)
+    svgdebug.draw_frames(pts, Metric.L2, [0], 1.0, sink)
     assert set(frames) == {(0, j) for j in range(1, 5)}
     svg = frames[(0, 4)]
     assert svg.count("<line") == 2
     assert svg.count("<path") == 5   # four arcs plus the current circle
     assert "case=MM" in svg
     frames2 = {}
-    sweep_targets(pts, 0, 1.0, CircleKernel,
-                  svg_sink=lambda i, j, s: frames2.__setitem__((i, j), s))
+    svgdebug.draw_frames(pts, Metric.L2, [0], 1.0,
+                         lambda i, j, s: frames2.__setitem__((i, j), s))
     assert frames == frames2
     d = tmp_path / "frames"
     sink2 = svgdebug.file_sink(str(d))
