@@ -46,20 +46,17 @@ decisions, not just the last digits of the output.
 
 Picking a sweep.  ``sweep_rows(points, metric, starts, delta, strict)``
 runs the sweeps of many start vertices and is the one place that picks a
-sweep.  L2 without ``strict`` and with at least ``_BATCH_MIN_ROWS`` start
-vertices runs batched (``_batch``): one-arc runs in tiles of start vertices
-x steps, steps on wavefronts of 1 to ``_batch._K`` arcs in lockstep, every
-other step ``Sweep._step``'s, and every target, counter, gauge, final state
-and exception the per-start loop's, bit for bit.  Linf and L1 without
-``strict`` take the square sweep of ``_square``, which keeps four face
-extremes and one cone per quadrant and needs no angle.  Every other case
-runs ``sweep_targets`` per start vertex, with a fresh invariant checker
-under ``strict`` (the checker reads this engine's arcs).
+sweep.  Without ``strict``, L2 takes the disk sweep of ``_disk`` and Linf and
+L1 the square sweep of ``_square``: both keep this engine's step cases in
+plain vectors and need no angle.  Under ``strict`` every metric runs
+``sweep_targets`` per start vertex with a fresh invariant checker, which
+reads this engine's arcs.
 
 Callers.  ``simplify``, ``verify``, ``shortcuts`` and the ``stats`` command
-pass a ``Metric`` to ``sweep_rows``.  The SVG frames of ``simplify
---svg-debug-dir`` are a pass of their own: ``svgdebug.draw_frames`` steps
-this engine from each start vertex, on any metric.
+pass a ``Metric`` to ``sweep_rows``.  This engine runs for ``strict``
+sweeps, for the SVG frames of ``simplify --svg-debug-dir``
+(``svgdebug.draw_frames`` steps it from each start vertex, on any metric)
+and for the benchmark's tracer, which drives ``Sweep`` step by step.
 """
 from __future__ import annotations
 
@@ -905,12 +902,6 @@ def sweep_targets(pts: Sequence[Sequence[float]], i: int, delta: float, kern,
     return out, sw
 
 
-# fewer start vertices run the per-start loop: the tiles' fixed cost made the
-# batch slower at 32 start vertices; from 48 on it is even or faster where
-# one-arc steps are common (gps slices)
-_BATCH_MIN_ROWS = 48
-
-
 def sweep_rows(points: Sequence[Sequence[float]], metric: Metric, starts, delta: float,
                strict: bool = False):
     """Yields (targets, ``SweepStats``) of the sweep from each start vertex i
@@ -919,18 +910,13 @@ def sweep_rows(points: Sequence[Sequence[float]], metric: Metric, starts, delta:
     turn comes.  See "Picking a sweep" above for the sweep each case takes.
     """
     work, kern = prepare(points, metric)
-    starts = list(starts)
-    if not strict and kern is SquareKernel:
+    if strict:
+        for i in starts:
+            targets, sw = sweep_targets(work, i, delta, kern, InvariantChecker())
+            yield targets, sw.stats
+    elif kern is SquareKernel:
         from ._square import square_sweeps
         yield from square_sweeps(work, starts, delta)
-    elif not strict and len(starts) >= _BATCH_MIN_ROWS:
-        from ._batch import batched_sweeps   # imported only where sweeps are batched
-        for row in batched_sweeps(work, starts, float(delta)):
-            if isinstance(row, Exception):
-                raise row
-            yield row[0], row[1].stats
     else:
-        for i in starts:
-            targets, sw = sweep_targets(work, i, delta, kern,
-                                        InvariantChecker() if strict else None)
-            yield targets, sw.stats
+        from ._disk import disk_sweeps
+        yield from disk_sweeps(work, starts, delta)

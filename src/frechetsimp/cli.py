@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -19,7 +20,7 @@ from . import __version__, bench, polyio, svgdebug
 from ._engine import SweepStats, sweep_rows
 from .geometry import InternalGeometryError, Metric
 from .simplify import InvalidInputError, nu_diagnostics, preprocess, simplify
-from .verify import VerifyConfig, run_verify
+from .verify import InstanceError, VerifyConfig, run_verify
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -39,6 +40,8 @@ def _positive(value: str) -> float:
     x = float(value)
     if not x > 0.0:
         raise argparse.ArgumentTypeError("must be positive")
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError("must be finite")
     return x
 
 
@@ -124,7 +127,11 @@ def _cmd_verify(args) -> int:
     cfg = VerifyConfig(count=args.count, max_n=args.max_n, delta_range=delta_range,
                        metrics=metrics, seed=args.seed, strict=args.strict,
                        workers=max(1, args.threads), style=args.style)
-    rep = run_verify(cfg)
+    try:
+        rep = run_verify(cfg)
+    except InstanceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     summary = {
         "checked": rep.checked,
         "mismatches": len(rep.mismatches),

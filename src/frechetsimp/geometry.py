@@ -4,10 +4,10 @@ Everything here works on plain float pairs.  A "unit circle" of radius delta is
 a Euclidean disk for L2 and an axis-aligned square of side 2*delta for Linf.
 L1 is reduced to Linf by the exact change of coordinates (x, y) -> (x+y, y-x),
 under which the L1 ball becomes the Linf ball of the same radius, so the
-square kernel serves both.  ``_engine.sweep_rows`` sweeps squares with
-``_square``, which needs none of these primitives; ``SquareKernel`` serves
-the generic engine where it still runs squares (``strict`` sweeps,
-``svgdebug.draw_frames`` and the benchmark's tracer).
+square kernel serves both.  ``_engine.sweep_rows`` sweeps disks with
+``_disk`` and squares with ``_square``, which need none of these
+primitives; the kernels serve the generic engine where it still runs
+(``strict`` sweeps, ``svgdebug.draw_frames`` and the benchmark's tracer).
 
 Coordinates are double precision.  Coincidence decisions use the relative
 tolerance EPS_REL; there is no exact arithmetic.  Callers that need clean
@@ -20,8 +20,6 @@ import itertools
 import math
 from enum import Enum
 from typing import Optional, Sequence
-
-import numpy as np
 
 EPS_REL = 1e-9      # relative tolerance for coincidence tests
 EPS_ANGLE = 1e-12   # closed-wedge slack in radians
@@ -71,29 +69,16 @@ def _wrap_angle(a: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Metric kernels: the few shape primitives the sweep needs, one namespace per
-# unit-circle shape.  All take unpacked floats; hot paths avoid tuples where
-# cheap to do so.  ``tangent_points`` returning None is the one test of "the
-# apex lies in C_j".  The batched sweeps run disks only, so a disk primitive
-# they use has an elementwise numpy mirror next to it (``*_np``): it takes
-# arrays that broadcast together and does only + - * /, sqrt, comparisons and
-# ``np.where`` selections, in the scalar code's order, so every float is the
-# scalar's, bit for bit.
+# Metric kernels: the few shape primitives the generic engine needs, one
+# namespace per unit-circle shape.  All take unpacked floats; hot paths avoid
+# tuples where cheap to do so.  ``tangent_points`` returning None is the one
+# test of "the apex lies in C_j".  The sweeps ``_engine.sweep_rows`` runs
+# without ``strict`` (``_disk`` and ``_square``) need none of these: the
+# kernels serve the engine's ``strict`` sweeps, ``svgdebug.draw_frames`` and
+# the benchmark's tracer.
 # ---------------------------------------------------------------------------
 
 _COINCIDENT = "coincident"
-
-
-def libm_np(fn, a, b, where):
-    """fn(a, b) where ``where``, one ``math`` call per element; nan elsewhere.
-    Keys and distances go through libm, since numpy's vectorised ``arctan2``
-    and ``hypot`` round differently on some (SIMD) builds."""
-    flat = where.ravel().nonzero()[0]
-    out = np.empty(a.shape)
-    out.fill(np.nan)
-    out.flat[flat] = np.fromiter(map(fn, a.take(flat).tolist(), b.take(flat).tolist()),
-                                 float, flat.size)
-    return out
 
 
 class CircleKernel:
@@ -109,11 +94,6 @@ class CircleKernel:
     @staticmethod
     def contains(cx: float, cy: float, px: float, py: float, delta: float, slack: float) -> bool:
         return math.hypot(px - cx, py - cy) <= delta * (1.0 + slack)
-
-    @staticmethod
-    def contains_np(cx, cy, px, py, delta, slack, want):
-        """``contains`` elementwise, where ``want``; False elsewhere."""
-        return want & (libm_np(math.hypot, px - cx, py - cy, want) <= delta * (1.0 + slack))
 
     @staticmethod
     def ray_hits(ax: float, ay: float, ux: float, uy: float,
@@ -149,27 +129,6 @@ class CircleKernel:
         return (t1, t2)
 
     @staticmethod
-    def ray_hits_np(ax, ay, ux, uy, cx, cy, delta):
-        """``ray_hits`` elementwise: (lo, hi, hit).  Where ``hit``, the scalar
-        returns (lo, hi), or (hi,) when lo < 0; elsewhere ()."""
-        ox = cx - ax
-        oy = cy - ay
-        m = ux * ox + uy * oy
-        dd = ox * ox + oy * oy
-        del ox, oy
-        rr = delta * delta
-        inside = dd <= rr
-        disc = m * m - dd + rr
-        neg = disc < 0.0
-        graze = ~inside & neg & (disc >= -1e-12 * (dd + rr)) & (m > 0.0)
-        del dd
-        root = np.sqrt(np.where(neg, 0.0, disc))
-        del disc
-        lo = np.where(inside, -np.inf, np.where(graze, m, m - root))
-        hi = np.where(graze, m, m + root)
-        return lo, hi, inside | graze | (~neg & ~(hi < 0.0))
-
-    @staticmethod
     def tangent_points(ax: float, ay: float, cx: float, cy: float,
                        delta: float) -> Optional[tuple[Point, ...]]:
         """Points where the tangents from the apex touch, or None if dd <= delta^2
@@ -188,24 +147,6 @@ class CircleKernel:
         p1 = (ax + c * ox - s * oy, ay + s * ox + c * oy)
         p2 = (ax + c * ox + s * oy, ay - s * ox + c * oy)
         return (p1, p2)
-
-    @staticmethod
-    def tangent_points_np(ax, ay, cx, cy, delta):
-        """``tangent_points`` elementwise: (x0, y0, x1, y1, inside), ``inside``
-        where the scalar returns None; elsewhere it returns the two points."""
-        ox = cx - ax
-        oy = cy - ay
-        dd = ox * ox + oy * oy
-        rr = delta * delta
-        inside = dd <= rr
-        ll = dd - rr
-        c = ll / dd
-        s = np.sqrt(ll) * delta / dd
-        cox = c * ox
-        coy = c * oy
-        sox = s * ox
-        soy = s * oy
-        return ax + cox - soy, ay + sox + coy, ax + cox + soy, ay - sox + coy, inside
 
     @staticmethod
     def boundary_intersections(c1x: float, c1y: float, c2x: float, c2y: float,
@@ -234,36 +175,10 @@ class CircleKernel:
         return ((mx - h * dy, my + h * dx), (mx + h * dy, my - h * dx))
 
     @staticmethod
-    def boundary_intersections_np(c1x, c1y, c2x, c2y, delta):
-        """``boundary_intersections`` elementwise: (x0, y0, x1, y1, count, coincident).
-        Where not ``coincident`` the scalar returns the first ``count`` of the
-        points (x0, y0), (x1, y1)."""
-        dx = c2x - c1x
-        dy = c2y - c1y
-        dd = dx * dx + dy * dy
-        coincident = dd <= (EPS_REL * delta) ** 2
-        d = np.sqrt(dd)
-        far = d > 2.0 * delta
-        hh = delta * delta - 0.25 * dd
-        one = np.where(far, d <= 2.0 * delta * (1.0 + EPS_REL), hh <= 0.0)
-        h = np.sqrt(hh) / d
-        mx = c1x + 0.5 * dx
-        my = c1y + 0.5 * dy
-        two = ~far & ~one
-        count = np.where(one, 1, np.where(two, 2, 0))
-        return (np.where(two, mx - h * dy, mx), np.where(two, my + h * dx, my),
-                mx + h * dy, my - h * dx, count, coincident)
-
-    @staticmethod
     def on_near_side(ax: float, ay: float, cx: float, cy: float,
                      px: float, py: float, delta: float) -> bool:
         """True if boundary point p lies on the bottom arc of the circle as seen from the apex."""
         return (px - ax) * (px - cx) + (py - ay) * (py - cy) <= EPS_REL * delta * delta
-
-    @staticmethod
-    def on_near_side_np(ax, ay, cx, cy, px, py, delta, want):
-        """``on_near_side`` elementwise, where ``want``; False elsewhere."""
-        return want & ((px - ax) * (px - cx) + (py - ay) * (py - cy) <= EPS_REL * delta * delta)
 
     # unused by the sweep; kept since perfbench/tracing.py counts every primitive
     @staticmethod

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from ._engine import _BATCH_MIN_ROWS, CASES, SweepStats, sweep_rows
+from ._engine import CASES, SweepStats, sweep_rows
 from .geometry import Metric, lp_distance
 
 __all__ = ["SimplificationResult", "Polyline", "preprocess", "simplify",
@@ -30,6 +30,7 @@ __all__ = ["SimplificationResult", "Polyline", "preprocess", "simplify",
 
 ALGO_WAVEFRONT = "wavefront"
 ALGO_BASELINE = "baseline"
+_CHUNKS_PER_WORKER = 8      # pool chunks of start vertices per worker process
 
 
 class InvalidInputError(ValueError):
@@ -133,8 +134,10 @@ def link_distance_table(pts, delta: float, metric: Metric = Metric.L2,
         lists = _target_lists(pts, delta, metric, algo, range(n - 2, -1, -1), total)
         d, parent = link_distances(n, lists)
         return d, parent, total
-    # no chunk is too short for the batched sweeps
-    chunk = max(_BATCH_MIN_ROWS, n // (workers * 8))
+    # eight chunks per worker, since the sweeps of low start vertices run
+    # longest: small chunks even out the load, and each still sweeps enough
+    # rows to pay for shipping the points to its process
+    chunk = -(-(n - 1) // (workers * _CHUNKS_PER_WORKER))
     with ProcessPoolExecutor(max_workers=workers) as ex:
         # the lowest start vertices sweep the longest, so their chunks go
         # first; the table consumes the chunks last to first

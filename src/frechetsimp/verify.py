@@ -26,6 +26,10 @@ DEFAULT_METRICS = (Metric.L2, Metric.L1, Metric.LINF)
 COORD_RANGE = 10.0        # uniform and cluster styles draw coordinates in [0, COORD_RANGE)
 
 
+class InstanceError(RuntimeError):
+    """No instance with stable combinatorics could be drawn for the config."""
+
+
 @dataclass
 class VerifyConfig:
     count: int = 1000
@@ -156,7 +160,8 @@ def random_instance(cfg: VerifyConfig, idx: int):
         if instance_margin(pts, delta, cfg.metrics) > 1e-6 * delta:
             return pts, delta, resamples
         resamples += 1
-    raise RuntimeError(f"could not generate a clean instance for index {idx}")
+    raise InstanceError(f"could not draw a clean instance {idx} in 200 attempts "
+                        f"(delta range {cfg.delta_range[0]:g} to {cfg.delta_range[1]:g})")
 
 
 # ---------------------------------------------------------------------------

@@ -218,17 +218,16 @@ def _tie_instance(rng):
 
 
 def test_c7_tie_contract():
-    """Criterion 7: on 1,500 fixed-decimal inputs L-inf and L1 ``simplify``
-    never raises, every link is valid at delta(1+eps), and the link count lies
-    between the oracle's optima at delta(1+eps) and delta(1-eps), eps = 1e-6.
-    L2 stays out: its sweep still raises on some of these inputs (ROADMAP
-    item 1, "wedge ray points away")."""
+    """Criterion 7: on 1,500 fixed-decimal inputs ``simplify`` never raises
+    under any norm, every link is valid at delta(1+eps), and the link count
+    lies between the oracle's optima at delta(1+eps) and delta(1-eps),
+    eps = 1e-6."""
     eps = 1e-6
     rng = random.Random(9)
     checked = 0
     for _ in range(1500):
         pts, delta = _tie_instance(rng)
-        for metric in (Metric.LINF, Metric.L1):
+        for metric in METRICS:
             res = simplify(pts, delta, metric)
             for a, b in zip(res.indices, res.indices[1:]):
                 assert shortcut_is_valid(pts, a, b, delta * (1 + eps), metric), (pts, delta, metric)
@@ -236,5 +235,4 @@ def test_c7_tie_contract():
             hi = simplify_baseline(pts, delta * (1 - eps), metric).link_count
             assert lo <= res.link_count <= hi, (pts, delta, metric)
             checked += 1
-    print(f"PASS criterion 7: {checked} tied L-inf/L1 simplifications within the "
-          f"eps-contract")
+    print(f"PASS criterion 7: {checked} tied simplifications within the eps-contract")

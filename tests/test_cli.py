@@ -166,7 +166,7 @@ class TestSimplifyCommand:
         ("lattice", "linf"): "14ca8cf0f0a15eb38daa8edbfa826774652e7c83934de40eb6f715a12b694eaf",
         ("lattice", "l1"): "e9dac580916f16efc6a46628d4b09b6f5c20d0d90e19611dddbde06d16b68a55",
     }
-    # 49 start vertices or more: enough for the batched L2 sweeps
+    # 49 start vertices or more: simplify sweeps them all with the disk sweep
     FRAME_INPUTS = {"drift": lambda: drift_walk(50, 3), "lattice": lambda: lattice_walk(120, 5)}
 
     @pytest.mark.parametrize("algo", ["wavefront", "baseline"])
@@ -195,16 +195,16 @@ class TestSimplifyCommand:
         assert bool(ended) == (name == "lattice" and metric != "l2")
 
 
-# the L2 sweep from vertex 2 meets a configuration it cannot decide at delta
-# 0.3 (a FOUND line of CHANGES.md); the fault is injected below all the same,
-# so the exit-4 path stays tested once that input is mended
+# C_4 passes the apex of the L2 sweep from vertex 2 by one rounding at delta
+# 0.3, which the engine's keyed wedge could not decide; the disk sweep does,
+# so the fault is injected below to keep the exit-4 path tested
 UNDECIDED = [(1.4, 2.4), (1.6, 2.7), (1.7, 2.1), (1.5, 2.4), (2.0, 2.1), (2.6, 2.4),
              (2.5, 1.8), (3.1, 2.3), (2.6, 2.2), (2.4, 2.4), (1.9, 2.5), (2.4, 2.3)]
 
 
 @pytest.mark.parametrize("cmd", ["simplify", "stats"])
 def test_internal_geometry_error_exits_4(cmd, tmp_path, capsys, monkeypatch):
-    from frechetsimp import _engine
+    from frechetsimp import _disk
     from frechetsimp.geometry import InternalGeometryError
 
     src = tmp_path / "in.csv"
@@ -213,14 +213,13 @@ def test_internal_geometry_error_exits_4(cmd, tmp_path, capsys, monkeypatch):
     argv = [cmd, "--input", str(src), "--delta", "0.3", "--metric", "l2"]
     if cmd == "simplify":
         argv += ["--output", str(dst)]
-    # without the injected fault: a result, or the one error line below
-    assert cli.main(argv) in (0, 4)
+    assert cli.main(argv) == 0              # without the injected fault
     capsys.readouterr()
 
-    def undecided(self, j):
+    def undecided(*args):
         raise InternalGeometryError("injected")
 
-    monkeypatch.setattr(_engine.Sweep, "_step", undecided)
+    monkeypatch.setattr(_disk, "_scalar", undecided)
     dst.unlink(missing_ok=True)
     assert cli.main(argv) == 4
     out, err = capsys.readouterr()
@@ -231,6 +230,19 @@ def test_internal_geometry_error_exits_4(cmd, tmp_path, capsys, monkeypatch):
 class TestVerifyCommand:
     def test_max_n_below_two_exits_2(self, capsys):
         assert cli.main(["verify", "--count", "3", "--max-n", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("delta", ["inf", "nan"])
+    def test_non_finite_delta_exits_2(self, delta):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--count", "2", "--max-n", "3", "--delta", delta])
+        assert exc.value.code == 2
+
+    def test_delta_too_large_to_draw_exits_2(self, capsys):
+        # no clean instance of coordinates in [0, 10) keeps its vertices
+        # 1e-6 * delta apart
+        assert cli.main(["verify", "--count", "2", "--max-n", "3", "--delta", "1e308"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
@@ -246,20 +258,12 @@ class TestVerifyCommand:
         assert json.loads(capsys.readouterr().out)["checked"] == 25
 
     def test_fault_injection_exits_3(self, tmp_path, capsys, monkeypatch):
-        # corrupt one case's surgery: the differential check must catch it
-        from frechetsimp import _engine
+        # corrupt the disk sweep's target test: it judges a vertex against
+        # the leftmost arc, not the arc over its direction, and the
+        # differential check must catch the wrong targets
+        from frechetsimp import _disk
 
-        orig = _engine.Sweep._narrow
-
-        def broken(self, j, px, py, ck):
-            case = orig(self, j, px, py, ck)
-            if case == "BB":
-                arc = self.arcs[0]
-                # pull the replacement arc inward: wavefront now lies
-                arc.cx += 0.4 * self.delta
-            return case
-
-        monkeypatch.setattr(_engine.Sweep, "_narrow", broken)
+        monkeypatch.setattr(_disk, "_cover", lambda arcs, x, y: len(arcs) - 1)
         monkeypatch.chdir(tmp_path)
         code = cli.main(["verify", "--count", "60", "--seed", "11",
                          "--metric", "l2", "--dump-prefix", "ce"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frechetsimp._engine import Sweep
-from frechetsimp.geometry import (EPS_REL, CircleKernel, Metric, SquareKernel, _wrap_angle,
+from frechetsimp.geometry import (CircleKernel, Metric, SquareKernel, _wrap_angle,
                                  l1_to_linf, lp_distance)
 from frechetsimp.verify import _seg_point_dists
 
@@ -384,161 +384,3 @@ def test_segment_point_distance_vs_scan(metric):
         exact = float(_seg_point_dists(np.array([a, c, b]), metric)[0])
         assert exact <= scan + 1e-12
         assert exact >= scan - 1e-3
-
-
-# -- the numpy mirrors the batched sweeps use ----------------------------------
-
-def _near_delta(delta):
-    """Distances at, one ulp inside and one ulp outside delta, and a few near it."""
-    return [delta, math.nextafter(delta, 0.0), math.nextafter(delta, math.inf),
-            delta * (1.0 - 1e-12), delta * (1.0 + 1e-12), 0.5 * delta, 1.7 * delta,
-            30.0 * delta]
-
-
-def _mirror_cases(seed, count=400):
-    """Seeded (apex, center, direction, delta) quadruples: random ones, centers
-    at, 1 ulp inside and 1 ulp outside distance delta (on an axis and at random
-    bearings), one-decimal ties, rays grazing C at distance delta(1 +- tiny)
-    from the center, apexes inside C and centers behind the apex."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        delta = float(rng.choice([0.3, 0.5, 1.0, 1.3, rng.uniform(0.05, 4.0)]))
-        ax, ay = rng.uniform(-5.0, 5.0, 2).tolist()
-        th = float(rng.uniform(-math.pi, math.pi))
-        for d in _near_delta(delta):
-            for cx, cy in ((ax + d, ay), (ax, ay - d),
-                           (ax + d * math.cos(th), ay + d * math.sin(th))):
-                phi = float(rng.uniform(-math.pi, math.pi))
-                out.append((ax, ay, cx, cy, math.cos(phi), math.sin(phi), delta))
-        # a ray at angle phi, and centers at distance h from its line, ahead
-        # of the apex (grazing when h ~ delta) or behind it
-        phi = float(rng.uniform(-math.pi, math.pi))
-        ux, uy = math.cos(phi), math.sin(phi)
-        for h in _near_delta(delta) + [0.0]:
-            for t in (3.0 * delta, 0.2 * delta, -2.0 * delta):
-                out.append((ax, ay, ax + t * ux - h * uy, ay + t * uy + h * ux, ux, uy, delta))
-        # one-decimal ties, as fixed-decimal data has them
-        qa = np.round(rng.uniform(-1.0, 1.0, 2), 1)
-        qc = np.round(qa + rng.uniform(-1.5, 1.5, 2), 1)
-        out.append((*qa.tolist(), *qc.tolist(), ux, uy, float(rng.choice([0.3, 0.5, 1.0, 1.3]))))
-    # the apex on the center, and axis-parallel rays
-    out += [(0.6, 0.3, 0.6, 0.3, 1.0, 0.0, 1.3), (0.0, 0.0, 2.0, 1.0, 1.0, 0.0, 1.0),
-            (0.0, 0.0, 2.0, 1.0, 0.0, 1.0, 1.0), (0.0, 0.0, -2.0, 0.0, 1.0, 0.0, 1.0)]
-    return [np.array(col) for col in zip(*out)]
-
-
-def test_numpy_mirrors_match_the_scalar_primitives_bit_for_bit():
-    kern = CircleKernel                 # the batched sweeps run disks only
-    ax, ay, cx, cy, ux, uy, delta = _mirror_cases(17)
-    with np.errstate(all="ignore"):     # as the batch runs them: 0/0 where the apex is C's center
-        x0, y0, x1, y1, inside = kern.tangent_points_np(ax, ay, cx, cy, delta)
-        lo, hi, hit = kern.ray_hits_np(ax, ay, ux, uy, cx, cy, delta)
-    seen = set()
-    for e in range(ax.size):
-        args = (float(ax[e]), float(ay[e]), float(cx[e]), float(cy[e]), float(delta[e]))
-        tps = kern.tangent_points(*args)
-        assert inside[e] == (tps is None), (e, args)
-        if not inside[e]:
-            assert repr(tps) == repr(((float(x0[e]), float(y0[e])),
-                                      (float(x1[e]), float(y1[e])))), (e, args)
-        ts = kern.ray_hits(args[0], args[1], float(ux[e]), float(uy[e]), *args[2:])
-        want = (() if not hit[e] else (float(hi[e]),) if lo[e] < 0.0
-                else (float(lo[e]), float(hi[e])))
-        assert repr(ts) == repr(want), (e, args, float(ux[e]), float(uy[e]))
-        seen.add(("inside" if inside[e] else "tangents", len(ts)))
-    # every branch shows up: tangents, apex inside, entry and exit, exit only, miss
-    assert {("tangents", 2), ("tangents", 0), ("inside", 1)} <= seen, seen
-    _crossing_mirrors_match(kern)
-
-
-def _pair_cases(seed, count=300):
-    """Seeded (center 1, center 2, apex, delta): centers at random distances
-    up to 2.5 delta, coincident ones (0 and 0.3 EPS_REL delta apart), circles
-    tangent at 2 delta (exactly and 1e-10 and 1e-8 relative off), tied square
-    edges (equal x or y, x within EPS_REL delta, sides on one line), squares
-    touching at a corner, and one-decimal ties."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        delta = float(rng.choice([0.3, 0.5, 1.0, 1.3, rng.uniform(0.05, 4.0)]))
-        cx, cy = rng.uniform(-5.0, 5.0, 2).tolist()
-        ax = cx + float(rng.uniform(-3.0, 3.0)) * delta
-        ay = cy + float(rng.uniform(-3.0, 3.0)) * delta
-        th = float(rng.uniform(-math.pi, math.pi))
-        for d in (float(rng.uniform(0.0, 2.5)) * delta, 0.0, 0.3 * EPS_REL * delta, 2.0 * delta,
-                  2.0 * delta * (1.0 + 1e-10), 2.0 * delta * (1.0 - 1e-10), 2.0 * delta * (1.0 + 1e-8)):
-            out.append((cx, cy, cx + d * math.cos(th), cy + d * math.sin(th), ax, ay, delta))
-        t = float(rng.uniform(-2.2, 2.2)) * delta
-        out += [(cx, cy, cx, cy + t, ax, ay, delta), (cx, cy, cx + t, cy, ax, ay, delta),
-                (cx, cy, cx + 0.5 * EPS_REL * delta, cy + t, ax, ay, delta),
-                (cx, cy, cx + t, cy + 2.0 * delta, ax, ay, delta),
-                (cx, cy, cx + 2.0 * delta, cy + t, ax, ay, delta),
-                (cx, cy, cx + 2.0 * delta, cy - 2.0 * delta, ax, ay, delta)]
-        q = np.round(rng.uniform(-1.0, 1.0, 4), 1).tolist()
-        out.append((*q, ax, ay, float(rng.choice([0.3, 0.5, 1.0]))))
-    return [np.array(col) for col in zip(*out)]
-
-
-def _crossing_mirrors_match(kern):
-    """``boundary_intersections_np``, ``on_near_side_np`` and ``contains_np``
-    against their scalar twins, element for element."""
-    c1x, c1y, c2x, c2y, ax, ay, delta = _pair_cases(23)
-    with np.errstate(all="ignore"):
-        x0, y0, x1, y1, count, coinc = kern.boundary_intersections_np(c1x, c1y, c2x, c2y, delta)
-    seen = set()
-    probe = []          # (apex, center 1, center 2, point, delta) for the point primitives
-    for e in range(c1x.size):
-        args = (float(c1x[e]), float(c1y[e]), float(c2x[e]), float(c2y[e]), float(delta[e]))
-        res = kern.boundary_intersections(*args)
-        d = math.hypot(args[2] - args[0], args[3] - args[1])
-        if coinc[e]:
-            assert res == "coincident", (e, args)
-            seen.add("coincident")
-            continue
-        want = ((float(x0[e]), float(y0[e])), (float(x1[e]), float(y1[e])))[:int(count[e])]
-        assert repr(res) == repr(want), (e, args)
-        tied = min(abs(args[2] - args[0]), abs(args[3] - args[1])) <= EPS_REL * args[4]
-        seen.add((len(res), "apart" if d > 2.0 * args[4] else "tied" if tied else ""))
-        apex = (float(ax[e]), float(ay[e]))
-        h = 0.3 * EPS_REL * args[4]
-        for pt in res + ((apex[0] + h, apex[1]), apex, (args[0] + args[4], args[1])):
-            probe.append((*apex, *args[:4], *pt, args[4]))
-    # misses, one point from centers over 2 delta apart (tangent within
-    # EPS_REL), two crossings, and disks tangent at exactly 2 delta
-    assert {"coincident", (0, "apart"), (1, "apart"), (2, ""), (1, "")} <= seen, seen
-    pax, pay, pcx, pcy, qcx, qcy, px, py, pd = (np.array(col) for col in zip(*probe))
-    every = np.ones(pax.size, dtype=bool)
-    with np.errstate(all="ignore"):
-        near = kern.on_near_side_np(pax, pay, pcx, pcy, px, py, pd, every)
-        inside = kern.contains_np(qcx, qcy, px, py, pd, 4.0 * EPS_REL, every)
-    exits = 0
-    for e in range(pax.size):
-        a = (float(pax[e]), float(pay[e]))
-        p = (float(px[e]), float(py[e]))
-        assert near[e] == kern.on_near_side(*a, float(pcx[e]), float(pcy[e]), *p,
-                                            float(pd[e])), (e, a, p)
-        assert inside[e] == kern.contains(float(qcx[e]), float(qcy[e]), *p, float(pd[e]),
-                                          4.0 * EPS_REL), (e, p)
-        exits += math.hypot(p[0] - a[0], p[1] - a[1]) <= EPS_REL * float(pd[e])
-    # the dist <= EPS_REL * delta early exit, and both answers of each test
-    assert exits and near.any() and not near.all() and inside.any() and not inside.all()
-
-
-def test_disk_mirror_grazes_and_ties_are_exercised():
-    ax, ay, cx, cy, ux, uy, delta = _mirror_cases(17)
-    ox, oy = cx - ax, cy - ay
-    m = ux * ox + uy * oy
-    dd = ox * ox + oy * oy
-    rr = delta * delta
-    disc = m * m - dd + rr
-    graze = (dd > rr) & (disc < 0.0) & (disc >= -1e-12 * (dd + rr)) & (m > 0.0)
-    assert graze.sum() >= 20
-    # the disagreement that once crashed the sweep: hypot and sqrt of the
-    # squares on opposite sides of delta
-    split = [e for e in range(ax.size)
-             if (math.hypot(ox[e], oy[e]) <= delta[e]) != (math.sqrt(dd[e]) <= delta[e])]
-    assert split
-    # ties the apex-inside rule decides by the squares, as the oracles do,
-    # where the square root alone would put the apex inside
-    assert ((np.sqrt(dd) <= delta) & (dd > rr)).any()

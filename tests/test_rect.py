@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from frechetsimp import shortcuts
-from frechetsimp import _batch
-from frechetsimp._engine import _BATCH_MIN_ROWS, Sweep, prepare, sweep_rows, sweep_targets
+from frechetsimp._engine import Sweep, prepare, sweep_rows, sweep_targets
 from frechetsimp.geometry import Metric, SquareKernel
 from frechetsimp.oracle import shortcut_is_valid
 from frechetsimp.verify import VerifyConfig, random_instance
 
 from oracles import rasterize_valid_region, square_wave_path
-from test_sweep_pin import refuse_the_batch
 
 SQ = (Metric.L1, Metric.LINF)
 
@@ -136,25 +134,23 @@ class TestSegmentBudget:
         assert worst <= 2
 
     @pytest.mark.parametrize("metric", SQ)
-    def test_batched_sweeps_keep_the_budget(self, metric, monkeypatch):
+    def test_batched_sweeps_keep_the_budget(self, metric):
         # simplify and verify run the square sweep for squares, so this is
-        # where the generic engine's square budget is checked over a
-        # non-strict corpus long enough that disks would take the batched
-        # entry; sweep_rows never hands squares to the batch
-        monkeypatch.setattr(_batch, "Block", refuse_the_batch)
+        # where the generic engine's square budget is checked over the
+        # non-strict rows of sweep_rows, on walks of up to 60 vertices
         cfg = VerifyConfig(count=40, max_n=60, seed=3, style="walk", metrics=(metric,))
-        worst = batched = 0
+        worst = long_walks = 0
         for idx in range(cfg.count):
             pts, delta, _ = random_instance(cfg, idx)
             pts = [tuple(p) for p in pts]
             work, kern = prepare(pts, metric)
             starts = range(len(work) - 1)
-            batched += len(starts) >= _BATCH_MIN_ROWS
+            long_walks += len(starts) >= 48
             for i, (targets, _) in zip(starts, sweep_rows(pts, metric, starts, delta)):
                 want, sw = sweep_targets(work, i, delta, kern)
                 assert targets == want
                 worst = max(worst, sw.stats.max_segment_count)
-        assert batched >= 5
+        assert long_walks >= 5
         assert worst <= 2
 
     def test_two_segment_state_reachable_with_corner(self):

@@ -5,19 +5,19 @@ engine sweep by sweep (targets, steps, aborts, both gauges, and the PREFIX
 and INIT counts) and so reproduce the engine's pins; on inputs full of ties,
 where the engine raises, its targets must be the oracle's.
 ``_engine.sweep_rows`` must hand squares to the square sweep unless
-``strict`` asks for the invariant checker, and never to the batch.
+``strict`` asks for the invariant checker.
 """
 import hashlib
 
 import numpy as np
 import pytest
 
-from frechetsimp import _batch, _square, oracle
-from frechetsimp._engine import _BATCH_MIN_ROWS, prepare, sweep_rows, sweep_targets
+from frechetsimp import _square, oracle
+from frechetsimp._engine import prepare, sweep_rows, sweep_targets
 from frechetsimp.geometry import Metric
 from frechetsimp.verify import VerifyConfig, random_instance
 
-from test_sweep_pin import INPUTS, PINNED, TIE_INPUTS, refuse_the_batch
+from test_sweep_pin import INPUTS, PINNED, TIE_INPUTS
 
 SQUARES = [Metric.LINF, Metric.L1]
 
@@ -34,14 +34,11 @@ def _outcome(res):
 
 
 @pytest.mark.parametrize("metric", SQUARES, ids=lambda m: m.value)
-def test_sweep_rows_routes_squares(metric, monkeypatch):
-    monkeypatch.setattr(_batch, "Block", refuse_the_batch)
+def test_sweep_rows_routes_squares(metric):
     make, delta = INPUTS["stopgo-a"]
     pts = make()
     work, kern = prepare(pts, metric)
-    # enough start vertices for the batch, which squares never reach
     starts = range(len(work) - 1)
-    assert len(starts) >= _BATCH_MIN_ROWS
     square = [_outcome(r) for r in _square.square_sweeps(work, starts, delta)]
     assert [_outcome(r) for r in sweep_rows(pts, metric, starts, delta)] == square
     # the invariant checker reads the generic engine's arcs: strict takes

@@ -1,22 +1,30 @@
-"""``verify`` on instances long enough for the batched L2 sweeps."""
-from frechetsimp import _engine, verify
+"""``verify`` on instances long enough for many wavefront steps per sweep."""
+from frechetsimp import _disk, verify
 from frechetsimp.geometry import Metric
 from frechetsimp.verify import VerifyConfig, check_instance, random_instance, run_verify
 
 
-def test_oracle_judges_batched_sweeps():
-    # max_n 60: under L2, instances with more than _BATCH_MIN_ROWS start
-    # vertices take their sweeps from the batched entry, and the dense oracle
-    # judges every one of them; L-inf and L1 run the square sweep, whose
-    # batched engine path test_rect and test_sweep_pin cover
+def test_oracle_judges_batched_sweeps(monkeypatch):
+    # max_n 60: the dense oracle judges every sweep of walks up to 60
+    # vertices long; under L2 each comes from the disk sweep, and L-inf and
+    # L1 run the square sweep
     cfg = VerifyConfig(count=6, max_n=60, metrics=(Metric.L2, Metric.LINF, Metric.L1),
                        seed=3, style="walk")
     sizes = [len(random_instance(cfg, idx)[0]) for idx in range(cfg.count)]
-    assert sum(n - 1 >= _engine._BATCH_MIN_ROWS for n in sizes) >= 2
+    assert sum(n > 48 for n in sizes) >= 2
+    disk_sweeps = 0
+    scalar = _disk._scalar
+
+    def counted(*args):
+        nonlocal disk_sweeps
+        disk_sweeps += 1
+        return scalar(*args)
+    monkeypatch.setattr(_disk, "_scalar", counted)
     rep = run_verify(cfg)
     assert rep.ok, rep.mismatches[:1]
     assert rep.checked == 3 * cfg.count
     assert rep.sweeps == 3 * sum(n - 1 for n in sizes)
+    assert disk_sweeps == sum(n - 1 for n in sizes)
     assert rep.stats.steps > 0 and rep.stats.case_histogram.get("BB", 0) > 0
 
 
