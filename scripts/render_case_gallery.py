@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Render SVG frame galleries for a few instructive sweeps.
 
-Produces one directory per scenario with frame_{i}_{j}.svg files showing the
-wedge, the wavefront and the circle being processed at every step.
+Produces one directory per scenario with frame_{i}_{j}.svg files, one per
+step of the sweep ``simplify`` runs: the wedge, the wavefront arcs and the
+circle being processed under L2; the live cones, the faces their wavefront
+shows and the square being processed under L-inf.
 """
 import argparse
 import math

@@ -2,8 +2,9 @@
 """Long randomized cross-check of the sweeps against the interval oracle.
 
 Heavier than the CLI defaults: mixes instance families and alternates fast
-and strict (full invariant battery) passes.  Intended for soak testing after
-changes to the engine.
+and strict passes.  A strict pass runs the same disk and square sweeps with
+the invariant checker of ``diagnostics`` watching every step.  Intended for
+soak testing after changes to a sweep.
 """
 import argparse
 import sys

@@ -40,7 +40,7 @@ ends in C_j.  Only a near tie can be decided differently from the engine,
 by these roundings instead of its tolerances.
 
 Callers reach this sweep through ``_engine.sweep_rows``, which picks it for
-L2 unless an invariant checker is asked for.
+L2; ``strict`` attaches ``diagnostics.DiskChecker`` as its observer.
 """
 from __future__ import annotations
 
@@ -303,8 +303,11 @@ def _case_mm(arcs, x, y, rr, fx, fy, insert):
     return 2, 0
 
 
-def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float):
-    """(targets, stats) of the sweep from start vertex i."""
+def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=None):
+    """(targets, stats) of the sweep from start vertex i.  ``watch``, if
+    given, is called after every step as ``watch(j, case, arcs, (rx, ry, lx,
+    ly))`` with the sweep's own arcs and wedge rays (zero before INIT); a
+    step that aborts leaves them as the step before did."""
     ax = X[i]
     ay = Y[i]
     rr = delta * delta
@@ -354,6 +357,8 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float):
                 count[_INIT] += 1
                 if max_arcs < 1:
                     max_arcs = 1
+                if watch is not None:
+                    watch(j, "INIT", arcs, (rx, ry, lx, ly))
                 continue
             # wedge := wedge ∩ cone: a tangent ray strictly inside the wedge
             # moves that wedge ray onto it, and a wedge ray that stays must
@@ -364,9 +369,13 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float):
                     or ((move_l or not move_r) and rx * cly < ry * clx)):
                 count[_WEDGE_EMPTY] += 1
                 aborted = True
+                if watch is not None:
+                    watch(j, "WEDGE_EMPTY", arcs, (rx, ry, lx, ly))
                 break
         elif not n:
             count[_PREFIX] += 1
+            if watch is not None:
+                watch(j, "PREFIX", arcs, (rx, ry, lx, ly))
             continue
         # (else the apex lies in C_j: a whole-plane cone, but the letters
         # still run, which keeps the visit order.)  The letters: a moved ray
@@ -449,6 +458,8 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float):
             removed += n
             inserted += 1
             count[_BB] += 1
+            if watch is not None:
+                watch(j, "BB", arcs, (rx, ry, lx, ly))
             continue
         if case == "MB":
             # C_j beyond the wavefront at the right ray: its near arc takes
@@ -529,6 +540,8 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float):
         else:
             raise InternalGeometryError(f"unreachable wavefront case {case}")
         count[case] += 1
+        if watch is not None:
+            watch(j, CASES[case], arcs, (rx, ry, lx, ly))
         if aborted:
             break
         if len(arcs) > max_arcs:
@@ -538,11 +551,12 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float):
                                steps=steps, aborts=int(aborted), case_histogram=hist)
 
 
-def disk_sweeps(pts: Sequence[Sequence[float]], starts, delta: float):
+def disk_sweeps(pts: Sequence[Sequence[float]], starts, delta: float, watch=None):
     """Yields (targets, stats) of the disk sweep from each start vertex of
-    ``starts``, in order: the ascending valid shortcut targets under L2."""
+    ``starts``, in order: the ascending valid shortcut targets under L2.
+    ``watch(X, Y, i, delta)``, if given, makes each sweep's observer."""
     X = [float(p[0]) for p in pts]
     Y = [float(p[1]) for p in pts]
     delta = float(delta)
     for i in starts:
-        yield _scalar(X, Y, i, delta)
+        yield _scalar(X, Y, i, delta, watch(X, Y, i, delta) if watch else None)

@@ -46,17 +46,16 @@ decisions, not just the last digits of the output.
 
 Picking a sweep.  ``sweep_rows(points, metric, starts, delta, strict)``
 runs the sweeps of many start vertices and is the one place that picks a
-sweep.  Without ``strict``, L2 takes the disk sweep of ``_disk`` and Linf and
-L1 the square sweep of ``_square``: both keep this engine's step cases in
-plain vectors and need no angle.  Under ``strict`` every metric runs
-``sweep_targets`` per start vertex with a fresh invariant checker, which
-reads this engine's arcs.
+sweep: L2 takes the disk sweep of ``_disk`` and Linf and L1 the square
+sweep of ``_square``, both of which keep this engine's step cases in plain
+vectors and need no angle.  Each sweep takes one optional per-step
+observer: ``strict`` attaches ``diagnostics``' checker of that sweep's own
+state, and ``svgdebug.draw_frames`` one that draws it.
 
-Callers.  ``simplify``, ``verify``, ``shortcuts`` and the ``stats`` command
-pass a ``Metric`` to ``sweep_rows``.  This engine runs for ``strict``
-sweeps, for the SVG frames of ``simplify --svg-debug-dir``
-(``svgdebug.draw_frames`` steps it from each start vertex, on any metric)
-and for the benchmark's tracer, which drives ``Sweep`` step by step.
+Callers.  ``simplify``, ``verify``, ``shortcuts``, the ``stats`` command
+and the SVG frames pass a ``Metric`` to ``sweep_rows``, so no call in the
+package constructs a ``Sweep``.  This engine and its kernels stay as the
+tests' reference and as what the benchmark's tracer drives step by step.
 """
 from __future__ import annotations
 
@@ -66,7 +65,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .diagnostics import InvariantChecker
 from .geometry import (EPS_ANGLE, EPS_REL, CircleKernel, InternalGeometryError, Metric,
                        SquareKernel, _wrap_angle, l1_to_linf)
 
@@ -173,10 +171,9 @@ class Sweep:
 
     __slots__ = ("pts", "i", "delta", "kern", "ax", "ay", "rot",
                  "kr", "kl", "ur", "ul", "arcs", "keys", "aborted", "stats",
-                 "checker", "square", "_loc_cache")
+                 "square", "_loc_cache")
 
-    def __init__(self, pts: Sequence[Sequence[float]], i: int, delta: float, kern,
-                 checker=None):
+    def __init__(self, pts: Sequence[Sequence[float]], i: int, delta: float, kern):
         self.pts = pts
         self.i = i
         self.delta = float(delta)
@@ -189,7 +186,6 @@ class Sweep:
         self.keys: list[float] = []
         self.aborted = False
         self.stats = SweepStats()
-        self.checker = checker
         self.square = kern.metric is not Metric.L2   # gauge the square segments
         self._loc_cache = (None, 0.0)   # (vertex j, key of j); see the module docstring
 
@@ -303,8 +299,6 @@ class Sweep:
             segs = self._segment_count()
             if segs > st.max_segment_count:
                 st.max_segment_count = segs
-        if self.checker is not None and not self.aborted:
-            self.checker.after_step(self, j)
         return case
 
     def _segment_count(self) -> int:
@@ -560,8 +554,6 @@ class Sweep:
                 f"pattern {case} with the apex inside C_{j} should be impossible")
         if case == "TB" or case == "BT":
             raise InternalGeometryError(f"unreachable wavefront case {case}")
-        if self.checker is not None:
-            self.checker.before_surgery(self, j, px, py, case)
         if case == "BB":
             # C_j beyond the wavefront on both rays: its bottom arc between
             # the wedge rays replaces every arc
@@ -875,8 +867,8 @@ def prepare(points: Sequence[Sequence[float]], metric: Metric):
     with axis-aligned squares, and L1 sweeps their image under the exact
     change of coordinates (x, y) -> (x+y, y-x), which maps L1 balls onto
     Linf balls, with the same squares.  Sweeps report vertex indices, so
-    nothing maps back.  This is the one place a metric picks a kernel, for
-    ``sweep_rows`` and ``svgdebug.draw_frames``.
+    nothing maps back.  This is the one place a metric picks a kernel, and
+    ``sweep_rows`` its one caller in the package.
 
     ``metric`` is a ``Metric`` or its value; anything else raises ValueError.
     """
@@ -888,10 +880,10 @@ def prepare(points: Sequence[Sequence[float]], metric: Metric):
     return points, SquareKernel
 
 
-def sweep_targets(pts: Sequence[Sequence[float]], i: int, delta: float, kern,
-                  checker=None) -> tuple[list[int], Sweep]:
+def sweep_targets(pts: Sequence[Sequence[float]], i: int, delta: float,
+                  kern) -> tuple[list[int], Sweep]:
     """All j > i with a valid shortcut <p_i, p_j>, plus the final sweep state."""
-    sw = Sweep(pts, i, delta, kern, checker=checker)
+    sw = Sweep(pts, i, delta, kern)
     out = []
     for j in range(i + 1, len(pts)):
         if sw.locate_vertex(j) is VALID:
@@ -903,20 +895,20 @@ def sweep_targets(pts: Sequence[Sequence[float]], i: int, delta: float, kern,
 
 
 def sweep_rows(points: Sequence[Sequence[float]], metric: Metric, starts, delta: float,
-               strict: bool = False):
+               strict: bool = False, watch=None):
     """Yields (targets, ``SweepStats``) of the sweep from each start vertex i
     of ``starts``, in order: the ascending j > i with a valid shortcut
     <p_i, p_j> under ``metric``.  A sweep that raises raises here when its
-    turn comes.  See "Picking a sweep" above for the sweep each case takes.
+    turn comes.  ``watch(X, Y, i, delta)``, if given, makes the observer each
+    sweep calls after every step on the working coordinates X, Y; ``strict``
+    makes it ``diagnostics``' checker of the sweep's state.  See "Picking a
+    sweep" above for the sweep each metric takes.
     """
     work, kern = prepare(points, metric)
-    if strict:
-        for i in starts:
-            targets, sw = sweep_targets(work, i, delta, kern, InvariantChecker())
-            yield targets, sw.stats
-    elif kern is SquareKernel:
-        from ._square import square_sweeps
-        yield from square_sweeps(work, starts, delta)
+    if kern is SquareKernel:
+        from ._square import square_sweeps as sweeps
+        from .diagnostics import SquareChecker as checker
     else:
-        from ._disk import disk_sweeps
-        yield from disk_sweeps(work, starts, delta)
+        from ._disk import disk_sweeps as sweeps
+        from .diagnostics import DiskChecker as checker
+    yield from sweeps(work, starts, delta, checker if strict else watch)

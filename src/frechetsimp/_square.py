@@ -46,7 +46,8 @@ the cones, and WEDGE_EMPTY for the step that empties the last cone.  The
 engine's arc counters ``inserted`` and ``removed`` stay 0.
 
 Callers reach this sweep through ``_engine.sweep_rows``, which picks it for
-Linf and L1 unless an invariant checker is asked for.
+Linf and L1; ``strict`` attaches ``diagnostics.SquareChecker`` as its
+observer.
 """
 from __future__ import annotations
 
@@ -77,8 +78,11 @@ def _stats(steps, prefix, started, aborted, moved, segs, arcs) -> SweepStats:
                       aborts=int(aborted), case_histogram=hist)
 
 
-def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float):
-    """(targets, stats) of the sweep from start vertex i."""
+def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=None):
+    """(targets, stats) of the sweep from start vertex i.  ``watch``, if
+    given, is called after every step as ``watch(j, case, (X+, X-, Y+, Y-),
+    cones)`` with the sweep's own face extremes and live cones (None before
+    INIT, empty once the last cone empties)."""
     ax = X[i]
     ay = Y[i]
     d = delta
@@ -138,6 +142,8 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float):
         if cones is None:
             if ex <= 0.0 <= fx and ey <= 0.0 <= fy:
                 prefix += 1
+                if watch is not None:
+                    watch(j, "PREFIX", (xp, xm, yp, ym), cones)
                 continue
             slot = [[q, 1.0, 0.0, 0.0, 1.0] for q in range(4)]
             cones = list(slot)
@@ -191,7 +197,12 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float):
         cones = live
         if not live:
             aborted = True
+            if watch is not None:
+                watch(j, "WEDGE_EMPTY", (xp, xm, yp, ym), live)
             break
+        if watch is not None:
+            watch(j, "INIT" if j == i + 1 + prefix else "BB" if step_moved else "MM",
+                  (xp, xm, yp, ym), live)
         moved += step_moved
         k = _POP[shown]
         if k > segs:
@@ -203,13 +214,14 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float):
     return targets, _stats(steps, prefix, cones is not None, aborted, moved, segs, arcs)
 
 
-def square_sweeps(pts: Sequence[Sequence[float]], starts, delta: float):
+def square_sweeps(pts: Sequence[Sequence[float]], starts, delta: float, watch=None):
     """Yields (targets, stats) of the square sweep from each start vertex of
     ``starts``, in order: the ascending valid shortcut targets under L-inf
-    of the working points ``pts`` (``_engine.prepare``'s, so L1 too)."""
+    of the working points ``pts`` (``_engine.prepare``'s, so L1 too).
+    ``watch(X, Y, i, delta)``, if given, makes each sweep's observer."""
     X = [float(p[0]) for p in pts]
     Y = [float(p[1]) for p in pts]
     delta = float(delta)
     for i in starts:
-        yield _scalar(X, Y, i, delta)
+        yield _scalar(X, Y, i, delta, watch(X, Y, i, delta) if watch else None)
 

@@ -5,9 +5,10 @@ a Euclidean disk for L2 and an axis-aligned square of side 2*delta for Linf.
 L1 is reduced to Linf by the exact change of coordinates (x, y) -> (x+y, y-x),
 under which the L1 ball becomes the Linf ball of the same radius, so the
 square kernel serves both.  ``_engine.sweep_rows`` sweeps disks with
-``_disk`` and squares with ``_square``, which need none of these
-primitives; the kernels serve the generic engine where it still runs
-(``strict`` sweeps, ``svgdebug.draw_frames`` and the benchmark's tracer).
+``_disk`` and squares with ``_square`` on every path, ``strict`` and the SVG
+frames included, and those sweeps need none of these primitives; the
+kernels serve only the generic engine, which the tests keep as a reference
+and the benchmark's tracer drives.
 
 Coordinates are double precision.  Coincidence decisions use the relative
 tolerance EPS_REL; there is no exact arithmetic.  Callers that need clean
@@ -73,9 +74,9 @@ def _wrap_angle(a: float) -> float:
 # namespace per unit-circle shape.  All take unpacked floats; hot paths avoid
 # tuples where cheap to do so.  ``tangent_points`` returning None is the one
 # test of "the apex lies in C_j".  The sweeps ``_engine.sweep_rows`` runs
-# without ``strict`` (``_disk`` and ``_square``) need none of these: the
-# kernels serve the engine's ``strict`` sweeps, ``svgdebug.draw_frames`` and
-# the benchmark's tracer.
+# (``_disk`` and ``_square``) need none of these: the kernels serve the
+# engine, which the tests keep as a reference and the benchmark's tracer
+# drives.
 # ---------------------------------------------------------------------------
 
 _COINCIDENT = "coincident"

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from frechetsimp import bench as bench_mod, shortcuts
-from frechetsimp.geometry import CircleKernel, Metric
-from frechetsimp._engine import sweep_targets
+from frechetsimp.geometry import Metric
+from frechetsimp._engine import sweep_rows
 from frechetsimp.oracle import shortcut_is_valid, shortcut_matrix_dense
 from frechetsimp.simplify import nu_diagnostics, preprocess, simplify, simplify_baseline
 from frechetsimp.verify import VerifyConfig, check_instance, run_verify
@@ -149,17 +149,15 @@ def test_c5_nu_light_bound_and_adversarial_growth():
         delta = 0.45 * spacing           # spacing >= 2*delta
         pts = _serpentine_grid(5, 6, spacing, 0.04 * spacing, seed)
         ball = nu_diagnostics(pts, delta)["max_vertices_in_delta_ball"]
-        worst = 0
-        for i in range(len(pts) - 1):
-            _, sw = sweep_targets(pts, i, delta, CircleKernel)
-            worst = max(worst, sw.stats.max_arc_count)
+        worst = max(st.max_arc_count
+                    for _, st in sweep_rows(pts, Metric.L2, range(len(pts) - 1), delta))
         assert worst <= ball, (worst, ball)
     sizes = (4, 8, 16)
     fronts = []
     for m in sizes:
         pts = _bulge_cluster(m)
-        _, sw = sweep_targets(pts, 0, 1.0, CircleKernel)
-        fronts.append(sw.stats.max_arc_count)
+        (_, st), = sweep_rows(pts, Metric.L2, [0], 1.0)
+        fronts.append(st.max_arc_count)
     assert fronts[0] < fronts[1] < fronts[2]
     assert fronts[-1] >= sizes[-1] // 2
     print(f"PASS criterion 5: grid sweeps bounded by the 2-delta ball count; "

@@ -164,9 +164,11 @@ def _callers(tree, name):
 def test_one_place_picks_the_sweep():
     modules = dict(_modules())
     callers = {(mod, fn) for mod, tree in modules.items() for fn in _callers(tree, "prepare")}
-    assert callers == {("_engine", "sweep_rows"), ("svgdebug", "draw_frames")}
+    assert callers == {("_engine", "sweep_rows")}
     for mod, tree in modules.items():
         names = set(_names(tree))
         assert "svg_sink" not in names, mod
+        if mod != "_engine":
+            assert not names & {"Sweep", "InvariantChecker"}, mod
         if mod in ("simplify", "verify", "cli", "__init__"):
             assert not names & {"CircleKernel", "SquareKernel"}, mod

@@ -15,9 +15,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from frechetsimp import oracle
+from frechetsimp import oracle, svgdebug
 from frechetsimp._engine import CASES, VALID, Sweep, prepare, sweep_rows, sweep_targets
-from frechetsimp.diagnostics import InvariantChecker
 from frechetsimp.geometry import CircleKernel, Metric
 from frechetsimp.oracle import shortcut_is_valid
 
@@ -200,10 +199,10 @@ def test_tie_sweeps_are_pinned(name, metric):
     assert sweep_summary(make(), delta, metric) == TIE_PINNED[(name, metric.value)]
 
 
-def _stepwise_targets(pts, i, delta, kern, checker):
+def _stepwise_targets(pts, i, delta, kern):
     """``sweep_targets`` rebuilt from the public per-vertex calls, as a
     traced run drives them: ``locate_vertex(j)``, then ``step(j).case``."""
-    sw = Sweep(pts, i, delta, kern, checker=checker)
+    sw = Sweep(pts, i, delta, kern)
     out = []
     for j in range(i + 1, len(pts)):
         if sw.locate_vertex(j) is VALID:
@@ -238,15 +237,24 @@ def _state(res):
 @pytest.mark.parametrize("metric", [Metric.L2, Metric.LINF, Metric.L1], ids=lambda m: m.value)
 @pytest.mark.parametrize("name", ["stopgo-b", "stopgo-q", "lattice-b"])
 def test_sweep_targets_matches_the_stepwise_api(name, metric, checked):
+    """plain: the engine's ``sweep_targets`` equals its stepwise API, which
+    the benchmark's tracer drives.  checker: ``sweep_rows(..., strict=True)``,
+    whose invariant checker watches the sweep ``sweep_rows`` picks, yields
+    the plain rows and raises nowhere."""
     make, delta = {**INPUTS, **TIE_INPUTS}[name]
     pts = make()[:50] if checked else make()
     work, kern = prepare(pts, metric)
+    starts = range(len(work) - 1)
+    if checked:
+        rows = [[(t, dataclasses.asdict(st))
+                 for t, st in sweep_rows(pts, metric, starts, delta, strict=strict)]
+                for strict in (False, True)]
+        assert rows[1] == rows[0]
+        return
     raised = 0
-    for i in range(len(work) - 1):
-        fast = _outcome(lambda: sweep_targets(
-            work, i, delta, kern, checker=InvariantChecker() if checked else None))
-        stepwise = _outcome(lambda: _stepwise_targets(
-            work, i, delta, kern, InvariantChecker() if checked else None))
+    for i in starts:
+        fast = _outcome(lambda: sweep_targets(work, i, delta, kern))
+        stepwise = _outcome(lambda: _stepwise_targets(work, i, delta, kern))
         assert fast == stepwise, i
         raised += fast[0] == "raised"
     assert raised < len(work) - 1      # some sweeps run to the end
@@ -328,7 +336,8 @@ TIED = ("quantized", "lattice")
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
 @pytest.mark.parametrize("name", sorted(DIFF_INPUTS))
 def test_batched_sweeps_match_the_per_start_loop(name, metric, monkeypatch):
-    """``sweep_rows`` never steps the engine without ``strict``.  Under L2
+    """``sweep_rows`` never steps the engine, with or without ``strict``,
+    and neither do the SVG frames.  Under L2
     its disk sweep equals the per-start engine in targets and every
     ``SweepStats`` field on generic inputs, and the oracle's rows on tied
     ones, where the two sweeps may split a tie differently."""
@@ -349,6 +358,8 @@ def test_batched_sweeps_match_the_per_start_loop(name, metric, monkeypatch):
         return step(sw, j)
     monkeypatch.setattr(Sweep, "_step", counted)
     rows = list(sweep_rows(pts, metric, starts, delta))
+    assert list(sweep_rows(pts, metric, starts[:5], delta, strict=True)) == rows[:5]
+    svgdebug.draw_frames(pts, metric, starts[:5], delta, lambda i, j, svg: None)
     assert engine_steps == 0
     assert len(rows) == len(starts)
     if generic:

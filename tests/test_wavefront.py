@@ -1,16 +1,21 @@
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
-from frechetsimp import shortcuts, svgdebug
-from frechetsimp._engine import BELOW, OUTSIDE, VALID, Sweep, SweepAbortedError, sweep_targets
-from frechetsimp.diagnostics import InvariantChecker
+from frechetsimp import _disk, _square, shortcuts, svgdebug
+from frechetsimp._engine import (BELOW, OUTSIDE, VALID, Sweep, SweepAbortedError, sweep_rows,
+                                 sweep_targets)
+from frechetsimp.diagnostics import DiskChecker, SquareChecker
 from frechetsimp.geometry import CircleKernel, InternalGeometryError, Metric
 from frechetsimp.oracle import shortcut_is_valid
 from frechetsimp.verify import VerifyConfig, check_instance, random_instance
 
 from oracles import rasterize_valid_region
+from test_acceptance import _tie_instance
+from walks import drift_walk
 
 
 def bulge_cluster(m, delta=1.0, R=3.0, rho=0.8, span_deg=60.0, seed=0):
@@ -213,25 +218,58 @@ class TestStrictInvariants:
             assert problems == [], problems
 
     def test_checker_catches_fault_injection(self):
-        # flipping one case's surgery must trip the battery or the oracle
+        # an observer that drops a middle arc of the disk sweep's wavefront
+        # before the checker sees it must trip the battery
         pts = bulge_cluster(8)
-        from frechetsimp._engine import Sweep
+        X = [p[0] for p in pts]
+        Y = [p[1] for p in pts]
+        checker = DiskChecker(X, Y, 0, 1.0)
 
-        orig = Sweep._case_mm
+        def broken(j, case, arcs, wedge):
+            if len(arcs) >= 3:
+                arcs = arcs[:1] + arcs[2:]
+            checker(j, case, arcs, wedge)
 
-        def broken(self, j, px, py, allow_insert):
-            rep = orig(self, j, px, py, allow_insert)
-            if len(self.arcs) >= 3:
-                del self.arcs[1]
-                del self.keys[1]
-            return rep
+        with pytest.raises(InternalGeometryError, match="gap"):
+            _disk._scalar(X, Y, 0, 1.0, broken)
+        _disk._scalar(X, Y, 0, 1.0, DiskChecker(X, Y, 0, 1.0))      # unbroken, it passes
 
-        Sweep._case_mm = broken
-        try:
-            with pytest.raises(InternalGeometryError):
-                sweep_targets(pts, 0, 1.0, CircleKernel, checker=InvariantChecker())
-        finally:
-            Sweep._case_mm = orig
+    @pytest.mark.parametrize("fault", ["lower X-", "swap rays"])
+    def test_square_checker_catches_fault_injection(self, fault):
+        # an observer that corrupts the square sweep's state at INIT before
+        # the checker sees it must trip the battery
+        pts = drift_walk(40, 3)
+        X = [p[0] for p in pts]
+        Y = [p[1] for p in pts]
+        checker = SquareChecker(X, Y, 0, 1.0)
+
+        def broken(j, case, faces, cones):
+            if case == "INIT" and fault == "lower X-":
+                xp, xm, yp, ym = faces
+                faces = (xp, xm - 1.0, yp, ym)
+            elif case == "INIT":
+                q, rx, ry, lx, ly = next(c for c in cones if c[1] * c[4] > c[2] * c[3])
+                cones = [[q, lx, ly, rx, ry]]
+            checker(j, case, faces, cones)
+
+        with pytest.raises(InternalGeometryError, match="rose" if fault == "lower X-" else
+                           "l before r"):
+            _square._scalar(X, Y, 0, 1.0, broken)
+        _square._scalar(X, Y, 0, 1.0, SquareChecker(X, Y, 0, 1.0))  # unbroken, it passes
+
+    def test_checkers_pass_every_tied_sweep_and_change_no_row(self):
+        # c7's tie recipe: the engine the checkers once read raised on
+        # hundreds of these sweeps; the shipped sweeps they read now raise on
+        # none, and attaching a checker changes no target and no stat
+        rng = random.Random(9)
+        for _ in range(300):
+            pts, delta = _tie_instance(rng)
+            starts = range(len(pts) - 1)
+            for metric in (Metric.L2, Metric.LINF, Metric.L1):
+                rows = [[(t, dataclasses.asdict(st))
+                         for t, st in sweep_rows(pts, metric, starts, delta, strict=strict)]
+                        for strict in (False, True)]
+                assert rows[1] == rows[0], (pts, delta, metric)
 
 
 def test_svg_sink_receives_deterministic_frames(tmp_path):
