@@ -12,11 +12,10 @@ correctness reference.
 targets of one vertex, and ``shortcut_is_valid`` is the decision oracle.
 """
 
-from ._engine import sweep_rows
 from .geometry import InternalGeometryError, Metric
 from .oracle import ball_segment_interval, shortcut_is_valid
 from .simplify import (InvalidInputError, SimplificationResult, _checked_metric,
-                       _finite_vertices, simplify, simplify_baseline)
+                       _finite_vertices, simplify, simplify_baseline, sweep_rows)
 
 __version__ = "0.1.0"
 

@@ -1,7 +1,7 @@
 """Disk sweep: the L2 sweep from one start vertex, with no angles.
 
-With the apex p_i moved to the origin, the sweep keeps the generic engine's
-state (``_engine.Sweep``) in plain vectors:
+With the apex p_i moved to the origin, the sweep keeps its state in plain
+vectors:
 
   * the wedge is two unnormalized rays r (clockwise) and l, never wider
     than pi once the first circle set it, so a direction u lies in it iff
@@ -23,32 +23,40 @@ a sign test on products of coordinates:
     along its own ray iff (c - p) . p > 0.  So p_k is a target iff it lies
     in the wedge and, against the arc over its direction, inside that arc's
     disk or past it;
-  * a wedge ray's letter (the engine's B, M or T) is M when the wavefront
-    point e on it lies inside C_j and B when e lies short of C_j.  A wedge
+  * a wedge ray's letter is M when the wavefront point e on it lies inside
+    C_j, B when e lies short of C_j and T when it lies past C_j.  A wedge
     ray that moved onto C_j's tangent point t is B iff t lies in or past
     the wavefront, which needs no point on the ray at all;
   * crossings of C_j with an arc are ordered by cross products, and the
     new disk's place among the arcs' centres (case MM) by a pseudo-angle
     about the first disk's centre, which every centre sees within pi.
 
-The step cases, their order of tests and their splices are the engine's,
-so every ``SweepStats`` field counts what it counts there, and each arc is
-still removed at most once per sweep.  Two shortcuts skip work whose
-outcome is known: a scan for C_j's one crossing passes arcs by an end
-point, and case MM is a no-op where the arcs beside C_j's place have both
-ends in C_j.  Only a near tie can be decided differently from the engine,
-by these roundings instead of its tolerances.
+The letters of the two wedge rays, left then right, name the step's case
+(``simplify.CASES``).  BB makes C_j's near arc the whole wavefront; MB and
+BM let it take over from the B ray to its one crossing; TM and MT cut the
+wedge back to that crossing; TT cuts it to C_j's two crossings, or ends the
+sweep (TT_EMPTY) where there are none; and MM inserts C_j's near arc where
+it lies past the wavefront between the rays, if anywhere.  PREFIX counts
+the steps before the first disk that leaves out the apex, INIT that disk's
+step, and WEDGE_EMPTY the step whose cone misses the wedge.  Every splice
+is contiguous and each arc is removed at most once per sweep.  Two
+shortcuts skip work whose outcome is known: a scan for C_j's one crossing
+passes arcs by an end point, and case MM is a no-op where the arcs beside
+C_j's place have both ends in C_j.  On generic inputs every target and
+``SweepStats`` field is the one the tests' reference engine (``_engine``)
+finds; only a near tie can be decided differently, by these roundings
+instead of its tolerances.
 
-Callers reach this sweep through ``_engine.sweep_rows``, which picks it for
-L2; ``strict`` attaches ``diagnostics.DiskChecker`` as its observer.
+``simplify.sweep_rows`` runs this sweep for L2, and ``verify --strict``
+passes ``diagnostics.DiskChecker`` as its observer.
 """
 from __future__ import annotations
 
 import math
 from typing import Sequence
 
-from ._engine import CASES, SweepStats
 from .geometry import EPS_REL, InternalGeometryError
+from .simplify import CASES, SweepStats
 
 (_PREFIX, _INIT, _WEDGE_EMPTY, _TT_EMPTY, _TT, _TM, _MT, _MM, _MB, _BM, _BB) = range(11)
 _SPAN = 0.5e-9      # a crossing within about 1e-9 rad of an arc's span is on it
@@ -550,13 +558,3 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=
     return targets, SweepStats(max_arc_count=max_arcs, inserted=inserted, removed=removed,
                                steps=steps, aborts=int(aborted), case_histogram=hist)
 
-
-def disk_sweeps(pts: Sequence[Sequence[float]], starts, delta: float, watch=None):
-    """Yields (targets, stats) of the disk sweep from each start vertex of
-    ``starts``, in order: the ascending valid shortcut targets under L2.
-    ``watch(X, Y, i, delta)``, if given, makes each sweep's observer."""
-    X = [float(p[0]) for p in pts]
-    Y = [float(p[1]) for p in pts]
-    delta = float(delta)
-    for i in starts:
-        yield _scalar(X, Y, i, delta, watch(X, Y, i, delta) if watch else None)

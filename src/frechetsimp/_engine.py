@@ -18,12 +18,12 @@ key list; every surgery is a contiguous splice, and each arc is removed at
 most once per sweep, so the list walkers are amortized.
 
 The engine is metric-generic: it only talks to a kernel (Euclidean disk or
-axis-aligned square) through a handful of shape primitives.  ``prepare``
-turns (points, metric) into the working coordinates and kernel every sweep
-runs on; L1 sweeps the Linf image of the points.  Vertices whose
-circle contains the apex get the whole plane as their cone but still run the
-narrowing step, which is what enforces the Frechet ordering (skipping it
-admits shortcuts that visit vertices out of order).
+axis-aligned square, ``geometry.CircleKernel`` or ``SquareKernel``) through a
+handful of shape primitives; L1 sweeps the Linf image of the points with the
+square kernel.  Vertices whose circle contains the apex get the whole plane
+as their cone but still run the narrowing step, which is what enforces the
+Frechet ordering (skipping it admits shortcuts that visit vertices out of
+order).
 
 Per-step cost.  A sweep runs Theta(n) steps per start vertex, so the step is
 written for the interpreter.  It asks the kernel's ``tangent_points`` once:
@@ -44,29 +44,23 @@ from libm on some inputs (SIMD builds), and the engine compares keys and
 distances against tight tolerances, so precomputed arrays would change
 decisions, not just the last digits of the output.
 
-Picking a sweep.  ``sweep_rows(points, metric, starts, delta, strict)``
-runs the sweeps of many start vertices and is the one place that picks a
-sweep: L2 takes the disk sweep of ``_disk`` and Linf and L1 the square
-sweep of ``_square``, both of which keep this engine's step cases in plain
-vectors and need no angle.  Each sweep takes one optional per-step
-observer: ``strict`` attaches ``diagnostics``' checker of that sweep's own
-state, and ``svgdebug.draw_frames`` one that draws it.
-
-Callers.  ``simplify``, ``verify``, ``shortcuts``, the ``stats`` command
-and the SVG frames pass a ``Metric`` to ``sweep_rows``, so no call in the
-package constructs a ``Sweep``.  This engine and its kernels stay as the
-tests' reference and as what the benchmark's tracer drives step by step.
+Callers.  The package never runs this engine: ``simplify.sweep_rows`` runs
+the disk sweep of ``_disk`` for L2 and the square sweep of ``_square`` for
+Linf and L1, which keep this engine's step cases in plain vectors and need
+no angle.  This module is a leaf that only the tests import, as their
+reference, and the benchmark's tracer, which drives ``Sweep`` step by step;
+its ``CASES`` and ``SweepStats`` are ``simplify``'s.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .geometry import (EPS_ANGLE, EPS_REL, CircleKernel, InternalGeometryError, Metric,
-                       SquareKernel, _wrap_angle, l1_to_linf)
+from .geometry import EPS_ANGLE, EPS_REL, InternalGeometryError, Metric, _wrap_angle
+from .simplify import CASES, SweepStats
 
 _PI = math.pi
 _HALF_PI = 0.5 * math.pi
@@ -86,11 +80,6 @@ class Location(Enum):
 OUTSIDE = Location.OUTSIDE_WEDGE
 BELOW = Location.BELOW_WAVEFRONT
 VALID = Location.IN_VALID_REGION
-
-# step case labels (TB/BT are provably unreachable and raise)
-CASES = ("PREFIX", "INIT", "WEDGE_EMPTY", "TT_EMPTY",
-         "TT", "TM", "MT", "MM", "MB", "BM", "BB")
-
 
 def _side(w: float, q1: float, q2: float, delta: float) -> Optional[str]:
     """One wedge ray's letter: the wavefront, at distance w along the ray, lies
@@ -137,33 +126,6 @@ class Arc:
 @dataclass(slots=True)
 class StepReport:
     case: str
-
-
-@dataclass
-class SweepStats:
-    """Counters and gauges of one sweep, or of many folded together."""
-
-    max_arc_count: int = 0
-    max_segment_count: int = 0
-    inserted: int = 0
-    removed: int = 0
-    steps: int = 0
-    aborts: int = 0
-    case_histogram: dict = field(default_factory=dict)
-
-    def fold(self, other: "SweepStats") -> None:
-        """Adds ``other`` in: gauges by max, counts by sum, the histogram by case."""
-        if other.max_arc_count > self.max_arc_count:
-            self.max_arc_count = other.max_arc_count
-        if other.max_segment_count > self.max_segment_count:
-            self.max_segment_count = other.max_segment_count
-        self.inserted += other.inserted
-        self.removed += other.removed
-        self.steps += other.steps
-        self.aborts += other.aborts
-        h = self.case_histogram
-        for case, k in other.case_histogram.items():
-            h[case] = h.get(case, 0) + k
 
 
 class Sweep:
@@ -860,26 +822,6 @@ class Sweep:
         return None
 
 
-def prepare(points: Sequence[Sequence[float]], metric: Metric):
-    """(working points, kernel) that sweeps under ``metric`` run on.
-
-    L2 sweeps the points as given with Euclidean disks.  Linf sweeps them
-    with axis-aligned squares, and L1 sweeps their image under the exact
-    change of coordinates (x, y) -> (x+y, y-x), which maps L1 balls onto
-    Linf balls, with the same squares.  Sweeps report vertex indices, so
-    nothing maps back.  This is the one place a metric picks a kernel, and
-    ``sweep_rows`` its one caller in the package.
-
-    ``metric`` is a ``Metric`` or its value; anything else raises ValueError.
-    """
-    metric = Metric(metric)
-    if metric is Metric.L2:
-        return points, CircleKernel
-    if metric is Metric.L1:
-        return l1_to_linf(points), SquareKernel
-    return points, SquareKernel
-
-
 def sweep_targets(pts: Sequence[Sequence[float]], i: int, delta: float,
                   kern) -> tuple[list[int], Sweep]:
     """All j > i with a valid shortcut <p_i, p_j>, plus the final sweep state."""
@@ -892,23 +834,3 @@ def sweep_targets(pts: Sequence[Sequence[float]], i: int, delta: float,
         if sw.aborted:
             break
     return out, sw
-
-
-def sweep_rows(points: Sequence[Sequence[float]], metric: Metric, starts, delta: float,
-               strict: bool = False, watch=None):
-    """Yields (targets, ``SweepStats``) of the sweep from each start vertex i
-    of ``starts``, in order: the ascending j > i with a valid shortcut
-    <p_i, p_j> under ``metric``.  A sweep that raises raises here when its
-    turn comes.  ``watch(X, Y, i, delta)``, if given, makes the observer each
-    sweep calls after every step on the working coordinates X, Y; ``strict``
-    makes it ``diagnostics``' checker of the sweep's state.  See "Picking a
-    sweep" above for the sweep each metric takes.
-    """
-    work, kern = prepare(points, metric)
-    if kern is SquareKernel:
-        from ._square import square_sweeps as sweeps
-        from .diagnostics import SquareChecker as checker
-    else:
-        from ._disk import disk_sweeps as sweeps
-        from .diagnostics import DiskChecker as checker
-    yield from sweeps(work, starts, delta, checker if strict else watch)

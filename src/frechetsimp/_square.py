@@ -32,29 +32,31 @@ face value with zero), rounded once each, so ties on fixed-decimal or
 lattice inputs are decided by the same rounded values every time; nothing
 takes an angle, a square root or a tolerance.
 
-Stats are the generic engine's (``_engine.Sweep``) where they mean the same:
-``steps`` and ``aborts`` count as it counts them, PREFIX labels a step whose
-square holds the apex while every square before did too, and INIT the first
-step whose square does not.  The wavefront, the near boundary of the valid
+Stats (``simplify.SweepStats``): ``steps`` counts the squares the sweep
+visits, the one that ends it included, and ``aborts`` is 1 for a sweep that
+ends early; PREFIX labels a step whose square holds the apex while every
+square before did too, and INIT the first step whose square does not.  The wavefront, the near boundary of the valid
 region, is the face X (or Y) of a live cone wherever it is the binding near
 bound: ``max_segment_count`` gauges the distinct faces of X+, X-, Y+, Y- it
 shows, and ``max_arc_count`` the distinct squares owning them (a face is
 owned by the first square that set its extreme).  The other labels are the
 sweep's own: BB for a step whose square sets a face extreme (the wavefront
 moves onto it, on all or part of the cones), MM for a step that only narrows
-the cones, and WEDGE_EMPTY for the step that empties the last cone.  The
-engine's arc counters ``inserted`` and ``removed`` stay 0.
+the cones, and WEDGE_EMPTY for the step that empties the last cone.  No arc
+is spliced, so ``inserted`` and ``removed`` stay 0.  On generic inputs the
+targets, steps, aborts, both gauges and the PREFIX and INIT counts are the
+ones the tests' reference engine (``_engine``) finds.
 
-Callers reach this sweep through ``_engine.sweep_rows``, which picks it for
-Linf and L1; ``strict`` attaches ``diagnostics.SquareChecker`` as its
-observer.
+``simplify.sweep_rows`` runs this sweep for Linf, and for L1 on the Linf
+image of the points; ``verify --strict`` passes ``diagnostics.SquareChecker``
+as its observer.
 """
 from __future__ import annotations
 
 import math
 from typing import Sequence
 
-from ._engine import SweepStats
+from .simplify import SweepStats
 
 _INF = math.inf
 _POP = tuple(bin(m).count("1") for m in range(16))      # faces shown, by bit mask
@@ -212,16 +214,4 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=
             if k > arcs:
                 arcs = k
     return targets, _stats(steps, prefix, cones is not None, aborted, moved, segs, arcs)
-
-
-def square_sweeps(pts: Sequence[Sequence[float]], starts, delta: float, watch=None):
-    """Yields (targets, stats) of the square sweep from each start vertex of
-    ``starts``, in order: the ascending valid shortcut targets under L-inf
-    of the working points ``pts`` (``_engine.prepare``'s, so L1 too).
-    ``watch(X, Y, i, delta)``, if given, makes each sweep's observer."""
-    X = [float(p[0]) for p in pts]
-    Y = [float(p[1]) for p in pts]
-    delta = float(delta)
-    for i in starts:
-        yield _scalar(X, Y, i, delta, watch(X, Y, i, delta) if watch else None)
 

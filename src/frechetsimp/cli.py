@@ -17,9 +17,9 @@ import sys
 import time
 
 from . import __version__, bench, polyio, svgdebug
-from ._engine import SweepStats, sweep_rows
 from .geometry import InternalGeometryError, Metric
-from .simplify import InvalidInputError, nu_diagnostics, preprocess, simplify
+from .simplify import (InvalidInputError, SweepStats, nu_diagnostics, preprocess, simplify,
+                       sweep_rows)
 from .verify import InstanceError, VerifyConfig, run_verify
 
 EXIT_OK = 0
@@ -119,6 +119,9 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.count < 1:
+        print("error: --count must be at least 1", file=sys.stderr)
+        return EXIT_CONFIG
     if args.max_n < 2:
         print("error: --max-n must be at least 2", file=sys.stderr)
         return EXIT_CONFIG
@@ -166,6 +169,9 @@ def _cmd_bench(args) -> int:
             return EXIT_CONFIG
         if min(sizes) < 2:
             print("error: --sizes needs vertex counts of at least 2", file=sys.stderr)
+            return EXIT_CONFIG
+        if len(set(sizes)) < len(sizes):
+            print("error: --sizes repeats a vertex count", file=sys.stderr)
             return EXIT_CONFIG
     result = bench.run_bench(sizes=sizes, seed=args.seed, delta=args.delta)
     sys.stdout.write(bench.to_csv(result))

@@ -1,7 +1,7 @@
 """Structural invariant checks of the sweeps ``simplify`` runs.
 
-``_engine.sweep_rows(..., strict=True)`` hands every sweep one of these
-checkers as its per-step observer, so they read the shipped sweep's own
+``verify --strict`` hands every sweep one of these checkers as its
+per-step observer (``simplify.sweep_rows``'s ``watch``), so they read its own
 state and raise ``InternalGeometryError`` on the first violation.  The
 disk sweep (``_disk``, L2) is checked for:
 

@@ -4,11 +4,10 @@ Everything here works on plain float pairs.  A "unit circle" of radius delta is
 a Euclidean disk for L2 and an axis-aligned square of side 2*delta for Linf.
 L1 is reduced to Linf by the exact change of coordinates (x, y) -> (x+y, y-x),
 under which the L1 ball becomes the Linf ball of the same radius, so the
-square kernel serves both.  ``_engine.sweep_rows`` sweeps disks with
-``_disk`` and squares with ``_square`` on every path, ``strict`` and the SVG
-frames included, and those sweeps need none of these primitives; the
-kernels serve only the generic engine, which the tests keep as a reference
-and the benchmark's tracer drives.
+square kernel serves both.  The package's sweeps, ``_disk`` for disks and
+``_square`` for squares, need none of the kernels: ``CircleKernel`` and
+``SquareKernel`` serve only the reference engine ``_engine``, which the
+tests and the benchmark's tracer run.
 
 Coordinates are double precision.  Coincidence decisions use the relative
 tolerance EPS_REL; there is no exact arithmetic.  Callers that need clean
@@ -73,10 +72,9 @@ def _wrap_angle(a: float) -> float:
 # Metric kernels: the few shape primitives the generic engine needs, one
 # namespace per unit-circle shape.  All take unpacked floats; hot paths avoid
 # tuples where cheap to do so.  ``tangent_points`` returning None is the one
-# test of "the apex lies in C_j".  The sweeps ``_engine.sweep_rows`` runs
+# test of "the apex lies in C_j".  The sweeps ``simplify.sweep_rows`` runs
 # (``_disk`` and ``_square``) need none of these: the kernels serve the
-# engine, which the tests keep as a reference and the benchmark's tracer
-# drives.
+# reference engine, which only the tests and the benchmark's tracer run.
 # ---------------------------------------------------------------------------
 
 _COINCIDENT = "coincident"

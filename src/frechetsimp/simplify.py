@@ -7,12 +7,14 @@ linear; a parent-pointer array reconstructs the optimal path.  The cubic
 baseline drives the same table from the greedy interval oracle and exists as
 the correctness and performance reference.
 
-The wavefront's target lists come from ``_engine.sweep_rows``, in process or
-in each pool worker; the SVG debug frames are not drawn here.
+The wavefront's target lists come from ``sweep_rows``, the one place that
+picks a sweep for a metric, in process or in each pool worker; the SVG debug
+frames are not drawn here.
 """
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -21,8 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from ._engine import CASES, SweepStats, sweep_rows
-from .geometry import Metric, lp_distance
+from .geometry import Metric, l1_to_linf, lp_distance
 
 __all__ = ["SimplificationResult", "Polyline", "preprocess", "simplify",
            "simplify_baseline", "nu_diagnostics", "link_distance_table",
@@ -33,8 +34,76 @@ ALGO_BASELINE = "baseline"
 _CHUNKS_PER_WORKER = 8      # pool chunks of start vertices per worker process
 
 
+# step case labels (TB/BT are provably unreachable and raise)
+CASES = ("PREFIX", "INIT", "WEDGE_EMPTY", "TT_EMPTY",
+         "TT", "TM", "MT", "MM", "MB", "BM", "BB")
+
+
 class InvalidInputError(ValueError):
     pass
+
+
+@dataclass
+class SweepStats:
+    """Counters and gauges of one sweep, or of many folded together."""
+
+    max_arc_count: int = 0
+    max_segment_count: int = 0
+    inserted: int = 0
+    removed: int = 0
+    steps: int = 0
+    aborts: int = 0
+    case_histogram: dict = field(default_factory=dict)
+
+    def fold(self, other: "SweepStats") -> None:
+        """Adds ``other`` in: gauges by max, counts by sum, the histogram by case."""
+        if other.max_arc_count > self.max_arc_count:
+            self.max_arc_count = other.max_arc_count
+        if other.max_segment_count > self.max_segment_count:
+            self.max_segment_count = other.max_segment_count
+        self.inserted += other.inserted
+        self.removed += other.removed
+        self.steps += other.steps
+        self.aborts += other.aborts
+        h = self.case_histogram
+        for case, k in other.case_histogram.items():
+            h[case] = h.get(case, 0) + k
+
+
+def sweep_rows(points: Sequence[Sequence[float]], metric: Metric, starts, delta: float,
+               watch=None):
+    """Yields (targets, ``SweepStats``) of the sweep from each start vertex i
+    of ``starts``, in order: the ascending j > i with a valid shortcut
+    <p_i, p_j> under ``metric``.
+
+    L2 runs the disk sweep of ``_disk``.  Linf runs the square sweep of
+    ``_square``, and L1 the same sweep on the image of the points under
+    (x, y) -> (x+y, y-x), which maps L1 balls onto Linf balls; sweeps report
+    vertex indices, so nothing maps back.  ``watch(X, Y, i, delta)``, if
+    given, makes the observer each sweep calls after every step on the
+    working coordinates X, Y.  A sweep that raises raises here when its turn
+    comes, and an unknown ``metric`` raises ValueError.
+    """
+    metric = Metric(metric)
+    # imported here: both sweeps import ``SweepStats`` from this module
+    if metric is Metric.L2:
+        from ._disk import _scalar
+    else:
+        from ._square import _scalar
+    if metric is Metric.L1:
+        points = l1_to_linf(points)
+    X = [float(p[0]) for p in points]
+    Y = [float(p[1]) for p in points]
+    delta = float(delta)
+    for i in starts:
+        yield _scalar(X, Y, i, delta, watch(X, Y, i, delta) if watch else None)
+
+
+def pool_size(workers: int) -> int:
+    """``workers`` capped at the CPUs this process may run on: a pool forks
+    all its workers at once, so more would only queue."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(workers, cpus or 1))
 
 
 @dataclass(frozen=True)
@@ -125,11 +194,13 @@ def link_distance_table(pts, delta: float, metric: Metric = Metric.L2,
     """Link-distance d and parent arrays over the (preprocessed) vertices, plus
     the stats of every sweep folded into one ``SweepStats``.
 
-    ``workers > 1`` lists the shortcuts in a process pool, unless the input
-    is too short to pay for it.
+    ``workers > 1`` lists the shortcuts in a process pool of at most
+    ``pool_size(workers)`` processes, unless the input is too short to pay
+    for it.
     """
     n = len(pts)
     total = SweepStats()
+    workers = pool_size(workers)
     if workers <= 1 or n < 64:
         lists = _target_lists(pts, delta, metric, algo, range(n - 2, -1, -1), total)
         d, parent = link_distances(n, lists)
@@ -176,9 +247,10 @@ def simplify(points, delta: float, metric: Metric = Metric.L2,
     equally short simplifications resolve to the smallest next index.
     ``metric`` is a ``Metric`` or its value ("l1", "l2" or "linf").
 
-    ``workers > 1`` sweeps chunks of start vertices in that many processes
-    and feeds their shortcut lists to the same table (same result; a chunk's
-    lists are held until the table reaches them).
+    ``workers > 1`` sweeps chunks of start vertices in that many processes,
+    at most one per CPU this process may use (``pool_size``), and feeds
+    their shortcut lists to the same table (same result; a chunk's lists are
+    held until the table reaches them).
     """
     if algo not in (ALGO_WAVEFRONT, ALGO_BASELINE):
         raise InvalidInputError(f"unknown algorithm {algo!r}")
@@ -210,7 +282,7 @@ def simplify(points, delta: float, metric: Metric = Metric.L2,
              "arcs_inserted": total.inserted,
              "arcs_removed": total.removed}
     if workers > 1:
-        stats["parallel_workers"] = workers
+        stats["parallel_workers"] = pool_size(workers)
     stats["wall_ms_per_phase"] = {
         "shortcuts_and_table_ms": (t1 - t0) * 1e3,
         "path_extraction_ms": (t2 - t1) * 1e3,

@@ -1,6 +1,6 @@
 """SVG rendering of sweep states for debugging.
 
-``draw_frames`` runs the sweep ``simplify`` runs (``_engine.sweep_rows``)
+``draw_frames`` runs the sweep ``simplify`` runs (``simplify.sweep_rows``)
 and renders one frame per step from that sweep's own state.  A disk frame
 (L2) holds the wedge rays as <line>, each wavefront arc as one <path>
 sampled about its centre, the circle being processed as a <path> and the
@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ._engine import sweep_rows
 from .geometry import Metric
+from .simplify import sweep_rows
 
 _ARC_SAMPLES = 24
 _CIRCLE_SAMPLES = 64

@@ -18,9 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from ._engine import SweepStats, sweep_rows
 from .geometry import InternalGeometryError, Metric
-from .simplify import link_distances
+from .simplify import SweepStats, link_distances, pool_size, sweep_rows
 
 DEFAULT_METRICS = (Metric.L2, Metric.L1, Metric.LINF)
 COORD_RANGE = 10.0        # uniform and cluster styles draw coordinates in [0, COORD_RANGE)
@@ -38,7 +37,7 @@ class VerifyConfig:
     metrics: tuple[Metric, ...] = DEFAULT_METRICS
     seed: int = 0
     strict: bool = False          # attach the invariant checker to every sweep
-    workers: int = 1
+    workers: int = 1              # capped at the usable CPUs (``simplify.pool_size``)
     style: str = "uniform"        # uniform | walk | cluster
 
 
@@ -172,11 +171,18 @@ def random_instance(cfg: VerifyConfig, idx: int):
 def _sweep_sets(pts_list, delta: float, metric: Metric, strict: bool):
     """Wavefront shortcut targets per start vertex, plus the sweeps' folded stats.
 
-    ``strict`` attaches the invariant checker to every sweep (``sweep_rows``)."""
+    ``strict`` makes ``diagnostics``' checker of the sweep's own state the
+    observer of every sweep."""
+    watch = None
+    if strict:
+        # imported on first use, as ``sweep_rows`` imports the sweeps, so
+        # that importing the package loads neither
+        from .diagnostics import DiskChecker, SquareChecker
+        watch = DiskChecker if Metric(metric) is Metric.L2 else SquareChecker
     sets = []
     total = SweepStats()
     for targets, stats in sweep_rows(pts_list, metric, range(len(pts_list) - 1), delta,
-                                     strict):
+                                     watch):
         sets.append(targets)
         total.fold(stats)
     return sets, total
@@ -250,13 +256,14 @@ def _run_range(args):
 def run_verify(cfg: VerifyConfig) -> VerifyReport:
     t0 = time.perf_counter()
     report = VerifyReport()
-    if cfg.workers <= 1:
+    workers = pool_size(cfg.workers)
+    if workers <= 1:
         parts = [_run_range((cfg, 0, cfg.count))]
     else:
-        chunk = max(1, cfg.count // (cfg.workers * 8))
+        chunk = max(1, cfg.count // (workers * 8))
         ranges = [(cfg, lo, min(lo + chunk, cfg.count))
                   for lo in range(0, cfg.count, chunk)]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(_run_range, ranges))
     for p in parts:
         report.checked += p.checked

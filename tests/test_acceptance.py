@@ -18,9 +18,9 @@ import pytest
 
 from frechetsimp import bench as bench_mod, shortcuts
 from frechetsimp.geometry import Metric
-from frechetsimp._engine import sweep_rows
 from frechetsimp.oracle import shortcut_is_valid, shortcut_matrix_dense
-from frechetsimp.simplify import nu_diagnostics, preprocess, simplify, simplify_baseline
+from frechetsimp.simplify import (nu_diagnostics, preprocess, simplify, simplify_baseline,
+                                  sweep_rows)
 from frechetsimp.verify import VerifyConfig, check_instance, run_verify
 
 METRICS = (Metric.L2, Metric.L1, Metric.LINF)

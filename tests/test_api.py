@@ -144,6 +144,20 @@ def _names(tree):
 
 def _callers(tree, name):
     """Names of the functions whose bodies call ``name`` (None: module level)."""
+    return _where(tree, lambda node: isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name))
+
+
+def _users(tree, name):
+    """Names of the functions whose bodies name ``name`` as a variable, an
+    attribute or an import (None: module level)."""
+    return _where(tree, lambda node: name in (
+        getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)))
+
+
+def _where(tree, hit):
+    """Names of the functions whose bodies hold a node ``hit`` accepts
+    (None: module level); a definition's own name is not in its body."""
     found = set()
 
     def visit(node, where):
@@ -151,24 +165,44 @@ def _callers(tree, name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
-                    found.add(where)
+            if hit(child):
+                found.add(where)
             visit(child, where)
 
     visit(tree, None)
     return found
 
 
+def _imported(tree):
+    """The package modules a module imports, by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            mod = node.module or ""
+            if node.level or mod.split(".")[0] == "frechetsimp":
+                mod = mod.removeprefix("frechetsimp").lstrip(".")
+                yield from [mod] if mod else (a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("frechetsimp."):
+                    yield a.name.split(".", 1)[1]
+
+
 def test_one_place_picks_the_sweep():
     modules = dict(_modules())
-    callers = {(mod, fn) for mod, tree in modules.items() for fn in _callers(tree, "prepare")}
-    assert callers == {("_engine", "sweep_rows")}
+    # the engine is a leaf: the package's paths run the two sweeps alone
+    assert {mod for mod, tree in modules.items() if "_engine" in _imported(tree)} == set()
+    # and sweep_rows alone runs them
+    sweeps = {(mod, fn) for mod, tree in modules.items() for fn in _callers(tree, "_scalar")}
+    assert sweeps == {("simplify", "sweep_rows")}
+    named = {(mod, fn) for mod, tree in modules.items() if mod not in ("_disk", "_square")
+             for fn in _users(tree, "_scalar")}
+    assert named == {("simplify", "sweep_rows")}
     for mod, tree in modules.items():
         names = set(_names(tree))
+        assert not any(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and node.name == "prepare" for node in ast.walk(tree)), mod
         assert "svg_sink" not in names, mod
         if mod != "_engine":
             assert not names & {"Sweep", "InvariantChecker"}, mod
-        if mod in ("simplify", "verify", "cli", "__init__"):
+        if mod not in ("geometry", "_engine"):
             assert not names & {"CircleKernel", "SquareKernel"}, mod

@@ -245,6 +245,13 @@ class TestVerifyCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_count_below_one_exits_2(self, count, capsys):
+        # "checked": 0 with exit 0 would read as a pass
+        assert cli.main(["verify", "--count", count, "--max-n", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("delta", ["inf", "nan"])
     def test_non_finite_delta_exits_2(self, delta):
         with pytest.raises(SystemExit) as exc:
@@ -302,6 +309,12 @@ class TestBenchCommand:
 
     def test_sizes_below_two_exit_2(self, capsys):
         assert cli.main(["bench", "--sizes", "1,2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_repeated_size_exits_2(self, capsys):
+        # a repeated size has no doubling ratio and fits no exponent
+        assert cli.main(["bench", "--sizes", "3,3"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 

@@ -5,8 +5,8 @@ import inspect
 import numpy as np
 
 from frechetsimp import _disk, oracle
-from frechetsimp._engine import sweep_rows
 from frechetsimp.geometry import Metric
+from frechetsimp.simplify import sweep_rows
 
 
 def test_the_disk_sweep_takes_no_angle():

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from frechetsimp import shortcuts
-from frechetsimp._engine import Sweep, prepare, sweep_rows, sweep_targets
+from frechetsimp._engine import Sweep, sweep_targets
 from frechetsimp.geometry import Metric, SquareKernel
 from frechetsimp.oracle import shortcut_is_valid
+from frechetsimp.simplify import sweep_rows
 from frechetsimp.verify import VerifyConfig, random_instance
 
 from oracles import rasterize_valid_region, square_wave_path
+from reference import engine_input
 
 SQ = (Metric.L1, Metric.LINF)
 
@@ -17,7 +19,7 @@ SQ = (Metric.L1, Metric.LINF)
 def budgeted_shortcuts(pts, i, delta, metric):
     """``shortcuts``, checked against a sweep that kept the two-segment budget."""
     got = shortcuts(pts, i, delta, metric)
-    work, kern = prepare(pts, metric)
+    work, kern = engine_input(pts, metric)
     targets, sw = sweep_targets(work, i, delta, kern)
     assert targets == got
     assert sw.stats.max_segment_count <= 2
@@ -127,7 +129,7 @@ class TestSegmentBudget:
         worst = 0
         for idx in range(120):
             pts, delta, _ = random_instance(cfg, idx)
-            work, kern = prepare([tuple(p) for p in pts], metric)
+            work, kern = engine_input([tuple(p) for p in pts], metric)
             for i in range(len(work) - 1):
                 _, sw = sweep_targets(work, i, delta, kern)
                 worst = max(worst, sw.stats.max_segment_count)
@@ -143,7 +145,7 @@ class TestSegmentBudget:
         for idx in range(cfg.count):
             pts, delta, _ = random_instance(cfg, idx)
             pts = [tuple(p) for p in pts]
-            work, kern = prepare(pts, metric)
+            work, kern = engine_input(pts, metric)
             starts = range(len(work) - 1)
             long_walks += len(starts) >= 48
             for i, (targets, _) in zip(starts, sweep_rows(pts, metric, starts, delta)):
@@ -183,7 +185,7 @@ def _gauge_corpus():
 def test_segment_gauge_matches_wave_path_after_every_step(metric):
     seen = {"arcs": 0, "two": 0, "corner_end": 0}
     for pts, delta in _gauge_corpus():
-        work, _ = prepare(pts, metric)
+        work, _ = engine_input(pts, metric)
         for i in range(len(work) - 1):
             sw = Sweep(work, i, delta, SquareKernel)
             for j in range(i + 1, len(work)):
@@ -229,7 +231,7 @@ def test_rect_wavefront_segments_are_orthogonal():
     # orthogonal in the working plane are orthogonal in the input plane too
     L = [(0.0, 0.0), (2.0, 3.0), (2.0, 8.0)]
     for metric in SQ:
-        work, kern = prepare(L, metric)
+        work, kern = engine_input(L, metric)
         sw = Sweep(work, 0, 1.0, kern)
         sw.step(1)
         wave = wave_points(sw)

@@ -1,18 +1,25 @@
+import importlib
 import math
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frechetsimp import verify as verify_mod
 from frechetsimp.geometry import Metric
 from frechetsimp.oracle import shortcut_is_valid
 from frechetsimp.simplify import (InvalidInputError, link_distance_table,
                                   link_distances, nu_diagnostics, preprocess,
                                   simplify, simplify_baseline)
-from frechetsimp.verify import VerifyConfig, random_instance
+from frechetsimp.verify import VerifyConfig, random_instance, run_verify
 
 from oracles import min_nu_bruteforce
 from walks import stop_and_go
+
+# the package's ``simplify`` attribute is the function, not the module
+simplify_mod = importlib.import_module("frechetsimp.simplify")
 
 METRICS = (Metric.L2, Metric.L1, Metric.LINF)
 
@@ -196,6 +203,55 @@ class TestOptimalityProperties:
             del res.stats["wall_ms_per_phase"]
         assert par.stats == seq.stats
         assert seq.stats["max_wavefront_size"] > 0 and seq.stats["sweep_aborts"] > 0
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Three CPUs usable by this process, and every pool a stand-in that
+    starts no process: it runs each call at once and records its size and
+    its call count.  Yields the stand-ins made."""
+    pools = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.calls = 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            self.calls += 1
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+        def map(self, fn, items):
+            return [self.submit(fn, item).result() for item in items]
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(simplify_mod, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", Pool)
+    return pools
+
+
+def test_pools_are_capped_at_the_usable_cpus(three_cpus):
+    # a pool forks all its workers at the first call, so an uncapped count
+    # of 5000 would fork 5000 processes
+    pts = stop_and_go(120, 3)
+    res = simplify(pts, 1.0, workers=5000)
+    assert [p.max_workers for p in three_cpus] == [3]
+    assert three_cpus[0].calls == 24            # eight chunks per worker
+    assert res.stats["parallel_workers"] == 3
+    assert res.indices == simplify(pts, 1.0).indices
+    rep = run_verify(VerifyConfig(count=48, max_n=6, seed=5, workers=5000))
+    assert [p.max_workers for p in three_cpus] == [3, 3]
+    assert three_cpus[1].calls == 24
+    assert rep.ok and rep.checked == 3 * 48
 
 
 class TestNuDiagnostics:

@@ -4,8 +4,8 @@ On the generic pinned inputs the square sweep must agree with the generic
 engine sweep by sweep (targets, steps, aborts, both gauges, and the PREFIX
 and INIT counts) and so reproduce the engine's pins; on inputs full of ties,
 where the engine raises, its targets must be the oracle's.
-``_engine.sweep_rows`` must hand squares to the square sweep, with or
-without ``strict``.
+``simplify.sweep_rows`` must hand squares to the square sweep, with or
+without the invariant checker.
 """
 import hashlib
 
@@ -13,17 +13,20 @@ import numpy as np
 import pytest
 
 from frechetsimp import _square, oracle
-from frechetsimp._engine import prepare, sweep_rows, sweep_targets
+from frechetsimp._engine import sweep_targets
+from frechetsimp.diagnostics import SquareChecker
 from frechetsimp.geometry import Metric
+from frechetsimp.simplify import sweep_rows
 from frechetsimp.verify import VerifyConfig, random_instance
 
+from reference import engine_input
 from test_sweep_pin import INPUTS, PINNED, TIE_INPUTS
 
 SQUARES = [Metric.LINF, Metric.L1]
 
 
 def _work(pts, metric):
-    work, _ = prepare(pts, metric)
+    work, _ = engine_input(pts, metric)
     return [p[0] for p in work], [p[1] for p in work]
 
 
@@ -37,12 +40,12 @@ def _outcome(res):
 def test_sweep_rows_routes_squares(metric):
     make, delta = INPUTS["stopgo-a"]
     pts = make()
-    work, _ = prepare(pts, metric)
-    starts = range(len(work) - 1)
-    square = [_outcome(r) for r in _square.square_sweeps(work, starts, delta)]
+    X, Y = _work(pts, metric)
+    starts = range(len(X) - 1)
+    square = [_outcome(_square._scalar(X, Y, i, delta)) for i in starts]
     assert [_outcome(r) for r in sweep_rows(pts, metric, starts, delta)] == square
-    # strict attaches the invariant checker to the same square sweep
-    checked = [_outcome(r) for r in sweep_rows(pts, metric, starts, delta, strict=True)]
+    # the invariant checker watches the same square sweep
+    checked = [_outcome(r) for r in sweep_rows(pts, metric, starts, delta, watch=SquareChecker)]
     assert checked == square
 
 
@@ -51,11 +54,11 @@ def test_sweep_rows_routes_squares(metric):
 def test_square_sweep_matches_the_engine_and_its_pins(name, metric):
     make, delta = INPUTS[name]
     pts = make()
-    work, kern = prepare(pts, metric)
+    work, kern = engine_input(pts, metric)
     digest = hashlib.sha256()
     steps = aborts = max_arcs = max_segs = 0
     starts = range(len(work) - 1)
-    for i, (targets, st) in zip(starts, _square.square_sweeps(work, starts, delta)):
+    for i, (targets, st) in zip(starts, sweep_rows(pts, metric, starts, delta)):
         want, sw = sweep_targets(work, i, delta, kern)
         e = sw.stats
         assert targets == want, i

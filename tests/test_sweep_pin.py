@@ -4,7 +4,7 @@ The engine's hot path is tuned for speed without changing a single floating
 point decision, so every sweep here must reproduce the recorded digest of its
 per-start target lists, its summed case histogram and its gauges exactly.
 A change that moves any of these values changed the sweep's arithmetic.
-The disk sweep (``_disk``), which ``_engine.sweep_rows`` runs for L2, must
+The disk sweep (``_disk``), which ``simplify.sweep_rows`` runs for L2, must
 reproduce the L2 pins too, and match the per-start engine in every target
 and counter on generic inputs; squares take the square sweep there, which
 ``test_square`` checks against the same pins.
@@ -16,10 +16,13 @@ import numpy as np
 import pytest
 
 from frechetsimp import oracle, svgdebug
-from frechetsimp._engine import CASES, VALID, Sweep, prepare, sweep_rows, sweep_targets
+from frechetsimp._engine import CASES, VALID, Sweep, sweep_targets
+from frechetsimp.diagnostics import DiskChecker, SquareChecker
 from frechetsimp.geometry import CircleKernel, Metric
 from frechetsimp.oracle import shortcut_is_valid
+from frechetsimp.simplify import sweep_rows
 
+from reference import engine_input
 from walks import drift_walk, lattice_walk, quantized, stop_and_go
 
 
@@ -62,7 +65,7 @@ def sweep_summary(pts, delta, metric, rows=False):
     A sweep that raises adds its start vertex and exception type to the
     digest instead of its targets, and nothing to the stats.
     """
-    work, kern = prepare(pts, metric)
+    work, kern = engine_input(pts, metric)
     digest = hashlib.sha256()
     hist = {}
     max_arcs = max_segs = aborts = 0
@@ -238,17 +241,18 @@ def _state(res):
 @pytest.mark.parametrize("name", ["stopgo-b", "stopgo-q", "lattice-b"])
 def test_sweep_targets_matches_the_stepwise_api(name, metric, checked):
     """plain: the engine's ``sweep_targets`` equals its stepwise API, which
-    the benchmark's tracer drives.  checker: ``sweep_rows(..., strict=True)``,
-    whose invariant checker watches the sweep ``sweep_rows`` picks, yields
-    the plain rows and raises nowhere."""
+    the benchmark's tracer drives.  checker: ``sweep_rows`` with the
+    invariant checker of the sweep it picks as ``watch`` yields the plain
+    rows and raises nowhere."""
     make, delta = {**INPUTS, **TIE_INPUTS}[name]
     pts = make()[:50] if checked else make()
-    work, kern = prepare(pts, metric)
+    work, kern = engine_input(pts, metric)
     starts = range(len(work) - 1)
     if checked:
+        checker = DiskChecker if metric is Metric.L2 else SquareChecker
         rows = [[(t, dataclasses.asdict(st))
-                 for t, st in sweep_rows(pts, metric, starts, delta, strict=strict)]
-                for strict in (False, True)]
+                 for t, st in sweep_rows(pts, metric, starts, delta, watch=watch)]
+                for watch in (None, checker)]
         assert rows[1] == rows[0]
         return
     raised = 0
@@ -336,14 +340,14 @@ TIED = ("quantized", "lattice")
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
 @pytest.mark.parametrize("name", sorted(DIFF_INPUTS))
 def test_batched_sweeps_match_the_per_start_loop(name, metric, monkeypatch):
-    """``sweep_rows`` never steps the engine, with or without ``strict``,
-    and neither do the SVG frames.  Under L2
+    """``sweep_rows`` never steps the engine, with or without the invariant
+    checker, and neither do the SVG frames.  Under L2
     its disk sweep equals the per-start engine in targets and every
     ``SweepStats`` field on generic inputs, and the oracle's rows on tied
     ones, where the two sweeps may split a tie differently."""
     make, delta, order = DIFF_INPUTS[name]
     pts = make()
-    work, kern = prepare(pts, metric)
+    work, kern = engine_input(pts, metric)
     starts = list(range(len(work) - 1))
     if order == "descending":           # simplify's order; verify and stats ascend
         starts.reverse()
@@ -358,7 +362,8 @@ def test_batched_sweeps_match_the_per_start_loop(name, metric, monkeypatch):
         return step(sw, j)
     monkeypatch.setattr(Sweep, "_step", counted)
     rows = list(sweep_rows(pts, metric, starts, delta))
-    assert list(sweep_rows(pts, metric, starts[:5], delta, strict=True)) == rows[:5]
+    checker = DiskChecker if metric is Metric.L2 else SquareChecker
+    assert list(sweep_rows(pts, metric, starts[:5], delta, watch=checker)) == rows[:5]
     svgdebug.draw_frames(pts, metric, starts[:5], delta, lambda i, j, svg: None)
     assert engine_steps == 0
     assert len(rows) == len(starts)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from frechetsimp import _disk, _square, shortcuts, svgdebug
-from frechetsimp._engine import (BELOW, OUTSIDE, VALID, Sweep, SweepAbortedError, sweep_rows,
-                                 sweep_targets)
+from frechetsimp._engine import BELOW, OUTSIDE, VALID, Sweep, SweepAbortedError, sweep_targets
 from frechetsimp.diagnostics import DiskChecker, SquareChecker
 from frechetsimp.geometry import CircleKernel, InternalGeometryError, Metric
 from frechetsimp.oracle import shortcut_is_valid
+from frechetsimp.simplify import sweep_rows
 from frechetsimp.verify import VerifyConfig, check_instance, random_instance
 
 from oracles import rasterize_valid_region
@@ -266,9 +266,10 @@ class TestStrictInvariants:
             pts, delta = _tie_instance(rng)
             starts = range(len(pts) - 1)
             for metric in (Metric.L2, Metric.LINF, Metric.L1):
+                checker = DiskChecker if metric is Metric.L2 else SquareChecker
                 rows = [[(t, dataclasses.asdict(st))
-                         for t, st in sweep_rows(pts, metric, starts, delta, strict=strict)]
-                        for strict in (False, True)]
+                         for t, st in sweep_rows(pts, metric, starts, delta, watch=watch)]
+                        for watch in (None, checker)]
                 assert rows[1] == rows[0], (pts, delta, metric)
 
 
