@@ -35,17 +35,26 @@ takes an angle, a square root or a tolerance.
 Stats (``simplify.SweepStats``): ``steps`` counts the squares the sweep
 visits, the one that ends it included, and ``aborts`` is 1 for a sweep that
 ends early; PREFIX labels a step whose square holds the apex while every
-square before did too, and INIT the first step whose square does not.  The wavefront, the near boundary of the valid
-region, is the face X (or Y) of a live cone wherever it is the binding near
-bound: ``max_segment_count`` gauges the distinct faces of X+, X-, Y+, Y- it
-shows, and ``max_arc_count`` the distinct squares owning them (a face is
-owned by the first square that set its extreme).  The other labels are the
-sweep's own: BB for a step whose square sets a face extreme (the wavefront
-moves onto it, on all or part of the cones), MM for a step that only narrows
-the cones, and WEDGE_EMPTY for the step that empties the last cone.  No arc
-is spliced, so ``inserted`` and ``removed`` stay 0.  On generic inputs the
-targets, steps, aborts, both gauges and the PREFIX and INIT counts are the
-ones the tests' reference engine (``_engine``) finds.
+square before did too, and INIT the first step whose square does not.  The
+wavefront, the near boundary of the valid region, is the face X (or Y) of a
+live cone wherever it is the binding near bound: ``max_segment_count``
+gauges the distinct faces of X+, X-, Y+, Y- it shows, and ``max_arc_count``
+the distinct squares owning them (a face is owned by the first square that
+set its extreme).  The other labels are the sweep's own: BB for a step whose
+square sets a face extreme (the wavefront moves onto it, on all or part of
+the cones), MM for a step that only narrows the cones, and WEDGE_EMPTY for
+the step that empties the last cone.  No arc is spliced, so ``inserted`` and
+``removed`` stay 0.  On generic inputs the targets, steps, aborts, both
+gauges and the PREFIX and INIT counts are the ones the tests' reference
+engine (``_engine``) finds.
+
+The gauges are read after each INIT, BB and MM step, but only while
+``max_arc_count`` lies below the cap min(4, 2 x live cones).  Skipping them
+from there on is exact: each live cone shows at most its own X and Y
+faces, so no step shows more faces, or faces of more squares, than the
+cap; cones never revive, so the cap never rises; and a face count is never
+below its owner count, so ``max_segment_count`` has reached the cap too.
+Where two faces are shown, their owners are counted by one comparison.
 
 ``simplify.sweep_rows`` runs this sweep for Linf, and for L1 on the Linf
 image of the points; ``verify --strict`` passes ``diagnostics.SquareChecker``
@@ -59,7 +68,9 @@ from typing import Sequence
 from .simplify import SweepStats
 
 _INF = math.inf
-_POP = tuple(bin(m).count("1") for m in range(16))      # faces shown, by bit mask
+# faces shown (0..3: X+, X-, Y+, Y-) and their count, by bit mask
+_FACES = tuple(tuple(f for f in range(4) if m >> f & 1) for m in range(16))
+_POP = tuple(map(len, _FACES))
 
 
 def _stats(steps, prefix, started, aborted, moved, segs, arcs) -> SweepStats:
@@ -92,10 +103,12 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=
     xm = ym = _INF         # X-, Y-
     owner = [-1, -1, -1, -1]   # squares owning X+, X-, Y+, Y-
     # the live cones [q, rx, ry, lx, ly], quadrant q = a + 2b with a = 0 for
-    # s_x = +1 and b = 0 for s_y = +1; ``slot[q]`` is quadrant q's or None
+    # s_x = +1 and b = 0 for s_y = +1; ``slot[q]`` is quadrant q's or None,
+    # and ``cones`` is rebuilt from it only when a cone dies
     cones = slot = None
     targets = []
-    steps = prefix = moved = segs = arcs = 0
+    prefix = moved = segs = arcs = 0
+    cap = 0                # min(4, 2 x live cones): the most faces they can show
     aborted = False
     for j in range(i + 1, len(X)):
         x = X[j] - ax
@@ -119,7 +132,6 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=
             if (c is not None and xn <= mx and yn <= my
                     and c[1] * my >= c[2] * mx and mx * c[4] >= my * c[3]):
                 targets.append(j)
-        steps += 1
         ex = x - d
         fx = x + d
         ey = y - d
@@ -149,9 +161,11 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=
                 continue
             slot = [[q, 1.0, 0.0, 0.0, 1.0] for q in range(4)]
             cones = list(slot)
+            cap = 4
             step_moved = False      # INIT is counted apart
-        live = []
+        gauge = arcs < cap
         shown = 0
+        died = False
         for c in cones:
             q = c[0]
             if q & 1:
@@ -168,6 +182,7 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=
                 yf = fy
             if xf < 0.0 or yf < 0.0:
                 slot[q] = None
+                died = True
                 continue
             rx, ry, lx, ly = c[1], c[2], c[3], c[4]
             if xn > xf:             # no matching with u_x > 0
@@ -184,34 +199,44 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=
                 ry = yn
             if rx * ly < ry * lx:
                 slot[q] = None
+                died = True
                 continue
             c[1] = rx
             c[2] = ry
             c[3] = lx
             c[4] = ly
-            live.append(c)
-            # the faces this cone's wavefront shows: X where it binds
-            # toward l, Y where it binds toward r
-            if xn > 0.0 and (yn <= 0.0 or ly * xn > lx * yn):
-                shown |= 1 << (q & 1)
-            if yn > 0.0 and (xn <= 0.0 or ry * xn < rx * yn):
-                shown |= 4 << (q >> 1)
-        cones = live
-        if not live:
-            aborted = True
-            if watch is not None:
-                watch(j, "WEDGE_EMPTY", (xp, xm, yp, ym), live)
-            break
+            if gauge:
+                # the faces this cone's wavefront shows: X where it binds
+                # toward l, Y where it binds toward r
+                if xn > 0.0 and (yn <= 0.0 or ly * xn > lx * yn):
+                    shown |= 1 << (q & 1)
+                if yn > 0.0 and (xn <= 0.0 or ry * xn < rx * yn):
+                    shown |= 4 << (q >> 1)
+        if died:
+            cones = list(filter(None, slot))
+            if not cones:
+                aborted = True
+                if watch is not None:
+                    watch(j, "WEDGE_EMPTY", (xp, xm, yp, ym), cones)
+                break
+            if len(cones) == 1:
+                cap = 2
         if watch is not None:
             watch(j, "INIT" if j == i + 1 + prefix else "BB" if step_moved else "MM",
-                  (xp, xm, yp, ym), live)
+                  (xp, xm, yp, ym), cones)
         moved += step_moved
-        k = _POP[shown]
-        if k > segs:
-            segs = k
-        if k > arcs:
-            k = len({owner[f] for f in range(4) if shown >> f & 1})
+        if gauge:
+            k = _POP[shown]
+            if k > segs:
+                segs = k
             if k > arcs:
-                arcs = k
+                # the distinct squares owning the shown faces
+                f = _FACES[shown]
+                if k == 2:
+                    k = 1 + (owner[f[0]] != owner[f[1]])
+                elif k > 2:
+                    k = len({owner[g] for g in f})
+                if k > arcs:
+                    arcs = k
+    steps = j - i if aborted else len(X) - 1 - i     # the squares visited
     return targets, _stats(steps, prefix, cones is not None, aborted, moved, segs, arcs)
-

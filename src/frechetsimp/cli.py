@@ -2,11 +2,13 @@
 
 Subcommands: simplify | verify | bench | stats.  Reports are JSON or CSV on
 stdout and are byte-stable for a fixed (input, config, seed), except for
-measured wall-clock fields.  Exit codes: 0 success, 1 input parse error,
-2 invalid configuration, 3 verification mismatch, 4 internal geometry error
-(a sweep met a configuration it cannot decide).  ``simplify
---svg-debug-dir`` draws its frames after the simplification, in a pass of
-their own (``svgdebug.draw_frames``).
+measured wall-clock fields.  Exit codes: 0 success, 1 input or output file
+error (a parse error, or a file or directory that cannot be read or
+written), 2 invalid configuration, 3 verification mismatch (also where its
+counterexample cannot be written), 4 internal geometry error (a sweep met a
+configuration it cannot decide).  ``simplify --svg-debug-dir`` draws its
+frames after the simplification, in a pass of their own
+(``svgdebug.draw_frames``).
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .simplify import (InvalidInputError, SweepStats, nu_diagnostics, preprocess
 from .verify import InstanceError, VerifyConfig, run_verify
 
 EXIT_OK = 0
-EXIT_PARSE = 1
+EXIT_FILE = 1
 EXIT_CONFIG = 2
 EXIT_MISMATCH = 3
 EXIT_GEOMETRY = 4
@@ -43,6 +45,11 @@ def _positive(value: str) -> float:
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError("must be finite")
     return x
+
+
+def _error(message, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,20 +100,21 @@ def _cmd_simplify(args) -> int:
     try:
         points = polyio.load_polyline(args.input)
     except (OSError, polyio.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(exc, EXIT_FILE)
     t0 = time.perf_counter()
     try:
         res = simplify(points, args.delta, args.metric, args.algo, workers=max(1, args.threads))
     except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _error(exc, EXIT_CONFIG)
     millis = (time.perf_counter() - t0) * 1e3
-    if args.svg_debug_dir:
-        poly = preprocess(points)
-        svgdebug.draw_frames(poly.vertices, args.metric, range(poly.n - 1), args.delta,
-                             svgdebug.file_sink(args.svg_debug_dir))
-    polyio.save_polyline(args.output, [points[k] for k in res.indices])
+    try:
+        if args.svg_debug_dir:
+            poly = preprocess(points)
+            svgdebug.draw_frames(poly.vertices, args.metric, range(poly.n - 1), args.delta,
+                                 svgdebug.file_sink(args.svg_debug_dir))
+        polyio.save_polyline(args.output, [points[k] for k in res.indices])
+    except OSError as exc:
+        return _error(exc, EXIT_FILE)
     summary = {
         "n": len(points),
         "kept": len(res.indices),
@@ -120,11 +128,9 @@ def _cmd_simplify(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.count < 1:
-        print("error: --count must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
+        return _error("--count must be at least 1", EXIT_CONFIG)
     if args.max_n < 2:
-        print("error: --max-n must be at least 2", file=sys.stderr)
-        return EXIT_CONFIG
+        return _error("--max-n must be at least 2", EXIT_CONFIG)
     metrics = (args.metric,) if args.metric else (Metric.L2, Metric.L1, Metric.LINF)
     delta_range = (args.delta, args.delta) if args.delta else (0.1, 3.0)
     cfg = VerifyConfig(count=args.count, max_n=args.max_n, delta_range=delta_range,
@@ -133,8 +139,7 @@ def _cmd_verify(args) -> int:
     try:
         rep = run_verify(cfg)
     except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _error(exc, EXIT_CONFIG)
     summary = {
         "checked": rep.checked,
         "mismatches": len(rep.mismatches),
@@ -148,11 +153,14 @@ def _cmd_verify(args) -> int:
         first = rep.mismatches[0]
         csv_path = f"{args.dump_prefix}.csv"
         diff_path = f"{args.dump_prefix}.txt"
-        polyio.save_polyline(csv_path, first["points"])
-        with open(diff_path, "w") as fh:
-            fh.write(json.dumps({k: v for k, v in first.items() if k != "points"},
-                                sort_keys=True, default=str, indent=2))
-            fh.write("\n")
+        try:
+            polyio.save_polyline(csv_path, first["points"])
+            with open(diff_path, "w") as fh:
+                fh.write(json.dumps({k: v for k, v in first.items() if k != "points"},
+                                    sort_keys=True, default=str, indent=2))
+                fh.write("\n")
+        except OSError as exc:
+            return _error(f"cannot write the first counterexample: {exc}", EXIT_MISMATCH)
         print(f"first counterexample written to {csv_path} and {diff_path}",
               file=sys.stderr)
         return EXIT_MISMATCH
@@ -165,14 +173,11 @@ def _cmd_bench(args) -> int:
         try:
             sizes = tuple(int(s) for s in args.sizes.split(","))
         except ValueError:
-            print("error: --sizes expects comma-separated integers", file=sys.stderr)
-            return EXIT_CONFIG
+            return _error("--sizes expects comma-separated integers", EXIT_CONFIG)
         if min(sizes) < 2:
-            print("error: --sizes needs vertex counts of at least 2", file=sys.stderr)
-            return EXIT_CONFIG
+            return _error("--sizes needs vertex counts of at least 2", EXIT_CONFIG)
         if len(set(sizes)) < len(sizes):
-            print("error: --sizes repeats a vertex count", file=sys.stderr)
-            return EXIT_CONFIG
+            return _error("--sizes repeats a vertex count", EXIT_CONFIG)
     result = bench.run_bench(sizes=sizes, seed=args.seed, delta=args.delta)
     sys.stdout.write(bench.to_csv(result))
     return EXIT_OK
@@ -182,13 +187,11 @@ def _cmd_stats(args) -> int:
     try:
         points = polyio.load_polyline(args.input)
     except (OSError, polyio.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(exc, EXIT_FILE)
     try:
         poly = preprocess(points)
     except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _error(exc, EXIT_CONFIG)
     diag = nu_diagnostics(points, args.delta, args.metric)
     per_start = []
     total = SweepStats()
@@ -214,8 +217,7 @@ def main(argv=None) -> int:
     try:
         return run(args)
     except InternalGeometryError as exc:
-        print(f"error: internal geometry error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
+        return _error(f"internal geometry error: {exc}", EXIT_GEOMETRY)
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ __all__ = ["SimplificationResult", "Polyline", "preprocess", "simplify",
 ALGO_WAVEFRONT = "wavefront"
 ALGO_BASELINE = "baseline"
 _CHUNKS_PER_WORKER = 8      # pool chunks of start vertices per worker process
+_POOL_MIN_VERTICES = 64     # shorter inputs sweep in process whatever ``workers`` says
 
 
 # step case labels (TB/BT are provably unreachable and raise)
@@ -104,6 +105,12 @@ def pool_size(workers: int) -> int:
     all its workers at once, so more would only queue."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(workers, cpus or 1))
+
+
+def _sweep_processes(n: int, workers: int) -> int:
+    """The processes ``link_distance_table`` sweeps n vertices in: 1 where
+    the input is too short to pay for a pool."""
+    return 1 if n < _POOL_MIN_VERTICES else pool_size(workers)
 
 
 @dataclass(frozen=True)
@@ -200,8 +207,8 @@ def link_distance_table(pts, delta: float, metric: Metric = Metric.L2,
     """
     n = len(pts)
     total = SweepStats()
-    workers = pool_size(workers)
-    if workers <= 1 or n < 64:
+    workers = _sweep_processes(n, workers)
+    if workers == 1:
         lists = _target_lists(pts, delta, metric, algo, range(n - 2, -1, -1), total)
         d, parent = link_distances(n, lists)
         return d, parent, total
@@ -250,7 +257,9 @@ def simplify(points, delta: float, metric: Metric = Metric.L2,
     ``workers > 1`` sweeps chunks of start vertices in that many processes,
     at most one per CPU this process may use (``pool_size``), and feeds
     their shortcut lists to the same table (same result; a chunk's lists are
-    held until the table reaches them).
+    held until the table reaches them).  Its ``stats["parallel_workers"]``
+    counts the processes that swept: 1 where the input has too few vertices
+    to pay for a pool.
     """
     if algo not in (ALGO_WAVEFRONT, ALGO_BASELINE):
         raise InvalidInputError(f"unknown algorithm {algo!r}")
@@ -282,7 +291,7 @@ def simplify(points, delta: float, metric: Metric = Metric.L2,
              "arcs_inserted": total.inserted,
              "arcs_removed": total.removed}
     if workers > 1:
-        stats["parallel_workers"] = pool_size(workers)
+        stats["parallel_workers"] = _sweep_processes(poly.n, workers)
     stats["wall_ms_per_phase"] = {
         "shortcuts_and_table_ms": (t1 - t0) * 1e3,
         "path_extraction_ms": (t2 - t1) * 1e3,

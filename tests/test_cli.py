@@ -82,6 +82,27 @@ class TestSimplifyCommand:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not dst.exists()
 
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("0,0\n1,1\n2,0\n")
+        dst = tmp_path / "missing" / "out.csv"
+        code = cli.main(["simplify", "--input", str(src), "--output", str(dst),
+                         "--delta", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(dst) in captured.err and captured.out == ""
+
+    def test_unwritable_frame_dir_exits_1(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        frames.write_text("a regular file, not a directory\n")
+        code, dst = self.run(tmp_path, "0,0\n1,1\n2,0\n", "--delta", "1",
+                             "--svg-debug-dir", str(frames))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not dst.exists()
+
     def test_bad_metric_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simplify", "--input", "x", "--output", "y",
@@ -292,6 +313,19 @@ class TestVerifyCommand:
         # the dump parses back as a polyline
         assert len(polyio.parse_polyline((tmp_path / "ce.csv").read_text())) >= 2
 
+
+    def test_unwritable_dump_keeps_exit_3(self, tmp_path, capsys, monkeypatch):
+        from frechetsimp import _disk
+
+        monkeypatch.setattr(_disk, "_cover", lambda arcs, x, y: len(arcs) - 1)
+        prefix = tmp_path / "missing" / "ce"
+        code = cli.main(["verify", "--count", "60", "--seed", "11",
+                         "--metric", "l2", "--dump-prefix", str(prefix)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out)["mismatches"] >= 1
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
 class TestBenchCommand:
     def test_schema_and_fits(self, capsys):

@@ -254,6 +254,16 @@ def test_pools_are_capped_at_the_usable_cpus(three_cpus):
     assert rep.ok and rep.checked == 3 * 48
 
 
+def test_parallel_workers_counts_the_processes_that_swept(three_cpus):
+    # under 64 vertices the sweeps run in process, whatever ``workers`` asks
+    res = simplify([(0, 0), (1, 1), (2, 0)], 1.0, workers=2)
+    assert three_cpus == []
+    assert res.stats["parallel_workers"] == 1
+    res = simplify(stop_and_go(64, 3), 1.0, workers=2)
+    assert [p.max_workers for p in three_cpus] == [2]
+    assert res.stats["parallel_workers"] == 2
+
+
 class TestNuDiagnostics:
     def test_spread_grid_ball_of_one(self):
         pts = [(x * 10.0, y * 10.0) for x in range(4) for y in range(3)]

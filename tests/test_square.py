@@ -3,11 +3,13 @@
 On the generic pinned inputs the square sweep must agree with the generic
 engine sweep by sweep (targets, steps, aborts, both gauges, and the PREFIX
 and INIT counts) and so reproduce the engine's pins; on inputs full of ties,
-where the engine raises, its targets must be the oracle's.
-``simplify.sweep_rows`` must hand squares to the square sweep, with or
-without the invariant checker.
+where the engine raises, its targets must be the oracle's.  On both, and
+on more walks, each sweep's gauges must be the maxima an observer recounts
+after every step.  ``simplify.sweep_rows`` must hand squares to the square
+sweep, with or without the invariant checker.
 """
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from frechetsimp.verify import VerifyConfig, random_instance
 
 from reference import engine_input
 from test_sweep_pin import INPUTS, PINNED, TIE_INPUTS
+from walks import lattice_walk, quantized, stop_and_go
 
 SQUARES = [Metric.LINF, Metric.L1]
 
@@ -108,3 +111,62 @@ def test_zero_length_shortcuts_follow_the_oracle():
                            ([(0.0, 0.0), (0.3, 0.1), (-0.4, 0.3), (0.0, 0.0)], 0.3),
                            ([(1.0, 1.0), (2.5, 1.0), (1.0, 2.0), (1.0, 1.0)], 1.0)):
             _assert_oracle_targets(pts, delta, metric)
+
+
+class GaugeReference:
+    """Observer that recomputes a square sweep's gauges from what it is
+    handed: a face is owned by the step that last changed its extreme, and
+    after each INIT, BB and MM step every live cone shows its X face where
+    that binds toward l and its Y face where it binds toward r."""
+
+    def __init__(self, X, Y, i, delta):
+        self.faces = (-math.inf, math.inf, -math.inf, math.inf)
+        self.owner = [-1, -1, -1, -1]
+        self.segs = self.arcs = 0
+
+    def __call__(self, j, case, faces, cones):
+        for f in range(4):
+            if faces[f] != self.faces[f]:
+                self.owner[f] = j
+        self.faces = faces
+        if case not in ("INIT", "BB", "MM"):
+            return
+        xp, xm, yp, ym = faces
+        shown = set()               # faces 0..3: X+, X-, Y+, Y-
+        for q, rx, ry, lx, ly in cones:
+            xn = -xm if q & 1 else xp
+            yn = -ym if q & 2 else yp
+            if xn > 0.0 and (yn <= 0.0 or ly * xn > lx * yn):
+                shown.add(q & 1)
+            if yn > 0.0 and (xn <= 0.0 or ry * xn < rx * yn):
+                shown.add(2 + (q >> 1))
+        self.segs = max(self.segs, len(shown))
+        self.arcs = max(self.arcs, len({self.owner[f] for f in shown}))
+
+
+GAUGE_INPUTS = {
+    **INPUTS, **TIE_INPUTS,
+    **{f"stopgo-{s}": (lambda s=s: stop_and_go(150, s), 1.0) for s in range(3)},
+    **{f"quantized-{s}": (lambda s=s: quantized(stop_and_go(150, s), 0.1), 1.0)
+       for s in range(3)},
+    **{f"lattice-{s}": (lambda s=s: lattice_walk(120, s), 1.0 + 0.5 * s) for s in range(3)},
+}
+
+
+@pytest.mark.parametrize("metric", SQUARES, ids=lambda m: m.value)
+@pytest.mark.parametrize("name", sorted(GAUGE_INPUTS))
+def test_gauges_match_a_stepwise_recount(name, metric):
+    # the sweep reads its gauges only where they can rise; the reference
+    # recounts them after every step from the observed state alone
+    make, delta = GAUGE_INPUTS[name]
+    pts = make()
+    refs = []
+
+    def watch(*args):
+        refs.append(GaugeReference(*args))
+        return refs[-1]
+
+    starts = range(len(pts) - 1)
+    for i, (_, st) in zip(starts, sweep_rows(pts, metric, starts, delta, watch)):
+        assert (st.max_segment_count, st.max_arc_count) == (refs[-1].segs, refs[-1].arcs), i
+    assert len(refs) == len(starts)
