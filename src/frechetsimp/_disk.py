@@ -42,10 +42,13 @@ step, and WEDGE_EMPTY the step whose cone misses the wedge.  Every splice
 is contiguous and each arc is removed at most once per sweep.  Two
 shortcuts skip work whose outcome is known: a scan for C_j's one crossing
 passes arcs by an end point, and case MM is a no-op where the arcs beside
-C_j's place have both ends in C_j.  On generic inputs every target and
-``SweepStats`` field is the one the tests' reference engine (``_engine``)
-finds; only a near tie can be decided differently, by these roundings
-instead of its tolerances.
+C_j's place have both ends in C_j.  The sweep builds no stats record: it
+counts each step's case into the accumulator ``simplify.sweep_rows`` hands
+it, adds its arcs inserted and removed and raises the call's arc gauge
+once, at its end, and returns that gauge with its targets.  On generic
+inputs every target and count is the one the tests' reference engine
+(``_engine``) finds; only a near tie can be decided differently, by these
+roundings instead of its tolerances.
 
 ``simplify.sweep_rows`` runs this sweep for L2, and ``verify --strict``
 passes ``diagnostics.DiskChecker`` as its observer.
@@ -56,7 +59,7 @@ import math
 from typing import Sequence
 
 from .geometry import EPS_REL, InternalGeometryError
-from .simplify import CASES, SweepStats
+from .simplify import CASES, INSERTED, MAX_ARCS, REMOVED
 
 (_PREFIX, _INIT, _WEDGE_EMPTY, _TT_EMPTY, _TT, _TM, _MT, _MM, _MB, _BM, _BB) = range(11)
 _SPAN = 0.5e-9      # a crossing within about 1e-9 rad of an arc's span is on it
@@ -67,11 +70,11 @@ _TIE = 1e-9        # |e - c|^2 within _TIE * delta^2 of delta^2: e is on C's bou
 _AWAY = "wedge ray points away from the new circle"
 
 
-def _near(vx, vy, cx, cy, rr):
+def _near(vx, vy, cx, cy, ll):
     """The point where the ray t*(vx, vy), t >= 0, enters the disk of centre
-    (cx, cy), for an apex outside it; a ray that misses by a rounding grazes."""
+    (cx, cy), for an apex outside it (``ll`` = |c|^2 - delta^2 > 0); a ray
+    that misses by a rounding grazes."""
     m = vx * cx + vy * cy
-    ll = cx * cx + cy * cy - rr
     disc = m * m - (vx * vx + vy * vy) * ll
     den = m + math.sqrt(disc) if disc > 0.0 else m
     if den <= 0.0:
@@ -311,10 +314,11 @@ def _case_mm(arcs, x, y, rr, fx, fy, insert):
     return 2, 0
 
 
-def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=None):
-    """(targets, stats) of the sweep from start vertex i.  ``watch``, if
-    given, is called after every step as ``watch(j, case, arcs, (rx, ry, lx,
-    ly))`` with the sweep's own arcs and wedge rays (zero before INIT); a
+def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, acc, watch=None):
+    """(targets, max_arc_count) of the sweep from start vertex i; its counts
+    and its gauge go into ``acc``, ``sweep_rows``' accumulator.  ``watch``,
+    if given, is called after every step as ``watch(j, case, arcs, (rx, ry,
+    lx, ly))`` with the sweep's own arcs and wedge rays (zero before INIT); a
     step that aborts leaves them as the step before did."""
     ax = X[i]
     ay = Y[i]
@@ -324,8 +328,7 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=
     rx = ry = lx = ly = 0.0     # the wedge rays, once arcs exist
     fx = fy = 0.0              # the first disk's centre
     targets = []
-    count = [0] * 11           # steps by case, in ``CASES`` order
-    steps = inserted = removed = max_arcs = 0
+    inserted = removed = max_arcs = 0
     aborted = False
     for j in range(i + 1, len(X)):
         x = X[j] - ax
@@ -341,7 +344,6 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=
             dy = y - a[5]
             if dx * dx + dy * dy <= rr or dx * x + dy * y >= 0.0:
                 targets.append(j)
-        steps += 1
         dd = x * x + y * y
         n = len(arcs)
         kr = 0                  # the arcs over the wedge rays, first and last
@@ -362,7 +364,7 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=
                 fx, fy = x, y
                 arcs = [[crx, cry, clx, cly, x, y]]
                 inserted += 1
-                count[_INIT] += 1
+                acc[_INIT] += 1
                 if max_arcs < 1:
                     max_arcs = 1
                 if watch is not None:
@@ -375,13 +377,12 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=
             move_l = clx * ly > cly * lx
             if (((move_r or not move_l) and crx * ly < cry * lx)
                     or ((move_l or not move_r) and rx * cly < ry * clx)):
-                count[_WEDGE_EMPTY] += 1
-                aborted = True
+                acc[_WEDGE_EMPTY] += 1
                 if watch is not None:
                     watch(j, "WEDGE_EMPTY", arcs, (rx, ry, lx, ly))
                 break
         elif not n:
-            count[_PREFIX] += 1
+            acc[_PREFIX] += 1
             if watch is not None:
                 watch(j, "PREFIX", arcs, (rx, ry, lx, ly))
             continue
@@ -443,10 +444,10 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=
             del arcs[:kr]
             if move_r:
                 a = arcs[0]
-                a[0], a[1] = _near(rx, ry, a[4], a[5], rr)
+                a[0], a[1] = _near(rx, ry, a[4], a[5], a[4] * a[4] + a[5] * a[5] - rr)
             if move_l:
                 a = arcs[-1]
-                a[2], a[3] = _near(lx, ly, a[4], a[5], rr)
+                a[2], a[3] = _near(lx, ly, a[4], a[5], a[4] * a[4] + a[5] * a[5] - rr)
             n = len(arcs)
             kr = 0
             kl = n - 1
@@ -460,12 +461,12 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=
         if case == "BB":
             # C_j beyond the wavefront on both rays: its near arc between
             # the wedge rays replaces every arc
-            x0, y0 = (rx, ry) if move_r else _near(rx, ry, x, y, rr)
-            x1, y1 = (lx, ly) if move_l else _near(lx, ly, x, y, rr)
+            x0, y0 = (rx, ry) if move_r else _near(rx, ry, x, y, ll)
+            x1, y1 = (lx, ly) if move_l else _near(lx, ly, x, y, ll)
             arcs = [[x0, y0, x1, y1, x, y]]
             removed += n
             inserted += 1
-            count[_BB] += 1
+            acc[_BB] += 1
             if watch is not None:
                 watch(j, "BB", arcs, (rx, ry, lx, ly))
             continue
@@ -479,7 +480,7 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=
             a = arcs[k]
             a[0] = x1
             a[1] = y1
-            x0, y0 = (rx, ry) if move_r else _near(rx, ry, x, y, rr)
+            x0, y0 = (rx, ry) if move_r else _near(rx, ry, x, y, ll)
             arcs[:k] = [[x0, y0, x1, y1, x, y]]
             removed += k
             inserted += 1
@@ -492,7 +493,7 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=
             a = arcs[k]
             a[2] = x0
             a[3] = y0
-            x1, y1 = (lx, ly) if move_l else _near(lx, ly, x, y, rr)
+            x1, y1 = (lx, ly) if move_l else _near(lx, ly, x, y, ll)
             arcs[k + 1:] = [[x0, y0, x1, y1, x, y]]
             removed += n - 1 - k
             inserted += 1
@@ -547,14 +548,16 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=
             case = _MM
         else:
             raise InternalGeometryError(f"unreachable wavefront case {case}")
-        count[case] += 1
+        acc[case] += 1
         if watch is not None:
             watch(j, CASES[case], arcs, (rx, ry, lx, ly))
         if aborted:
             break
         if len(arcs) > max_arcs:
             max_arcs = len(arcs)
-    hist = {CASES[k]: c for k, c in enumerate(count) if c}
-    return targets, SweepStats(max_arc_count=max_arcs, inserted=inserted, removed=removed,
-                               steps=steps, aborts=int(aborted), case_histogram=hist)
+    acc[INSERTED] += inserted
+    acc[REMOVED] += removed
+    if max_arcs > acc[MAX_ARCS]:
+        acc[MAX_ARCS] = max_arcs
+    return targets, max_arcs
 

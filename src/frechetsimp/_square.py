@@ -32,21 +32,23 @@ face value with zero), rounded once each, so ties on fixed-decimal or
 lattice inputs are decided by the same rounded values every time; nothing
 takes an angle, a square root or a tolerance.
 
-Stats (``simplify.SweepStats``): ``steps`` counts the squares the sweep
-visits, the one that ends it included, and ``aborts`` is 1 for a sweep that
-ends early; PREFIX labels a step whose square holds the apex while every
-square before did too, and INIT the first step whose square does not.  The
-wavefront, the near boundary of the valid region, is the face X (or Y) of a
-live cone wherever it is the binding near bound: ``max_segment_count``
-gauges the distinct faces of X+, X-, Y+, Y- it shows, and ``max_arc_count``
-the distinct squares owning them (a face is owned by the first square that
-set its extreme).  The other labels are the sweep's own: BB for a step whose
+Stats: the sweep builds no record.  At its end it adds its counts into the
+accumulator ``simplify.sweep_rows`` hands it, raises the call's two gauges
+to its own, and returns its ``max_arc_count`` with its targets.  It counts
+each square it visits, the one that ends it included, under one label:
+PREFIX for a step whose square holds the apex while every square before did
+too, and INIT for the first step whose square does not.  The wavefront, the
+near boundary of the valid region, is the face X (or Y) of a live cone
+wherever it is the binding near bound: ``max_segment_count`` gauges the
+distinct faces of X+, X-, Y+, Y- it shows, and ``max_arc_count`` the
+distinct squares owning them (a face is owned by the first square that set
+its extreme).  The other labels are the sweep's own: BB for a step whose
 square sets a face extreme (the wavefront moves onto it, on all or part of
-the cones), MM for a step that only narrows the cones, and WEDGE_EMPTY for
-the step that empties the last cone.  No arc is spliced, so ``inserted`` and
-``removed`` stay 0.  On generic inputs the targets, steps, aborts, both
-gauges and the PREFIX and INIT counts are the ones the tests' reference
-engine (``_engine``) finds.
+the cones), WEDGE_EMPTY for the step that empties the last cone and so ends
+the sweep early, and MM for every other step, which only narrows the cones.
+No arc is spliced, so the inserted and removed counts stay 0.  On generic
+inputs the targets, steps, aborts, both gauges and the PREFIX and INIT
+counts are the ones the tests' reference engine (``_engine``) finds.
 
 The gauges are read after each INIT, BB and MM step, but only while
 ``max_arc_count`` lies below the cap min(4, 2 x live cones).  Skipping them
@@ -65,34 +67,19 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .simplify import SweepStats
+from .simplify import CASES, MAX_ARCS, MAX_SEGMENTS
 
 _INF = math.inf
 # faces shown (0..3: X+, X-, Y+, Y-) and their count, by bit mask
 _FACES = tuple(tuple(f for f in range(4) if m >> f & 1) for m in range(16))
 _POP = tuple(map(len, _FACES))
+_PREFIX, _INIT, _WEDGE_EMPTY, _MM, _BB = map(CASES.index,
+                                              ("PREFIX", "INIT", "WEDGE_EMPTY", "MM", "BB"))
 
 
-def _stats(steps, prefix, started, aborted, moved, segs, arcs) -> SweepStats:
-    """One sweep's ``SweepStats`` from its step counts and gauges."""
-    hist = {}
-    if prefix:
-        hist["PREFIX"] = prefix
-    if started:
-        hist["INIT"] = 1
-        narrow = steps - prefix - 1 - aborted - moved
-        if moved:
-            hist["BB"] = moved
-        if narrow:
-            hist["MM"] = narrow
-        if aborted:
-            hist["WEDGE_EMPTY"] = 1
-    return SweepStats(max_arc_count=arcs, max_segment_count=segs, steps=steps,
-                      aborts=int(aborted), case_histogram=hist)
-
-
-def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=None):
-    """(targets, stats) of the sweep from start vertex i.  ``watch``, if
+def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, acc, watch=None):
+    """(targets, max_arc_count) of the sweep from start vertex i; its counts
+    and gauges go into ``acc``, ``sweep_rows``' accumulator.  ``watch``, if
     given, is called after every step as ``watch(j, case, (X+, X-, Y+, Y-),
     cones)`` with the sweep's own face extremes and live cones (None before
     INIT, empty once the last cone empties)."""
@@ -238,5 +225,15 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, watch=
                     k = len({owner[g] for g in f})
                 if k > arcs:
                     arcs = k
-    steps = j - i if aborted else len(X) - 1 - i     # the squares visited
-    return targets, _stats(steps, prefix, cones is not None, aborted, moved, segs, arcs)
+    acc[_PREFIX] += prefix
+    if cones is not None:
+        steps = j - i if aborted else len(X) - 1 - i     # the squares visited
+        acc[_INIT] += 1
+        acc[_BB] += moved
+        acc[_MM] += steps - prefix - 1 - aborted - moved
+        acc[_WEDGE_EMPTY] += aborted
+        if segs > acc[MAX_SEGMENTS]:
+            acc[MAX_SEGMENTS] = segs
+        if arcs > acc[MAX_ARCS]:
+            acc[MAX_ARCS] = arcs
+    return targets, arcs

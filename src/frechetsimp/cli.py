@@ -193,11 +193,9 @@ def _cmd_stats(args) -> int:
     except InvalidInputError as exc:
         return _error(exc, EXIT_CONFIG)
     diag = nu_diagnostics(points, args.delta, args.metric)
-    per_start = []
     total = SweepStats()
-    for _, stats in sweep_rows(poly.vertices, args.metric, range(poly.n - 1), args.delta):
-        per_start.append(stats.max_arc_count)
-        total.fold(stats)
+    per_start = [arcs for _, arcs in sweep_rows(poly.vertices, args.metric, range(poly.n - 1),
+                                                args.delta, total=total)]
     out = {
         "maxVerticesInDeltaBall": diag["max_vertices_in_delta_ball"],
         "nuEstimate": diag["nu_estimate"],

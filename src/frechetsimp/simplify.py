@@ -38,6 +38,10 @@ _POOL_MIN_VERTICES = 64     # shorter inputs sweep in process whatever ``workers
 # step case labels (TB/BT are provably unreachable and raise)
 CASES = ("PREFIX", "INIT", "WEDGE_EMPTY", "TT_EMPTY",
          "TT", "TM", "MT", "MM", "MB", "BM", "BB")
+# The flat list of ints a ``sweep_rows`` call's sweeps add into: the steps by
+# case in ``CASES`` order, then the arcs inserted and removed, then the two
+# gauges, kept by max
+INSERTED, REMOVED, MAX_ARCS, MAX_SEGMENTS = range(len(CASES), len(CASES) + 4)
 
 
 class InvalidInputError(ValueError):
@@ -46,7 +50,8 @@ class InvalidInputError(ValueError):
 
 @dataclass
 class SweepStats:
-    """Counters and gauges of one sweep, or of many folded together."""
+    """Counters and gauges of the sweeps of one ``sweep_rows`` call, or of
+    many calls folded together."""
 
     max_arc_count: int = 0
     max_segment_count: int = 0
@@ -70,12 +75,23 @@ class SweepStats:
         for case, k in other.case_histogram.items():
             h[case] = h.get(case, 0) + k
 
+    @classmethod
+    def of(cls, acc) -> "SweepStats":
+        """The record of a ``sweep_rows`` accumulator: each step has one
+        case, and a sweep that ends early ends at a WEDGE_EMPTY or TT_EMPTY
+        step."""
+        hist = dict(zip(CASES, acc))
+        return cls(max_arc_count=acc[MAX_ARCS], max_segment_count=acc[MAX_SEGMENTS],
+                   inserted=acc[INSERTED], removed=acc[REMOVED], steps=sum(hist.values()),
+                   aborts=hist["WEDGE_EMPTY"] + hist["TT_EMPTY"],
+                   case_histogram={case: k for case, k in hist.items() if k})
+
 
 def sweep_rows(points: Sequence[Sequence[float]], metric: Metric, starts, delta: float,
-               watch=None):
-    """Yields (targets, ``SweepStats``) of the sweep from each start vertex i
+               watch=None, total: SweepStats | None = None):
+    """Yields (targets, max_arc_count) of the sweep from each start vertex i
     of ``starts``, in order: the ascending j > i with a valid shortcut
-    <p_i, p_j> under ``metric``.
+    <p_i, p_j> under ``metric``, and the most wavefront arcs that sweep held.
 
     L2 runs the disk sweep of ``_disk``.  Linf runs the square sweep of
     ``_square``, and L1 the same sweep on the image of the points under
@@ -84,9 +100,14 @@ def sweep_rows(points: Sequence[Sequence[float]], metric: Metric, starts, delta:
     given, makes the observer each sweep calls after every step on the
     working coordinates X, Y.  A sweep that raises raises here when its turn
     comes, and an unknown ``metric`` raises ValueError.
+
+    The sweeps add their counters and gauges into one accumulator per call
+    (``CASES``, then ``INSERTED`` ... ``MAX_SEGMENTS``); once the last sweep
+    has run, its ``SweepStats`` is folded into ``total``, if given.  A call
+    that raises, or is not run to its end, adds nothing.
     """
     metric = Metric(metric)
-    # imported here: both sweeps import ``SweepStats`` from this module
+    # imported here: both sweeps import the accumulator's layout from this module
     if metric is Metric.L2:
         from ._disk import _scalar
     else:
@@ -96,8 +117,11 @@ def sweep_rows(points: Sequence[Sequence[float]], metric: Metric, starts, delta:
     X = [float(p[0]) for p in points]
     Y = [float(p[1]) for p in points]
     delta = float(delta)
+    acc = [0] * (MAX_SEGMENTS + 1)
     for i in starts:
-        yield _scalar(X, Y, i, delta, watch(X, Y, i, delta) if watch else None)
+        yield _scalar(X, Y, i, delta, acc, watch(X, Y, i, delta) if watch else None)
+    if total is not None:
+        total.fold(SweepStats.of(acc))
 
 
 def pool_size(workers: int) -> int:
@@ -160,16 +184,15 @@ class SimplificationResult:
 def _target_lists(pts, delta: float, metric: Metric, algo: str, starts, total: SweepStats):
     """Yields each start vertex's ascending valid shortcut targets, in the order given.
 
-    Each wavefront sweep's stats are folded into ``total``; ``sweep_rows``
-    picks the sweep.
+    The wavefront sweeps' stats are folded into ``total`` once the last list
+    is taken; ``sweep_rows`` picks the sweep.
     """
     if algo == ALGO_BASELINE:
         coords = np.asarray(pts, dtype=float)
         for i in starts:
             yield oracle.valid_targets_from(coords, i, delta, metric).tolist()
         return
-    for targets, stats in sweep_rows(pts, metric, starts, delta):
-        total.fold(stats)
+    for targets, _ in sweep_rows(pts, metric, starts, delta, total=total):
         yield targets
 
 
@@ -199,7 +222,7 @@ def link_distances(n: int, lists):
 def link_distance_table(pts, delta: float, metric: Metric = Metric.L2,
                         algo: str = ALGO_WAVEFRONT, workers: int = 1):
     """Link-distance d and parent arrays over the (preprocessed) vertices, plus
-    the stats of every sweep folded into one ``SweepStats``.
+    the stats of every sweep in one ``SweepStats``.
 
     ``workers > 1`` lists the shortcuts in a process pool of at most
     ``pool_size(workers)`` processes, unless the input is too short to pay
@@ -229,7 +252,7 @@ def link_distance_table(pts, delta: float, metric: Metric = Metric.L2,
 
 
 def _pool_worker(pts, delta: float, metric: Metric, algo: str, lo: int, hi: int):
-    """Target lists of start vertices hi-1 down to lo, plus their folded stats."""
+    """Target lists of start vertices hi-1 down to lo, plus their stats."""
     total = SweepStats()
     return list(_target_lists(pts, delta, metric, algo, range(hi - 1, lo - 1, -1), total)), total
 
@@ -321,9 +344,14 @@ def nu_diagnostics(points, delta: float, metric: Metric = Metric.L2) -> dict:
     midpoint) / r^2 with r = d(p, q)/2.  A documented lower-bound estimator of
     the true minimal density constant (the exact value needs smallest
     enclosing balls of all subsets), good enough as a diagnostic.
+
+    InvalidInputError for no vertex, a non-finite coordinate and the delta
+    and metric that ``simplify`` rejects.
     """
-    poly = preprocess(points) if len(points) >= 2 else None
-    pts = poly.vertices if poly else [tuple(map(float, points[0]))]
+    metric = _checked_metric(delta, metric)
+    if not len(points):
+        raise InvalidInputError("a polyline needs at least one vertex")
+    pts = preprocess(points).vertices if len(points) >= 2 else _finite_vertices(points)
     n = len(pts)
     two_delta = 2.0 * delta
     max_ball = 0

@@ -169,7 +169,7 @@ def random_instance(cfg: VerifyConfig, idx: int):
 
 
 def _sweep_sets(pts_list, delta: float, metric: Metric, strict: bool):
-    """Wavefront shortcut targets per start vertex, plus the sweeps' folded stats.
+    """Wavefront shortcut targets per start vertex, plus the sweeps' stats.
 
     ``strict`` makes ``diagnostics``' checker of the sweep's own state the
     observer of every sweep."""
@@ -179,17 +179,15 @@ def _sweep_sets(pts_list, delta: float, metric: Metric, strict: bool):
         # that importing the package loads neither
         from .diagnostics import DiskChecker, SquareChecker
         watch = DiskChecker if Metric(metric) is Metric.L2 else SquareChecker
-    sets = []
     total = SweepStats()
-    for targets, stats in sweep_rows(pts_list, metric, range(len(pts_list) - 1), delta,
-                                     watch):
-        sets.append(targets)
-        total.fold(stats)
+    sets = [targets for targets, _ in sweep_rows(pts_list, metric, range(len(pts_list) - 1),
+                                                 delta, watch, total)]
     return sets, total
 
 
 def check_instance(pts, delta: float, metric: Metric, strict: bool = False):
-    """Compare sweeps against the oracle; returns (problems, folded sweep stats).
+    """Compare sweeps against the oracle; returns (problems, the sweeps' stats),
+    where a sweep that raises leaves the stats empty.
 
     The sweep's target lists are compared with the oracle's rows in one
     pass; only where they differ are the per-row lists and the oracle's

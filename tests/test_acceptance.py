@@ -149,15 +149,15 @@ def test_c5_nu_light_bound_and_adversarial_growth():
         delta = 0.45 * spacing           # spacing >= 2*delta
         pts = _serpentine_grid(5, 6, spacing, 0.04 * spacing, seed)
         ball = nu_diagnostics(pts, delta)["max_vertices_in_delta_ball"]
-        worst = max(st.max_arc_count
-                    for _, st in sweep_rows(pts, Metric.L2, range(len(pts) - 1), delta))
+        worst = max(arcs
+                    for _, arcs in sweep_rows(pts, Metric.L2, range(len(pts) - 1), delta))
         assert worst <= ball, (worst, ball)
     sizes = (4, 8, 16)
     fronts = []
     for m in sizes:
         pts = _bulge_cluster(m)
-        (_, st), = sweep_rows(pts, Metric.L2, [0], 1.0)
-        fronts.append(st.max_arc_count)
+        (_, arcs), = sweep_rows(pts, Metric.L2, [0], 1.0)
+        fronts.append(arcs)
     assert fronts[0] < fronts[1] < fronts[2]
     assert fronts[-1] >= sizes[-1] // 2
     print(f"PASS criterion 5: grid sweeps bounded by the 2-delta ball count; "

@@ -206,3 +206,6 @@ def test_one_place_picks_the_sweep():
             assert not names & {"Sweep", "InvariantChecker"}, mod
         if mod not in ("geometry", "_engine"):
             assert not names & {"CircleKernel", "SquareKernel"}, mod
+        # the sweeps add into their call's accumulator and build no record
+        if mod in ("_disk", "_square"):
+            assert "SweepStats" not in names, mod

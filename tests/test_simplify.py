@@ -285,3 +285,24 @@ class TestNuDiagnostics:
     def test_implied_bound_floor(self):
         d = nu_diagnostics([(0, 0), (100, 100)], 0.001)
         assert d["implied_wavefront_bound"] >= 1.0
+
+    @pytest.mark.parametrize("points, delta, metric", [
+        ([], 1.0, Metric.L2),
+        ([(0, 0), (1, 1)], 0.0, Metric.L2),
+        ([(0, 0), (1, 1)], -1.0, Metric.L2),
+        ([(0, 0), (1, 1)], float("nan"), Metric.L2),
+        ([(0, 0), (1, 1)], float("inf"), Metric.L2),
+        ([(0, 0), (1, 1)], 1.0, "l3"),
+        ([(0, 0), (float("nan"), 1)], 1.0, Metric.L2),
+        ([(float("inf"), 0)], 1.0, Metric.L2),
+    ], ids=["empty", "zero-delta", "negative-delta", "nan-delta", "inf-delta",
+            "unknown-metric", "nan-vertex", "inf-single-vertex"])
+    def test_bad_input_raises_invalid_input(self, points, delta, metric):
+        with pytest.raises(InvalidInputError):
+            nu_diagnostics(points, delta, metric)
+
+    def test_one_vertex_and_a_metric_string(self):
+        assert nu_diagnostics([(3, 4)], 1.0) == {
+            "max_vertices_in_delta_ball": 1, "nu_estimate": 0.0, "implied_wavefront_bound": 1.0}
+        pts = [(0, 0), (1, 1), (2, 0)]
+        assert nu_diagnostics(pts, 1.0, "linf") == nu_diagnostics(pts, 1.0, Metric.LINF)

@@ -18,10 +18,11 @@ from frechetsimp import _square, oracle
 from frechetsimp._engine import sweep_targets
 from frechetsimp.diagnostics import SquareChecker
 from frechetsimp.geometry import Metric
-from frechetsimp.simplify import sweep_rows
+from frechetsimp.simplify import SweepStats
 from frechetsimp.verify import VerifyConfig, random_instance
 
 from reference import engine_input
+from sweeps import each_sweep_stats, fresh_acc
 from test_sweep_pin import INPUTS, PINNED, TIE_INPUTS
 from walks import lattice_walk, quantized, stop_and_go
 
@@ -31,6 +32,15 @@ SQUARES = [Metric.LINF, Metric.L1]
 def _work(pts, metric):
     work, _ = engine_input(pts, metric)
     return [p[0] for p in work], [p[1] for p in work]
+
+
+def _scalar_stats(X, Y, i, delta, watch=None):
+    """(targets, ``SweepStats``) of one ``_square`` sweep on its own accumulator."""
+    acc = fresh_acc()
+    targets, arcs = _square._scalar(X, Y, i, delta, acc, watch)
+    st = SweepStats.of(acc)
+    assert arcs == st.max_arc_count
+    return targets, st
 
 
 def _outcome(res):
@@ -45,10 +55,10 @@ def test_sweep_rows_routes_squares(metric):
     pts = make()
     X, Y = _work(pts, metric)
     starts = range(len(X) - 1)
-    square = [_outcome(_square._scalar(X, Y, i, delta)) for i in starts]
-    assert [_outcome(r) for r in sweep_rows(pts, metric, starts, delta)] == square
+    square = [_outcome(_scalar_stats(X, Y, i, delta)) for i in starts]
+    assert [_outcome(r) for r in each_sweep_stats(pts, metric, starts, delta)] == square
     # the invariant checker watches the same square sweep
-    checked = [_outcome(r) for r in sweep_rows(pts, metric, starts, delta, watch=SquareChecker)]
+    checked = [_outcome(r) for r in each_sweep_stats(pts, metric, starts, delta, SquareChecker)]
     assert checked == square
 
 
@@ -61,7 +71,7 @@ def test_square_sweep_matches_the_engine_and_its_pins(name, metric):
     digest = hashlib.sha256()
     steps = aborts = max_arcs = max_segs = 0
     starts = range(len(work) - 1)
-    for i, (targets, st) in zip(starts, sweep_rows(pts, metric, starts, delta)):
+    for i, (targets, st) in zip(starts, each_sweep_stats(pts, metric, starts, delta)):
         want, sw = sweep_targets(work, i, delta, kern)
         e = sw.stats
         assert targets == want, i
@@ -85,7 +95,7 @@ def _assert_oracle_targets(pts, delta, metric):
     coords = np.asarray(pts, dtype=float)
     for i in range(len(pts) - 1):
         want = oracle.valid_targets_from(coords, i, delta, metric).tolist()
-        assert _square._scalar(X, Y, i, delta)[0] == want, (i, delta, pts)
+        assert _square._scalar(X, Y, i, delta, fresh_acc())[0] == want, (i, delta, pts)
 
 
 @pytest.mark.parametrize("metric", SQUARES, ids=lambda m: m.value)
@@ -167,6 +177,6 @@ def test_gauges_match_a_stepwise_recount(name, metric):
         return refs[-1]
 
     starts = range(len(pts) - 1)
-    for i, (_, st) in zip(starts, sweep_rows(pts, metric, starts, delta, watch)):
+    for i, (_, st) in zip(starts, each_sweep_stats(pts, metric, starts, delta, watch)):
         assert (st.max_segment_count, st.max_arc_count) == (refs[-1].segs, refs[-1].arcs), i
     assert len(refs) == len(starts)

@@ -20,9 +20,10 @@ from frechetsimp._engine import CASES, VALID, Sweep, sweep_targets
 from frechetsimp.diagnostics import DiskChecker, SquareChecker
 from frechetsimp.geometry import CircleKernel, Metric
 from frechetsimp.oracle import shortcut_is_valid
-from frechetsimp.simplify import sweep_rows
+from frechetsimp.simplify import SweepStats, simplify, sweep_rows
 
 from reference import engine_input
+from sweeps import each_sweep_stats
 from walks import drift_walk, lattice_walk, quantized, stop_and_go
 
 
@@ -44,14 +45,14 @@ TIE_INPUTS = {
 def each_sweep(work, starts, delta, kern, rows=False):
     """(i, (targets, stats) or the exception its sweep raised) per start vertex.
 
-    ``rows`` takes the disk sweeps from ``sweep_rows``, one start vertex at
-    a time, so a raised exception lands in its sweep's place; squares take
-    the per-start engine either way.
+    ``rows`` takes the disk sweeps from ``sweep_rows``, one call per start
+    vertex, so each sweep reports its own stats and a raised exception lands
+    in its sweep's place; squares take the per-start engine either way.
     """
     for i in starts:
         try:
             if rows and kern is CircleKernel:
-                yield i, next(sweep_rows(work, Metric.L2, [i], delta))
+                yield i, next(each_sweep_stats(work, Metric.L2, [i], delta))
             else:
                 targets, sw = sweep_targets(work, i, delta, kern)
                 yield i, (targets, sw.stats)
@@ -243,7 +244,7 @@ def test_sweep_targets_matches_the_stepwise_api(name, metric, checked):
     """plain: the engine's ``sweep_targets`` equals its stepwise API, which
     the benchmark's tracer drives.  checker: ``sweep_rows`` with the
     invariant checker of the sweep it picks as ``watch`` yields the plain
-    rows and raises nowhere."""
+    rows and stats, and raises nowhere."""
     make, delta = {**INPUTS, **TIE_INPUTS}[name]
     pts = make()[:50] if checked else make()
     work, kern = engine_input(pts, metric)
@@ -251,7 +252,7 @@ def test_sweep_targets_matches_the_stepwise_api(name, metric, checked):
     if checked:
         checker = DiskChecker if metric is Metric.L2 else SquareChecker
         rows = [[(t, dataclasses.asdict(st))
-                 for t, st in sweep_rows(pts, metric, starts, delta, watch=watch)]
+                 for t, st in each_sweep_stats(pts, metric, starts, delta, watch)]
                 for watch in (None, checker)]
         assert rows[1] == rows[0]
         return
@@ -343,8 +344,9 @@ def test_batched_sweeps_match_the_per_start_loop(name, metric, monkeypatch):
     """``sweep_rows`` never steps the engine, with or without the invariant
     checker, and neither do the SVG frames.  Under L2
     its disk sweep equals the per-start engine in targets and every
-    ``SweepStats`` field on generic inputs, and the oracle's rows on tied
-    ones, where the two sweeps may split a tie differently."""
+    ``SweepStats`` field on generic inputs (each sweep's own, from a call
+    per start vertex), and the oracle's rows on tied ones, where the two
+    sweeps may split a tie differently."""
     make, delta, order = DIFF_INPUTS[name]
     pts = make()
     work, kern = engine_input(pts, metric)
@@ -368,10 +370,73 @@ def test_batched_sweeps_match_the_per_start_loop(name, metric, monkeypatch):
     assert engine_steps == 0
     assert len(rows) == len(starts)
     if generic:
-        assert [(t, dataclasses.asdict(st)) for t, st in rows] == \
+        single = list(each_sweep_stats(pts, metric, starts, delta))
+        assert [t for t, _ in rows] == [t for t, _ in single]
+        assert [(t, dataclasses.asdict(st)) for t, st in single] == \
             [(t, dataclasses.asdict(st)) for t, st in reference]
     elif metric is Metric.L2:
         coords = np.asarray(pts, dtype=float)
         for i, (targets, _) in zip(starts, rows):
             assert targets == oracle.valid_targets_from(coords, i, delta, metric).tolist(), i
     # test_square compares the square sweep with the engine and the oracle
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
+@pytest.mark.parametrize("name", sorted(DIFF_INPUTS))
+def test_one_call_sums_its_sweeps_stats(name, metric):
+    """One ``sweep_rows`` call over every start vertex yields each sweep's
+    targets and gauge, and its ``SweepStats`` is the field-wise sum of the
+    sweeps' own (gauges by max), which one call per start vertex reports."""
+    make, delta, order = DIFF_INPUTS[name]
+    pts = make()
+    starts = list(range(len(pts) - 1))
+    if order == "descending":
+        starts.reverse()
+    total = SweepStats()
+    rows = list(sweep_rows(pts, metric, starts, delta, total=total))
+    single = list(each_sweep_stats(pts, metric, starts, delta))
+    assert rows == [(t, st.max_arc_count) for t, st in single]
+    hist = {}
+    for _, st in single:
+        for case, k in st.case_histogram.items():
+            hist[case] = hist.get(case, 0) + k
+    assert dataclasses.asdict(total) == {
+        "max_arc_count": max(st.max_arc_count for _, st in single),
+        "max_segment_count": max(st.max_segment_count for _, st in single),
+        **{f: sum(getattr(st, f) for _, st in single)
+           for f in ("inserted", "removed", "steps", "aborts")},
+        "case_histogram": hist}
+
+
+# ``simplify(...).stats`` without its timings, recorded before the sweeps
+# added their counts into one accumulator per ``sweep_rows`` call
+SIMPLIFY_STATS_PINNED = {
+    ("trip", "l2"): {
+        "max_wavefront_size": 5, "max_segment_count": 0, "sweep_aborts": 192,
+        "sweep_steps": 10198,
+        "case_histogram": {"PREFIX": 781, "INIT": 237, "WEDGE_EMPTY": 192, "TM": 27, "MT": 54,
+                           "MM": 1119, "MB": 352, "BM": 333, "BB": 7103},
+        "arcs_inserted": 8232, "arcs_removed": 7993, "link_distance": 8},
+    ("quantized", "linf"): {
+        "max_wavefront_size": 2, "max_segment_count": 2, "sweep_aborts": 191,
+        "sweep_steps": 6548,
+        "case_histogram": {"PREFIX": 626, "INIT": 217, "WEDGE_EMPTY": 191, "MM": 1545,
+                           "BB": 3969},
+        "arcs_inserted": 0, "arcs_removed": 0, "link_distance": 8},
+    ("lattice", "l1"): {
+        "max_wavefront_size": 2, "max_segment_count": 2, "sweep_aborts": 192,
+        "sweep_steps": 2340,
+        "case_histogram": {"PREFIX": 135, "INIT": 198, "WEDGE_EMPTY": 192, "MM": 150,
+                           "BB": 1665},
+        "arcs_inserted": 0, "arcs_removed": 0, "link_distance": 23},
+}
+
+
+@pytest.mark.parametrize("name, metric", sorted(SIMPLIFY_STATS_PINNED))
+def test_simplify_stats_are_pinned(name, metric):
+    make, delta, _ = DIFF_INPUTS[name]
+    stats = simplify(make(), delta, metric).stats
+    del stats["wall_ms_per_phase"]
+    assert stats == SIMPLIFY_STATS_PINNED[(name, metric)]
+    assert list(stats["case_histogram"]) == list(SIMPLIFY_STATS_PINNED[(name, metric)]
+                                                 ["case_histogram"])

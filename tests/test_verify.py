@@ -1,6 +1,7 @@
 """``verify`` on instances long enough for many wavefront steps per sweep."""
 from frechetsimp import _disk, verify
-from frechetsimp.geometry import Metric
+from frechetsimp.geometry import InternalGeometryError, Metric
+from frechetsimp.simplify import SweepStats
 from frechetsimp.verify import VerifyConfig, check_instance, random_instance, run_verify
 
 
@@ -52,3 +53,20 @@ def test_mismatch_report_lists_rows_and_link_counts(monkeypatch):
         {"kind": "link_count", "oracle": 1, "wavefront": 2},
     ]
     assert stats.steps == 66
+
+
+def test_a_sweep_that_raises_adds_no_stats(monkeypatch):
+    # the third sweep has counted its steps into the call's accumulator when
+    # it raises; the instance is reported and its stats stay empty
+    pts, delta, _ = random_instance(VerifyConfig(seed=7, style="walk", max_n=12), 15)
+    scalar = _disk._scalar
+
+    def failing(X, Y, i, delta, acc, watch=None):
+        res = scalar(X, Y, i, delta, acc, watch)
+        if i == 2:
+            raise InternalGeometryError("stand-in")
+        return res
+    monkeypatch.setattr(_disk, "_scalar", failing)
+    problems, stats = check_instance(pts, delta, Metric.L2)
+    assert problems == [{"kind": "invariant", "detail": "stand-in"}]
+    assert stats == SweepStats()

@@ -10,10 +10,10 @@ from frechetsimp._engine import BELOW, OUTSIDE, VALID, Sweep, SweepAbortedError,
 from frechetsimp.diagnostics import DiskChecker, SquareChecker
 from frechetsimp.geometry import CircleKernel, InternalGeometryError, Metric
 from frechetsimp.oracle import shortcut_is_valid
-from frechetsimp.simplify import sweep_rows
 from frechetsimp.verify import VerifyConfig, check_instance, random_instance
 
 from oracles import rasterize_valid_region
+from sweeps import each_sweep_stats, fresh_acc
 from test_acceptance import _tie_instance
 from walks import drift_walk
 
@@ -231,8 +231,9 @@ class TestStrictInvariants:
             checker(j, case, arcs, wedge)
 
         with pytest.raises(InternalGeometryError, match="gap"):
-            _disk._scalar(X, Y, 0, 1.0, broken)
-        _disk._scalar(X, Y, 0, 1.0, DiskChecker(X, Y, 0, 1.0))      # unbroken, it passes
+            _disk._scalar(X, Y, 0, 1.0, fresh_acc(), broken)
+        # unbroken, it passes
+        _disk._scalar(X, Y, 0, 1.0, fresh_acc(), DiskChecker(X, Y, 0, 1.0))
 
     @pytest.mark.parametrize("fault", ["lower X-", "swap rays"])
     def test_square_checker_catches_fault_injection(self, fault):
@@ -254,8 +255,9 @@ class TestStrictInvariants:
 
         with pytest.raises(InternalGeometryError, match="rose" if fault == "lower X-" else
                            "l before r"):
-            _square._scalar(X, Y, 0, 1.0, broken)
-        _square._scalar(X, Y, 0, 1.0, SquareChecker(X, Y, 0, 1.0))  # unbroken, it passes
+            _square._scalar(X, Y, 0, 1.0, fresh_acc(), broken)
+        # unbroken, it passes
+        _square._scalar(X, Y, 0, 1.0, fresh_acc(), SquareChecker(X, Y, 0, 1.0))
 
     def test_checkers_pass_every_tied_sweep_and_change_no_row(self):
         # c7's tie recipe: the engine the checkers once read raised on
@@ -268,7 +270,7 @@ class TestStrictInvariants:
             for metric in (Metric.L2, Metric.LINF, Metric.L1):
                 checker = DiskChecker if metric is Metric.L2 else SquareChecker
                 rows = [[(t, dataclasses.asdict(st))
-                         for t, st in sweep_rows(pts, metric, starts, delta, watch=watch)]
+                         for t, st in each_sweep_stats(pts, metric, starts, delta, watch)]
                         for watch in (None, checker)]
                 assert rows[1] == rows[0], (pts, delta, metric)
 
