@@ -4,18 +4,18 @@ Given a polyline and a tolerance delta, find the minimum-vertex subsequence
 whose every shortcut segment stays within Frechet distance delta of the
 subpolyline it replaces.  A wedge/wavefront sweep of Euclidean disks serves
 L2; Linf runs the square sweep, four running face extremes and one cone per
-quadrant, and L1 the same sweep after the exact coordinate change that turns
-its balls into Linf balls.  A cubic interval-oracle baseline serves as the
-correctness reference.
+quadrant, and L1 the same sweep after the coordinate change that turns its
+balls into Linf balls (not exact in floats: x+y and y-x each round once).  A
+cubic interval-oracle baseline serves as the correctness reference.
 
 ``simplify`` runs the whole pipeline, ``shortcuts`` lists the valid shortcut
 targets of one vertex, and ``shortcut_is_valid`` is the decision oracle.
 """
 
-from .geometry import InternalGeometryError, Metric
+from .geometry import (InternalGeometryError, InvalidInputError, Metric, _checked_metric,
+                       _finite_vertices)
 from .oracle import ball_segment_interval, shortcut_is_valid
-from .simplify import (InvalidInputError, SimplificationResult, _checked_metric,
-                       _finite_vertices, simplify, simplify_baseline, sweep_rows)
+from .simplify import SimplificationResult, simplify, simplify_baseline, sweep_rows
 
 __version__ = "0.1.0"
 

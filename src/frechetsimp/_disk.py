@@ -61,7 +61,8 @@ from typing import Sequence
 from .geometry import EPS_REL, InternalGeometryError
 from .simplify import CASES, INSERTED, MAX_ARCS, REMOVED
 
-(_PREFIX, _INIT, _WEDGE_EMPTY, _TT_EMPTY, _TT, _TM, _MT, _MM, _MB, _BM, _BB) = range(11)
+(_PREFIX, _INIT, _WEDGE_EMPTY, _TT_EMPTY, _TT, _TM, _MT, _MM, _MB, _BM, _BB) = map(
+    CASES.index, "PREFIX INIT WEDGE_EMPTY TT_EMPTY TT TM MT MM MB BM BB".split())
 _SPAN = 0.5e-9      # a crossing within about 1e-9 rad of an arc's span is on it
 _NEAR = EPS_REL     # ... and on its near side within EPS_REL * delta^2
 _COINC = EPS_REL * EPS_REL              # circles closer than EPS_REL * delta coincide
@@ -183,50 +184,32 @@ def _crossings(a, x, y, rr):
     return out
 
 
-def _scan_left(arcs, k, x, y, rr, once=False):
-    """From arc k leftward, the first arc C_j crosses: (index, its
-    counterclockwise-most crossing), or None.  ``once``: C_j's boundary
-    crosses the wavefront once, on the first arc whose right end lies in
-    C_j, so the arcs before it are passed by that end point alone."""
+def _scan(arcs, k, step, x, y, rr, once=False):
+    """From arc k by ``step`` (-1 towards arc 0, +1 away from it), the first
+    arc C_j crosses: (index, the crossing the walk meets first), or None.
+    ``once``: C_j's boundary crosses the wavefront once, on the first arc
+    whose end ahead on the walk lies in C_j, so the arcs before it are
+    passed by that end point alone."""
+    if step < 0:
+        ahead, behind, first, last, stop = 0, 2, -1, 0, -1
+    else:
+        ahead, behind, first, last, stop = 2, 0, 0, len(arcs) - 1, len(arcs)
     if once:
-        while k > 0:
+        while k != last:
             a = arcs[k]
-            dx = a[0] - x
-            dy = a[1] - y
+            dx = a[ahead] - x
+            dy = a[ahead + 1] - y
             if dx * dx + dy * dy <= rr:
                 break
-            k -= 1
-    while k >= 0:
+            k += step
+    while k != stop:
         crs = _crossings(arcs[k], x, y, rr)
         if crs is None:
             a = arcs[k]
-            return k, (a[2], a[3])
+            return k, (a[behind], a[behind + 1])
         if crs:
-            return k, crs[-1]
-        k -= 1
-    return None
-
-
-def _scan_right(arcs, k, x, y, rr, once=False):
-    """From arc k rightward, the first arc C_j crosses: (index, its
-    clockwise-most crossing), or None; ``once`` as for ``_scan_left``."""
-    if once:
-        last = len(arcs) - 1
-        while k < last:
-            a = arcs[k]
-            dx = a[2] - x
-            dy = a[3] - y
-            if dx * dx + dy * dy <= rr:
-                break
-            k += 1
-    while k < len(arcs):
-        crs = _crossings(arcs[k], x, y, rr)
-        if crs is None:
-            a = arcs[k]
-            return k, (a[0], a[1])
-        if crs:
-            return k, crs[0]
-        k += 1
+            return k, crs[first]
+        k += step
     return None
 
 
@@ -473,7 +456,7 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, acc, w
         if case == "MB":
             # C_j beyond the wavefront at the right ray: its near arc takes
             # over from the right ray to the first crossing
-            found = _scan_right(arcs, kr, x, y, rr, True)
+            found = _scan(arcs, kr, 1, x, y, rr, True)
             if found is None:
                 raise InternalGeometryError("case MB must have one crossing")
             k, (x1, y1) = found
@@ -486,7 +469,7 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, acc, w
             inserted += 1
             case = _MB
         elif case == "BM":
-            found = _scan_left(arcs, kl, x, y, rr, True)
+            found = _scan(arcs, kl, -1, x, y, rr, True)
             if found is None:
                 raise InternalGeometryError("case BM must have one crossing")
             k, (x0, y0) = found
@@ -499,14 +482,14 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, acc, w
             inserted += 1
             case = _BM
         elif case == "TT":
-            found = _scan_left(arcs, kl, x, y, rr)
+            found = _scan(arcs, kl, -1, x, y, rr)
             if found is None:
                 removed += n - 1 - kl + kr
                 case = _TT_EMPTY
                 aborted = True
             else:
                 il, (x1, y1) = found
-                found = _scan_right(arcs, kr, x, y, rr)
+                found = _scan(arcs, kr, 1, x, y, rr)
                 if found is None:
                     raise InternalGeometryError("case TT must have two crossings")
                 ir, (x0, y0) = found
@@ -522,7 +505,7 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, acc, w
                 rx, ry, lx, ly = x0, y0, x1, y1
                 case = _TT
         elif case == "TM":
-            found = _scan_left(arcs, kl, x, y, rr, True)
+            found = _scan(arcs, kl, -1, x, y, rr, True)
             if found is None:
                 raise InternalGeometryError("case TM must have one crossing")
             k, (lx, ly) = found
@@ -532,7 +515,7 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, acc, w
             removed += n - 1 - k
             case = _TM
         elif case == "MT":
-            found = _scan_right(arcs, kr, x, y, rr, True)
+            found = _scan(arcs, kr, 1, x, y, rr, True)
             if found is None:
                 raise InternalGeometryError("case MT must have one crossing")
             k, (rx, ry) = found

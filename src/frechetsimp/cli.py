@@ -22,7 +22,7 @@ from . import __version__, bench, polyio, svgdebug
 from .geometry import InternalGeometryError, Metric
 from .simplify import (InvalidInputError, SweepStats, nu_diagnostics, preprocess, simplify,
                        sweep_rows)
-from .verify import InstanceError, VerifyConfig, run_verify
+from .verify import DEFAULT_METRICS, InstanceError, VerifyConfig, run_verify
 
 EXIT_OK = 0
 EXIT_FILE = 1
@@ -131,8 +131,8 @@ def _cmd_verify(args) -> int:
         return _error("--count must be at least 1", EXIT_CONFIG)
     if args.max_n < 2:
         return _error("--max-n must be at least 2", EXIT_CONFIG)
-    metrics = (args.metric,) if args.metric else (Metric.L2, Metric.L1, Metric.LINF)
-    delta_range = (args.delta, args.delta) if args.delta else (0.1, 3.0)
+    metrics = (args.metric,) if args.metric else DEFAULT_METRICS
+    delta_range = (args.delta, args.delta) if args.delta else VerifyConfig.delta_range
     cfg = VerifyConfig(count=args.count, max_n=args.max_n, delta_range=delta_range,
                        metrics=metrics, seed=args.seed, strict=args.strict,
                        workers=max(1, args.threads), style=args.style)

@@ -2,9 +2,10 @@
 
 Everything here works on plain float pairs.  A "unit circle" of radius delta is
 a Euclidean disk for L2 and an axis-aligned square of side 2*delta for Linf.
-L1 is reduced to Linf by the exact change of coordinates (x, y) -> (x+y, y-x),
+L1 is reduced to Linf by the change of coordinates (x, y) -> (x+y, y-x),
 under which the L1 ball becomes the Linf ball of the same radius, so the
-square kernel serves both.  The package's sweeps, ``_disk`` for disks and
+square kernel serves both.  In floats the change is not exact: x+y and y-x
+each round once.  The package's sweeps, ``_disk`` for disks and
 ``_square`` for squares, need none of the kernels: ``CircleKernel`` and
 ``SquareKernel`` serve only the reference engine ``_engine``, which the
 tests and the benchmark's tracer run.
@@ -37,7 +38,32 @@ class InternalGeometryError(AssertionError):
     """A structural invariant that should be unreachable was violated."""
 
 
+class InvalidInputError(ValueError):
+    pass
+
+
 Point = tuple[float, float]
+
+
+def _checked_metric(delta: float, metric) -> Metric:
+    """``metric`` as a ``Metric``; InvalidInputError for an unknown metric or a
+    delta that is not a positive finite number."""
+    if delta <= 0.0 or not math.isfinite(delta):
+        raise InvalidInputError("delta must be a positive finite number")
+    try:
+        return Metric(metric)
+    except ValueError:
+        raise InvalidInputError(f"unsupported metric {metric!r}") from None
+
+
+def _finite_vertices(points: Sequence[Sequence[float]], first: int = 0) -> list[Point]:
+    """``points`` as (x, y) float pairs; InvalidInputError at a non-finite
+    coordinate, naming its vertex by index from ``first``."""
+    out = [(float(p[0]), float(p[1])) for p in points]
+    for k, (x, y) in enumerate(out, first):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise InvalidInputError(f"non-finite coordinate at vertex {k}")
+    return out
 
 
 def lp_distance(p: Sequence[float], q: Sequence[float], metric: Metric = Metric.L2) -> float:
@@ -54,7 +80,9 @@ def lp_distance(p: Sequence[float], q: Sequence[float], metric: Metric = Metric.
 
 
 def l1_to_linf(points: Sequence[Sequence[float]]) -> list[Point]:
-    """Map points so that L1 distances between them equal Linf distances between the images."""
+    """Map points by (x, y) -> (x+y, y-x), under which L1 distances become Linf
+    distances; x+y and y-x each round once, so the image is exact only where
+    neither rounds."""
     return [(p[0] + p[1], p[1] - p[0]) for p in points]
 
 

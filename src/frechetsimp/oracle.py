@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Metric
+from .geometry import Metric, _checked_metric, _finite_vertices, l1_to_linf
 
 Interval = tuple[float, float]
 
@@ -83,23 +83,14 @@ def ball_segment_interval(center: Sequence[float], delta: float, metric: Metric,
     """The closed set {t in [0,1] : ||center - (a + t(b-a))||_m <= delta}, or None if empty.
 
     ``metric`` is a ``Metric`` or its value ("l1", "l2" or "linf").
+    InvalidInputError for the delta and metric that ``simplify`` rejects and
+    for a non-finite coordinate.
     """
-    return _interval(center, delta, Metric(metric), seg_a, seg_b)
-
-
-def _interval(center: Sequence[float], delta: float, metric: Metric,
-              seg_a: Sequence[float], seg_b: Sequence[float]) -> Optional[Interval]:
-    """``ball_segment_interval`` for a ``metric`` that is a ``Metric`` member."""
-    cx, cy = center[0], center[1]
-    ax, ay = seg_a[0], seg_a[1]
-    bx, by = seg_b[0], seg_b[1]
-    if metric is Metric.L2:
-        return _interval_l2(cx, cy, ax, ay, bx, by, delta)
-    if metric is Metric.L1:
-        cx, cy = cx + cy, cy - cx
-        ax, ay = ax + ay, ay - ax
-        bx, by = bx + by, by - bx
-    return _interval_linf(cx, cy, ax, ay, bx, by, delta)
+    metric = _checked_metric(delta, metric)
+    pts = _finite_vertices((center, seg_a, seg_b))
+    (cx, cy), (ax, ay), (bx, by) = l1_to_linf(pts) if metric is Metric.L1 else pts
+    interval = _interval_l2 if metric is Metric.L2 else _interval_linf
+    return interval(cx, cy, ax, ay, bx, by, delta)
 
 
 def shortcut_is_valid(pts: Sequence[Sequence[float]], i: int, k: int, delta: float,
@@ -110,19 +101,23 @@ def shortcut_is_valid(pts: Sequence[Sequence[float]], i: int, k: int, delta: flo
     zero-length shortcut (p_i == p_k) is valid iff every bridged vertex lies
     within delta of p_i, decided by the comparisons the batch loop makes (the
     squared L2 length; L1 on its Linf image).  ``metric`` is a ``Metric`` or
-    its value.
+    its value.  InvalidInputError for the delta and metric that ``simplify``
+    rejects and, where k > i+1, for a non-finite coordinate of p_i ... p_k.
     """
-    metric = Metric(metric)     # the code below branches on identity
+    metric = _checked_metric(delta, metric)     # the code below branches on identity
     n = len(pts)
     if not (0 <= i < k < n):
         raise IndexError(f"need 0 <= i < k < {n}, got i={i} k={k}")
     if k == i + 1:
         return True
-    pi = pts[i]
-    pk = pts[k]
+    q = _finite_vertices(pts[i:k + 1], i)
+    if metric is Metric.L1:
+        q = l1_to_linf(q)
+    (ax, ay), (bx, by) = q[0], q[-1]
+    interval = _interval_l2 if metric is Metric.L2 else _interval_linf
     t = 0.0
-    for j in range(i + 1, k):
-        iv = _interval(pts[j], delta, metric, pi, pk)
+    for cx, cy in q[1:-1]:
+        iv = interval(cx, cy, ax, ay, bx, by, delta)
         if iv is None:
             return False
         lo, hi = iv

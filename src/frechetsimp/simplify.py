@@ -13,7 +13,6 @@ frames are not drawn here.
 """
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from .geometry import Metric, l1_to_linf, lp_distance
+from .geometry import (InvalidInputError, Metric, _checked_metric, _finite_vertices,
+                       l1_to_linf, lp_distance)
 
 __all__ = ["SimplificationResult", "Polyline", "preprocess", "simplify",
            "simplify_baseline", "nu_diagnostics", "link_distance_table",
@@ -42,10 +42,6 @@ CASES = ("PREFIX", "INIT", "WEDGE_EMPTY", "TT_EMPTY",
 # case in ``CASES`` order, then the arcs inserted and removed, then the two
 # gauges, kept by max
 INSERTED, REMOVED, MAX_ARCS, MAX_SEGMENTS = range(len(CASES), len(CASES) + 4)
-
-
-class InvalidInputError(ValueError):
-    pass
 
 
 @dataclass
@@ -153,15 +149,6 @@ class Polyline:
         return len(self.vertices)
 
 
-def _finite_vertices(points: Sequence[Sequence[float]]) -> list[tuple[float, float]]:
-    """``points`` as (x, y) float pairs; InvalidInputError at a non-finite coordinate."""
-    out = [(float(p[0]), float(p[1])) for p in points]
-    for k, (x, y) in enumerate(out):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise InvalidInputError(f"non-finite coordinate at vertex {k}")
-    return out
-
-
 def preprocess(points: Sequence[Sequence[float]]) -> Polyline:
     if len(points) < 2:
         raise InvalidInputError("a polyline needs at least two vertices")
@@ -255,17 +242,6 @@ def _pool_worker(pts, delta: float, metric: Metric, algo: str, lo: int, hi: int)
     """Target lists of start vertices hi-1 down to lo, plus their stats."""
     total = SweepStats()
     return list(_target_lists(pts, delta, metric, algo, range(hi - 1, lo - 1, -1), total)), total
-
-
-def _checked_metric(delta: float, metric) -> Metric:
-    """``metric`` as a ``Metric``; InvalidInputError for an unknown metric or a
-    delta that is not a positive finite number."""
-    if delta <= 0.0 or not math.isfinite(delta):
-        raise InvalidInputError("delta must be a positive finite number")
-    try:
-        return Metric(metric)
-    except ValueError:
-        raise InvalidInputError(f"unsupported metric {metric!r}") from None
 
 
 def simplify(points, delta: float, metric: Metric = Metric.L2,

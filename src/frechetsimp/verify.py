@@ -19,7 +19,7 @@ import numpy as np
 
 from . import oracle
 from .geometry import InternalGeometryError, Metric
-from .simplify import SweepStats, link_distances, pool_size, sweep_rows
+from .simplify import _CHUNKS_PER_WORKER, SweepStats, link_distances, pool_size, sweep_rows
 
 DEFAULT_METRICS = (Metric.L2, Metric.L1, Metric.LINF)
 COORD_RANGE = 10.0        # uniform and cluster styles draw coordinates in [0, COORD_RANGE)
@@ -258,7 +258,7 @@ def run_verify(cfg: VerifyConfig) -> VerifyReport:
     if workers <= 1:
         parts = [_run_range((cfg, 0, cfg.count))]
     else:
-        chunk = max(1, cfg.count // (workers * 8))
+        chunk = max(1, cfg.count // (workers * _CHUNKS_PER_WORKER))
         ranges = [(cfg, lo, min(lo + chunk, cfg.count))
                   for lo in range(0, cfg.count, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as ex:

@@ -125,6 +125,8 @@ def _serpentine_grid(rows, cols, spacing, jitter, seed):
 
 
 def _bulge_cluster(m, delta=1.0, R=3.0, rho=0.8, span_deg=60.0, seed=0):
+    """Apex plus m unit circles whose centers bulge away from the apex; the
+    binary-subdivision visit order makes every step an interior insertion."""
     rng = np.random.default_rng(seed)
     fracs = [0.0, 1.0, 0.5]
     level = 2

@@ -1,5 +1,6 @@
 """The package's public surface: the exported names and the README quickstart."""
 import ast
+import importlib
 import math
 import os
 import re
@@ -7,6 +8,8 @@ import re
 import pytest
 
 import frechetsimp
+from frechetsimp import _disk
+from frechetsimp.simplify import CASES
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -19,6 +22,8 @@ def test_public_names():
     ]
     for name in frechetsimp.__all__:
         assert hasattr(frechetsimp, name), name
+    assert importlib.import_module("frechetsimp.simplify").InvalidInputError is \
+        frechetsimp.InvalidInputError
 
 
 def test_readme_quickstart_runs():
@@ -75,6 +80,18 @@ def test_shortcuts_rejects_a_vertex_index_out_of_range(i, metric):
 def test_shortcuts_rejects_a_nonpositive_delta(delta, metric):
     with pytest.raises(frechetsimp.InvalidInputError):
         frechetsimp.shortcuts(PTS, 0, delta, metric)
+    _oracle_rejects(PTS, delta, metric)
+    with pytest.raises(frechetsimp.InvalidInputError):
+        frechetsimp.shortcut_is_valid(PTS, 0, 1, delta, metric)
+
+
+def _oracle_rejects(pts, delta, metric):
+    """Both scalar oracles raise InvalidInputError on ``pts[0:3]`` and on the
+    shortcut over all of ``pts``."""
+    with pytest.raises(frechetsimp.InvalidInputError):
+        frechetsimp.ball_segment_interval(pts[1], delta, metric, pts[0], pts[2])
+    with pytest.raises(frechetsimp.InvalidInputError):
+        frechetsimp.shortcut_is_valid(pts, 0, len(pts) - 1, delta, metric)
 
 
 @pytest.mark.parametrize("metric", list(frechetsimp.Metric), ids=lambda m: m.value)
@@ -82,6 +99,7 @@ def test_shortcuts_rejects_a_nonpositive_delta(delta, metric):
 def test_shortcuts_rejects_a_nonfinite_delta(delta, metric):
     with pytest.raises(frechetsimp.InvalidInputError):
         frechetsimp.shortcuts(PTS, 0, delta, metric)
+    _oracle_rejects(PTS, delta, metric)
 
 
 @pytest.mark.parametrize("metric", list(frechetsimp.Metric), ids=lambda m: m.value)
@@ -92,11 +110,18 @@ def test_shortcuts_rejects_a_nonfinite_coordinate(bad, metric):
         frechetsimp.shortcuts(pts, 0, 1.0, metric)
     with pytest.raises(frechetsimp.InvalidInputError):
         frechetsimp.simplify(pts, 1.0, metric)
+    # the oracles reject the vertices they read: the three points, or p_i
+    # ... p_k of a shortcut that bridges a vertex
+    _oracle_rejects(pts[1:4], 1.0, metric)
+    with pytest.raises(frechetsimp.InvalidInputError):
+        frechetsimp.shortcut_is_valid(pts, 2, 4, 1.0, metric)
+    assert frechetsimp.shortcut_is_valid(pts, 2, 3, 1.0, metric)
 
 
 def test_shortcuts_rejects_an_unknown_metric():
     with pytest.raises(frechetsimp.InvalidInputError):
         frechetsimp.shortcuts(PTS, 0, 1.0, "l7")
+    _oracle_rejects(PTS, 1.0, "l7")
 
 
 def test_shortcuts_of_every_vertex_in_range():
@@ -209,3 +234,12 @@ def test_one_place_picks_the_sweep():
         # the sweeps add into their call's accumulator and build no record
         if mod in ("_disk", "_square"):
             assert "SweepStats" not in names, mod
+    # each rule once: _disk has one crossing scan besides case MM's, and the
+    # scalar oracle maps coordinates where it is entered, with no helper
+    defined = {mod: {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+               for mod, tree in modules.items()}
+    assert {fn for fn in defined["_disk"] if fn.startswith("_scan")} == {"_scan", "_scan_mm"}
+    assert "_interval" not in defined["oracle"]
+    # and the accumulator's layout is defined in simplify alone
+    assert {case: getattr(_disk, "_" + case) for case in CASES} == {
+        case: CASES.index(case) for case in CASES}

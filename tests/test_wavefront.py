@@ -14,26 +14,8 @@ from frechetsimp.verify import VerifyConfig, check_instance, random_instance
 
 from oracles import rasterize_valid_region
 from sweeps import each_sweep_stats, fresh_acc
-from test_acceptance import _tie_instance
+from test_acceptance import _bulge_cluster, _tie_instance
 from walks import drift_walk
-
-
-def bulge_cluster(m, delta=1.0, R=3.0, rho=0.8, span_deg=60.0, seed=0):
-    """Apex plus m unit circles whose centers bulge away from the apex; the
-    binary-subdivision visit order makes every step an interior insertion."""
-    rng = np.random.default_rng(seed)
-    fracs = [0.0, 1.0, 0.5]
-    level = 2
-    while len(fracs) < m:
-        fracs += [k / (2 ** level) for k in range(1, 2 ** level, 2)]
-        level += 1
-    phimax = math.radians(span_deg)
-    pts = [(0.0, 0.0)]
-    for f in fracs[:m]:
-        phi = -phimax + 2 * phimax * f
-        pts.append((rho * delta * math.sin(phi) + rng.uniform(-1e-3, 1e-3),
-                    R * delta + rho * delta * math.cos(phi) + rng.uniform(-1e-3, 1e-3)))
-    return pts
 
 
 class TestInitAndFirstStep:
@@ -106,7 +88,7 @@ class TestStepCases:
         assert sw._front_dist_at(k, 0.0, 1.0) == pytest.approx(3.0)
 
     def test_interior_insertion_is_case_mm(self):
-        pts = bulge_cluster(4)
+        pts = _bulge_cluster(4)
         sw = Sweep(pts, 0, 1.0, CircleKernel)
         reports = [sw.step(j) for j in (1, 2, 3, 4)]
         assert reports[3].case == "MM"
@@ -159,7 +141,7 @@ class TestShortcutsFrom:
             assert shortcut_is_valid(L, 0, k, 1.0)
 
     def test_arc_count_bound_and_conservation(self):
-        pts = bulge_cluster(20)
+        pts = _bulge_cluster(20)
         targets, sw = sweep_targets(pts, 0, 1.0, CircleKernel)
         assert sw.stats.max_arc_count <= len(pts) - 1
         assert sw.stats.removed <= sw.stats.inserted
@@ -205,7 +187,7 @@ class TestRegionRasterization:
         self.region_agreement(pts, 0, 2, 1.0, (-3.0, 3.0, -0.5, 6.0))
 
     def test_mm_insertion_region(self):
-        pts = bulge_cluster(5)
+        pts = _bulge_cluster(5)
         self.region_agreement(pts, 0, 5, 1.0, (-3.0, 3.0, -0.5, 5.0))
 
 
@@ -220,7 +202,7 @@ class TestStrictInvariants:
     def test_checker_catches_fault_injection(self):
         # an observer that drops a middle arc of the disk sweep's wavefront
         # before the checker sees it must trip the battery
-        pts = bulge_cluster(8)
+        pts = _bulge_cluster(8)
         X = [p[0] for p in pts]
         Y = [p[1] for p in pts]
         checker = DiskChecker(X, Y, 0, 1.0)
@@ -276,7 +258,7 @@ class TestStrictInvariants:
 
 
 def test_svg_sink_receives_deterministic_frames(tmp_path):
-    pts = bulge_cluster(4)
+    pts = _bulge_cluster(4)
     frames = {}
 
     def sink(i, j, svg):
@@ -296,3 +278,18 @@ def test_svg_sink_receives_deterministic_frames(tmp_path):
     sink2 = svgdebug.file_sink(str(d))
     sink2(0, 1, frames[(0, 1)])
     assert (d / "frame_0_1.svg").read_text() == frames[(0, 1)]
+    # frames of the sweep from vertex 0: a BB climb, interior insertions,
+    # the order trap's abort, and squares
+    gallery = {
+        "collinear_climb": ([(0.0, 0.0), (0.0, 2.0), (0.0, 4.0), (0.0, 6.0)], 1.0, Metric.L2),
+        "interior_insertions": (_bulge_cluster(10), 1.0, Metric.L2),
+        "order_trap": ([(0.0, 0.0), (10.0, 0.0), (0.5, 0.0), (20.0, 0.0)], 1.0, Metric.L2),
+        "squares": ([(0.0, 0.0), (2.0, 3.0), (1.0, 6.0), (4.0, 7.0)], 1.5, Metric.LINF),
+    }
+    counts = {}
+    for name, (pts, delta, metric) in gallery.items():
+        drawn = []
+        svgdebug.draw_frames(pts, metric, [0], delta, lambda i, j, svg: drawn.append((i, j)))
+        counts[name] = len(set(drawn))
+    assert counts == {"collinear_climb": 3, "interior_insertions": 10,
+                      "order_trap": 2, "squares": 3}
