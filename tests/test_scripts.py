@@ -1,32 +1,23 @@
-"""Smoke runs of the two maintenance scripts under scripts/."""
+"""A gallery of instructive sweeps drawn to SVG files, one directory each."""
 import os
-import re
-import subprocess
-import sys
 
-ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+from frechetsimp import Metric
+from frechetsimp.svgdebug import draw_frames, file_sink
 
+from test_acceptance import _bulge_cluster
 
-def _run(script, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args],
-                          capture_output=True, text=True, env=env, timeout=120)
-
-
-def test_run_verify_small_soak():
-    proc = _run("run_verify.py", "--count", "2", "--strict-count", "1", "--workers", "1")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 6      # fast and strict pass for each of three styles
-    assert all(re.search(r"maxWF=\s*\d+ maxSeg=\d+ .*mismatches=0$", line) for line in lines)
+# a BB climb, interior insertions, the order trap's abort, and squares
+GALLERY = {
+    "collinear_climb": ([(0.0, 0.0), (0.0, 2.0), (0.0, 4.0), (0.0, 6.0)], 1.0, Metric.L2),
+    "interior_insertions": (_bulge_cluster(10), 1.0, Metric.L2),
+    "order_trap": ([(0.0, 0.0), (10.0, 0.0), (0.5, 0.0), (20.0, 0.0)], 1.0, Metric.L2),
+    "squares": ([(0.0, 0.0), (2.0, 3.0), (1.0, 6.0), (4.0, 7.0)], 1.5, Metric.LINF),
+}
 
 
 def test_render_case_gallery(tmp_path):
-    proc = _run("render_case_gallery.py", "--out", str(tmp_path))
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    frames = {name: len(os.listdir(tmp_path / name))
-              for name in ("collinear_climb", "interior_insertions", "order_trap", "squares")}
+    for name, (pts, delta, metric) in GALLERY.items():
+        draw_frames(pts, metric, [0], delta, file_sink(str(tmp_path / name)))
+    frames = {name: len(os.listdir(tmp_path / name)) for name in GALLERY}
     assert frames == {"collinear_climb": 3, "interior_insertions": 10,
                       "order_trap": 2, "squares": 3}

@@ -278,18 +278,3 @@ def test_svg_sink_receives_deterministic_frames(tmp_path):
     sink2 = svgdebug.file_sink(str(d))
     sink2(0, 1, frames[(0, 1)])
     assert (d / "frame_0_1.svg").read_text() == frames[(0, 1)]
-    # frames of the sweep from vertex 0: a BB climb, interior insertions,
-    # the order trap's abort, and squares
-    gallery = {
-        "collinear_climb": ([(0.0, 0.0), (0.0, 2.0), (0.0, 4.0), (0.0, 6.0)], 1.0, Metric.L2),
-        "interior_insertions": (_bulge_cluster(10), 1.0, Metric.L2),
-        "order_trap": ([(0.0, 0.0), (10.0, 0.0), (0.5, 0.0), (20.0, 0.0)], 1.0, Metric.L2),
-        "squares": ([(0.0, 0.0), (2.0, 3.0), (1.0, 6.0), (4.0, 7.0)], 1.5, Metric.LINF),
-    }
-    counts = {}
-    for name, (pts, delta, metric) in gallery.items():
-        drawn = []
-        svgdebug.draw_frames(pts, metric, [0], delta, lambda i, j, svg: drawn.append((i, j)))
-        counts[name] = len(set(drawn))
-    assert counts == {"collinear_climb": 3, "interior_insertions": 10,
-                      "order_trap": 2, "squares": 3}
