@@ -26,6 +26,12 @@ directions r (clockwise) and l.  Its bounds are corners made of face values,
     A zero-length shortcut is valid iff X+ <= 0 <= X- and Y+ <= 0 <= Y-,
     the oracle's rule.
   * The sweep aborts when every cone is empty.
+  * The first square that leaves out the apex starts a cone, the whole
+    quadrant, only where both its far faces are non-negative: with x, y
+    for x_j, y_j and e = -delta, f = +delta, quadrant 0 when x+f >= 0 <=
+    y+f, 1 when x+e <= 0 <= y+f, 2 when x+f >= 0 >= y+e, 3 when x+e <= 0
+    >= y+e, in that order.  Any other cone would die at that square.  At
+    least one is started, as x+e <= x+f and y+e <= y+f.
 
 Every decision is the comparison of two products of face values (or of a
 face value with zero), rounded once each, so ties on fixed-decimal or
@@ -146,13 +152,20 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, acc, w
                 if watch is not None:
                     watch(j, "PREFIX", (xp, xm, yp, ym), cones)
                 continue
-            slot = [[q, 1.0, 0.0, 0.0, 1.0] for q in range(4)]
-            cones = list(slot)
-            cap = 4
+            # only the quadrants whose far faces this square leaves
+            # non-negative start a cone
+            slot = [[0, 1.0, 0.0, 0.0, 1.0] if fx >= 0.0 <= fy else None,
+                    [1, 1.0, 0.0, 0.0, 1.0] if ex <= 0.0 <= fy else None,
+                    [2, 1.0, 0.0, 0.0, 1.0] if fx >= 0.0 >= ey else None,
+                    [3, 1.0, 0.0, 0.0, 1.0] if ex <= 0.0 >= ey else None]
+            cones = list(filter(None, slot))
+            cap = min(4, 2 * len(cones))
             step_moved = False      # INIT is counted apart
+            died = not cones        # never, as ex <= fx and ey <= fy
+        else:
+            died = False
         gauge = arcs < cap
         shown = 0
-        died = False
         for c in cones:
             q = c[0]
             if q & 1:

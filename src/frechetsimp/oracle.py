@@ -147,8 +147,9 @@ def _bounds(px, py, sx, sy, delta: float, metric: Metric):
     their Linf image).  The comparisons are the scalar path's: the L2
     quadratic, where a zero-length shortcut takes all of [0,1] iff p_j lies
     within delta of p_a, and the Linf slabs, where a zero direction keeps or
-    empties a whole axis.  ``lo``/``hi`` are clamped to [0,1] one-sidedly,
-    so an interval entirely outside stays empty.
+    empties a whole axis.  The L2 ``lo``/``hi`` are clamped to [0,1]
+    one-sidedly and the slabs start from [0,1], so an interval entirely
+    outside stays empty.
     """
     if metric is Metric.L2:
         # broadcasted dot keeps this off the BLAS thread pool
@@ -166,24 +167,24 @@ def _bounds(px, py, sx, sy, delta: float, metric: Metric):
             lo = np.where(zero, 0.0, lo)
             hi = np.where(zero, 1.0, hi)
             empty = np.where(zero, cc > 0.0, empty)
-    else:
-        lo, hi, empty = 0.0, 1.0, False
-        for p0, v in ((px, sx), (py, sy)):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = (p0 - delta) / v
-                t2 = (p0 + delta) / v
-            tl = np.minimum(t1, t2)
-            th = np.maximum(t1, t2)
-            vz = v == 0.0
-            if vz.any():
-                far = np.abs(p0) > delta
-                tl = np.where(vz, np.where(far, np.inf, -np.inf), tl)
-                th = np.where(vz, np.where(far, -np.inf, np.inf), th)
-            lo = np.maximum(lo, tl)
-            hi = np.minimum(hi, th)
-    lo = np.maximum(lo, 0.0)
-    hi = np.minimum(hi, 1.0)
-    return lo, hi, empty | (lo > hi)
+        lo = np.maximum(lo, 0.0)
+        hi = np.minimum(hi, 1.0)
+        return lo, hi, empty | (lo > hi)
+    lo, hi = 0.0, 1.0              # the slabs start from [0, 1]
+    for p0, v in ((px, sx), (py, sy)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (p0 - delta) / v
+            t2 = (p0 + delta) / v
+        tl = np.minimum(t1, t2)
+        th = np.maximum(t1, t2)
+        vz = v == 0.0
+        if vz.any():
+            far = np.abs(p0) > delta
+            tl = np.where(vz, np.where(far, np.inf, -np.inf), tl)
+            th = np.where(vz, np.where(far, -np.inf, np.inf), th)
+        lo = np.maximum(tl, lo)    # tl first: a bound of -0.0 yields to lo's 0.0
+        hi = np.minimum(hi, th)
+    return lo, hi, lo > hi
 
 
 def valid_targets_from(coords: np.ndarray, i: int, delta: float,

@@ -10,6 +10,7 @@ revalidate.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -18,11 +19,12 @@ from typing import Sequence
 import numpy as np
 
 from . import oracle
-from .geometry import InternalGeometryError, Metric
+from .geometry import InternalGeometryError, InvalidInputError, Metric
 from .simplify import _CHUNKS_PER_WORKER, SweepStats, link_distances, pool_size, sweep_rows
 
 DEFAULT_METRICS = (Metric.L2, Metric.L1, Metric.LINF)
 COORD_RANGE = 10.0        # uniform and cluster styles draw coordinates in [0, COORD_RANGE)
+STYLES = ("uniform", "walk", "cluster")
 
 
 class InstanceError(RuntimeError):
@@ -38,7 +40,24 @@ class VerifyConfig:
     seed: int = 0
     strict: bool = False          # attach the invariant checker to every sweep
     workers: int = 1              # capped at the usable CPUs (``simplify.pool_size``)
-    style: str = "uniform"        # uniform | walk | cluster
+    style: str = "uniform"        # one of STYLES
+
+    def __post_init__(self):
+        """Checks the config once, before anything is drawn (InvalidInputError),
+        and makes each metric a ``Metric`` member."""
+        if self.style not in STYLES:
+            raise InvalidInputError(f"unknown style {self.style!r}; "
+                                    f"choose from {', '.join(STYLES)}")
+        if self.max_n < 2:
+            raise InvalidInputError("max_n must be at least 2")
+        lo, hi = self.delta_range
+        if not 0.0 < lo <= hi < math.inf:
+            raise InvalidInputError("delta_range must be (low, high) with 0 < low <= high, "
+                                    "both finite")
+        try:
+            self.metrics = tuple(map(Metric, self.metrics))
+        except ValueError as exc:
+            raise InvalidInputError(str(exc)) from None
 
 
 @dataclass
@@ -102,16 +121,19 @@ def _seg_point_dists(pts: np.ndarray, metric: Metric) -> np.ndarray:
             t = -(x0 * vx + y0 * vy) / vv
         t = np.where(vv == 0.0, 0.0, np.clip(t, 0.0, 1.0))
         return np.hypot(x0 + t * vx, y0 + t * vy)
-    # the closest point under Linf is an endpoint or where a coordinate or a
-    # diagonal of the offset crosses zero
-    best = np.maximum(np.abs(x0), np.abs(y0))                 # t = 0
-    best = np.minimum(best, np.maximum(np.abs(x0 + vx), np.abs(y0 + vy)))
+    # h(t) = max(|x0 + t vx|, |y0 + t vy|) is convex and piecewise linear,
+    # and it bends only where the two terms are equal: where the binding term
+    # crosses zero, the other term is zero too.  So its minimum on [0, 1] lies
+    # at an endpoint or where the offset (x, y) crosses a diagonal, x = y or
+    # x = -y; an offset that runs along one diagonal crosses the other where
+    # both terms are zero.  A 0/0 crossing is NaN, which ``fmin`` skips; an
+    # infinite t clips to an endpoint.
+    best = np.minimum(np.maximum(np.abs(x0), np.abs(y0)),                 # t = 0
+                      np.maximum(np.abs(x0 + vx), np.abs(y0 + vy)))       # t = 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        for num, den in ((-x0, vx), (-y0, vy),
-                         (-(x0 - y0), vx - vy), (-(x0 + y0), vx + vy)):
-            t = num / den
-            t = np.where(np.isfinite(t), np.clip(t, 0.0, 1.0), 0.0)
-            best = np.minimum(best, np.maximum(np.abs(x0 + t * vx), np.abs(y0 + t * vy)))
+        for num, den in ((-(x0 - y0), vx - vy), (-(x0 + y0), vx + vy)):
+            t = np.clip(num / den, 0.0, 1.0)
+            best = np.fmin(best, np.maximum(np.abs(x0 + t * vx), np.abs(y0 + t * vy)))
     return best
 
 
@@ -121,11 +143,12 @@ def instance_margin(pts: np.ndarray, delta: float,
 
     The vertex-segment distances come from ``_seg_point_dists``, which
     evaluates only the triples a < c < b that a shortcut can bridge.
+    ``metrics`` may hold ``Metric`` members or their values.
     """
     n = len(pts)
     margin = np.inf
     off_diag = ~np.eye(n, dtype=bool)
-    for m in metrics:
+    for m in map(Metric, metrics):
         off = _pairwise(pts, m)[off_diag]
         if off.size:
             margin = min(margin, float(np.min(np.abs(off - delta))), float(np.min(off)))
@@ -169,7 +192,8 @@ def random_instance(cfg: VerifyConfig, idx: int):
 
 
 def _sweep_sets(pts_list, delta: float, metric: Metric, strict: bool):
-    """Wavefront shortcut targets per start vertex, plus the sweeps' stats.
+    """Wavefront shortcut targets per start vertex, plus the sweeps' stats;
+    ``metric`` is a ``Metric`` member.
 
     ``strict`` makes ``diagnostics``' checker of the sweep's own state the
     observer of every sweep."""
@@ -178,7 +202,7 @@ def _sweep_sets(pts_list, delta: float, metric: Metric, strict: bool):
         # imported on first use, as ``sweep_rows`` imports the sweeps, so
         # that importing the package loads neither
         from .diagnostics import DiskChecker, SquareChecker
-        watch = DiskChecker if Metric(metric) is Metric.L2 else SquareChecker
+        watch = DiskChecker if metric is Metric.L2 else SquareChecker
     total = SweepStats()
     sets = [targets for targets, _ in sweep_rows(pts_list, metric, range(len(pts_list) - 1),
                                                  delta, watch, total)]
@@ -192,6 +216,7 @@ def check_instance(pts, delta: float, metric: Metric, strict: bool = False):
     The sweep's target lists are compared with the oracle's rows in one
     pass; only where they differ are the per-row lists and the oracle's
     link distances built (equal lists give equal link counts)."""
+    metric = Metric(metric)
     pts = np.asarray(pts, dtype=float)
     pts_list = list(map(tuple, pts.tolist()))
     n = len(pts_list)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, strategies as st
 from frechetsimp._engine import Sweep
 from frechetsimp.geometry import (CircleKernel, Metric, SquareKernel, _wrap_angle,
                                  l1_to_linf, lp_distance)
-from frechetsimp.verify import _seg_point_dists
+from frechetsimp.oracle import linf_image
+from frechetsimp.verify import _seg_point_dists, _triples
 
 D = 1e-9
 
@@ -384,3 +386,46 @@ def test_segment_point_distance_vs_scan(metric):
         exact = float(_seg_point_dists(np.array([a, c, b]), metric)[0])
         assert exact <= scan + 1e-12
         assert exact >= scan - 1e-3
+
+
+def _linf_seg_point_exact(x0, y0, vx, vy):
+    """min over t in [0,1] of max(|x0 + t vx|, |y0 + t vy|), in rationals:
+    the least value at an endpoint or where a coordinate or a diagonal of
+    the offset crosses zero."""
+    ts = {Fraction(0), Fraction(1)}
+    for num, den in ((-x0, vx), (-y0, vy), (y0 - x0, vx - vy), (-(x0 + y0), vx + vy)):
+        if den:
+            ts.add(min(max(num / den, Fraction(0)), Fraction(1)))
+    return min(max(abs(x0 + t * vx), abs(y0 + t * vy)) for t in ts)
+
+
+@pytest.mark.parametrize("metric", [Metric.LINF, Metric.L1])
+def test_segment_point_distance_on_lattice_ties(metric):
+    """On one-decimal inputs the distance matches exact rationals on the
+    same (L1: Linf-image) coordinates to a few rounding errors, where
+    segments run along an axis or a diagonal, have zero length, or pass
+    through the vertex."""
+    named = [
+        [(0.1, 0.3), (0.4, 0.9), (0.7, 0.3)],      # along x
+        [(0.2, -0.5), (0.2, 0.1), (0.2, 0.6)],     # along y, through the vertex
+        [(0.1, 0.2), (0.3, 0.1), (0.4, 0.5)],      # vx = vy
+        [(0.1, 0.2), (0.3, 0.0), (0.4, -0.1)],     # vx = -vy, through the vertex
+        [(0.3, 0.3), (0.6, 0.1), (0.3, 0.3)],      # zero length
+        [(0.3, 0.3), (0.3, 0.3), (0.3, 0.3)],      # zero length, on the vertex
+        [(-0.4, 0.2), (0.1, 0.4), (0.6, 0.2)],     # along x, tied endpoints
+        [(-0.3, -0.3), (0.1, 0.0), (0.3, 0.3)],    # diagonal, flat bottom
+    ]
+    rng = np.random.default_rng(23)
+    polylines = [np.array(p) for p in named]
+    polylines += [rng.integers(-6, 7, (int(rng.integers(3, 13)), 2)) / 10.0 for _ in range(150)]
+    eps = np.finfo(float).eps
+    for pts in polylines:
+        got = _seg_point_dists(pts, metric)
+        P = linf_image(pts) if metric is Metric.L1 else pts
+        F = [(Fraction(x), Fraction(y)) for x, y in P.tolist()]
+        for (a, c, b), d in zip(zip(*_triples(len(pts))), got.tolist()):
+            x0, y0 = F[a][0] - F[c][0], F[a][1] - F[c][1]
+            vx, vy = F[b][0] - F[a][0], F[b][1] - F[a][1]
+            exact = _linf_seg_point_exact(x0, y0, vx, vy)
+            tol = 4 * eps * float(abs(x0) + abs(y0) + abs(vx) + abs(vy))
+            assert abs(Fraction(d) - exact) <= tol, (pts.tolist(), (a, c, b), d, float(exact))

@@ -1,8 +1,15 @@
-"""``verify`` on instances long enough for many wavefront steps per sweep."""
+"""``verify`` on instances long enough for many wavefront steps per sweep,
+and the checks of its config."""
+import math
+
+import numpy as np
+import pytest
+
 from frechetsimp import _disk, verify
-from frechetsimp.geometry import InternalGeometryError, Metric
+from frechetsimp.geometry import InternalGeometryError, InvalidInputError, Metric
 from frechetsimp.simplify import SweepStats
-from frechetsimp.verify import VerifyConfig, check_instance, random_instance, run_verify
+from frechetsimp.verify import (VerifyConfig, check_instance, instance_margin, random_instance,
+                                run_verify)
 
 
 def test_oracle_judges_batched_sweeps(monkeypatch):
@@ -70,3 +77,38 @@ def test_a_sweep_that_raises_adds_no_stats(monkeypatch):
     problems, stats = check_instance(pts, delta, Metric.L2)
     assert problems == [{"kind": "invariant", "detail": "stand-in"}]
     assert stats == SweepStats()
+
+
+def test_metrics_given_by_value_screen_under_their_own_metric():
+    # "l2" once fell through to the Linf branch of the margin (2.0)
+    pts = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 1.0]])
+    assert instance_margin(pts, 1.0, ("l2",)) == instance_margin(pts, 1.0, (Metric.L2,))
+    assert instance_margin(pts, 1.0, ("l2",)) == pytest.approx(2.452, abs=1e-3)
+    cfg = VerifyConfig(count=50, metrics=("l2",), seed=3)
+    assert all(type(m) is Metric for m in cfg.metrics)
+    assert run_verify(cfg).resamples == 0
+    assert run_verify(VerifyConfig(count=50, metrics=(Metric.L2,), seed=3)).resamples == 0
+
+
+def test_mismatch_of_a_metric_given_by_value_names_it(monkeypatch):
+    sweep_sets = verify._sweep_sets
+
+    def dropped(pts_list, delta, metric, strict):
+        sets, stats = sweep_sets(pts_list, delta, metric, strict)
+        sets[0] = sets[0][:-1]
+        return sets, stats
+    monkeypatch.setattr(verify, "_sweep_sets", dropped)
+    rep = run_verify(VerifyConfig(count=1, max_n=8, metrics=("linf",), seed=2))
+    assert rep.mismatches and {p["metric"] for p in rep.mismatches} == {"linf"}
+
+
+@pytest.mark.parametrize("bad", [
+    {"style": "walkk"}, {"max_n": 1}, {"delta_range": (0, 0)}, {"delta_range": (2.0, 1.0)},
+    {"delta_range": (0.5, math.inf)}, {"delta_range": (math.nan, 1.0)}, {"metrics": ("l3",)},
+])
+def test_config_is_checked_before_drawing(bad, monkeypatch):
+    def no_draw(rng, cfg):
+        raise AssertionError("an instance was drawn")
+    monkeypatch.setattr(verify, "_draw", no_draw)
+    with pytest.raises(InvalidInputError):
+        run_verify(VerifyConfig(count=2, **bad))
