@@ -26,12 +26,13 @@ directions r (clockwise) and l.  Its bounds are corners made of face values,
     A zero-length shortcut is valid iff X+ <= 0 <= X- and Y+ <= 0 <= Y-,
     the oracle's rule.
   * The sweep aborts when every cone is empty.
-  * The first square that leaves out the apex starts a cone, the whole
-    quadrant, only where both its far faces are non-negative: with x, y
-    for x_j, y_j and e = -delta, f = +delta, quadrant 0 when x+f >= 0 <=
-    y+f, 1 when x+e <= 0 <= y+f, 2 when x+f >= 0 >= y+e, 3 when x+e <= 0
-    >= y+e, in that order.  Any other cone would die at that square.  At
-    least one is started, as x+e <= x+f and y+e <= y+f.
+  * The first square j that leaves out the apex starts a cone, the whole
+    quadrant, only where both its far faces are non-negative: quadrant 0
+    when x_j + delta >= 0 <= y_j + delta, 1 when x_j - delta <= 0 <= y_j +
+    delta, 2 when x_j + delta >= 0 >= y_j - delta and 3 when x_j - delta
+    <= 0 >= y_j - delta, in that order.  Any other cone would die at that
+    square.  At least one starts, as x_j - delta <= x_j + delta and y_j -
+    delta <= y_j + delta.
 
 Every decision is the comparison of two products of face values (or of a
 face value with zero), rounded once each, so ties on fixed-decimal or

@@ -170,21 +170,22 @@ def _bounds(px, py, sx, sy, delta: float, metric: Metric):
         lo = np.maximum(lo, 0.0)
         hi = np.minimum(hi, 1.0)
         return lo, hi, empty | (lo > hi)
-    lo, hi = 0.0, 1.0              # the slabs start from [0, 1]
-    for p0, v in ((px, sx), (py, sy)):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (p0 - delta) / v
-            t2 = (p0 + delta) / v
-        tl = np.minimum(t1, t2)
-        th = np.maximum(t1, t2)
-        vz = v == 0.0
-        if vz.any():
-            far = np.abs(p0) > delta
-            tl = np.where(vz, np.where(far, np.inf, -np.inf), tl)
-            th = np.where(vz, np.where(far, -np.inf, np.inf), th)
-        lo = np.maximum(tl, lo)    # tl first: a bound of -0.0 yields to lo's 0.0
-        hi = np.minimum(hi, th)
-    return lo, hi, lo > hi
+    else:
+        lo, hi = 0.0, 1.0          # the slabs start from [0, 1]
+        for p0, v in ((px, sx), (py, sy)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = (p0 - delta) / v
+                t2 = (p0 + delta) / v
+            tl = np.minimum(t1, t2)
+            th = np.maximum(t1, t2)
+            vz = v == 0.0
+            if vz.any():
+                far = np.abs(p0) > delta
+                tl = np.where(vz, np.where(far, np.inf, -np.inf), tl)
+                th = np.where(vz, np.where(far, -np.inf, np.inf), th)
+            lo = np.maximum(tl, lo)    # tl first: a bound of -0.0 yields to lo's 0.0
+            hi = np.minimum(hi, th)
+        return lo, hi, lo > hi
 
 
 def valid_targets_from(coords: np.ndarray, i: int, delta: float,
