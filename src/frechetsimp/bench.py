@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Metric
+from .geometry import InvalidInputError, Metric
 from .simplify import simplify
 
 DEFAULT_SIZES = (250, 500, 1000, 2000)
@@ -109,7 +109,14 @@ def run_bench(sizes=DEFAULT_SIZES, seed: int = 0, delta: float = 1.0) -> BenchRe
     of the scaling test; the reference loop, timed while the job runs,
     follows that drift.  The runs go in rounds, each over every size and
     job, so a job's runs lie a round apart rather than back to back.
+
+    Raises InvalidInputError before any job runs for a size below 2, a
+    repeated size (it has no doubling ratio) or a negative seed.
     """
+    if any(n < 2 for n in sizes) or len(set(sizes)) < len(sizes):
+        raise InvalidInputError("sizes must be distinct vertex counts of at least 2")
+    if seed < 0:
+        raise InvalidInputError("seed must be non-negative")
     walks = {n: generate_walk(n, seed, delta) for n in sizes}
     best: dict = {}                                 # (n, algo, metric) -> (ms, result)
     for _ in range(REPEATS):

@@ -2,11 +2,13 @@
 
 Subcommands: simplify | verify | bench | stats.  Reports are JSON or CSV on
 stdout and are byte-stable for a fixed (input, config, seed), except for
-measured wall-clock fields.  Exit codes: 0 success, 1 input or output file
-error (a parse error, or a file or directory that cannot be read or
-written), 2 invalid configuration, 3 verification mismatch (also where its
-counterexample cannot be written), 4 internal geometry error (a sweep met a
-configuration it cannot decide).  ``simplify --svg-debug-dir`` draws its
+measured wall-clock fields.  The library checks each input where it enters;
+``main`` alone maps a failure to one ``error:`` line and its exit code:
+1 ``ParseError`` (also for a file that is not UTF-8 text) or ``OSError``,
+2 ``InvalidInputError``, or ``InstanceError`` where ``verify`` cannot draw
+a clean instance, 4 ``InternalGeometryError`` (a sweep met a configuration
+it cannot decide).  ``verify`` exits 3 on a mismatch, also where its
+counterexample cannot be written.  ``simplify --svg-debug-dir`` draws its
 frames after the simplification, in a pass of their own
 (``svgdebug.draw_frames``).
 """
@@ -20,9 +22,9 @@ import time
 
 from . import __version__, bench, polyio, svgdebug
 from .geometry import InternalGeometryError, Metric
-from .simplify import (InvalidInputError, SweepStats, nu_diagnostics, preprocess, simplify,
-                       sweep_rows)
-from .verify import DEFAULT_METRICS, InstanceError, VerifyConfig, run_verify
+from .simplify import (ALGO_BASELINE, ALGO_WAVEFRONT, InvalidInputError, SweepStats,
+                       nu_diagnostics, preprocess, simplify, sweep_rows)
+from .verify import DEFAULT_METRICS, STYLES, InstanceError, VerifyConfig, run_verify
 
 EXIT_OK = 0
 EXIT_FILE = 1
@@ -64,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--output", required=True)
     ps.add_argument("--delta", type=_positive, required=True)
     ps.add_argument("--metric", type=_metric, default=Metric.L2)
-    ps.add_argument("--algo", choices=("wavefront", "baseline"), default="wavefront")
+    ps.add_argument("--algo", choices=(ALGO_WAVEFRONT, ALGO_BASELINE), default=ALGO_WAVEFRONT)
     ps.add_argument("--threads", type=int, default=1)
     ps.add_argument("--svg-debug-dir", default=None)
 
@@ -78,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--strict", action="store_true",
                     help="run the full structural-invariant battery per step")
-    pv.add_argument("--style", choices=("uniform", "walk", "cluster"), default="uniform")
+    pv.add_argument("--style", choices=STYLES, default=STYLES[0])
     pv.add_argument("--threads", type=int, default=1)
     pv.add_argument("--dump-prefix", default="counterexample",
                     help="file prefix for the first mismatch dump")
@@ -97,24 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simplify(args) -> int:
-    try:
-        points = polyio.load_polyline(args.input)
-    except (OSError, polyio.ParseError) as exc:
-        return _error(exc, EXIT_FILE)
+    points = polyio.load_polyline(args.input)
     t0 = time.perf_counter()
-    try:
-        res = simplify(points, args.delta, args.metric, args.algo, workers=max(1, args.threads))
-    except InvalidInputError as exc:
-        return _error(exc, EXIT_CONFIG)
+    res = simplify(points, args.delta, args.metric, args.algo, workers=max(1, args.threads))
     millis = (time.perf_counter() - t0) * 1e3
-    try:
-        if args.svg_debug_dir:
-            poly = preprocess(points)
-            svgdebug.draw_frames(poly.vertices, args.metric, range(poly.n - 1), args.delta,
-                                 svgdebug.file_sink(args.svg_debug_dir))
-        polyio.save_polyline(args.output, [points[k] for k in res.indices])
-    except OSError as exc:
-        return _error(exc, EXIT_FILE)
+    if args.svg_debug_dir:
+        poly = preprocess(points)
+        svgdebug.draw_frames(poly.vertices, args.metric, range(poly.n - 1), args.delta,
+                             svgdebug.file_sink(args.svg_debug_dir))
+    polyio.save_polyline(args.output, [points[k] for k in res.indices])
     summary = {
         "n": len(points),
         "kept": len(res.indices),
@@ -127,19 +120,12 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.count < 1:
-        return _error("--count must be at least 1", EXIT_CONFIG)
-    if args.max_n < 2:
-        return _error("--max-n must be at least 2", EXIT_CONFIG)
     metrics = (args.metric,) if args.metric else DEFAULT_METRICS
     delta_range = (args.delta, args.delta) if args.delta else VerifyConfig.delta_range
     cfg = VerifyConfig(count=args.count, max_n=args.max_n, delta_range=delta_range,
                        metrics=metrics, seed=args.seed, strict=args.strict,
                        workers=max(1, args.threads), style=args.style)
-    try:
-        rep = run_verify(cfg)
-    except InstanceError as exc:
-        return _error(exc, EXIT_CONFIG)
+    rep = run_verify(cfg)
     summary = {
         "checked": rep.checked,
         "mismatches": len(rep.mismatches),
@@ -173,25 +159,15 @@ def _cmd_bench(args) -> int:
         try:
             sizes = tuple(int(s) for s in args.sizes.split(","))
         except ValueError:
-            return _error("--sizes expects comma-separated integers", EXIT_CONFIG)
-        if min(sizes) < 2:
-            return _error("--sizes needs vertex counts of at least 2", EXIT_CONFIG)
-        if len(set(sizes)) < len(sizes):
-            return _error("--sizes repeats a vertex count", EXIT_CONFIG)
+            raise InvalidInputError("--sizes expects comma-separated integers") from None
     result = bench.run_bench(sizes=sizes, seed=args.seed, delta=args.delta)
     sys.stdout.write(bench.to_csv(result))
     return EXIT_OK
 
 
 def _cmd_stats(args) -> int:
-    try:
-        points = polyio.load_polyline(args.input)
-    except (OSError, polyio.ParseError) as exc:
-        return _error(exc, EXIT_FILE)
-    try:
-        poly = preprocess(points)
-    except InvalidInputError as exc:
-        return _error(exc, EXIT_CONFIG)
+    points = polyio.load_polyline(args.input)
+    poly = preprocess(points)
     diag = nu_diagnostics(points, args.delta, args.metric)
     total = SweepStats()
     per_start = [arcs for _, arcs in sweep_rows(poly.vertices, args.metric, range(poly.n - 1),
@@ -208,12 +184,16 @@ def _cmd_stats(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Runs one subcommand; the one place that maps a failure to its exit code."""
+    args = build_parser().parse_args(argv)
     run = {"simplify": _cmd_simplify, "verify": _cmd_verify, "bench": _cmd_bench,
            "stats": _cmd_stats}[args.cmd]
     try:
         return run(args)
+    except (InvalidInputError, InstanceError) as exc:
+        return _error(exc, EXIT_CONFIG)
+    except (polyio.ParseError, OSError) as exc:
+        return _error(exc, EXIT_FILE)
     except InternalGeometryError as exc:
         return _error(f"internal geometry error: {exc}", EXIT_GEOMETRY)
 

@@ -65,8 +65,13 @@ def dump_polyline(points: Sequence[Sequence[float]]) -> str:
 
 
 def load_polyline(path: str) -> list[Point]:
-    with open(path) as fh:
-        return parse_polyline(fh.read())
+    """The polyline in the UTF-8 text file ``path``; ParseError for any other bytes."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_polyline(text)
 
 
 def save_polyline(path: str, points: Sequence[Sequence[float]]):

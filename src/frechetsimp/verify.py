@@ -48,6 +48,10 @@ class VerifyConfig:
         if self.style not in STYLES:
             raise InvalidInputError(f"unknown style {self.style!r}; "
                                     f"choose from {', '.join(STYLES)}")
+        if self.count < 1:
+            raise InvalidInputError("count must be at least 1")   # 0 checks would read as a pass
+        if self.seed < 0:
+            raise InvalidInputError("seed must be non-negative")
         if self.max_n < 2:
             raise InvalidInputError("max_n must be at least 2")
         lo, hi = self.delta_range
@@ -277,16 +281,18 @@ def _run_range(args):
 
 
 def run_verify(cfg: VerifyConfig) -> VerifyReport:
+    """Checks instances 0 .. count-1 in chunks: in process where there is one
+    chunk (``workers`` 1, or too few instances), else in a pool of at most
+    ``pool_size(workers)`` processes and no more than there are chunks."""
     t0 = time.perf_counter()
     report = VerifyReport()
     workers = pool_size(cfg.workers)
-    if workers <= 1:
-        parts = [_run_range((cfg, 0, cfg.count))]
+    chunk = cfg.count if workers == 1 else max(1, cfg.count // (workers * _CHUNKS_PER_WORKER))
+    ranges = [(cfg, lo, min(lo + chunk, cfg.count)) for lo in range(0, cfg.count, chunk)]
+    if len(ranges) == 1:
+        parts = [_run_range(ranges[0])]
     else:
-        chunk = max(1, cfg.count // (workers * _CHUNKS_PER_WORKER))
-        ranges = [(cfg, lo, min(lo + chunk, cfg.count))
-                  for lo in range(0, cfg.count, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as ex:
             parts = list(ex.map(_run_range, ranges))
     for p in parts:
         report.checked += p.checked

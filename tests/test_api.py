@@ -243,3 +243,22 @@ def test_one_place_picks_the_sweep():
     # and the accumulator's layout is defined in simplify alone
     assert {case: getattr(_disk, "_" + case) for case in CASES} == {
         case: CASES.index(case) for case in CASES}
+
+
+def _handled(tree, name):
+    """Names of the functions with an ``except`` clause that names ``name``
+    (None: module level)."""
+    def names(node):
+        kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        return {getattr(k, "id", None) or getattr(k, "attr", None) for k in kinds if k}
+    return _where(tree, lambda node: isinstance(node, ast.ExceptHandler) and name in names(node))
+
+
+def test_one_place_maps_failures_to_exit_codes():
+    # cli.main alone turns the library's errors into exit codes; the
+    # counterexample write of _cmd_verify, which exits 3, is the one exception
+    tree = dict(_modules())["cli"]
+    handled = {(fn, name) for name in ("InvalidInputError", "InstanceError", "ParseError",
+                                       "OSError") for fn in _handled(tree, name)}
+    assert handled == {("main", "InvalidInputError"), ("main", "InstanceError"),
+                       ("main", "ParseError"), ("main", "OSError"), ("_cmd_verify", "OSError")}

@@ -7,7 +7,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from frechetsimp import _disk, _square, cli, polyio
+from frechetsimp import _disk, _square, bench, cli, polyio
+from frechetsimp.geometry import InvalidInputError
 
 from walks import drift_walk, lattice_walk, stop_and_go
 
@@ -102,6 +103,15 @@ class TestSimplifyCommand:
         assert code == 1
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == "" and not dst.exists()
+
+    def test_undecodable_input_exits_1(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_bytes(b"\xff\xfe0,0\n1,1\n")
+        code = cli.main(["simplify", "--input", str(src), "--output", str(tmp_path / "o.csv"),
+                         "--delta", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and not (tmp_path / "o.csv").exists()
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(src) in err
 
     def test_bad_metric_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -286,6 +296,11 @@ class TestVerifyCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert cli.main(["verify", "--count", "3", "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_clean_run_exit_zero(self, capsys):
         code = cli.main(["verify", "--count", "40", "--seed", "11", "--max-n", "14"])
         assert code == 0
@@ -352,6 +367,19 @@ class TestBenchCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert cli.main(["bench", "--sizes", "5,10", "--seed", "-2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", [{"seed": -1}, {"sizes": (1, 2)}, {"sizes": (3, 3)}])
+    def test_run_bench_checks_before_timing(self, bad, monkeypatch):
+        def no_job(*args, **kwargs):
+            raise AssertionError("a job ran")
+        monkeypatch.setattr(bench, "simplify", no_job)
+        with pytest.raises(InvalidInputError):
+            bench.run_bench(**{"sizes": (5, 10), **bad})
+
 
 class TestStatsCommand:
     def test_well_spread_polyline(self, tmp_path, capsys):
@@ -364,6 +392,13 @@ class TestStatsCommand:
         assert out["maxVerticesInDeltaBall"] == 1
         assert out["maxWavefrontSizePerStart"] == [1] * 5
         assert out["maxWavefrontSize"] == 1
+
+    def test_undecodable_input_exits_1(self, tmp_path, capsys):
+        src = tmp_path / "p.csv"
+        src.write_bytes(b"\xff\xfe0,0\n1,1\n")
+        assert cli.main(["stats", "--input", str(src), "--delta", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_deterministic(self, tmp_path, capsys):
         src = tmp_path / "p.csv"

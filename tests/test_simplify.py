@@ -254,6 +254,15 @@ def test_pools_are_capped_at_the_usable_cpus(three_cpus):
     assert rep.ok and rep.checked == 3 * 48
 
 
+def test_verify_pools_no_more_processes_than_chunks(three_cpus):
+    # one instance is one chunk, which runs in process; two make two chunks
+    rep = run_verify(VerifyConfig(count=1, max_n=6, seed=5, workers=5000))
+    assert three_cpus == [] and rep.checked == 3
+    rep = run_verify(VerifyConfig(count=2, max_n=6, seed=5, workers=5000))
+    assert [(p.max_workers, p.calls) for p in three_cpus] == [(2, 2)]
+    assert rep.ok and rep.checked == 3 * 2
+
+
 def test_parallel_workers_counts_the_processes_that_swept(three_cpus):
     # under 64 vertices the sweeps run in process, whatever ``workers`` asks
     res = simplify([(0, 0), (1, 1), (2, 0)], 1.0, workers=2)

@@ -105,10 +105,11 @@ def test_mismatch_of_a_metric_given_by_value_names_it(monkeypatch):
 @pytest.mark.parametrize("bad", [
     {"style": "walkk"}, {"max_n": 1}, {"delta_range": (0, 0)}, {"delta_range": (2.0, 1.0)},
     {"delta_range": (0.5, math.inf)}, {"delta_range": (math.nan, 1.0)}, {"metrics": ("l3",)},
+    {"seed": -1}, {"count": 0},
 ])
 def test_config_is_checked_before_drawing(bad, monkeypatch):
     def no_draw(rng, cfg):
         raise AssertionError("an instance was drawn")
     monkeypatch.setattr(verify, "_draw", no_draw)
     with pytest.raises(InvalidInputError):
-        run_verify(VerifyConfig(count=2, **bad))
+        run_verify(VerifyConfig(**{"count": 2, **bad}))
