@@ -1,9 +1,9 @@
 """Desk-scale scaling benchmark: cubic baseline vs the wavefront sweeps.
 
-The input family is a jittered line ("random walk" with a drift): unit steps
-in x, small Gaussian wander in y relative to delta.  That keeps most
-shortcuts valid, so the baseline does its full cubic work and the sweeps run
-the whole polyline, which is the regime where the asymptotic gap shows.
+The input family is a jittered line ("random walk" with a drift) at delta = 1:
+steps of 0.3 in x, small Gaussian wander in y.  That keeps most shortcuts
+valid, so the baseline does its full cubic work and the sweeps run the whole
+polyline, which is the regime where the asymptotic gap shows.
 """
 from __future__ import annotations
 
@@ -43,8 +43,9 @@ class BenchResult:
     ratios: dict = field(default_factory=dict)    # (algo, metric) -> {(n1, n2): ratio}
 
 
-def generate_walk(n: int, seed: int, delta: float = 1.0) -> list[tuple[float, float]]:
-    """Forward-drifting walk: unit x steps, y oscillating inside the delta tube.
+def generate_walk(n: int, seed: int) -> list[tuple[float, float]]:
+    """Forward-drifting walk for delta = 1 (a scaled walk at a scaled delta
+    differs in roundings alone): x steps of 0.3, y oscillating in the tube.
 
     The oscillation keeps several circles interacting (non-trivial wavefronts)
     while the tube keeps most shortcuts valid, so sweeps run Theta(n) steps
@@ -52,8 +53,8 @@ def generate_walk(n: int, seed: int, delta: float = 1.0) -> list[tuple[float, fl
     """
     rng = np.random.default_rng([seed, n])
     t = np.arange(n, dtype=float)
-    x = 0.3 * delta * t
-    y = 0.45 * delta * np.sin(1.2 * t) + np.cumsum(rng.normal(0.0, 0.01 * delta, n))
+    x = 0.3 * t
+    y = 0.45 * np.sin(1.2 * t) + np.cumsum(rng.normal(0.0, 0.01, n))
     return list(zip(x.tolist(), y.tolist()))
 
 
@@ -99,7 +100,7 @@ def _timed(fn) -> tuple:
     return result, cpu * (REF_SECONDS / statistics.median(loops)) ** REF_EXPONENT * 1e3
 
 
-def run_bench(sizes=DEFAULT_SIZES, seed: int = 0, delta: float = 1.0) -> BenchResult:
+def run_bench(sizes=DEFAULT_SIZES, seed: int = 0) -> BenchResult:
     """Time every (size, algorithm, metric) job of ``JOBS`` in process CPU time,
     which other jobs on a shared machine disturb less than wall time, rescaled
     to a fixed core speed by ``_timed``; keeps the minimum over ``REPEATS`` runs.
@@ -110,19 +111,19 @@ def run_bench(sizes=DEFAULT_SIZES, seed: int = 0, delta: float = 1.0) -> BenchRe
     follows that drift.  The runs go in rounds, each over every size and
     job, so a job's runs lie a round apart rather than back to back.
 
-    Raises InvalidInputError before any job runs for a size below 2, a
-    repeated size (it has no doubling ratio) or a negative seed.
+    Raises InvalidInputError before any job runs for no size, a size below
+    2, a repeated size (it has no doubling ratio) or a negative seed.
     """
-    if any(n < 2 for n in sizes) or len(set(sizes)) < len(sizes):
-        raise InvalidInputError("sizes must be distinct vertex counts of at least 2")
+    if not sizes or any(n < 2 for n in sizes) or len(set(sizes)) < len(sizes):
+        raise InvalidInputError("sizes must be one or more distinct vertex counts of at least 2")
     if seed < 0:
         raise InvalidInputError("seed must be non-negative")
-    walks = {n: generate_walk(n, seed, delta) for n in sizes}
+    walks = {n: generate_walk(n, seed) for n in sizes}
     best: dict = {}                                 # (n, algo, metric) -> (ms, result)
     for _ in range(REPEATS):
         for n in sizes:
             for algo, metric in JOBS:
-                res, ms = _timed(lambda: simplify(walks[n], delta, metric, algo=algo))
+                res, ms = _timed(lambda: simplify(walks[n], 1.0, metric, algo=algo))
                 if ms < best.get((n, algo, metric), (math.inf,))[0]:
                     best[n, algo, metric] = (ms, res)
     result = BenchResult()

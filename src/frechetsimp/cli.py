@@ -2,7 +2,10 @@
 
 Subcommands: simplify | verify | bench | stats.  Reports are JSON or CSV on
 stdout and are byte-stable for a fixed (input, config, seed), except for
-measured wall-clock fields.  The library checks each input where it enters;
+measured wall-clock fields (``stats`` prints a non-finite diagnostic as
+``null``).  The parser states no library rule: ``--metric`` offers ``Metric``'s
+values, ``verify`` takes ``VerifyConfig``'s defaults, and the library checks
+each input where it enters (delta before the input file is read);
 ``main`` alone maps a failure to one ``error:`` line and its exit code:
 1 ``ParseError`` (also for a file that is not UTF-8 text) or ``OSError``,
 2 ``InvalidInputError``, or ``InstanceError`` where ``verify`` cannot draw
@@ -21,10 +24,10 @@ import sys
 import time
 
 from . import __version__, bench, polyio, svgdebug
-from .geometry import InternalGeometryError, Metric
-from .simplify import (ALGO_BASELINE, ALGO_WAVEFRONT, InvalidInputError, SweepStats,
-                       nu_diagnostics, preprocess, simplify, sweep_rows)
-from .verify import DEFAULT_METRICS, STYLES, InstanceError, VerifyConfig, run_verify
+from .geometry import InternalGeometryError, Metric, _checked_metric
+from .simplify import (ALGO_BASELINE, ALGO_WAVEFRONT, InvalidInputError, nu_diagnostics,
+                       preprocess, simplify, sweep_rows)
+from .verify import STYLES, InstanceError, VerifyConfig, run_verify
 
 EXIT_OK = 0
 EXIT_FILE = 1
@@ -32,21 +35,7 @@ EXIT_CONFIG = 2
 EXIT_MISMATCH = 3
 EXIT_GEOMETRY = 4
 
-
-def _metric(value: str) -> Metric:
-    try:
-        return Metric(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"unknown metric {value!r}")
-
-
-def _positive(value: str) -> float:
-    x = float(value)
-    if not x > 0.0:
-        raise argparse.ArgumentTypeError("must be positive")
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError("must be finite")
-    return x
+METRICS = tuple(m.value for m in Metric)
 
 
 def _error(message, code: int) -> int:
@@ -64,48 +53,48 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simplify", help="simplify a polyline file")
     ps.add_argument("--input", required=True)
     ps.add_argument("--output", required=True)
-    ps.add_argument("--delta", type=_positive, required=True)
-    ps.add_argument("--metric", type=_metric, default=Metric.L2)
+    ps.add_argument("--delta", type=float, required=True)
+    ps.add_argument("--metric", choices=METRICS, default=Metric.L2.value)
     ps.add_argument("--algo", choices=(ALGO_WAVEFRONT, ALGO_BASELINE), default=ALGO_WAVEFRONT)
     ps.add_argument("--threads", type=int, default=1)
     ps.add_argument("--svg-debug-dir", default=None)
 
     pv = sub.add_parser("verify", help="randomized cross-check against the oracle")
-    pv.add_argument("--count", type=int, default=1000)
-    pv.add_argument("--max-n", type=int, default=30)
-    pv.add_argument("--delta", type=_positive, default=None,
+    pv.add_argument("--count", type=int, default=VerifyConfig.count)
+    pv.add_argument("--max-n", type=int, default=VerifyConfig.max_n)
+    pv.add_argument("--delta", type=float, default=None,
                     help="fix delta instead of sampling it")
-    pv.add_argument("--metric", type=_metric, default=None,
+    pv.add_argument("--metric", choices=METRICS, default=None,
                     help="restrict to one metric (default: l1, l2 and linf)")
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=int, default=VerifyConfig.seed)
     pv.add_argument("--strict", action="store_true",
                     help="run the full structural-invariant battery per step")
-    pv.add_argument("--style", choices=STYLES, default=STYLES[0])
-    pv.add_argument("--threads", type=int, default=1)
+    pv.add_argument("--style", choices=STYLES, default=VerifyConfig.style)
+    pv.add_argument("--threads", type=int, default=VerifyConfig.workers)
     pv.add_argument("--dump-prefix", default="counterexample",
                     help="file prefix for the first mismatch dump")
 
     pb = sub.add_parser("bench", help="scaling benchmark of both algorithms")
     pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--delta", type=_positive, default=1.0)
     pb.add_argument("--sizes", default=None,
                     help="comma-separated vertex counts (default 250,500,1000,2000)")
 
     pt = sub.add_parser("stats", help="wavefront-size and vertex-density diagnostics")
     pt.add_argument("--input", required=True)
-    pt.add_argument("--delta", type=_positive, required=True)
-    pt.add_argument("--metric", type=_metric, default=Metric.L2)
+    pt.add_argument("--delta", type=float, required=True)
+    pt.add_argument("--metric", choices=METRICS, default=Metric.L2.value)
     return p
 
 
 def _cmd_simplify(args) -> int:
+    metric = _checked_metric(args.delta, args.metric)     # before the input is read
     points = polyio.load_polyline(args.input)
     t0 = time.perf_counter()
-    res = simplify(points, args.delta, args.metric, args.algo, workers=max(1, args.threads))
+    res = simplify(points, args.delta, metric, args.algo, workers=args.threads)
     millis = (time.perf_counter() - t0) * 1e3
     if args.svg_debug_dir:
         poly = preprocess(points)
-        svgdebug.draw_frames(poly.vertices, args.metric, range(poly.n - 1), args.delta,
+        svgdebug.draw_frames(poly.vertices, metric, range(poly.n - 1), args.delta,
                              svgdebug.file_sink(args.svg_debug_dir))
     polyio.save_polyline(args.output, [points[k] for k in res.indices])
     summary = {
@@ -120,11 +109,12 @@ def _cmd_simplify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    metrics = (args.metric,) if args.metric else DEFAULT_METRICS
-    delta_range = (args.delta, args.delta) if args.delta else VerifyConfig.delta_range
+    metrics = VerifyConfig.metrics if args.metric is None else (args.metric,)
+    # VerifyConfig checks delta: `--delta 0` is a bad delta, not a sampled one
+    delta_range = VerifyConfig.delta_range if args.delta is None else (args.delta, args.delta)
     cfg = VerifyConfig(count=args.count, max_n=args.max_n, delta_range=delta_range,
                        metrics=metrics, seed=args.seed, strict=args.strict,
-                       workers=max(1, args.threads), style=args.style)
+                       workers=args.threads, style=args.style)
     rep = run_verify(cfg)
     summary = {
         "checked": rep.checked,
@@ -155,29 +145,30 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     sizes = bench.DEFAULT_SIZES
-    if args.sizes:
+    if args.sizes is not None:            # `--sizes ''` is an error, not the default
         try:
             sizes = tuple(int(s) for s in args.sizes.split(","))
         except ValueError:
             raise InvalidInputError("--sizes expects comma-separated integers") from None
-    result = bench.run_bench(sizes=sizes, seed=args.seed, delta=args.delta)
+    result = bench.run_bench(sizes=sizes, seed=args.seed)
     sys.stdout.write(bench.to_csv(result))
     return EXIT_OK
 
 
 def _cmd_stats(args) -> int:
+    metric = _checked_metric(args.delta, args.metric)     # before the input is read
     points = polyio.load_polyline(args.input)
     poly = preprocess(points)
-    diag = nu_diagnostics(points, args.delta, args.metric)
-    total = SweepStats()
-    per_start = [arcs for _, arcs in sweep_rows(poly.vertices, args.metric, range(poly.n - 1),
-                                                args.delta, total=total)]
+    diag = {key: value if math.isfinite(value) else None      # JSON has no Infinity
+            for key, value in nu_diagnostics(points, args.delta, metric).items()}
+    per_start = [arcs for _, arcs in sweep_rows(poly.vertices, metric, range(poly.n - 1),
+                                                args.delta)]
     out = {
         "maxVerticesInDeltaBall": diag["max_vertices_in_delta_ball"],
         "nuEstimate": diag["nu_estimate"],
         "impliedWavefrontBound": diag["implied_wavefront_bound"],
         "maxWavefrontSizePerStart": per_start,
-        "maxWavefrontSize": total.max_arc_count,
+        "maxWavefrontSize": max(per_start, default=0),
     }
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK

@@ -13,6 +13,7 @@ frames are not drawn here.
 """
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -319,7 +320,7 @@ def nu_diagnostics(points, delta: float, metric: Metric = Metric.L2) -> dict:
     ``nu_estimate``: max over vertex pairs of (vertices within r of their
     midpoint) / r^2 with r = d(p, q)/2.  A documented lower-bound estimator of
     the true minimal density constant (the exact value needs smallest
-    enclosing balls of all subsets), good enough as a diagnostic.
+    enclosing balls of all subsets), good enough as a diagnostic; inf where r^2 underflows.
 
     InvalidInputError for no vertex, a non-finite coordinate and the delta
     and metric that ``simplify`` rejects.
@@ -343,7 +344,7 @@ def nu_diagnostics(points, delta: float, metric: Metric = Metric.L2) -> dict:
                 continue
             mid = (0.5 * (pts[a][0] + pts[b][0]), 0.5 * (pts[a][1] + pts[b][1]))
             cnt = sum(1 for q in pts if lp_distance(mid, q, metric) <= r)
-            est = cnt / (r * r)
+            est = cnt / (r * r) if r * r > 0.0 else math.inf    # r * r underflows to 0
             if est > nu:
                 nu = est
     return {

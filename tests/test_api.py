@@ -1,6 +1,8 @@
 """The package's public surface: the exported names and the README quickstart."""
+import argparse
 import ast
 import importlib
+import inspect
 import math
 import os
 import re
@@ -262,3 +264,38 @@ def test_one_place_maps_failures_to_exit_codes():
                                        "OSError") for fn in _handled(tree, name)}
     assert handled == {("main", "InvalidInputError"), ("main", "InstanceError"),
                        ("main", "ParseError"), ("main", "OSError"), ("_cmd_verify", "OSError")}
+
+
+def test_the_cli_restates_no_library_rule(monkeypatch, capsys):
+    from frechetsimp import bench, cli, verify
+
+    tree = dict(_modules())["cli"]
+    # the parser converts with builtins and floors no worker count: the
+    # library checks delta, metric, sizes and threads where they enter
+    types = {getattr(kw.value, "id", None) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+             for kw in node.keywords if kw.arg == "type"}
+    assert types <= {"int", "float"}
+    assert "ArgumentTypeError" not in set(_names(tree))
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "max"
+                and any(isinstance(a, ast.Constant) for a in node.args)]
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    options = {cmd: {o: a for a in sub._actions for o in a.option_strings}
+               for cmd, sub in subparsers.items()}
+    # every --metric offers Metric's values, and those alone
+    offered = {cmd: tuple(opts["--metric"].choices) for cmd, opts in options.items()
+               if "--metric" in opts}
+    assert offered == dict.fromkeys(("simplify", "verify", "stats"),
+                                    tuple(m.value for m in frechetsimp.Metric))
+    # a bare `verify` runs VerifyConfig's defaults
+    configs = []
+    monkeypatch.setattr(cli, "run_verify", lambda cfg: configs.append(cfg) or verify.VerifyReport())
+    assert cli.main(["verify"]) == 0
+    capsys.readouterr()
+    assert configs == [verify.VerifyConfig()]
+    # bench simplifies at the delta its walk is drawn for and takes none
+    assert "--delta" not in options["bench"]
+    assert "delta" not in inspect.signature(bench.run_bench).parameters
+    assert "delta" not in inspect.signature(bench.generate_walk).parameters

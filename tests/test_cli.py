@@ -119,10 +119,10 @@ class TestSimplifyCommand:
                       "--delta", "1", "--metric", "l7"])
         assert exc.value.code == 2
 
-    def test_nonpositive_delta_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["simplify", "--input", "x", "--output", "y", "--delta", "-1"])
-        assert exc.value.code == 2
+    def test_nonpositive_delta_exits_2(self, tmp_path, capsys):
+        assert cli.main(["simplify", "--input", "x", "--output", "y", "--delta", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_deterministic_output(self, tmp_path, capsys):
         content = "0,0\n1.1,0.6\n2.2,-0.3\n3.1,0.8\n4.4,0\n"
@@ -284,10 +284,10 @@ class TestVerifyCommand:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("delta", ["inf", "nan"])
-    def test_non_finite_delta_exits_2(self, delta):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--count", "2", "--max-n", "3", "--delta", delta])
-        assert exc.value.code == 2
+    def test_non_finite_delta_exits_2(self, delta, capsys):
+        assert cli.main(["verify", "--count", "2", "--max-n", "3", "--delta", delta]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_delta_too_large_to_draw_exits_2(self, capsys):
         # no clean instance of coordinates in [0, 10) keeps its vertices
@@ -372,6 +372,15 @@ class TestBenchCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    def test_empty_sizes_exit_2_before_timing(self, monkeypatch, capsys):
+        # an empty list is not the default sizes, which take minutes of CPU
+        monkeypatch.setattr(bench, "simplify", lambda *a, **k: pytest.fail("a job ran"))
+        assert cli.main(["bench", "--sizes", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        with pytest.raises(InvalidInputError):
+            bench.run_bench(sizes=())
+
     @pytest.mark.parametrize("bad", [{"seed": -1}, {"sizes": (1, 2)}, {"sizes": (3, 3)}])
     def test_run_bench_checks_before_timing(self, bad, monkeypatch):
         def no_job(*args, **kwargs):
@@ -408,3 +417,49 @@ class TestStatsCommand:
         cli.main(["stats", "--input", str(src), "--delta", "0.8", "--metric", "l1"])
         b = capsys.readouterr().out
         assert a == b and json.loads(a)
+
+    @pytest.mark.parametrize("content, delta", [("0,0\n1e-170,0\n", "1"),
+                                                ("0,0\n1,1\n2,0\n3,1\n", "1e200")],
+                             ids=["pair-whose-square-underflows", "delta-whose-square-overflows"])
+    def test_unbounded_diagnostics_print_strict_json(self, content, delta, tmp_path, capsys):
+        src = tmp_path / "p.csv"
+        src.write_text(content)
+        assert cli.main(["stats", "--input", str(src), "--delta", delta]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 1
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+        report = json.loads(out, parse_constant=reject)
+        assert report["impliedWavefrontBound"] is None
+        assert (report["nuEstimate"] is None) == (delta == "1")
+
+
+@pytest.mark.parametrize("argv", [["simplify", "--input", "missing.csv", "--output", "o.csv"],
+                                  ["stats", "--input", "missing.csv"],
+                                  ["verify", "--count", "2", "--max-n", "3"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("delta", ["0", "-1", "inf", "nan"])
+def test_bad_delta_exits_2_before_the_input_is_read(argv, delta, tmp_path, capsys, monkeypatch):
+    # `verify --delta 0` is a bad delta, not a request to sample one
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--delta", delta]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "missing.csv" not in err
+
+
+def test_threads_below_one_run_as_one(tmp_path, capsys):
+    # the library floors a thread count; the summary is that of --threads 1
+    src = tmp_path / "in.csv"
+    src.write_text(polyio.dump_polyline(stop_and_go(80, 3)))
+    runs = [(["simplify", "--input", str(src), "--output", str(tmp_path / "o.csv"),
+              "--delta", "1"], "0", "millis"),
+            (["verify", "--count", "20", "--max-n", "8"], "-3", "seconds")]
+    for argv, threads, clock in runs:
+        summaries = []
+        for t in (threads, "1"):
+            assert cli.main([*argv, "--threads", t]) == 0
+            summaries.append(json.loads(capsys.readouterr().out))
+            del summaries[-1][clock]
+        assert summaries[0] == summaries[1]

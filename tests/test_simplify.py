@@ -295,6 +295,16 @@ class TestNuDiagnostics:
         d = nu_diagnostics([(0, 0), (100, 100)], 0.001)
         assert d["implied_wavefront_bound"] >= 1.0
 
+    @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.value)
+    def test_a_pair_whose_square_underflows_is_an_unbounded_density(self, metric):
+        # r = 5e-171: r * r is 0, where the quotient raised ZeroDivisionError
+        assert nu_diagnostics([(0, 0), (1e-170, 0)], 1.0, metric) == {
+            "max_vertices_in_delta_ball": 2, "nu_estimate": math.inf,
+            "implied_wavefront_bound": math.inf}
+        # r * r = 1e-300 does not underflow: the plain quotient, to the bit
+        d = nu_diagnostics([(0, 0), (2e-150, 0)], 1.0, metric)
+        assert d["nu_estimate"] == 2 / (1e-150 * 1e-150)
+
     @pytest.mark.parametrize("points, delta, metric", [
         ([], 1.0, Metric.L2),
         ([(0, 0), (1, 1)], 0.0, Metric.L2),
