@@ -57,13 +57,30 @@ No arc is spliced, so the inserted and removed counts stay 0.  On generic
 inputs the targets, steps, aborts, both gauges and the PREFIX and INIT
 counts are the ones the tests' reference engine (``_engine``) finds.
 
-The gauges are read after each INIT, BB and MM step, but only while
-``max_arc_count`` lies below the cap min(4, 2 x live cones).  Skipping them
-from there on is exact: each live cone shows at most its own X and Y
-faces, so no step shows more faces, or faces of more squares, than the
-cap; cones never revive, so the cap never rises; and a face count is never
-below its owner count, so ``max_segment_count`` has reached the cap too.
-Where two faces are shown, their owners are counted by one comparison.
+At most one face of each axis is shown.  A live cone with s_y = +1 has
+passed the far face y_m + delta >= 0 of every square since INIT, and the
+PREFIX squares straddle the apex, so Y- >= 0 while it lives; a live cone
+with s_y = -1 keeps Y+ <= 0 in the same way.  A cone shows its Y face only
+where its near face, Y+ or -Y-, is positive.  So while live cones of both
+signs of s_y remain, no Y face is shown, and otherwise only the one their
+sign picks; the same holds for X.  The cap ``_CAP[live]``, by the mask of
+live quadrants, counts the axes on which the live cones share a sign: 2
+for one cone, 1 for two cones that share a half-plane ({0, 2}, drift-walk's
+usual pair), 0 otherwise.
+
+The gauges are read after each INIT, BB and MM step, once that step's dead
+cones are gone, but only while ``max_arc_count`` lies below the cap.
+Skipping them there is exact: no step shows more faces, or faces of more
+squares, than the cap, and a face count is never below its owner count,
+so ``max_segment_count`` has reached the cap too.  A death can raise the
+cap ({0, 1} -> {0} raises it from 1 to 2), so it is re-read from the
+survivors, and their faces are read on that same step.  A lone cone whose
+two faces were once shown together (``max_segment_count`` 2) raises
+``max_arc_count`` only where two squares own its X and Y near faces, so
+the gauges skip the steps where one square owns both.  Where two faces are
+shown, their owners are counted by one comparison.  A cone none of whose
+four bound tests moved r or l skips its emptiness test: it stays
+non-empty.
 
 ``simplify.sweep_rows`` runs this sweep for Linf, and for L1 on the Linf
 image of the points; ``verify --strict`` passes ``diagnostics.SquareChecker``
@@ -77,9 +94,10 @@ from typing import Sequence
 from .simplify import CASES, MAX_ARCS, MAX_SEGMENTS
 
 _INF = math.inf
-# faces shown (0..3: X+, X-, Y+, Y-) and their count, by bit mask
-_FACES = tuple(tuple(f for f in range(4) if m >> f & 1) for m in range(16))
-_POP = tuple(map(len, _FACES))
+# the most faces the live cones can show, by live-quadrant mask: one face of
+# each axis on which they all share a sign
+_CAP = tuple((len({q & 1 for q in range(4) if m >> q & 1}) == 1)
+             + (len({q >> 1 for q in range(4) if m >> q & 1}) == 1) for m in range(16))
 _PREFIX, _INIT, _WEDGE_EMPTY, _MM, _BB = map(CASES.index,
                                               ("PREFIX", "INIT", "WEDGE_EMPTY", "MM", "BB"))
 
@@ -95,14 +113,15 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, acc, w
     d = delta
     xp = yp = -_INF        # X+, Y+
     xm = ym = _INF         # X-, Y-
-    owner = [-1, -1, -1, -1]   # squares owning X+, X-, Y+, Y-
+    o0 = o1 = o2 = o3 = -1     # the squares owning X+, X-, Y+, Y-
     # the live cones [q, rx, ry, lx, ly], quadrant q = a + 2b with a = 0 for
     # s_x = +1 and b = 0 for s_y = +1; ``slot[q]`` is quadrant q's or None,
-    # and ``cones`` is rebuilt from it only when a cone dies
+    # bit q of ``live`` is set while it lives, and ``cones`` is rebuilt from
+    # ``slot`` only when a cone dies
     cones = slot = None
     targets = []
     prefix = moved = segs = arcs = 0
-    cap = 0                # min(4, 2 x live cones): the most faces they can show
+    cap = 0                # _CAP[live]: the most faces the live cones can show
     aborted = False
     for j in range(i + 1, len(X)):
         x = X[j] - ax
@@ -133,19 +152,19 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, acc, w
         step_moved = False
         if ex > xp:
             xp = ex
-            owner[0] = j
+            o0 = j
             step_moved = True
         if fx < xm:
             xm = fx
-            owner[1] = j
+            o1 = j
             step_moved = True
         if ey > yp:
             yp = ey
-            owner[2] = j
+            o2 = j
             step_moved = True
         if fy < ym:
             ym = fy
-            owner[3] = j
+            o3 = j
             step_moved = True
         if cones is None:
             if ex <= 0.0 <= fx and ey <= 0.0 <= fy:
@@ -154,19 +173,21 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, acc, w
                     watch(j, "PREFIX", (xp, xm, yp, ym), cones)
                 continue
             # only the quadrants whose far faces this square leaves
-            # non-negative start a cone
-            slot = [[0, 1.0, 0.0, 0.0, 1.0] if fx >= 0.0 <= fy else None,
-                    [1, 1.0, 0.0, 0.0, 1.0] if ex <= 0.0 <= fy else None,
-                    [2, 1.0, 0.0, 0.0, 1.0] if fx >= 0.0 >= ey else None,
-                    [3, 1.0, 0.0, 0.0, 1.0] if ex <= 0.0 >= ey else None]
+            # non-negative start a cone; at least one does, as ex <= fx and
+            # ey <= fy
+            s0 = fx >= 0.0 <= fy
+            s1 = ex <= 0.0 <= fy
+            s2 = fx >= 0.0 >= ey
+            s3 = ex <= 0.0 >= ey
+            slot = [[0, 1.0, 0.0, 0.0, 1.0] if s0 else None,
+                    [1, 1.0, 0.0, 0.0, 1.0] if s1 else None,
+                    [2, 1.0, 0.0, 0.0, 1.0] if s2 else None,
+                    [3, 1.0, 0.0, 0.0, 1.0] if s3 else None]
             cones = list(filter(None, slot))
-            cap = min(4, 2 * len(cones))
+            live = s0 | s1 << 1 | s2 << 2 | s3 << 3
+            cap = _CAP[live]
             step_moved = False      # INIT is counted apart
-            died = not cones        # never, as ex <= fx and ey <= fy
-        else:
-            died = False
-        gauge = arcs < cap
-        shown = 0
+        was = live
         for c in cones:
             q = c[0]
             if q & 1:
@@ -183,62 +204,68 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, acc, w
                 yf = fy
             if xf < 0.0 or yf < 0.0:
                 slot[q] = None
-                died = True
+                live ^= 1 << q
                 continue
             rx, ry, lx, ly = c[1], c[2], c[3], c[4]
+            hit = False
             if xn > xf:             # no matching with u_x > 0
                 rx = 0.0
                 ry = 1.0
+                hit = True
             if yn > yf:             # none with u_y > 0
                 lx = 1.0
                 ly = 0.0
+                hit = True
             if xn > 0.0 and lx * yf < ly * xn:
                 lx = xn
                 ly = yf
+                hit = True
             if yn > 0.0 and ry * xf < rx * yn:
                 rx = xf
                 ry = yn
-            if rx * ly < ry * lx:
-                slot[q] = None
-                died = True
-                continue
-            c[1] = rx
-            c[2] = ry
-            c[3] = lx
-            c[4] = ly
-            if gauge:
-                # the faces this cone's wavefront shows: X where it binds
-                # toward l, Y where it binds toward r
-                if xn > 0.0 and (yn <= 0.0 or ly * xn > lx * yn):
-                    shown |= 1 << (q & 1)
-                if yn > 0.0 and (xn <= 0.0 or ry * xn < rx * yn):
-                    shown |= 4 << (q >> 1)
-        if died:
-            cones = list(filter(None, slot))
-            if not cones:
+                hit = True
+            if hit:                 # an unchanged cone stays non-empty
+                if rx * ly < ry * lx:
+                    slot[q] = None
+                    live ^= 1 << q
+                    continue
+                c[1] = rx
+                c[2] = ry
+                c[3] = lx
+                c[4] = ly
+        if live != was:
+            if not live:
                 aborted = True
                 if watch is not None:
-                    watch(j, "WEDGE_EMPTY", (xp, xm, yp, ym), cones)
+                    watch(j, "WEDGE_EMPTY", (xp, xm, yp, ym), [])
                 break
-            if len(cones) == 1:
-                cap = 2
+            cones = list(filter(None, slot))
+            cap = _CAP[live]        # a death can raise it
         if watch is not None:
             watch(j, "INIT" if j == i + 1 + prefix else "BB" if step_moved else "MM",
                   (xp, xm, yp, ym), cones)
         moved += step_moved
-        if gauge:
-            k = _POP[shown]
+        # the gauges, while they can rise: a lone cone that shows both faces
+        # raises max_arc_count only where two squares own them
+        if arcs < cap and (segs < 2 or (o1 if cones[0][0] & 1 else o0)
+                           != (o3 if cones[0][0] & 2 else o2)):
+            # the faces each live cone's wavefront shows: X where it binds
+            # toward l, Y where it binds toward r, each owned by one square
+            sx = sy = -1
+            for q, rx, ry, lx, ly in cones:
+                xn = -xm if q & 1 else xp
+                yn = -ym if q & 2 else yp
+                if xn > 0.0 and (yn <= 0.0 or ly * xn > lx * yn):
+                    sx = o1 if q & 1 else o0
+                if yn > 0.0 and (xn <= 0.0 or ry * xn < rx * yn):
+                    sy = o3 if q & 2 else o2
+            k = (sx >= 0) + (sy >= 0)
             if k > segs:
                 segs = k
+            if k == 2 and sx == sy:
+                k = 1
             if k > arcs:
-                # the distinct squares owning the shown faces
-                f = _FACES[shown]
-                if k == 2:
-                    k = 1 + (owner[f[0]] != owner[f[1]])
-                elif k > 2:
-                    k = len({owner[g] for g in f})
-                if k > arcs:
-                    arcs = k
+                arcs = k
     acc[_PREFIX] += prefix
     if cones is not None:
         steps = j - i if aborted else len(X) - 1 - i     # the squares visited

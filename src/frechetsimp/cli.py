@@ -4,8 +4,9 @@ Subcommands: simplify | verify | bench | stats.  Reports are JSON or CSV on
 stdout and are byte-stable for a fixed (input, config, seed), except for
 measured wall-clock fields (``stats`` prints a non-finite diagnostic as
 ``null``).  The parser states no library rule: ``--metric`` offers ``Metric``'s
-values, ``verify`` takes ``VerifyConfig``'s defaults, and the library checks
-each input where it enters (delta before the input file is read);
+values, ``verify`` takes ``VerifyConfig``'s defaults and ``bench`` those of
+``run_bench`` and ``DEFAULT_SIZES`` (help texts included), and the library
+checks each input where it enters (delta before the input file is read);
 ``main`` alone maps a failure to one ``error:`` line and its exit code:
 1 ``ParseError`` (also for a file that is not UTF-8 text) or ``OSError``,
 2 ``InvalidInputError``, or ``InstanceError`` where ``verify`` cannot draw
@@ -18,6 +19,7 @@ frames after the simplification, in a pass of their own
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -65,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--delta", type=float, default=None,
                     help="fix delta instead of sampling it")
     pv.add_argument("--metric", choices=METRICS, default=None,
-                    help="restrict to one metric (default: l1, l2 and linf)")
+                    help="restrict to one metric (default: "
+                         + ", ".join(sorted(m.value for m in VerifyConfig.metrics)) + ")")
     pv.add_argument("--seed", type=int, default=VerifyConfig.seed)
     pv.add_argument("--strict", action="store_true",
                     help="run the full structural-invariant battery per step")
@@ -75,9 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="file prefix for the first mismatch dump")
 
     pb = sub.add_parser("bench", help="scaling benchmark of both algorithms")
-    pb.add_argument("--seed", type=int, default=0)
+    pb.add_argument("--seed", type=int,
+                    default=inspect.signature(bench.run_bench).parameters["seed"].default)
     pb.add_argument("--sizes", default=None,
-                    help="comma-separated vertex counts (default 250,500,1000,2000)")
+                    help="comma-separated vertex counts "
+                         f"(default {','.join(map(str, bench.DEFAULT_SIZES))})")
 
     pt = sub.add_parser("stats", help="wavefront-size and vertex-density diagnostics")
     pt.add_argument("--input", required=True)

@@ -83,61 +83,66 @@ class VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def _pairwise(pts: np.ndarray, metric: Metric) -> np.ndarray:
-    d = pts[:, None, :] - pts[None, :, :]
-    if metric is Metric.L2:
-        return np.hypot(d[..., 0], d[..., 1])
-    if metric is Metric.L1:
-        return np.abs(d[..., 0]) + np.abs(d[..., 1])
-    return np.maximum(np.abs(d[..., 0]), np.abs(d[..., 1]))
+def _diffs(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat coordinate differences of every ordered pair: dx[a*n+b] = x_b - x_a."""
+    return (P[None, :, 0] - P[:, None, 0]).ravel(), (P[None, :, 1] - P[:, None, 1]).ravel()
 
 
 @functools.lru_cache(maxsize=64)
-def _triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, c, b) index arrays of every triple a < c < b of n vertices; read-only."""
+def _flat(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices into ``_diffs`` of n vertices, read-only: a*n+b of every pair
+    a < b, then a*n+c and a*n+b of every triple a < c < b, in the order of
+    ``np.nonzero`` on the (a, c, b) grid."""
     ii = np.arange(n)
     a, c, b = np.nonzero((ii[:, None, None] < ii[None, :, None])
                          & (ii[None, :, None] < ii[None, None, :]))
-    for arr in (a, c, b):
+    pa, pb = np.triu_indices(n, 1)
+    out = (pa * n + pb, a * n + c, a * n + b)
+    for arr in out:
         arr.flags.writeable = False
-    return a, c, b
+    return out
 
 
-def _seg_point_dists(pts: np.ndarray, metric: Metric) -> np.ndarray:
+def _seg_point_dists(pts: np.ndarray, metric: Metric, diffs=None) -> np.ndarray:
     """Metric distance from vertex c to segment (a, b), for every a < c < b.
 
-    Flat array over the triples of ``_triples(len(pts))``, in the order of
-    ``np.nonzero`` on the (a, c, b) grid; entry 0 of a three-point input is
-    the distance from pts[1] to segment (pts[0], pts[2]).  The index arrays
-    are built once per n and cached.
+    Flat array over the triples of ``_flat(len(pts))``; entry 0 of a
+    three-point input is the distance from pts[1] to segment (pts[0],
+    pts[2]).  ``diffs``, if given, is ``_diffs(pts)`` (L1 reads the
+    differences of the Linf image).  Each triple gathers four differences,
+    u = x_c - x_a, w = y_c - y_a and (vx, vy) = p_b - p_a: the offset from c
+    at t is (t vx - u, t vy - w), the exact negation of p_a + t (p_b - p_a)
+    - p_c, so every distance is the one that offset gives.
     """
-    P = oracle.linf_image(pts) if metric is Metric.L1 else pts
-    a, c, b = _triples(len(P))
-    X = P[:, 0]
-    Y = P[:, 1]
-    vx = X[b] - X[a]
-    vy = Y[b] - Y[a]
-    x0 = X[a] - X[c]
-    y0 = Y[a] - Y[c]
+    if metric is Metric.L1:
+        diffs = _diffs(oracle.linf_image(pts))
+    elif diffs is None:
+        diffs = _diffs(pts)
+    dx, dy = diffs
+    _, ac, ab = _flat(len(pts))
+    u = dx[ac]
+    w = dy[ac]
+    vx = dx[ab]
+    vy = dy[ab]
     if metric is Metric.L2:
         vv = vx * vx + vy * vy
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = -(x0 * vx + y0 * vy) / vv
+            t = (u * vx + w * vy) / vv
         t = np.where(vv == 0.0, 0.0, np.clip(t, 0.0, 1.0))
-        return np.hypot(x0 + t * vx, y0 + t * vy)
-    # h(t) = max(|x0 + t vx|, |y0 + t vy|) is convex and piecewise linear,
-    # and it bends only where the two terms are equal: where the binding term
+        return np.hypot(u - t * vx, w - t * vy)
+    # h(t) = max(|t vx - u|, |t vy - w|) is convex and piecewise linear, and
+    # it bends only where the two terms are equal: where the binding term
     # crosses zero, the other term is zero too.  So its minimum on [0, 1] lies
-    # at an endpoint or where the offset (x, y) crosses a diagonal, x = y or
-    # x = -y; an offset that runs along one diagonal crosses the other where
-    # both terms are zero.  A 0/0 crossing is NaN, which ``fmin`` skips; an
+    # at an endpoint or where the offset crosses a diagonal, x = y or x = -y;
+    # an offset that runs along one diagonal crosses the other where both
+    # terms are zero.  A 0/0 crossing is NaN, which ``fmin`` skips; an
     # infinite t clips to an endpoint.
-    best = np.minimum(np.maximum(np.abs(x0), np.abs(y0)),                 # t = 0
-                      np.maximum(np.abs(x0 + vx), np.abs(y0 + vy)))       # t = 1
+    best = np.minimum(np.maximum(np.abs(u), np.abs(w)),                 # t = 0
+                      np.maximum(np.abs(vx - u), np.abs(vy - w)))       # t = 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        for num, den in ((-(x0 - y0), vx - vy), (-(x0 + y0), vx + vy)):
+        for num, den in ((u - w, vx - vy), (u + w, vx + vy)):
             t = np.clip(num / den, 0.0, 1.0)
-            best = np.fmin(best, np.maximum(np.abs(x0 + t * vx), np.abs(y0 + t * vy)))
+            best = np.fmin(best, np.maximum(np.abs(t * vx - u), np.abs(t * vy - w)))
     return best
 
 
@@ -145,19 +150,28 @@ def instance_margin(pts: np.ndarray, delta: float,
                     metrics: Sequence[Metric] = DEFAULT_METRICS) -> float:
     """Smallest |critical distance - delta| (and vertex separation) of the instance.
 
-    The vertex-segment distances come from ``_seg_point_dists``, which
-    evaluates only the triples a < c < b that a shortcut can bridge.
-    ``metrics`` may hold ``Metric`` members or their values.
+    Each pair a < b is taken once (b to a is the exact negation), and the
+    vertex-segment distances come from ``_seg_point_dists``, which evaluates
+    only the triples a < c < b that a shortcut can bridge.  ``metrics`` may
+    hold ``Metric`` members or their values.
     """
     n = len(pts)
     margin = np.inf
-    off_diag = ~np.eye(n, dtype=bool)
+    diffs = _diffs(pts)
+    pairs = _flat(n)[0]
+    px = diffs[0][pairs]
+    py = diffs[1][pairs]
     for m in map(Metric, metrics):
-        off = _pairwise(pts, m)[off_diag]
-        if off.size:
+        if px.size:
+            if m is Metric.L2:
+                off = np.hypot(px, py)
+            elif m is Metric.L1:
+                off = np.abs(px) + np.abs(py)
+            else:
+                off = np.maximum(np.abs(px), np.abs(py))
             margin = min(margin, float(np.min(np.abs(off - delta))), float(np.min(off)))
         if n >= 3:
-            margin = min(margin, float(np.min(np.abs(_seg_point_dists(pts, m) - delta))))
+            margin = min(margin, float(np.min(np.abs(_seg_point_dists(pts, m, diffs) - delta))))
     return margin
 
 

@@ -295,6 +295,19 @@ def test_the_cli_restates_no_library_rule(monkeypatch, capsys):
     assert cli.main(["verify"]) == 0
     capsys.readouterr()
     assert configs == [verify.VerifyConfig()]
+    # the help texts and bench's seed follow the library's defaults
+    monkeypatch.setattr(verify.VerifyConfig, "metrics", (frechetsimp.Metric.LINF,))
+    monkeypatch.setattr(bench, "DEFAULT_SIZES", (7, 9))
+    monkeypatch.setattr(bench, "run_bench", lambda sizes=(7, 9), seed=5: None)
+    parser = cli.build_parser()
+    bench_args = parser.parse_args(["bench"])
+    assert bench_args.seed == 5 and bench_args.sizes is None
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    helps = {o: a.help for cmd in ("verify", "bench") for a in subs[cmd]._actions
+             for o in a.option_strings}
+    assert helps["--metric"].endswith("(default: linf)")
+    assert helps["--sizes"].endswith("(default 7,9)")
+    monkeypatch.undo()
     # bench simplifies at the delta its walk is drawn for and takes none
     assert "--delta" not in options["bench"]
     assert "delta" not in inspect.signature(bench.run_bench).parameters

@@ -10,7 +10,7 @@ from frechetsimp._engine import Sweep
 from frechetsimp.geometry import (CircleKernel, Metric, SquareKernel, _wrap_angle,
                                  l1_to_linf, lp_distance)
 from frechetsimp.oracle import linf_image
-from frechetsimp.verify import _seg_point_dists, _triples
+from frechetsimp.verify import _flat, _seg_point_dists
 
 D = 1e-9
 
@@ -423,7 +423,10 @@ def test_segment_point_distance_on_lattice_ties(metric):
         got = _seg_point_dists(pts, metric)
         P = linf_image(pts) if metric is Metric.L1 else pts
         F = [(Fraction(x), Fraction(y)) for x, y in P.tolist()]
-        for (a, c, b), d in zip(zip(*_triples(len(pts))), got.tolist()):
+        n = len(pts)
+        for ac, ab, d in zip(*_flat(n)[1:], got.tolist()):
+            a, c = divmod(int(ac), n)
+            b = int(ab) % n
             x0, y0 = F[a][0] - F[c][0], F[a][1] - F[c][1]
             vx, vy = F[b][0] - F[a][0], F[b][1] - F[a][1]
             exact = _linf_seg_point_exact(x0, y0, vx, vy)

@@ -3,11 +3,14 @@
 On the generic pinned inputs the square sweep must agree with the generic
 engine sweep by sweep (targets, steps, aborts, both gauges, and the PREFIX
 and INIT counts) and so reproduce the engine's pins; on inputs full of ties,
-where the engine raises, its targets must be the oracle's.  On both, and
-on more walks, each sweep's gauges must be the maxima an observer recounts
-after every step.  ``simplify.sweep_rows`` must hand squares to the square
-sweep, with or without the invariant checker.
+where the engine raises, its targets must be the oracle's.  On both, on
+more walks and on random ``verify`` draws, each sweep's gauges must be the
+maxima an observer recounts after every step, and no step may show a face
+of an axis on which the live cones differ in sign.  ``simplify.sweep_rows``
+must hand squares to the square sweep, with or without the invariant
+checker.
 """
+import functools
 import hashlib
 import math
 
@@ -19,7 +22,7 @@ from frechetsimp._engine import sweep_targets
 from frechetsimp.diagnostics import SquareChecker
 from frechetsimp.geometry import Metric
 from frechetsimp.simplify import SweepStats
-from frechetsimp.verify import VerifyConfig, random_instance
+from frechetsimp.verify import STYLES, VerifyConfig, random_instance
 
 from reference import engine_input
 from sweeps import each_sweep_stats, fresh_acc
@@ -127,7 +130,10 @@ class GaugeReference:
     """Observer that recomputes a square sweep's gauges from what it is
     handed: a face is owned by the step that last changed its extreme, and
     after each INIT, BB and MM step every live cone shows its X face where
-    that binds toward l and its Y face where it binds toward r."""
+    that binds toward l and its Y face where it binds toward r.  It asserts
+    the lemma behind the sweep's cap on every such step: no face of an axis
+    is shown while the live cones disagree in sign on it, so at most two
+    faces are shown."""
 
     def __init__(self, X, Y, i, delta):
         self.faces = (-math.inf, math.inf, -math.inf, math.inf)
@@ -150,16 +156,31 @@ class GaugeReference:
                 shown.add(q & 1)
             if yn > 0.0 and (xn <= 0.0 or ry * xn < rx * yn):
                 shown.add(2 + (q >> 1))
+        if len({q & 1 for q, *_ in cones}) > 1:
+            assert not shown & {0, 1}, (j, faces, cones)
+        if len({q >> 1 for q, *_ in cones}) > 1:
+            assert not shown & {2, 3}, (j, faces, cones)
+        assert len(shown) <= 2
         self.segs = max(self.segs, len(shown))
         self.arcs = max(self.arcs, len({self.owner[f] for f in shown}))
 
 
+def _draws(style):
+    # short sweeps where cones often die mid-sweep, which can raise the cap
+    cfg = VerifyConfig(count=100, max_n=30, seed=26, style=style)
+    return [([tuple(p) for p in pts.tolist()], delta)
+            for pts, delta, _ in map(functools.partial(random_instance, cfg), range(cfg.count))]
+
+
+# name -> a function that makes the (points, delta) instances
 GAUGE_INPUTS = {
-    **INPUTS, **TIE_INPUTS,
-    **{f"stopgo-{s}": (lambda s=s: stop_and_go(150, s), 1.0) for s in range(3)},
-    **{f"quantized-{s}": (lambda s=s: quantized(stop_and_go(150, s), 0.1), 1.0)
+    **{name: (lambda make=make, delta=delta: [(make(), delta)])
+       for name, (make, delta) in {**INPUTS, **TIE_INPUTS}.items()},
+    **{f"stopgo-{s}": (lambda s=s: [(stop_and_go(150, s), 1.0)]) for s in range(3)},
+    **{f"quantized-{s}": (lambda s=s: [(quantized(stop_and_go(150, s), 0.1), 1.0)])
        for s in range(3)},
-    **{f"lattice-{s}": (lambda s=s: lattice_walk(120, s), 1.0 + 0.5 * s) for s in range(3)},
+    **{f"lattice-{s}": (lambda s=s: [(lattice_walk(120, s), 1.0 + 0.5 * s)]) for s in range(3)},
+    **{f"draws-{style}": functools.partial(_draws, style) for style in STYLES},
 }
 
 
@@ -168,15 +189,15 @@ GAUGE_INPUTS = {
 def test_gauges_match_a_stepwise_recount(name, metric):
     # the sweep reads its gauges only where they can rise; the reference
     # recounts them after every step from the observed state alone
-    make, delta = GAUGE_INPUTS[name]
-    pts = make()
-    refs = []
+    for pts, delta in GAUGE_INPUTS[name]():
+        refs = []
 
-    def watch(*args):
-        refs.append(GaugeReference(*args))
-        return refs[-1]
+        def watch(*args):
+            refs.append(GaugeReference(*args))
+            return refs[-1]
 
-    starts = range(len(pts) - 1)
-    for i, (_, st) in zip(starts, each_sweep_stats(pts, metric, starts, delta, watch)):
-        assert (st.max_segment_count, st.max_arc_count) == (refs[-1].segs, refs[-1].arcs), i
-    assert len(refs) == len(starts)
+        starts = range(len(pts) - 1)
+        for i, (_, st) in zip(starts, each_sweep_stats(pts, metric, starts, delta, watch)):
+            assert (st.max_segment_count, st.max_arc_count) == (refs[-1].segs,
+                                                                 refs[-1].arcs), (i, pts, delta)
+        assert len(refs) == len(starts)
