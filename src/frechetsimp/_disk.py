@@ -39,10 +39,14 @@ sweep (TT_EMPTY) where there are none; and MM inserts C_j's near arc where
 it lies past the wavefront between the rays, if anywhere.  PREFIX counts
 the steps before the first disk that leaves out the apex, INIT that disk's
 step, and WEDGE_EMPTY the step whose cone misses the wedge.  Every splice
-is contiguous and each arc is removed at most once per sweep.  Two
-shortcuts skip work whose outcome is known: a scan for C_j's one crossing
-passes arcs by an end point, and case MM is a no-op where the arcs beside
-C_j's place have both ends in C_j.  The sweep builds no stats record: it
+is contiguous and each arc is removed at most once per sweep.  Shortcuts
+skip work whose outcome is known.  Every scan keeps one crossing of an arc,
+the one it meets first, so ``_crossings`` tests that candidate first and
+the other only where the first is off the arc.  Cases MB and BM (and MT and
+TM, which share their walks) walk in place for C_j's one crossing, passing
+arcs by the end point ahead, and take a B ray's entry point into C_j in
+place.  Case MM is a no-op where the arcs beside C_j's place have both ends
+in C_j.  The sweep builds no stats record: it
 counts each step's case into the accumulator ``simplify.sweep_rows`` hands
 it, adds its arcs inserted and removed and raises the call's arc gauge
 once, at its end, and returns that gauge with its targets.  On generic
@@ -55,7 +59,7 @@ passes ``diagnostics.DiskChecker`` as its observer.
 """
 from __future__ import annotations
 
-import math
+from math import sqrt
 from typing import Sequence
 
 from .geometry import EPS_REL, InternalGeometryError
@@ -77,7 +81,7 @@ def _near(vx, vy, cx, cy, ll):
     that misses by a rounding grazes."""
     m = vx * cx + vy * cy
     disc = m * m - (vx * vx + vy * vy) * ll
-    den = m + math.sqrt(disc) if disc > 0.0 else m
+    den = m + sqrt(disc) if disc > 0.0 else m
     if den <= 0.0:
         raise InternalGeometryError(_AWAY)
     t = ll / den
@@ -139,9 +143,12 @@ def _contained(a, x, y, rin):
     return dx * dx + dy * dy <= rin
 
 
-def _crossings(a, x, y, rr):
+def _crossings(a, x, y, rr, pick=None):
     """Crossings of C_j's boundary (centre (x, y)) with arc a, clockwise
-    first, or None where the two circles coincide."""
+    first, or None where the two circles coincide.  ``pick`` 0 or -1: only
+    that item of the pair, or () where there is none; the candidate a walk
+    in that direction meets first is tested first, and the other only where
+    the first is off the arc."""
     cx = a[4]
     cy = a[5]
     dx = x - cx
@@ -150,65 +157,60 @@ def _crossings(a, x, y, rr):
     if dd <= _COINC * rr:
         return None
     hh = rr - 0.25 * dd
-    if hh > 0.0:
-        h = math.sqrt(hh / dd)
-        hx = h * dy
-        hy = -h * dx
-    elif dd <= _TOUCH * rr:
-        hx = hy = 0.0               # touching circles cross once
-    else:
-        return ()
     mx = cx + 0.5 * dx
     my = cy + 0.5 * dy
-    if mx * hy < my * hx:           # m - h before m + h, clockwise
-        hx = -hx
-        hy = -hy
+    if hh > 0.0:
+        h = sqrt(hh / dd)
+        hx = h * dy
+        hy = -h * dx
+        # m - h before m + h, clockwise; for -1 m + h first (as m - (-h))
+        if (mx * hy < my * hx) is not (pick == -1):
+            hx = -hx
+            hy = -hy
+        two = True
+    elif dd <= _TOUCH * rr:
+        hx = hy = 0.0               # touching circles cross once
+        two = False
+    else:
+        return ()
     out = ()
-    sx, sy, ex, ey = a[0], a[1], a[2], a[3]
-    ss = sx * sx + sy * sy
-    ee = ex * ex + ey * ey
-    # each on the near side of a's circle, and within a's span
+    near = _NEAR * rr
     px = mx - hx
     py = my - hy
-    qq = px * px + py * py
-    if (qq - px * cx - py * cy <= _NEAR * rr and sx * py - sy * px >= -_SPAN * (ss + qq)
-            and px * ey - py * ex >= -_SPAN * (ee + qq)):
-        out = ((px, py),)
-    if hx or hy:
+    while True:
+        # on the near side of a's circle, and within a's span
+        qq = px * px + py * py
+        if qq - px * cx - py * cy <= near:
+            sx = a[0]
+            sy = a[1]
+            if sx * py - sy * px >= -_SPAN * (sx * sx + sy * sy + qq):
+                ex = a[2]
+                ey = a[3]
+                if px * ey - py * ex >= -_SPAN * (ex * ex + ey * ey + qq):
+                    if pick is not None:
+                        return px, py
+                    out += ((px, py),)
+        if not two:
+            return out
+        two = False
         px = mx + hx
         py = my + hy
-        qq = px * px + py * py
-        if (qq - px * cx - py * cy <= _NEAR * rr and sx * py - sy * px >= -_SPAN * (ss + qq)
-                and px * ey - py * ex >= -_SPAN * (ee + qq)):
-            out += ((px, py),)
-    return out
 
 
-def _scan(arcs, k, step, x, y, rr, once=False):
+def _scan(arcs, k, step, x, y, rr):
     """From arc k by ``step`` (-1 towards arc 0, +1 away from it), the first
-    arc C_j crosses: (index, the crossing the walk meets first), or None.
-    ``once``: C_j's boundary crosses the wavefront once, on the first arc
-    whose end ahead on the walk lies in C_j, so the arcs before it are
-    passed by that end point alone."""
+    arc C_j crosses: (index, the crossing the walk meets first), or None."""
     if step < 0:
-        ahead, behind, first, last, stop = 0, 2, -1, 0, -1
+        behind, first, stop = 2, -1, -1
     else:
-        ahead, behind, first, last, stop = 2, 0, 0, len(arcs) - 1, len(arcs)
-    if once:
-        while k != last:
-            a = arcs[k]
-            dx = a[ahead] - x
-            dy = a[ahead + 1] - y
-            if dx * dx + dy * dy <= rr:
-                break
-            k += step
+        behind, first, stop = 0, 0, len(arcs)
     while k != stop:
-        crs = _crossings(arcs[k], x, y, rr)
+        crs = _crossings(arcs[k], x, y, rr, first)
         if crs is None:
             a = arcs[k]
             return k, (a[behind], a[behind + 1])
         if crs:
-            return k, crs[first]
+            return k, crs
         k += step
     return None
 
@@ -228,12 +230,13 @@ def _scan_mm(arcs, k, step, x, y, rr, rin):
     """Case MM: walk from arc k by ``step`` to the first crossing, over arcs
     that pass under C_j; (index, point) or None when this side has none."""
     passed = False
+    pick = -1 if step > 0 else 0
     while 0 <= k < len(arcs):
-        crs = _crossings(arcs[k], x, y, rr)
+        crs = _crossings(arcs[k], x, y, rr, pick)
         if crs is None:
             return None
         if crs:
-            return k, crs[-1] if step > 0 else crs[0]
+            return k, crs
         if _contained(arcs[k], x, y, rin):
             if passed:
                 raise InternalGeometryError("MM scan passed below arcs into a contained arc")
@@ -316,19 +319,19 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, acc, w
     for j in range(i + 1, len(X)):
         x = X[j] - ax
         y = Y[j] - ay
+        n = len(arcs)
         # target test on the state after disks i+1 ... j-1: in the wedge, and
         # in or past the disk of the arc over p_j (the apex itself lies short
         # of any wavefront)
-        if not arcs:
+        if not n:
             targets.append(j)
         elif (x != 0.0 or y != 0.0) and rx * y >= ry * x and x * ly >= y * lx:
-            a = arcs[0] if len(arcs) == 1 else arcs[_cover(arcs, x, y)]
+            a = arcs[0] if n == 1 else arcs[_cover(arcs, x, y)]
             dx = x - a[4]
             dy = y - a[5]
             if dx * dx + dy * dy <= rr or dx * x + dy * y >= 0.0:
                 targets.append(j)
         dd = x * x + y * y
-        n = len(arcs)
         kr = 0                  # the arcs over the wedge rays, first and last
         kl = n - 1
         move_r = move_l = False
@@ -336,7 +339,7 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, acc, w
             ll = dd - rr
             inv = 1.0 / dd
             c = ll * inv
-            s = math.sqrt(ll) * delta * inv
+            s = sqrt(ll) * delta * inv
             # C_j's tangent points, right and left
             crx = c * x + s * y
             cry = c * y - s * x
@@ -438,14 +441,40 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, acc, w
         if dd <= rr and "B" in case:
             raise InternalGeometryError(
                 f"pattern {case} with the apex inside C_{j} should be impossible")
+        # A B ray that stays enters C_j at t * (its direction), t = ll / (m +
+        # sqrt(m^2 - |r|^2 ll)), m = r . o (``_near``); a moved one is on C_j
+        if right == "B":
+            if move_r:
+                x0 = rx
+                y0 = ry
+            else:
+                m = rx * x + ry * y
+                disc = m * m - (rx * rx + ry * ry) * ll
+                den = m + sqrt(disc) if disc > 0.0 else m
+                if den <= 0.0:
+                    raise InternalGeometryError(_AWAY)
+                t = ll / den
+                x0 = t * rx
+                y0 = t * ry
+        if left == "B":
+            if move_l:
+                x1 = lx
+                y1 = ly
+            else:
+                m = lx * x + ly * y
+                disc = m * m - (lx * lx + ly * ly) * ll
+                den = m + sqrt(disc) if disc > 0.0 else m
+                if den <= 0.0:
+                    raise InternalGeometryError(_AWAY)
+                t = ll / den
+                x1 = t * lx
+                y1 = t * ly
         # The surgery.  A moved ray is C_j's tangent, so no crossing lies
         # beyond it: the scans start at arcs kr and kl, and the arcs the
         # engine clips away first count as removed by the case.
         if case == "BB":
             # C_j beyond the wavefront on both rays: its near arc between
             # the wedge rays replaces every arc
-            x0, y0 = (rx, ry) if move_r else _near(rx, ry, x, y, ll)
-            x1, y1 = (lx, ly) if move_l else _near(lx, ly, x, y, ll)
             arcs = [[x0, y0, x1, y1, x, y]]
             removed += n
             inserted += 1
@@ -453,34 +482,71 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, acc, w
             if watch is not None:
                 watch(j, "BB", arcs, (rx, ry, lx, ly))
             continue
-        if case == "MB":
-            # C_j beyond the wavefront at the right ray: its near arc takes
-            # over from the right ray to the first crossing
-            found = _scan(arcs, kr, 1, x, y, rr, True)
-            if found is None:
-                raise InternalGeometryError("case MB must have one crossing")
-            k, (x1, y1) = found
-            a = arcs[k]
-            a[0] = x1
-            a[1] = y1
-            x0, y0 = (rx, ry) if move_r else _near(rx, ry, x, y, ll)
-            arcs[:k] = [[x0, y0, x1, y1, x, y]]
+        if case == "MB" or case == "MT":
+            # C_j's boundary crosses the wavefront once, on the first arc
+            # from the right ray whose left end lies in C_j: the arcs before
+            # it are passed by that end alone
+            k = kr
+            while k < kl:           # kl is the last arc: the left ray is M
+                a = arcs[k]
+                dx = a[2] - x
+                dy = a[3] - y
+                if dx * dx + dy * dy <= rr:
+                    break
+                k += 1
+            while k < n:
+                a = arcs[k]
+                p = _crossings(a, x, y, rr, 0)
+                if p is None:       # C_j's own circle: it crosses at the arc's start
+                    p = a[0], a[1]
+                if p:
+                    break
+                k += 1
+            else:
+                raise InternalGeometryError(f"case {case} must have one crossing")
+            a[0], a[1] = p
             removed += k
-            inserted += 1
-            case = _MB
-        elif case == "BM":
-            found = _scan(arcs, kl, -1, x, y, rr, True)
-            if found is None:
-                raise InternalGeometryError("case BM must have one crossing")
-            k, (x0, y0) = found
-            a = arcs[k]
-            a[2] = x0
-            a[3] = y0
-            x1, y1 = (lx, ly) if move_l else _near(lx, ly, x, y, ll)
-            arcs[k + 1:] = [[x0, y0, x1, y1, x, y]]
+            if case == "MB":
+                # C_j beyond the wavefront at the right ray: its near arc
+                # takes over from the right ray to the crossing
+                arcs[:k] = [[x0, y0, p[0], p[1], x, y]]
+                inserted += 1
+                case = _MB
+            else:
+                # past it at the right ray: the wedge is cut back to the crossing
+                rx, ry = p
+                del arcs[:k]
+                case = _MT
+        elif case == "BM" or case == "TM":
+            # the same from the left ray
+            k = kl
+            while k > 0:
+                a = arcs[k]
+                dx = a[0] - x
+                dy = a[1] - y
+                if dx * dx + dy * dy <= rr:
+                    break
+                k -= 1
+            while k >= 0:
+                a = arcs[k]
+                p = _crossings(a, x, y, rr, -1)
+                if p is None:
+                    p = a[2], a[3]
+                if p:
+                    break
+                k -= 1
+            else:
+                raise InternalGeometryError(f"case {case} must have one crossing")
+            a[2], a[3] = p
             removed += n - 1 - k
-            inserted += 1
-            case = _BM
+            if case == "BM":
+                arcs[k + 1:] = [[p[0], p[1], x1, y1, x, y]]
+                inserted += 1
+                case = _BM
+            else:
+                lx, ly = p
+                del arcs[k + 1:]
+                case = _TM
         elif case == "TT":
             found = _scan(arcs, kl, -1, x, y, rr)
             if found is None:
@@ -504,26 +570,6 @@ def _scalar(X: Sequence[float], Y: Sequence[float], i: int, delta: float, acc, w
                 removed += n - 1 - il + ir
                 rx, ry, lx, ly = x0, y0, x1, y1
                 case = _TT
-        elif case == "TM":
-            found = _scan(arcs, kl, -1, x, y, rr, True)
-            if found is None:
-                raise InternalGeometryError("case TM must have one crossing")
-            k, (lx, ly) = found
-            arcs[k][2] = lx
-            arcs[k][3] = ly
-            del arcs[k + 1:]
-            removed += n - 1 - k
-            case = _TM
-        elif case == "MT":
-            found = _scan(arcs, kr, 1, x, y, rr, True)
-            if found is None:
-                raise InternalGeometryError("case MT must have one crossing")
-            k, (rx, ry) = found
-            arcs[k][0] = rx
-            arcs[k][1] = ry
-            del arcs[:k]
-            removed += k
-            case = _MT
         elif case == "MM":
             k, m = _case_mm(arcs, x, y, rr, fx, fy, dd > rr)
             inserted += k

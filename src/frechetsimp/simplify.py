@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -227,6 +226,9 @@ def link_distance_table(pts, delta: float, metric: Metric = Metric.L2,
     # longest: small chunks even out the load, and each still sweeps enough
     # rows to pay for shipping the points to its process
     chunk = -(-(n - 1) // (workers * _CHUNKS_PER_WORKER))
+    # loaded where a pool starts: it pulls in multiprocessing, which most
+    # callers never use
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as ex:
         # the lowest start vertices sweep the longest, so their chunks go
         # first; the table consumes the chunks last to first

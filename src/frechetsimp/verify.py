@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -306,6 +305,7 @@ def run_verify(cfg: VerifyConfig) -> VerifyReport:
     if len(ranges) == 1:
         parts = [_run_range(ranges[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor   # as in link_distance_table
         with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as ex:
             parts = list(ex.map(_run_range, ranges))
     for p in parts:

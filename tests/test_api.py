@@ -6,6 +6,8 @@ import inspect
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +28,17 @@ def test_public_names():
         assert hasattr(frechetsimp, name), name
     assert importlib.import_module("frechetsimp.simplify").InvalidInputError is \
         frechetsimp.InvalidInputError
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # a pool is loaded where one starts: multiprocessing costs most of the
+    # package's import time and memory, and a sweep never needs it
+    src = os.path.dirname(os.path.dirname(frechetsimp.__file__))
+    code = ("import sys, frechetsimp; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_readme_quickstart_runs():
@@ -241,6 +254,8 @@ def test_one_place_picks_the_sweep():
     defined = {mod: {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
                for mod, tree in modules.items()}
     assert {fn for fn in defined["_disk"] if fn.startswith("_scan")} == {"_scan", "_scan_mm"}
+    # and one crossing function, whose pick serves every scan
+    assert {fn for fn in defined["_disk"] if "crossing" in fn} == {"_crossings"}
     assert "_interval" not in defined["oracle"]
     # and the accumulator's layout is defined in simplify alone
     assert {case: getattr(_disk, "_" + case) for case in CASES} == {

@@ -1,4 +1,4 @@
-import importlib
+import concurrent.futures
 import math
 import os
 from concurrent.futures import Future
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frechetsimp import verify as verify_mod
 from frechetsimp.geometry import Metric
 from frechetsimp.oracle import shortcut_is_valid
 from frechetsimp.simplify import (InvalidInputError, link_distance_table,
@@ -17,9 +16,6 @@ from frechetsimp.verify import VerifyConfig, random_instance, run_verify
 
 from oracles import min_nu_bruteforce
 from walks import stop_and_go
-
-# the package's ``simplify`` attribute is the function, not the module
-simplify_mod = importlib.import_module("frechetsimp.simplify")
 
 METRICS = (Metric.L2, Metric.L1, Metric.LINF)
 
@@ -234,8 +230,9 @@ def three_cpus(monkeypatch):
             return [self.submit(fn, item).result() for item in items]
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(simplify_mod, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", Pool)
+    # both pools load the executor where they start it, so this one seam
+    # reaches simplify's and verify's
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return pools
 
 
